@@ -288,43 +288,6 @@ class FactorCurrent:
                (f" * {fs}]" if fs else "]")
 
 
-def _spow(s, n):
-    out = SCALAR_ONE
-    for _ in range(n):
-        out = out * s
-    return out
-
-
-def _neg_series_infinity(base, m, width):
-    """(1 - base*x)^(-m) expanded at infinity: ((-base*x)^{-1})^m (1-(base x)^{-1})^{-m}."""
-    inv = Scalar.one() / base
-    out = {}
-    sign = Scalar.const(GR((-1) ** m))
-    for j in range(width + 1):
-        out[-m - j] = sign * Scalar.const(GR(comb(m - 1 + j, j))) * _spow(inv, m + j)
-    return out
-
-
-def _neg_series_zero(base, m, width):
-    """(1 - base*x)^(-m) expanded at zero."""
-    out = {}
-    for j in range(width + 1):
-        out[j] = Scalar.const(GR(comb(m - 1 + j, j))) * _spow(base, j)
-    return out
-
-
-def _mul_series(a, b, width):
-    out = {}
-    for n1, c1 in a.items():
-        for n2, c2 in b.items():
-            n = n1 + n2
-            if abs(n) > width:
-                continue
-            c = c1 * c2
-            out[n] = out[n] + c if n in out else c
-    return out
-
-
 # --- distributions -----------------------------------------------------
 
 

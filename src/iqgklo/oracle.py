@@ -4,8 +4,10 @@ Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions by acting
   on random monomial test functions under random exact Gaussian-rational
-  specializations of all base variables.  It shares no simplification code
-  with the symbolic comparison path.
+  specializations of all base variables.  Acting on a monomial only
+  rescales it, so each coefficient is evaluated at the specialization and
+  then multiplied by the value of the acted-on test monomial.  It shares
+  no simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
@@ -66,8 +68,11 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
     """Numeric concordance check for two fully pinned distributions.
 
     For each trial the two sides are compared support group by support
-    group: the coefficient-with-shift part acts on a random monomial and
-    the resulting scalars are evaluated at a random exact specialization.
+    group at a random exact specialization: the shift part acts on a
+    random test monomial, and each side's coefficient is evaluated and
+    then multiplied by the value of the acted-on monomial.  Evaluation is
+    a ring homomorphism and a monomial never evaluates to 0, so this
+    equals evaluating the acted-on product without building it.
     Specializations that hit a denominator are retried (bounded).
     Returns (verdict, trials_run).
     """
@@ -95,8 +100,9 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
                 dmon = key[1]
                 cx = gx.get(key, Scalar.zero())
                 cy = gy.get(key, Scalar.zero())
-                vx = act((cx, dmon), f).eval_numeric(assignment)
-                vy = act((cy, dmon), f).eval_numeric(assignment)
+                fv = act((Scalar.one(), dmon), f).eval_numeric(assignment)
+                vx = cx.eval_numeric(assignment) * fv
+                vy = cy.eval_numeric(assignment) * fv
                 if vx != vy:
                     return False, done + 1
         except (DenominatorVanishes, DivisionByZero):

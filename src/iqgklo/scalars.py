@@ -816,28 +816,3 @@ def q_bracket(n):
     num = Poly.mono(Monomial.q_int(n)) - Poly.mono(Monomial.q_int(-n))
     den = Poly.mono(Monomial.q_int(1)) - Poly.mono(Monomial.q_int(-1))
     return Scalar(num, den)
-
-
-def scalar_arith(op, x, y=None):
-    """Dispatch wrapper: op in {'add','neg','mul','div'}."""
-    if op == "add":
-        return x + y
-    if op == "neg":
-        return -x
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def equals_scalar(x, y):
-    return x.equals(y)
-
-
-def substitute(x, var, target):
-    return x.substitute(var, target)
-
-
-def eval_numeric(x, assignment):
-    return x.eval_numeric(assignment)

@@ -5,7 +5,8 @@ import pytest
 from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
-from iqgklo.errors import ParseError, ValidationError
+from iqgklo.errors import NonSimplePole, ParseError, ValidationError
+from iqgklo.relations import RelationChecker
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,42 @@ def test_check_failure_exit_code(capsys):
     assert code == 1
     doc = json.loads(out)
     assert any(r["status"] == "fail" for r in doc["results"])
+
+
+def test_check_aborted_relation_reports_failure(capsys, monkeypatch):
+    # an abort inside the symbolic check must surface as a failed check in
+    # the report (exit 1), not escape from the oracle cross-check (exit 2)
+    original = RelationChecker.eval_pair
+
+    def eval_pair(self, kind, i, j):
+        if kind == "BB2":
+            raise NonSimplePole("forced double pole")
+        return original(self, kind, i, j)
+    monkeypatch.setattr(RelationChecker, "eval_pair", eval_pair)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    bb2 = next(r for r in doc["results"] if r["check"] == "BB2[1,1]")
+    assert bb2["status"] == "fail"
+    assert bb2["detail"].startswith("aborted:")
+
+
+def test_check_builds_each_pair_once(capsys, monkeypatch):
+    calls = []
+    original = RelationChecker.eval_pair
+
+    def eval_pair(self, kind, i, j):
+        calls.append((kind, i, j))
+        return original(self, kind, i, j)
+    monkeypatch.setattr(RelationChecker, "eval_pair", eval_pair)
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
+                           "--trials", "2", "--format", "structured")
+    assert code == 0
+    pairwise = [r["check"] for r in json.loads(out)["results"]
+                if r["check"].split("[")[0] not in ("HH", "HB", "DEG")]
+    assert pairwise
+    assert sorted(f"{k}[{i},{j}]" for k, i, j in calls) == sorted(pairwise)
 
 
 def test_check_unknown_relation_kind(capsys):

@@ -1,6 +1,15 @@
+import random
+from itertools import product
+
+import pytest
+
 from iqgklo.delta import Distribution, FactorCurrent, expand_by_residues
+from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
-from iqgklo.oracle import act, randomized_equal, truncated_series_check
+from iqgklo.oracle import (
+    _groups, _random_assignment, _random_test_monomial, act,
+    randomized_equal, truncated_series_check,
+)
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import catalog_by_name
 from iqgklo.scalars import Monomial, Scalar
@@ -53,6 +62,73 @@ def test_randomized_equal_matches_symbolic_verdict():
     lhs, rhs = ck.eval_pair("BB2", 1, 1)
     verdict, trials = randomized_equal(lhs, rhs, trials=20, seed=0)
     assert verdict is True and trials == 20
+
+
+def _draws(x, y, seed):
+    """The oracle's support groups and its stream of random
+    (assignment, test monomial) draws for one seed."""
+    gx, gy = _groups(x), _groups(y)
+    variables = {"q"}
+    for c in list(gx.values()) + list(gy.values()):
+        variables |= c.variables()
+    rng = random.Random(seed)
+
+    def draw():
+        assignment = _random_assignment(rng, sorted(variables))
+        return assignment, _random_test_monomial(rng, variables)
+    return gx, gy, set(gx) | set(gy), draw
+
+
+def _reference_randomized_equal(x, y, trials, seed, max_retries=200):
+    """The full-product oracle: act on the test monomial with the whole
+    symbolic coefficient, then evaluate the product."""
+    gx, gy, keys, draw = _draws(x, y, seed)
+    if not keys:
+        return True, trials
+    done = attempts = 0
+    while done < trials:
+        assert attempts <= max_retries + trials
+        attempts += 1
+        a, f = draw()
+        try:
+            for key in keys:
+                dmon = key[1]
+                vx = act((gx.get(key, Scalar.zero()), dmon), f).eval_numeric(a)
+                vy = act((gy.get(key, Scalar.zero()), dmon), f).eval_numeric(a)
+                if vx != vy:
+                    return False, done + 1
+        except (DenominatorVanishes, DivisionByZero):
+            continue
+        done += 1
+    return True, done
+
+
+def _reference_pairs():
+    inst = catalog_by_name("sA1-v1-t0")
+    b = build_B_image(inst, 1)
+    eps = b.map_coeff(lambda pins, c: c * (Scalar.one() + Scalar.var("q", 2)))
+    return {"BB2[1,1]": RelationChecker(inst).eval_pair("BB2", 1, 1),
+            "perturbed": (b, eps)}
+
+
+@pytest.mark.parametrize("name", ["BB2[1,1]", "perturbed"])
+def test_randomized_equal_matches_full_product_reference(name):
+    lhs, rhs = _reference_pairs()[name]
+    for seed in (0, 5):
+        assert randomized_equal(lhs, rhs, trials=20, seed=seed) == \
+            _reference_randomized_equal(lhs, rhs, trials=20, seed=seed)
+
+
+def test_evaluate_then_rescale_equals_full_product_per_group():
+    for (lhs, rhs), seed in product(_reference_pairs().values(), range(3)):
+        gx, gy, keys, draw = _draws(lhs, rhs, seed)
+        a, f = draw()
+        for key in keys:
+            dmon = key[1]
+            fv = act((Scalar.one(), dmon), f).eval_numeric(a)
+            for c in (gx.get(key, Scalar.zero()), gy.get(key, Scalar.zero())):
+                assert c.eval_numeric(a) * fv == \
+                    act((c, dmon), f).eval_numeric(a)
 
 
 def test_series_check_single_geometric_pole():
