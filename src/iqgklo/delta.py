@@ -23,8 +23,8 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    GR, GR_ONE, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar,
-    pack_mono, pack_positions, unpack_poly, w_var,
+    Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, coeff_inverse, coeff_pow,
+    w_var,
 )
 from .torus import DMonomial
 
@@ -32,9 +32,6 @@ from .torus import DMonomial
 def is_spectral(name):
     """Spectral variables are the plain names (u, v, u1, ...)."""
     return name != "q" and ":" not in name
-
-
-GR_MINUS_ONE = GR(-1)
 
 
 class FactorCurrent:
@@ -73,7 +70,7 @@ class FactorCurrent:
 
     # --- builders -----------------------------------------------------
 
-    def times_linear(self, M, c=GR_ONE, e=1):
+    def times_linear(self, M, c=1, e=1):
         """Multiply by (1 - c*M*x)^e."""
         f = dict(self.factors)
         key = (c, M)
@@ -82,14 +79,14 @@ class FactorCurrent:
             del f[key]
         return self.copy_with(factors=f)
 
-    def times_linear_inv_arg(self, M, c=GR_ONE, e=1):
+    def times_linear_inv_arg(self, M, c=1, e=1):
         """Multiply by (1 - c*M/x)^e = [-c*M/x * (1 - c^{-1}M^{-1}x)]^e."""
-        unit = Scalar.from_mono(M, GR_MINUS_ONE * c)
+        unit = Scalar.from_mono(M, -c)
         pref = self.pref
         for _ in range(abs(e)):
             pref = pref * unit if e > 0 else pref / unit
         return self.copy_with(pref=pref, power=self.power - e) \
-                   .times_linear(M.inverse(), c.inverse(), e)
+                   .times_linear(M.inverse(), coeff_inverse(c), e)
 
     def times_power(self, k):
         return self.copy_with(power=self.power + k)
@@ -117,10 +114,10 @@ class FactorCurrent:
 
     # --- argument changes ---------------------------------------------
 
-    def scale_arg(self, M, c=GR_ONE):
+    def scale_arg(self, M, c=1):
         """Substitute x -> c*M*x."""
         pref = self.pref * Scalar.from_mono(M ** self.power,
-                                            c ** self.power)
+                                            coeff_pow(c, self.power))
         f = {}
         for (ct, Mt), e in self.factors.items():
             f[(ct * c, Mt * M)] = e
@@ -155,7 +152,7 @@ class FactorCurrent:
             if lin.is_zero():
                 if e < 0:
                     raise DenominatorVanishes(
-                        f"evaluation at {a!r} hits the pole (1-{c!r}*{M!r}*x)")
+                        f"evaluation at {a!r} hits the pole (1-{c}*{M!r}*x)")
                 return Scalar.zero()
             for _ in range(abs(e)):
                 out = out * lin if e > 0 else out / lin
@@ -169,9 +166,6 @@ class FactorCurrent:
         del f[key]
         return self.copy_with(factors=f)
 
-    def poles(self):
-        return [(c, M, e) for (c, M), e in self.factors.items() if e < 0]
-
     # --- asymptotics ----------------------------------------------------
 
     def degree_at_infinity(self):
@@ -181,40 +175,22 @@ class FactorCurrent:
         """(degree, coefficient) of the top term of the expansion at x=infinity."""
         coeff = self.pref
         for (c, M), e in self.factors.items():
-            unit = Scalar.from_mono(M, GR_MINUS_ONE * c)
+            unit = Scalar.from_mono(M, -c)
             for _ in range(abs(e)):
                 coeff = coeff * unit if e > 0 else coeff / unit
         return self.degree_at_infinity(), coeff
 
-    def series(self, side, order):
-        """Truncated Laurent expansion (x-exponent -> Scalar) on [-order, order].
+    def series_raw(self, side, order):
+        """Truncated Laurent expansion on [-order, order] as
+        (pref, {x-exponent: Poly}), the scalar prefactor left unmultiplied.
 
         side "infinity": expand negative-exponent factors in powers of 1/x;
-        side "zero": expand them in powers of x.
+        side "zero": expand them in powers of x.  Internally the expansion is
+        convolved over the packed terms of denominator-free Polys.  Positive
+        factors are applied first (exactly), after which every remaining
+        geometric factor shifts exponents in one direction only, so exponents
+        past the window on that side can be dropped soundly.
         """
-        pref, cur = self.series_raw(side, order)
-        out = {}
-        for n, p in cur.items():
-            if not p.is_zero():
-                s = pref * Scalar(p)
-                if not s.is_zero():
-                    out[n] = s
-        return out
-
-    def series_raw(self, side, order):
-        """Truncated expansion as (pref, {exponent: Poly}) with the scalar
-        prefactor left unmultiplied.  Internally the expansion is convolved
-        with denominator-free Poly coefficients.  Positive factors are
-        applied first (exactly), after which every remaining geometric
-        factor shifts exponents in one direction only, so exponents past
-        the window on that side can be dropped soundly.
-        """
-        names = set()
-        for (_, M) in self.factors:
-            names.update(v for v, _ in M.exps)
-        vorder = sorted(names)
-        pos = pack_positions(vorder)
-
         def accumulate(nxt, k, p, shift_key, cc):
             tgt = nxt.get(k)
             if tgt is None:
@@ -233,56 +209,48 @@ class FactorCurrent:
                     else:
                         del tgt[kk]
 
-        cur = {self.power: {0: GR_ONE}}
+        cur = {self.power: {0: 1}}
         for (c, M), e in self.factors.items():
             if e <= 0:
                 continue
-            encM = pack_mono(M, pos)
             nxt = {}
             for j in range(e + 1):
-                cc = GR((-1) ** j * comb(e, j)) * c ** j
+                cc = (-1) ** j * comb(e, j) * coeff_pow(c, j)
                 for n, p in cur.items():
-                    accumulate(nxt, n + j, p, j * encM, cc)
+                    accumulate(nxt, n + j, p, j * M.key, cc)
             cur = nxt
         down = side == "infinity"
         for (c, M), e in self.factors.items():
             if e >= 0 or not cur:
                 continue
             m = -e
-            encM = pack_mono(M, pos)
             if down:
                 jmax = max(cur) + order - m
-                base = GR((-1) ** m)
             else:
                 jmax = order - min(cur)
             nxt = {}
             for j in range(max(jmax, -1) + 1):
                 if down:
                     shift = -m - j
-                    cc = base * GR(comb(m - 1 + j, j)) * c ** shift
+                    cc = (-1) ** m * comb(m - 1 + j, j) * coeff_pow(c, shift)
                 else:
                     shift = j
-                    cc = GR(comb(m - 1 + j, j)) * c ** j
+                    cc = comb(m - 1 + j, j) * coeff_pow(c, j)
                 for n, p in cur.items():
                     k = n + shift
                     if (down and k < -order) or (not down and k > order):
                         continue
-                    accumulate(nxt, k, p, shift * encM, cc)
+                    accumulate(nxt, k, p, shift * M.key, cc)
             cur = nxt
-        out = {}
-        for n, p in cur.items():
-            if -order <= n <= order and p:
-                q = unpack_poly(p, vorder)
-                if not q.is_zero():
-                    out[n] = q
-        return self.pref, out
+        return self.pref, {n: Poly(p, _clean=False) for n, p in cur.items()
+                           if -order <= n <= order and p}
 
     def equals(self, other):
         """Equality as rational functions (cross-multiplied)."""
         return self.to_scalar().equals(other.to_scalar())
 
     def __repr__(self):
-        fs = " * ".join(f"(1-{c!r}*{M!r}*{self.var})^{e}"
+        fs = " * ".join(f"(1-{c}*{M!r}*{self.var})^{e}"
                         for (c, M), e in self.factors.items())
         return f"[{self.pref!r} * {self.var}^{self.power}" + \
                (f" * {fs}]" if fs else "]")
@@ -434,10 +402,6 @@ class Distribution:
         return " + ".join(parts) if parts else "0"
 
 
-def multiply_dist(x, y):
-    return x * y
-
-
 def bracket_q(x, y, vparam):
     """[x, y]_v = x*y - v*y*x."""
     return x * y - (y * x).scale(vparam)
@@ -459,10 +423,10 @@ def expand_by_residues(fc):
         if e >= 0:
             continue
         if e != -1:
-            raise NonSimplePole(f"factor (1-{c!r}*{M!r}*{fc.var}) has "
+            raise NonSimplePole(f"factor (1-{c}*{M!r}*{fc.var}) has "
                                 f"exponent {e}")
-        if c != GR_ONE:
-            raise NonSimplePole(f"pole of (1-{c!r}*{M!r}*{fc.var}) is not at "
+        if c != 1:
+            raise NonSimplePole(f"pole of (1-{c}*{M!r}*{fc.var}) is not at "
                                 "a monomial point")
         a = M.inverse()
         h = fc.drop_factor((c, M))

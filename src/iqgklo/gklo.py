@@ -9,18 +9,12 @@ extraction for the K-generators.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .delta import (
     Distribution, FactorCurrent, conjugate_pin_target,
 )
 from .errors import DegreeMismatch, WrongCase
-from .scalars import (
-    GR, GR_I, GR_ONE, Monomial, Scalar, w_var, z_var, zeta_var,
-)
+from .scalars import GR_I, Monomial, Scalar, w_var, z_var, zeta_var
 from .torus import DMonomial, TorusElement
-
-GR_MINUS_ONE = GR(-1)
 
 
 def zeta(inst, i):
@@ -89,9 +83,9 @@ def wp_factor(var, wp):
     h = int(2 * wp)          # q^wp = Q^h with h = 2*wp an integer
     fc = fc.scale(Scalar.q_half(h))
     fc = fc.times_linear_inv_arg(Monomial.q_half(-h))
-    fc = fc.times_linear_inv_arg(Monomial.q_half(-h), c=GR_MINUS_ONE)
+    fc = fc.times_linear_inv_arg(Monomial.q_half(-h), c=-1)
     fc = fc.times_linear_inv_arg(Monomial.one(), e=-1)
-    fc = fc.times_linear_inv_arg(Monomial.one(), c=GR_MINUS_ONE, e=-1)
+    fc = fc.times_linear_inv_arg(Monomial.one(), c=-1, e=-1)
     return fc
 
 
@@ -99,7 +93,7 @@ def times_x_minus_xinv(fc):
     """Multiply a FactorCurrent by (x - 1/x)."""
     return (fc.times_power(1)
             .times_linear_inv_arg(Monomial.one())
-            .times_linear_inv_arg(Monomial.one(), c=GR_MINUS_ONE))
+            .times_linear_inv_arg(Monomial.one(), c=-1))
 
 
 def neighbors_in(inst, i):

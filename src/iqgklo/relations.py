@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .delta import (
-    Distribution, FactorCurrent, GR_MINUS_ONE, bracket_q,
+    Distribution, FactorCurrent, bracket_q,
     canonicalize_compare, expand_by_residues, symmetrize,
 )
 from .errors import DegreeMismatch, DenominatorVanishes, NonSimplePole
@@ -219,8 +219,7 @@ class RelationChecker:
                 .times_linear_inv_arg(qa.inverse())
             den2 = FactorCurrent(
                 "u2",
-                pref=Scalar.from_mono(Monomial.q_int(2) * a.inverse(),
-                                      GR_MINUS_ONE)) \
+                pref=Scalar.from_mono(Monomial.q_int(2) * a.inverse(), -1)) \
                 .times_linear_inv_arg(Monomial.q_int(-2) * a)
             gamma = times_x_minus_xinv(
                 self.Xi(i, "u2").scale(one_plus_q2)).times_power(-1)

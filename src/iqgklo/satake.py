@@ -42,9 +42,6 @@ class SatakeDiagram:
     def neighbors(self, i):
         return [j for j in self.nodes() if j != i and self.c(i, j) == -1]
 
-    def is_split(self):
-        return all(self.t(i) == i for i in self.nodes())
-
 
 def _check_ade_shape(cartan, rank):
     """The underlying graph must be a connected simply-laced A/D/E diagram."""

@@ -10,7 +10,20 @@ The coefficient field is the field of fractions of Laurent polynomials in
 
 with coefficients a + b*sqrt(-1), a and b rational (Gaussian rationals).
 Half-integer powers of q and w are integer powers of the base units, so
-every exponent in a Monomial is an integer.
+every exponent is an integer.
+
+Exponent vectors are packed integers.  An append-only registry gives each
+variable name, on first use, its own signed 64-bit limb of the key, so the
+key of prod v^e_v is sum e_v * 2^(64*limb(v)), a monomial product is one
+integer addition and a power one integer multiplication.  Keys are decoded
+only where a per-variable view is needed; everything printed or sorted is
+ordered by variable name, never by limb, so no output depends on the order
+in which variables were registered.
+
+Coefficients are canonical: a real value is a plain int (or a Fraction when
+not integral), and a GR only carries a nonzero imaginary part, so equal
+coefficients compare and hash equal whatever their history.  The helpers
+``coeff_inverse`` and ``coeff_pow`` invert and raise either kind exactly.
 
 Equality of fractions is decided by cross-multiplication; no polynomial
 GCD is ever computed.
@@ -18,6 +31,7 @@ GCD is ever computed.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -39,60 +53,62 @@ def _as_num(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _gaussian(re, im):
+    """re + im*sqrt(-1) in canonical form: the plain real re when im is 0."""
+    if not im:
+        return re
+    g = object.__new__(GR)
+    g.re = re
+    g.im = im
+    return g
+
+
 class GR:
-    """A Gaussian rational a + b*sqrt(-1)."""
+    """A Gaussian rational a + b*sqrt(-1) with b != 0.
+
+    ``GR(a, b)`` returns the plain rational a when b is 0, and arithmetic
+    never leaves a GR with a zero imaginary part, so a real coefficient is
+    always an int or a Fraction.  Plain reals mix with GR on either side.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, int) else _as_num(re)
-        self.im = im if isinstance(im, int) else _as_num(im)
+    def __new__(cls, re=0, im=0):
+        return _gaussian(_as_num(re), _as_num(im))
 
     def __add__(self, other):
-        r = object.__new__(GR)
-        r.re = self.re + other.re
-        r.im = self.im + other.im
-        return r
+        if isinstance(other, GR):
+            return _gaussian(self.re + other.re, self.im + other.im)
+        return _gaussian(self.re + other, self.im)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        r = object.__new__(GR)
-        r.re = self.re - other.re
-        r.im = self.im - other.im
-        return r
+        if isinstance(other, GR):
+            return _gaussian(self.re - other.re, self.im - other.im)
+        return _gaussian(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return _gaussian(other - self.re, -self.im)
 
     def __neg__(self):
-        r = object.__new__(GR)
-        r.re = -self.re
-        r.im = -self.im
-        return r
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other):
-        r = object.__new__(GR)
-        if self.im or other.im:
-            r.re = self.re * other.re - self.im * other.im
-            r.im = self.re * other.im + self.im * other.re
-        else:
-            r.re = self.re * other.re
-            r.im = 0
-        return r
+        if isinstance(other, GR):
+            return _gaussian(self.re * other.re - self.im * other.im,
+                             self.re * other.im + self.im * other.re)
+        return _gaussian(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
 
     def inverse(self):
         n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise DivisionByZero("inverse of 0 in Q(i)")
-        if isinstance(n, int):
-            return GR(Fraction(self.re, n), Fraction(-self.im, n))
-        return GR(self.re / n, -self.im / n)
+        return _gaussian(_as_num(Fraction(self.re) / n),
+                         _as_num(Fraction(-self.im) / n))
 
     def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        out = GR(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return self * coeff_inverse(other)
 
     def __eq__(self, other):
         return isinstance(other, GR) and self.re == other.re and self.im == other.im
@@ -100,20 +116,34 @@ class GR:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
         if self.re == 0:
             return f"{self.im}*I"
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*I)"
 
 
-GR_ZERO = GR(0)
-GR_ONE = GR(1)
 GR_I = GR(0, 1)
+
+
+def coeff_inverse(c):
+    """The exact inverse of a nonzero coefficient (real or GR)."""
+    if isinstance(c, GR):
+        return c.inverse()
+    if not c:
+        raise DivisionByZero("inverse of 0 in Q(i)")
+    return _as_num(1 / Fraction(c))
+
+
+def coeff_pow(c, n):
+    """c**n for a coefficient c (real or GR) and any integer n."""
+    if n < 0:
+        c, n = coeff_inverse(c), -n
+    if not isinstance(c, GR):
+        return c ** n
+    out = 1
+    for _ in range(n):
+        out = c * out
+    return out
 
 
 # --- variable name helpers -------------------------------------------------
@@ -130,28 +160,96 @@ def zeta_var(i):
     return f"zt:{i}"
 
 
-def is_w_var(name):
-    return name.startswith("w:")
+# --- packed exponent keys --------------------------------------------------
+#
+# One signed 64-bit limb per registered variable; exponent sums at our
+# scales never approach the limb bound.  Adding _BIAS[n] lifts each of the
+# low n limbs into [0, 2^64) with no carry between limbs, which makes every
+# limb readable on its own.
+
+_LIMB = 64
+_MASK = (1 << _LIMB) - 1
+_HALF = 1 << (_LIMB - 1)
+
+_NAMES = []             # limb -> variable name, in registration order
+_INDEX = {}             # variable name -> limb
+_BIAS = [0]             # _BIAS[n]: _HALF in each of the limbs 0..n-1
+_LIMBS = [None]         # _LIMBS[n]: n little-endian signed limbs as bytes
 
 
-def w_var_index(name):
-    _, i, r = name.split(":")
-    return int(i), int(r)
+def _index(name):
+    """The limb of ``name``, registering the name on first use."""
+    k = _INDEX.get(name)
+    if k is None:
+        k = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+        _BIAS.append(_BIAS[-1] | _HALF << (_LIMB * k))
+        _LIMBS.append(struct.Struct(f"<{k + 1}q"))
+    return k
+
+
+def _limb(key, k):
+    """The exponent in limb ``k`` of ``key``."""
+    return (((key + _BIAS[k + 1]) >> (_LIMB * k)) & _MASK) - _HALF
+
+
+def _limb_rows(keys):
+    """The limbs of every key, lowest first, as equal-length tuples.
+
+    The top nonzero limb of a key with bit length b is limb b // 64, so
+    the rows stop at the top nonzero limb of the widest key.
+    """
+    n = max(map(abs, keys)).bit_length() // _LIMB + 1
+    b, limbs, nbytes = _BIAS[n], _LIMBS[n], 8 * n
+    return [limbs.unpack(((key + b) ^ b).to_bytes(nbytes, "little"))
+            for key in keys]
+
+
+def _limb_min(keys):
+    """The key of the per-variable minimum over ``keys`` (absent = 0)."""
+    if len(keys) == 1:
+        for key in keys:
+            return key
+    rows = _limb_rows(keys)
+    n = len(rows[0])
+    b = _BIAS[n]
+    mins = _LIMBS[n].pack(*map(min, zip(*rows)))
+    return (int.from_bytes(mins, "little") ^ b) - b
+
+
+def _decode(key):
+    """The name-sorted ((variable, exponent), ...) view of ``key``."""
+    names = _NAMES
+    (limbs,) = _limb_rows((key,))
+    return tuple(sorted((names[k], e) for k, e in enumerate(limbs) if e))
+
+
+def _mono(key):
+    m = object.__new__(Monomial)
+    m.key = key
+    return m
 
 
 class Monomial:
-    """A Laurent monomial: an immutable map variable -> integer exponent.
+    """A Laurent monomial: a thin value over one packed exponent key.
 
-    Exponents count base units, so q^m is ``Monomial.of(("q", 2*m))`` and
-    w_{i,r}^m has exponent 2*m on the ``w:i:r`` unit.
+    Exponents count base units, so q^m is ``Monomial.unit("q", 2*m)`` and
+    w_{i,r}^m has exponent 2*m on the ``w:i:r`` unit.  ``exps`` is the
+    decoded view, a name-sorted tuple of (variable, nonzero exponent).
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("key",)
 
     def __init__(self, exps):
-        # exps: iterable of (var, exp); zero exponents dropped, sorted.
-        self.exps = tuple(sorted((v, e) for v, e in exps if e != 0))
-        self._hash = hash(self.exps)
+        key = 0
+        for v, e in exps:
+            if e:
+                key += e << (_LIMB * _index(v))
+        self.key = key
+
+    @property
+    def exps(self):
+        return _decode(self.key)
 
     @classmethod
     def one(cls):
@@ -164,11 +262,11 @@ class Monomial:
     @classmethod
     def q_half(cls, h):
         """q^(h/2) as a monomial."""
-        return cls((("q", h),))
+        return _mono(h << _Q_SHIFT)
 
     @classmethod
     def q_int(cls, m):
-        return cls((("q", 2 * m),))
+        return _mono((2 * m) << _Q_SHIFT)
 
     @classmethod
     def w(cls, i, r, m=1):
@@ -180,139 +278,74 @@ class Monomial:
         return cls(((w_var(i, r), h),))
 
     def __mul__(self, other):
-        a, b = self.exps, other.exps
-        if not a:
-            return other
-        if not b:
-            return self
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                e = ea + eb
-                if e:
-                    out.append((va, e))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        m = object.__new__(Monomial)
-        m.exps = tuple(out)
-        m._hash = hash(m.exps)
-        return m
+        return _mono(self.key + other.key)
 
     def __pow__(self, n):
-        return Monomial((v, e * n) for v, e in self.exps)
+        return _mono(self.key * n)
 
     def inverse(self):
-        return self ** -1
+        return _mono(-self.key)
 
     def exp_of(self, var):
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
+        k = _INDEX.get(var)
+        return 0 if k is None else _limb(self.key, k)
 
     def vars(self):
         return [v for v, _ in self.exps]
 
     def has_var(self, var):
-        return any(v == var for v, _ in self.exps)
+        return self.exp_of(var) != 0
 
     def substitute(self, var, target):
         """Replace var by the monomial ``target`` (which must not contain var)."""
         e = self.exp_of(var)
         if e == 0:
             return self
-        rest = Monomial((v, k) for v, k in self.exps if v != var)
-        return rest * (target ** e)
+        return _mono(self.key - (e << (_LIMB * _INDEX[var])) + e * target.key)
 
     def is_one(self):
-        return not self.exps
+        return not self.key
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __lt__(self, other):
         return self.exps < other.exps
 
     def __hash__(self):
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(f"{v}^{e}" if e != 1 else v for v, e in self.exps)
+        return _mono_repr(self.exps)
 
 
-_MON_ONE = Monomial(())
-
-# exponent-vector packing for large polynomial products: one signed
-# 64-bit limb per variable (exponent sums at our scales never approach
-# the limb bound)
-_LIMB = 64
-_LMASK = (1 << _LIMB) - 1
-_LHALF = 1 << (_LIMB - 1)
-_LFULL = 1 << _LIMB
+def _mono_repr(exps):
+    if not exps:
+        return "1"
+    return "*".join(f"{v}^{e}" if e != 1 else v for v, e in exps)
 
 
-def pack_positions(names):
-    """Variable name -> bit offset for the packed-exponent encoding."""
-    return {v: _LIMB * k for k, v in enumerate(sorted(names))}
+_MON_ONE = _mono(0)
+_Q_SHIFT = _LIMB * _index("q")
 
 
-def pack_mono(m, pos):
-    key = 0
-    for v, e in m.exps:
-        key += e << pos[v]
-    return key
-
-
-def pack_poly(p, pos):
-    """Poly -> {packed key: GR coefficient} under the given positions."""
-    return {pack_mono(m, pos): c for m, c in p.terms.items()}
-
-
-def unpack_poly(d, order):
-    """Inverse of pack_poly; ``order`` is the sorted variable-name list."""
-    out = {}
-    for key, c in d.items():
-        exps = []
-        kk = key
-        for v in order:
-            r = kk & _LMASK
-            if r >= _LHALF:
-                r -= _LFULL
-                kk += _LFULL
-            kk >>= _LIMB
-            if r:
-                exps.append((v, r))
-        m = object.__new__(Monomial)
-        m.exps = tuple(exps)
-        m._hash = hash(m.exps)
-        out[m] = c
-    return Poly(out, _clean=False)
+def unpack_poly(p):
+    """The terms of ``p`` as {Monomial: coefficient}: the one place where
+    packed keys become Monomial objects."""
+    return {_mono(key): c for key, c in p.terms.items()}
 
 
 class Poly:
-    """A Laurent polynomial: map Monomial -> GR, zero coefficients absent."""
+    """A Laurent polynomial: ``terms`` maps packed exponent keys (see the
+    module docstring) to canonical nonzero coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None, _clean=True):
         if terms is None:
             self.terms = {}
         elif _clean:
-            self.terms = {m: c for m, c in terms.items() if c}
+            self.terms = {k: c for k, c in terms.items() if c}
         else:
             self.terms = terms
 
@@ -323,32 +356,32 @@ class Poly:
     @classmethod
     def const(cls, c):
         if not isinstance(c, GR):
-            c = GR(c)
-        return cls({_MON_ONE: c} if c else {}, _clean=False)
+            c = _as_num(c)
+        return cls({0: c} if c else {}, _clean=False)
 
     @classmethod
-    def mono(cls, m, c=GR_ONE):
-        return cls({m: c} if c else {}, _clean=False)
+    def mono(cls, m, c=1):
+        return cls({m.key: c} if c else {}, _clean=False)
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
         d = dict(self.terms)
-        for m, c in other.terms.items():
-            s = d.get(m)
+        for k, c in other.terms.items():
+            s = d.get(k)
             if s is None:
-                d[m] = c
+                d[k] = c
             else:
                 s = s + c
                 if s:
-                    d[m] = s
+                    d[k] = s
                 else:
-                    del d[m]
+                    del d[k]
         return Poly(d, _clean=False)
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, _clean=False)
+        return Poly({k: -c for k, c in self.terms.items()}, _clean=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -357,48 +390,10 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return Poly.zero()
-        if len(a) * len(b) <= 48:
-            d = {}
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = m1 * m2
-                    c = c1 * c2
-                    s = d.get(m)
-                    if s is None:
-                        d[m] = c
-                    else:
-                        s = s + c
-                        if s:
-                            d[m] = s
-                        else:
-                            del d[m]
-            return Poly(d, _clean=False)
-        # large product: pack each exponent vector into one integer (one
-        # signed 64-bit limb per variable), so a monomial product is a
-        # single integer addition instead of a tuple merge
-        names = set()
-        for m in a:
-            names.update(v for v, _ in m.exps)
-        for m in b:
-            names.update(v for v, _ in m.exps)
-        order = sorted(names)
-        pos = pack_positions(order)
-        # purely real coefficients (the common case) are accumulated as
-        # plain numbers and wrapped back into GR only once per output term
-        real = all(not c.im for c in a.values()) \
-            and all(not c.im for c in b.values())
-        if real:
-            ea = [(pack_mono(m, pos), c.re) for m, c in a.items()]
-            eb = [(pack_mono(m, pos), c.re) for m, c in b.items()]
-        else:
-            ea = [(pack_mono(m, pos), c) for m, c in a.items()]
-            eb = [(pack_mono(m, pos), c) for m, c in b.items()]
         d = {}
         get = d.get
-        for k1, c1 in ea:
-            for k2, c2 in eb:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 c = c1 * c2
                 s = get(k)
@@ -410,66 +405,74 @@ class Poly:
                         d[k] = s
                     else:
                         del d[k]
-        if real:
-            for key, c in d.items():
-                g = object.__new__(GR)
-                g.re = c
-                g.im = 0
-                d[key] = g
-        return unpack_poly(d, order)
+        return Poly(d, _clean=False)
 
     def scale(self, c):
         if not c:
             return Poly.zero()
-        return Poly({m: cc * c for m, cc in self.terms.items()}, _clean=False)
+        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False)
 
     def mul_mono(self, m):
-        return Poly({mm * m: c for mm, c in self.terms.items()}, _clean=False)
+        mk = m.key
+        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False)
 
     def conjugate(self, dmon):
         """Move the d-monomial ``dmon`` through this polynomial from the left.
 
         Each w_{i,r}^(h/2) picks up Q^(2*e*h) for partial-exponent e, i.e.
-        d * p = p' * d with p' the returned polynomial.
+        d * p = p' * d with p' the returned polynomial.  Only the q limb
+        moves, by an amount read off the w limbs, so distinct terms stay
+        distinct.
         """
-        if not dmon.exps:
+        taps = [(_LIMB * k, 2 * e) for (i, r), e in dmon.exps
+                if (k := _INDEX.get(w_var(i, r))) is not None]
+        if not taps:
             return self
+        bias = _BIAS[-1]
         d = {}
-        for m, c in self.terms.items():
+        for key, c in self.terms.items():
+            lifted = key + bias
             shift = 0
-            for (i, r), e in dmon.exps:
-                h = m.exp_of(w_var(i, r))
-                if h:
-                    shift += 2 * e * h
-            if shift:
-                m = m * Monomial.q_half(shift)
-            d[m] = d.get(m, GR_ZERO) + c
-        return Poly(d)
+            for off, f in taps:
+                shift += f * (((lifted >> off) & _MASK) - _HALF)
+            d[key + (shift << _Q_SHIFT)] = c
+        return Poly(d, _clean=False)
 
     def substitute(self, var, target):
+        k = _INDEX.get(var)
+        if k is None:
+            return self
+        off, tk, bias = _LIMB * k, target.key, _BIAS[k + 1]
         d = {}
-        for m, c in self.terms.items():
-            m2 = m.substitute(var, target)
-            s = d.get(m2)
-            d[m2] = c if s is None else s + c
+        for key, c in self.terms.items():
+            e = (((key + bias) >> off) & _MASK) - _HALF
+            if e:
+                key += e * tk - (e << off)
+            s = d.get(key)
+            d[key] = c if s is None else s + c
         return Poly(d)
 
     def subst_const(self, var, value):
         """Replace var by the Gaussian rational ``value`` (nonzero)."""
         if not value:
             raise DivisionByZero("cannot substitute 0 for an invertible symbol")
+        k = _INDEX.get(var)
+        if k is None:
+            return self
+        off = _LIMB * k
         d = {}
-        for m, c in self.terms.items():
-            e = m.exp_of(var)
+        for key, c in self.terms.items():
+            e = _limb(key, k)
             if e:
-                c = c * (value ** e if e > 0 else value.inverse() ** (-e))
-                m = Monomial((v, k) for v, k in m.exps if v != var)
-            s = d.get(m)
-            d[m] = c if s is None else s + c
+                c = c * coeff_pow(value, e)
+                key -= e << off
+            s = d.get(key)
+            d[key] = c if s is None else s + c
         return Poly(d)
 
     def eval_numeric(self, assignment):
-        """Exact evaluation; assignment maps every present variable to GR.
+        """Exact evaluation; assignment maps every present variable to a
+        coefficient.
 
         Each value is cleared to a Gaussian integer over one fixed
         denominator per variable (covering the variable's full exponent
@@ -477,103 +480,106 @@ class Poly:
         division at the end -- no per-term fraction reduction.
         """
         if not self.terms:
-            return GR_ZERO
-        lo, hi = {}, {}
-        for m in self.terms:
-            for v, e in m.exps:
-                if v not in lo:
-                    lo[v] = hi[v] = e
-                elif e < lo[v]:
-                    lo[v] = e
-                elif e > hi[v]:
-                    hi[v] = e
-        tables = {}
+            return 0
+        rows = _limb_rows(self.terms)
+        tables = []                           # (limb, table, Dv) per variable
         D = 1
-        for v in lo:
+        for k, col in enumerate(zip(*rows)):
+            lo, hi = min(col), max(col)
+            if not (lo or hi):
+                continue
+            v = _NAMES[k]
             a = assignment[v]
             if not a:
                 raise DivisionByZero(f"evaluation maps {v} to 0")
-            are, aim = a.re, a.im
+            are, aim = (a.re, a.im) if isinstance(a, GR) else (a, 0)
             s = 1
             for comp in (are, aim):
                 if isinstance(comp, Fraction):
                     s = s * comp.denominator // gcd(s, comp.denominator)
             gre, gim = int(are * s), int(aim * s)
             norm = gre * gre + gim * gim
-            hp, ln = max(hi[v], 0), max(-lo[v], 0)
+            hp, ln = max(hi, 0), max(-lo, 0)
             Dv = s ** hp * norm ** ln
             tab = {}
             pr, pi = 1, 0                     # (gre + i gim)^e
-            for e in range(hi[v] + 1):
-                if e >= lo[v]:
+            for e in range(hi + 1):
+                if e >= lo:
                     mult = s ** (hp - e) * norm ** ln
                     tab[e] = (pr * mult, pi * mult)
                 pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
             pr, pi = 1, 0                     # conj^k for e = -k
-            for k in range(1, ln + 1):
+            for j in range(1, ln + 1):
                 pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
-                e = -k
-                if e <= hi[v]:
+                e = -j
+                if e <= hi:
                     mult = s ** (hp - e) * norm ** (ln + e)
                     tab[e] = (pr * mult, pi * mult)
-            tables[v] = (tab, Dv)
+            tables.append((k, tab, Dv))
             D *= Dv
         tre = tim = 0
-        for m, c in self.terms.items():
+        for limbs, c in zip(rows, self.terms.values()):
             pr, pi = 1, 0
             rem = D
-            for v, e in m.exps:
-                tab, Dv = tables[v]
-                tr, ti = tab[e]
-                pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
-                rem //= Dv
+            for k, tab, Dv in tables:
+                e = limbs[k]
+                if e:
+                    tr, ti = tab[e]
+                    pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
+                    rem //= Dv
             if rem != 1:
                 pr *= rem
                 pi *= rem
-            cre, cim = c.re, c.im
-            if cim:
+            if isinstance(c, GR):
+                cre, cim = c.re, c.im
                 tre += cre * pr - cim * pi
                 tim += cre * pi + cim * pr
             else:
-                tre += cre * pr
+                tre += c * pr
                 if pi:
-                    tim += cre * pi
-        return GR(_as_num(Fraction(tre) / D) if tre else 0,
-                  _as_num(Fraction(tim) / D) if tim else 0)
+                    tim += c * pi
+        return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
+                         _as_num(Fraction(tim) / D) if tim else 0)
 
     def variables(self):
+        bias = _BIAS[-1]
+        seen = 0
+        for key in self.terms:
+            seen |= (key + bias) ^ bias
         out = set()
-        for m in self.terms:
-            out.update(m.vars())
+        k = 0
+        while seen:
+            if seen & _MASK:
+                out.add(_NAMES[k])
+            seen >>= _LIMB
+            k += 1
         return out
 
     def content_monomial(self):
         """The per-variable minimum-exponent monomial over all terms."""
         if not self.terms:
             return _MON_ONE
-        mins = None
-        for m in self.terms:
-            cur = dict(m.exps)
-            if mins is None:
-                mins = cur
-            else:
-                for v in list(mins):
-                    mins[v] = min(mins[v], cur.get(v, 0))
-                for v in cur:
-                    if v not in mins:
-                        mins[v] = min(0, cur[v])
-        return Monomial(mins.items())
+        return _mono(_limb_min(self.terms))
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # by variable names, so it does not depend on the registration
+        # order; cached, since a Poly is never mutated
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset((_decode(k), c)
+                                        for k, c in self.terms.items()))
+            return self._hash
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c!r}*{m!r}" for m, c in sorted(self.terms.items()))
+        terms = sorted(((m.exps, c) for m, c in unpack_poly(self).items()),
+                       key=lambda t: t[0])
+        return " + ".join(f"{c}*{_mono_repr(e)}" for e, c in terms)
 
 
 POLY_ONE = Poly.const(1)
@@ -583,32 +589,39 @@ def _divide_exact(p, b):
     """Exact division of Laurent polynomial p by b; None if not divisible.
 
     Both are shifted by their content monomials first, then ordinary
-    multivariate division with lex leading terms (over the combined
-    variable list, absent exponents read as zero) is attempted.
+    multivariate division with lex leading terms (over the name-sorted
+    combined variable list, absent exponents read as zero) is attempted.
     """
     if b.is_zero():
         return None
     p = p.mul_mono(p.content_monomial().inverse())
     b = b.mul_mono(b.content_monomial().inverse())
-    varlist = sorted(p.variables() | b.variables())
+    limbs = [_INDEX[v] for v in sorted(p.variables() | b.variables())]
 
-    def key(m):
-        d = dict(m.exps)
-        return tuple(d.get(v, 0) for v in varlist)
+    def lex(key):
+        return tuple(_limb(key, k) for k in limbs)
 
     q_terms = {}
     rem = p
-    b_lead = max(b.terms, key=key)
-    b_lc = b.terms[b_lead]
+    b_lead = max(b.terms, key=lex)
+    b_inv = coeff_inverse(b.terms[b_lead])
     while not rem.is_zero():
-        lead = max(rem.terms, key=key)
-        qm = lead * b_lead.inverse()
-        if any(e < 0 for _, e in qm.exps):
+        lead = max(rem.terms, key=lex)
+        qk = lead - b_lead
+        if min(_limb_rows((qk,))[0]) < 0:
             return None
-        qc = rem.terms[lead] / b_lc
-        q_terms[qm] = qc
-        rem = rem - b.mul_mono(qm).scale(qc)
+        qc = rem.terms[lead] * b_inv
+        q_terms[qk] = qc
+        rem = rem - b.mul_mono(_mono(qk)).scale(qc)
     return Poly(q_terms)
+
+
+def _product(factors):
+    """The product of a Counter of Poly factors, with multiplicity."""
+    out = POLY_ONE
+    for f in factors.elements():
+        out = out * f
+    return out
 
 
 class Scalar:
@@ -630,12 +643,10 @@ class Scalar:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if normalize and not num.is_zero():
-            cn = dict(num.content_monomial().exps)
-            cd = dict(den.content_monomial().exps)
-            g = Monomial((v, min(cn.get(v, 0), cd.get(v, 0)))
-                         for v in set(cn) | set(cd))
-            if not g.is_one():
-                gi = g.inverse()
+            g = _limb_min((num.content_monomial().key,
+                           den.content_monomial().key))
+            if g:
+                gi = _mono(-g)
                 num = num.mul_mono(gi)
                 den = den.mul_mono(gi)
                 if dfac is not None:
@@ -662,7 +673,7 @@ class Scalar:
         return cls(Poly.const(c), POLY_ONE, normalize=False)
 
     @classmethod
-    def from_mono(cls, m, c=GR_ONE):
+    def from_mono(cls, m, c=1):
         return cls(Poly.mono(m, c), POLY_ONE, normalize=False)
 
     @classmethod
@@ -676,10 +687,6 @@ class Scalar:
     @classmethod
     def var(cls, name, exp=1):
         return cls.from_mono(Monomial.unit(name, exp))
-
-    @classmethod
-    def sqrt_minus_one(cls):
-        return cls.const(GR_I)
 
     # --- predicates ---
 
@@ -695,14 +702,8 @@ class Scalar:
         if f1 is not None and f2 is not None:
             c1, c2 = Counter(f1), Counter(f2)
             e1, e2 = c1 - c2, c2 - c1
-            p1 = POLY_ONE           # product of factors missing from self
-            for f, k in e2.items():
-                for _ in range(k):
-                    p1 = p1 * f
-            p2 = POLY_ONE           # product of factors missing from other
-            for f, k in e1.items():
-                for _ in range(k):
-                    p2 = p2 * f
+            p1 = _product(e2)       # factors missing from self
+            p2 = _product(e1)       # factors missing from other
             return Scalar(self.num * p1 + other.num * p2,
                           self.den * p1, dfac=tuple((c1 + e2).elements()))
         return Scalar(self.num * other.den + other.num * self.den,
@@ -731,10 +732,6 @@ class Scalar:
     def inverse(self):
         return Scalar.one() / self
 
-    def scale_const(self, c):
-        return Scalar(self.num.scale(c), self.den, normalize=False,
-                      dfac=self.dfac)
-
     # --- comparisons ---
 
     def equals(self, other):
@@ -748,15 +745,7 @@ class Scalar:
             e1, e2 = c1 - c2, c2 - c1
             if sum(e1.values()) + sum(e2.values()) \
                     < sum(c1.values()) + sum(c2.values()):
-                p1 = POLY_ONE
-                for f, k in e2.items():
-                    for _ in range(k):
-                        p1 = p1 * f
-                p2 = POLY_ONE
-                for f, k in e1.items():
-                    for _ in range(k):
-                        p2 = p2 * f
-                return (self.num * p1) == (other.num * p2)
+                return (self.num * _product(e2)) == (other.num * _product(e1))
         return (self.num * other.den) == (other.num * self.den)
 
     # --- structure operations ---
@@ -791,7 +780,7 @@ class Scalar:
         d = self.den.eval_numeric(assignment)
         if not d:
             raise DenominatorVanishes("denominator vanishes at this assignment")
-        return self.num.eval_numeric(assignment) / d
+        return self.num.eval_numeric(assignment) * coeff_inverse(d)
 
     def variables(self):
         return self.num.variables() | self.den.variables()
@@ -802,7 +791,6 @@ class Scalar:
         return f"({self.num!r})/({self.den!r})"
 
 
-SCALAR_ZERO = Scalar.zero()
 SCALAR_ONE = Scalar.one()
 
 

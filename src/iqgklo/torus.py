@@ -9,7 +9,7 @@ Q^2 = q) and everything else commuting.  A TorusElement is a finite sum of
 from __future__ import annotations
 
 from .errors import LocalizationViolation
-from .scalars import GR_ONE, Monomial, Poly, SCALAR_ONE, Scalar
+from .scalars import Monomial, Poly, Scalar
 
 
 class DMonomial:
@@ -69,11 +69,6 @@ class DMonomial:
 _D_ONE = DMonomial(())
 
 
-def conjugate_through(d, s):
-    """The scalar s' with d * s = s' * d."""
-    return s.conjugate(d)
-
-
 class TorusElement:
     """Normal-ordered operator: map DMonomial -> Scalar coefficient."""
 
@@ -118,7 +113,7 @@ class TorusElement:
         out = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
-                c = c1 * conjugate_through(d1, c2)
+                c = c1 * c2.conjugate(d1)      # d1 * c2 = c2' * d1
                 d = d1 * d2
                 out[d] = out[d] + c if d in out else c
         return TorusElement(out)
@@ -138,10 +133,6 @@ class TorusElement:
         if not self.terms:
             return "0"
         return " + ".join(f"({c!r})*{d!r}" for d, c in sorted(self.terms.items()))
-
-
-def multiply_normal_order(x, y):
-    return x * y
 
 
 def _w_whole(var):

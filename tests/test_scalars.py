@@ -1,5 +1,6 @@
 """Exact coefficient-field tests: frozen values and field laws."""
 
+import importlib.util
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
-    GR, GR_I, GR_ONE, Monomial, Poly, Scalar, one_minus, q_bracket,
+    GR, GR_I, Monomial, Poly, Scalar, coeff_inverse, one_minus, q_bracket,
+    unpack_poly, w_var,
 )
+from iqgklo.torus import DMonomial
 
 
 def test_gaussian_rational_arithmetic():
@@ -19,7 +22,7 @@ def test_gaussian_rational_arithmetic():
     assert (a / b) * b == a
     assert GR_I * GR_I == GR(-1)
     with pytest.raises(DivisionByZero):
-        GR(0).inverse()
+        coeff_inverse(GR(0))
 
 
 def test_q_bracket_two_at_q_four():
@@ -87,7 +90,7 @@ def scalars(draw):
             ("q", draw(st.integers(min_value=-2, max_value=2))),
             ("u", draw(st.integers(min_value=-2, max_value=2))),
         ])
-        terms[m] = GR(draw(small_fracs), draw(small_fracs))
+        terms[m.key] = GR(draw(small_fracs), draw(small_fracs))
     num = Poly(terms)
     d_exp = draw(st.integers(min_value=-2, max_value=2))
     den = Poly.mono(Monomial.q_int(1)) - Poly.mono(Monomial.unit("u", d_exp))
@@ -117,3 +120,197 @@ def test_inverse_roundtrip(a):
             Scalar.one() / a
     else:
         assert (a * a.inverse()).equals(Scalar.one())
+
+
+# --- the packed representation against a plain reference -------------------
+#
+# The reference keeps a polynomial as {((name, exp), ...): (re, im)}, with
+# name-sorted nonzero exponents and Fraction parts, and does every operation
+# by a direct loop over those tuples.
+
+REF_NAMES = ("q", "u", "v", w_var(1, 1), w_var(1, 2), w_var(2, 1), "z:1:1")
+ref_coeffs = st.tuples(small_fracs, small_fracs).filter(lambda c: any(c))
+ref_monos = st.dictionaries(st.sampled_from(REF_NAMES),
+                            st.integers(min_value=-3, max_value=3),
+                            max_size=4)
+ref_dexps = st.lists(st.tuples(st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+                               st.integers(min_value=-2, max_value=2)),
+                     max_size=2)
+
+
+def _ref_mono(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _ref_add_term(d, m, c):
+    s = d.get(m, (0, 0))
+    s = (s[0] + c[0], s[1] + c[1])
+    if any(s):
+        d[m] = s
+    else:
+        d.pop(m, None)
+
+
+def _ref_cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_cpow(a, e):
+    if e < 0:
+        n = a[0] * a[0] + a[1] * a[1]
+        a, e = (Fraction(a[0]) / n, Fraction(-a[1]) / n), -e
+    out = (1, 0)
+    for _ in range(e):
+        out = _ref_cmul(out, a)
+    return out
+
+
+@st.composite
+def ref_polys(draw, max_terms=9):
+    d = {}
+    for m, c in draw(st.lists(st.tuples(ref_monos, ref_coeffs),
+                              max_size=max_terms)):
+        _ref_add_term(d, _ref_mono(m), c)
+    return d
+
+
+def _poly(ref):
+    out = Poly.zero()
+    for m, (re, im) in ref.items():
+        out = out + Poly.mono(Monomial(m), GR(re, im))
+    return out
+
+
+def _ref(poly):
+    """Back to the reference form; every coefficient must be canonical."""
+    out = {}
+    for m, c in unpack_poly(poly).items():
+        if isinstance(c, GR):
+            assert c.im != 0
+            out[m.exps] = (c.re, c.im)
+        else:
+            assert isinstance(c, (int, Fraction)) and c != 0
+            out[m.exps] = (c, 0)
+    return out
+
+
+def _ref_mul(a, b):
+    d = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            _ref_add_term(d, _ref_mono(exps), _ref_cmul(c1, c2))
+    return d
+
+
+def _ref_map(a, fn):
+    """Rebuild by term: fn(exps dict, coeff) -> (exps dict, coeff)."""
+    d = {}
+    for m, c in a.items():
+        exps, c = fn(dict(m), c)
+        _ref_add_term(d, _ref_mono(exps), c)
+    return d
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(), ref_polys(), ref_monos, st.sampled_from(REF_NAMES),
+       ref_coeffs, ref_dexps)
+def test_poly_matches_reference(a, b, target, var, value, dexps):
+    pa, pb = _poly(a), _poly(b)
+    assert _ref(pa) == a and _ref(pb) == b
+    total = dict(a)
+    for m, c in b.items():
+        _ref_add_term(total, m, c)
+    assert _ref(pa + pb) == total
+    # products, over more than 48 term pairs too
+    assert _ref(pa * pb) == _ref_mul(a, b)
+    big = _poly(_ref_mul(a, a))
+    assert _ref(big * pb) == _ref_mul(_ref_mul(a, a), b)
+    # content monomial: per-variable minimum, absent variables reading 0
+    if a:
+        names = {v for m in a for v, _ in m}
+        mins = {v: min(dict(m).get(v, 0) for m in a) for v in names}
+        assert pa.content_monomial().exps == _ref_mono(mins)
+    # substitute a monomial free of var for var
+    tgt = {v: e for v, e in target.items() if v != var}
+
+    def sub(exps, c):
+        e = exps.pop(var, 0)
+        for v, k in tgt.items():
+            exps[v] = exps.get(v, 0) + e * k
+        return exps, c
+    assert _ref(pa.substitute(var, Monomial(tgt.items()))) == _ref_map(a, sub)
+
+    def sub_const(exps, c):
+        return exps, _ref_cmul(c, _ref_cpow(value, exps.pop(var, 0)))
+    assert _ref(pa.subst_const(var, GR(*value))) == _ref_map(a, sub_const)
+    # moving shift operators through: Q^(2*e*h) per w_{i,r}^(h/2)
+    dmon = DMonomial(dexps)
+
+    def conj(exps, c):
+        shift = sum(2 * e * exps.get(w_var(i, r), 0)
+                    for (i, r), e in dmon.exps)
+        exps["q"] = exps.get("q", 0) + shift
+        return exps, c
+    assert _ref(pa.conjugate(dmon)) == _ref_map(a, conj)
+    # exact evaluation at nonzero Gaussian rationals
+    point = {v: (Fraction(k + 2, 3), Fraction(k - 3, 2))
+             for k, v in enumerate(REF_NAMES)}
+    point["u"] = (Fraction(-5, 7), 0)
+    want = (0, 0)
+    for m, c in a.items():
+        for v, e in m:
+            c = _ref_cmul(c, _ref_cpow(point[v], e))
+        want = (want[0] + c[0], want[1] + c[1])
+    got = pa.eval_numeric({v: GR(*p) for v, p in point.items()})
+    assert ((got.re, got.im) if isinstance(got, GR) else (got, 0)) == want
+
+
+def _fresh_scalars():
+    """A separate copy of the scalars module, with its own empty registry."""
+    spec = importlib.util.find_spec("iqgklo.scalars")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_output_independent_of_registration_order():
+    terms = [({"b9": 2, "a9": -1}, (3, 0)), ({"c9": 1}, (Fraction(1, 2), 2)),
+             ({"a9": 1, "c9": -2, "q": 4}, (-1, 0)), ({}, (5, 0))]
+    seen = []
+    for order in (("a9", "b9", "c9"), ("c9", "b9", "a9")):
+        sc = _fresh_scalars()
+        for v in order:
+            sc.Monomial.unit(v)
+        assert [sc._NAMES.index(v) for v in order] == sorted(
+            sc._NAMES.index(v) for v in order)
+
+        def build(items):
+            p = sc.Poly.zero()
+            for exps, c in items:
+                p = p + sc.Poly.mono(sc.Monomial(exps.items()), sc.GR(*c))
+            return p
+        p, p_rev = build(terms), build(terms[::-1])
+        assert p == p_rev and hash(p) == hash(p_rev)
+        seen.append((repr(p), hash(p), repr(sc.Scalar(p, p_rev * p))))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == ("5*1 + 3*a9^-1*b9^2 + -1*a9*c9^-2*q^4 + "
+                          "(1/2+2*I)*c9")
+
+
+def test_no_real_gaussian_survives():
+    assert GR_I * GR_I == -1 and type(GR_I * GR_I) is int
+    assert type(GR(3, 0)) is int and type(GR(Fraction(1, 2))) is Fraction
+    assert type(GR(1, 1) + GR(1, -1)) is int
+    assert type(GR(1, 1) - GR(0, 1)) is int
+    assert type(GR(0, 2) * Fraction(1, 2)) is GR
+    # (1 + i x)(1 - i x) = 1 + x^2, with plain integer coefficients
+    x = Monomial.unit("u")
+    p = (Poly.const(1) + Poly.mono(x, GR_I)) \
+        * (Poly.const(1) - Poly.mono(x, GR_I))
+    assert p == Poly.const(1) + Poly.mono(x * x)
+    assert all(type(c) is int for c in p.terms.values())
+    assert hash(p) == hash(Poly.const(1) + Poly.mono(x * x))
+    assert type(p.eval_numeric({"u": GR_I})) is int

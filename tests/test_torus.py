@@ -3,10 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import LocalizationViolation
 from iqgklo.scalars import GR, Monomial, Poly, Scalar, one_minus
-from iqgklo.torus import (
-    DMonomial, TorusElement, check_admissible, conjugate_through,
-    multiply_normal_order,
-)
+from iqgklo.torus import DMonomial, TorusElement, check_admissible
 
 
 def w(i, r, m=1):
@@ -23,24 +20,24 @@ def op(s, d):
 
 def test_conjugation_matching_index():
     d = DMonomial.unit(1, 1)
-    assert conjugate_through(d, w_half(1, 1)).equals(Scalar.q_int(1) * w_half(1, 1))
+    assert w_half(1, 1).conjugate(d).equals(Scalar.q_int(1) * w_half(1, 1))
 
 
 def test_conjugation_inverse_through_square():
     d = DMonomial.unit(1, 1, -1)
-    assert conjugate_through(d, w(1, 1, 2)).equals(Scalar.q_int(-4) * w(1, 1, 2))
+    assert w(1, 1, 2).conjugate(d).equals(Scalar.q_int(-4) * w(1, 1, 2))
 
 
 def test_conjugation_central_symbols():
     d = DMonomial.unit(1, 1)
     z = Scalar.var("z:2:1")
-    assert conjugate_through(d, z).equals(z)
+    assert z.conjugate(d).equals(z)
 
 
 def test_shift_past_whole_coordinate():
     d = op(Scalar.one(), DMonomial.unit(1, 1))
     x = op(w(1, 1), DMonomial.one())
-    prod = multiply_normal_order(d, x)
+    prod = d * x
     expect = op(Scalar.q_int(2) * w(1, 1), DMonomial.unit(1, 1))
     assert prod.equals(expect)
 
