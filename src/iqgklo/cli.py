@@ -39,29 +39,67 @@ from .satake import (
 
 SCHEMA_ID = "iqgklo-config/1"
 REPORT_SCHEMA_ID = "iqgklo-report/1"
+DEFAULTS = {"relations": None, "trials": 20, "seed": 0, "order": 8,
+            "bb1_convention": "taui"}
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int(value, what):
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, what):
+    return tuple(_int(v, f"{what} entry") for v in _list(values, what))
+
+
+def _kinds(kinds):
+    bad = {str(k) for k in _list(kinds, "relations") if k not in ALL_KINDS}
+    if bad:
+        raise ValidationError(f"unknown relation kinds {sorted(bad)}")
+    return kinds
 
 
 def _tau_from_cycles(rank, cycles):
     tau = list(range(1, rank + 1))
-    for cyc in cycles or []:
-        if len(cyc) != 2:
+    for cyc in _list(cycles or [], "tau"):
+        if not isinstance(cyc, list) or len(cyc) != 2:
             raise ValidationError(f"involution cycle {cyc} must be a 2-cycle")
-        a, b = cyc
+        a, b = _ints(cyc, "involution cycle")
+        if not (1 <= a <= rank and 1 <= b <= rank):
+            raise ValidationError(f"involution cycle {cyc} leaves 1..{rank}")
         tau[a - 1], tau[b - 1] = b, a
     return tuple(tau)
 
 
 def instance_from_description(desc):
+    if not isinstance(desc, dict):
+        raise ValidationError("an inline instance must be a JSON object")
     if desc.get("type", "A") != "A":
         raise ValidationError("only type A diagrams are supported")
-    rank = int(desc["rank"])
+    missing = [k for k in ("rank", "framing", "shift") if k not in desc]
+    if missing:
+        raise ValidationError(f"an inline instance needs {missing}")
+    rank = _int(desc["rank"], "rank")
     tau = _tau_from_cycles(rank, desc.get("tau"))
     diagram = validate_diagram(cartan_A(rank),
                                None if tau == tuple(range(1, rank + 1))
                                else tau)
+    theta, edges = desc.get("theta"), desc.get("orientation")
+    if edges is not None:
+        edges = [_ints(e, "orientation edge")
+                 for e in _list(edges, "orientation")]
     return make_instance(desc.get("name", f"inline-A{rank}"), diagram,
-                         tuple(desc["framing"]), tuple(desc["shift"]),
-                         desc.get("theta"), desc.get("orientation"))
+                         _ints(desc["framing"], "framing"),
+                         _ints(desc["shift"], "shift"),
+                         None if theta is None else _ints(theta, "theta"),
+                         edges)
 
 
 def load_config(path=None, text=None):
@@ -73,6 +111,8 @@ def load_config(path=None, text=None):
         doc = json.loads(raw)
     except ValueError as e:
         raise ParseError(f"config is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a JSON object")
     if doc.get("schema") != SCHEMA_ID:
         raise ParseError(f"config schema must be {SCHEMA_ID!r}")
     if "catalog" in doc:
@@ -81,19 +121,12 @@ def load_config(path=None, text=None):
         inst = instance_from_description(doc["instance"])
     else:
         raise ParseError("config needs a 'catalog' name or inline 'instance'")
-    kinds = doc.get("relations")
-    if kinds:
-        bad = set(kinds) - set(ALL_KINDS)
-        if bad:
-            raise ValidationError(f"unknown relation kinds {sorted(bad)}")
-    return {
-        "instance": inst,
-        "relations": kinds,
-        "trials": int(doc.get("trials", 20)),
-        "seed": int(doc.get("seed", 0)),
-        "order": int(doc.get("order", 8)),
-        "bb1_convention": doc.get("bb1_convention", "taui"),
-    }
+    cfg = {key: doc.get(key, val) for key, val in DEFAULTS.items()}
+    if cfg["relations"]:
+        _kinds(cfg["relations"])
+    for key in ("trials", "seed", "order"):
+        _int(cfg[key], key)
+    return dict(cfg, instance=inst)
 
 
 def _describe(inst):
@@ -164,18 +197,10 @@ def cmd_catalog(args):
 
 def _resolve_instance(args):
     if args.config:
-        cfg = load_config(args.config)
-    elif args.instance:
-        cfg = {"instance": catalog_by_name(args.instance), "relations": None,
-               "trials": 20, "seed": 0, "order": 8,
-               "bb1_convention": "taui"}
-    else:
-        raise ParseError("give --instance NAME or --config FILE")
-    for key in ("trials", "seed", "order", "bb1_convention"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+        return load_config(args.config)
+    if args.instance:
+        return dict(DEFAULTS, instance=catalog_by_name(args.instance))
+    raise ParseError("give --instance NAME or --config FILE")
 
 
 def cmd_validate(args):
@@ -209,13 +234,18 @@ def cmd_image(args):
 
 def cmd_check(args):
     cfg = _resolve_instance(args)
+    for key in ("trials", "seed", "order", "bb1_convention"):
+        val = getattr(args, key)
+        if val is not None:
+            cfg[key] = val
+    if cfg["order"] < 0 or cfg["trials"] < 1:
+        raise ValidationError("order must be >= 0 and trials >= 1")
+    if cfg["bb1_convention"] not in ("taui", "i"):
+        raise ValidationError("bb1_convention must be 'taui' or 'i'")
     inst = cfg["instance"]
     kinds = cfg["relations"]
     if args.relations:
-        kinds = args.relations.split(",")
-        bad = set(kinds) - set(ALL_KINDS)
-        if bad:
-            raise ValidationError(f"unknown relation kinds {sorted(bad)}")
+        kinds = _kinds(args.relations.split(","))
     t0 = time.monotonic()
     checker = RelationChecker(inst, bb1_convention=cfg["bb1_convention"],
                               keep_pairs=True)
@@ -274,48 +304,29 @@ def build_parser():
         description="Exact verification of difference-operator "
                     "representations of shifted quasi-split current algebras")
     sub = p.add_subparsers(dest="verb", required=True)
-    defs = dict(
-        config=dict(flags=("--config",), help="JSON config file"),
-        instance=dict(flags=("--instance",), help="built-in catalog name"),
-        relations=dict(flags=("--relations",),
-                       help="comma-separated relation kinds"),
-        trials=dict(flags=("--trials",), type=int),
-        seed=dict(flags=("--seed",), type=int),
-        order=dict(flags=("--order",), type=int),
-        bb1=dict(flags=("--bb1-convention",), dest="bb1_convention",
-                 choices=("taui", "i")),
-        fmt=dict(flags=("--format",), dest="format",
-                 choices=("text", "structured"), default="text"),
-    )
 
-    def add(sp, *names):
-        for n in names:
-            d = dict(defs[n])
-            flags = d.pop("flags")
-            sp.add_argument(*flags, **d)
+    def verb(name, fn, help, instance=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
+        if instance:
+            sp.add_argument("--config", help="JSON config file")
+            sp.add_argument("--instance", help="built-in catalog name")
+        sp.add_argument("--format", choices=("text", "structured"),
+                        default="text")
+        return sp
 
-    sp = sub.add_parser("catalog", help="list built-in instances")
-    add(sp, "fmt")
-    sp.set_defaults(fn=cmd_catalog)
-
-    sp = sub.add_parser("validate", help="validate an instance")
-    add(sp, "config", "instance", "trials", "seed", "order", "bb1", "fmt")
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("image", help="print generator images")
-    sp.add_argument("generator", nargs="?",
-                    help="e.g. B1 or Theta2 (default: all)")
-    add(sp, "config", "instance", "trials", "seed", "order", "bb1", "fmt")
-    sp.set_defaults(fn=cmd_image)
-
-    sp = sub.add_parser("check", help="verify defining relations")
-    add(sp, "config", "instance", "relations", "trials", "seed", "order",
-        "bb1", "fmt")
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("identities", help="run the identity suite")
-    add(sp, "order", "fmt")
-    sp.set_defaults(fn=cmd_identities)
+    verb("catalog", cmd_catalog, "list built-in instances", instance=False)
+    verb("validate", cmd_validate, "validate an instance")
+    verb("image", cmd_image, "print generator images").add_argument(
+        "generator", nargs="?", help="e.g. B1 or Theta2 (default: all)")
+    sp = verb("check", cmd_check, "verify defining relations")
+    sp.add_argument("--relations", help="comma-separated relation kinds")
+    sp.add_argument("--trials", type=int, help="oracle trials (>= 1)")
+    sp.add_argument("--seed", type=int, help="oracle seed")
+    sp.add_argument("--order", type=int, help="series window (>= 0)")
+    sp.add_argument("--bb1-convention", choices=("taui", "i"))
+    verb("identities", cmd_identities, "run the identity suite",
+         instance=False)
     return p
 
 

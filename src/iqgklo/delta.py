@@ -23,10 +23,9 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, coeff_inverse, coeff_pow,
-    w_var,
+    DMonomial, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, coeff_inverse,
+    coeff_pow,
 )
-from .torus import DMonomial
 
 
 def is_spectral(name):
@@ -72,12 +71,7 @@ class FactorCurrent:
 
     def times_linear(self, M, c=1, e=1):
         """Multiply by (1 - c*M*x)^e."""
-        f = dict(self.factors)
-        key = (c, M)
-        f[key] = f.get(key, 0) + e
-        if f[key] == 0:
-            del f[key]
-        return self.copy_with(factors=f)
+        return self.copy_with(factors=[*self.factors.items(), ((c, M), e)])
 
     def times_linear_inv_arg(self, M, c=1, e=1):
         """Multiply by (1 - c*M/x)^e = [-c*M/x * (1 - c^{-1}M^{-1}x)]^e."""
@@ -96,13 +90,9 @@ class FactorCurrent:
 
     def __mul__(self, other):
         assert self.var == other.var
-        f = dict(self.factors)
-        for key, e in other.factors.items():
-            f[key] = f.get(key, 0) + e
-            if f[key] == 0:
-                del f[key]
         return FactorCurrent(self.var, self.pref * other.pref,
-                             self.power + other.power, f)
+                             self.power + other.power,
+                             [*self.factors.items(), *other.factors.items()])
 
     def inverse(self):
         return FactorCurrent(
@@ -118,10 +108,9 @@ class FactorCurrent:
         """Substitute x -> c*M*x."""
         pref = self.pref * Scalar.from_mono(M ** self.power,
                                             coeff_pow(c, self.power))
-        f = {}
-        for (ct, Mt), e in self.factors.items():
-            f[(ct * c, Mt * M)] = e
-        return FactorCurrent(self.var, pref, self.power, f)
+        return FactorCurrent(self.var, pref, self.power,
+                             [((ct * c, Mt * M), e)
+                              for (ct, Mt), e in self.factors.items()])
 
     def invert_arg(self):
         """Substitute x -> 1/x."""
@@ -135,12 +124,9 @@ class FactorCurrent:
 
     def conjugate(self, dmon):
         """Move a shift-operator monomial through from the left."""
-        f = {}
-        for (c, M), e in self.factors.items():
-            key = (c, conjugate_pin_target(dmon, M))
-            f[key] = f.get(key, 0) + e
-        return FactorCurrent(self.var, self.pref.conjugate(dmon),
-                             self.power, f)
+        return FactorCurrent(self.var, self.pref.conjugate(dmon), self.power,
+                             [((c, M.conjugate(dmon)), e)
+                              for (c, M), e in self.factors.items()])
 
     # --- evaluation ----------------------------------------------------
 
@@ -259,16 +245,6 @@ class FactorCurrent:
 # --- distributions -----------------------------------------------------
 
 
-def conjugate_pin_target(dmon, M):
-    """Move a delta pin target left through a shift-operator monomial."""
-    shift = 0
-    for (i, r), e in dmon.exps:
-        h = M.exp_of(w_var(i, r))
-        if h:
-            shift += 2 * e * h
-    return M * Monomial.q_half(shift) if shift else M
-
-
 def resolve_pins(pins):
     """Substitute pinned variables into one another's targets to a fixpoint."""
     pins = dict(pins)
@@ -311,9 +287,11 @@ class Distribution:
     def add_term(self, pins, coeff, dmon):
         """Add one term; pins are resolved and substituted into coeff."""
         pins = resolve_pins(pins)
+        names = coeff.variables()
         for v, M in pins.items():
-            if v in coeff.variables():
+            if v in names:
                 coeff = coeff.substitute(v, M)
+                names = coeff.variables()
         key = (_pins_key(pins), dmon)
         if key in self.terms:
             self.terms[key] = (pins, self.terms[key][1] + coeff)
@@ -331,27 +309,19 @@ class Distribution:
 
     def __add__(self, other):
         out = Distribution()
-        for pins, coeff, dmon in self.items():
-            out.add_term(pins, coeff, dmon)
-        for pins, coeff, dmon in other.items():
+        for pins, coeff, dmon in [*self.items(), *other.items()]:
             out.add_term(pins, coeff, dmon)
         return out
 
     def __neg__(self):
-        out = Distribution()
-        for pins, coeff, dmon in self.items():
-            out.add_term(pins, -coeff, dmon)
-        return out
+        return self.map_coeff(lambda pins, coeff: -coeff)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s):
         """Left-multiply every coefficient by a pin-free scalar."""
-        out = Distribution()
-        for pins, coeff, dmon in self.items():
-            out.add_term(pins, s * coeff, dmon)
-        return out
+        return self.map_coeff(lambda pins, coeff: s * coeff)
 
     def map_coeff(self, fn):
         """Replace each coefficient by fn(pins, coeff) (pins substituted after)."""
@@ -370,7 +340,7 @@ class Distribution:
                                     "both factors")
                 pins = dict(pins1)
                 for v, M in pins2.items():
-                    pins[v] = conjugate_pin_target(d1, M)
+                    pins[v] = M.conjugate(d1)
                 out.add_term(pins, c1 * c2.conjugate(d1), d1 * d2)
         return out
 

@@ -9,12 +9,10 @@ extraction for the K-generators.
 
 from __future__ import annotations
 
-from .delta import (
-    Distribution, FactorCurrent, conjugate_pin_target,
-)
+from .delta import Distribution, FactorCurrent
 from .errors import DegreeMismatch, WrongCase
-from .scalars import GR_I, Monomial, Scalar, w_var, z_var, zeta_var
-from .torus import DMonomial, TorusElement
+from .scalars import DMonomial, GR_I, Monomial, Scalar, w_var, z_var, zeta_var
+from .torus import TorusElement
 
 
 def zeta(inst, i):
@@ -242,8 +240,7 @@ def build_chi(inst, i):
     else:
         dist = build_B_image(inst, i)
         for pins, coeff, dmon in dist.items():
-            (_, e), = dmon.exps
-            (k, r) = dmon.exps[0][0]
+            ((_, r), e), = dmon.exps
             sign = "+" if e < 0 else "-"
             out[(sign, r)] = (pins["u"], TorusElement.monomial(coeff, dmon))
     return out

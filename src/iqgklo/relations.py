@@ -17,8 +17,7 @@ from .gklo import (
     build_B_image, build_chi, build_Xi, build_kappa, extend_a2n,
     extended_chi, extended_w, leading_coefficient_K, times_x_minus_xinv,
 )
-from .scalars import Monomial, Scalar
-from .torus import DMonomial
+from .scalars import DMonomial, Monomial, Scalar
 
 BB_KINDS = ("BB1", "BB2", "BB3", "BB4", "BB5")
 SERRE_KINDS = ("Serre1", "Serre2", "Serre3")

@@ -20,6 +20,14 @@ only where a per-variable view is needed; everything printed or sorted is
 ordered by variable name, never by limb, so no output depends on the order
 in which variables were registered.
 
+A shift-operator monomial ``DMonomial`` is packed against the same
+registry: the exponent of d_{i,r} sits in the limb of ``w:i:r``, the
+coordinate it shifts.  So a product of shifts is one integer addition, and
+moving d past a coefficient (``Poly.conjugate``, ``Monomial.conjugate``)
+pairs the limbs of the two keys: d_{i,r}^e past w_{i,r}^(h/2) costs
+Q^(2*e*h), added to the q limb.  The limb layout is known only to this
+module.
+
 Coefficients are canonical: a real value is a plain int (or a Fraction when
 not integral), and a GR only carries a nonzero imaginary part, so equal
 coefficients compare and hash equal whatever their history.  The helpers
@@ -303,6 +311,11 @@ class Monomial:
             return self
         return _mono(self.key - (e << (_LIMB * _INDEX[var])) + e * target.key)
 
+    def conjugate(self, dmon):
+        """This monomial moved left through ``dmon``: d * M = M' * d."""
+        taps = _shift_taps(dmon.key)
+        return _mono(self.key + _q_shift(self.key, taps)) if taps else self
+
     def is_one(self):
         return not self.key
 
@@ -327,6 +340,80 @@ def _mono_repr(exps):
 
 _MON_ONE = _mono(0)
 _Q_SHIFT = _LIMB * _index("q")
+_TAPS = {}              # shift key -> its taps; limbs never move
+
+
+def _shift_taps(dkey):
+    """(bit offset, 2*e) for each d_{i,r}^e of the shift key ``dkey``."""
+    taps = _TAPS.get(dkey)
+    if taps is None:
+        (limbs,) = _limb_rows((dkey,))
+        taps = _TAPS[dkey] = [(_LIMB * k, 2 * e)
+                              for k, e in enumerate(limbs) if e]
+    return taps
+
+
+def _q_shift(key, taps):
+    """The q-limb increment: 2*e*h per d_{i,r}^e and w_{i,r}^(h/2)."""
+    lifted = key + _BIAS[-1]
+    shift = 0
+    for off, f in taps:
+        shift += f * (((lifted >> off) & _MASK) - _HALF)
+    return shift << _Q_SHIFT
+
+
+def _dmono(key):
+    d = object.__new__(DMonomial)
+    d.key = key
+    return d
+
+
+class DMonomial:
+    """A commutative monomial in the shift operators d_{i,r}: a thin value
+    over one packed key, the exponent of d_{i,r} in the limb of ``w:i:r``.
+    ``exps`` is the decoded view, ((i, r), e) sorted by the integers (i, r).
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, exps):
+        self.key = sum(e << (_LIMB * _index(w_var(i, r)))
+                       for (i, r), e in exps if e)
+
+    @property
+    def exps(self):
+        return tuple(sorted((tuple(map(int, v.split(":")[1:])), e)
+                            for v, e in _decode(self.key)))
+
+    @classmethod
+    def one(cls):
+        return _D_ONE
+
+    @classmethod
+    def unit(cls, i, r, e=1):
+        return _dmono(e << (_LIMB * _index(w_var(i, r))))
+
+    def __mul__(self, other):
+        return _dmono(self.key + other.key)
+
+    def is_one(self):
+        return not self.key
+
+    def __eq__(self, other):
+        return isinstance(other, DMonomial) and self.key == other.key
+
+    def __lt__(self, other):
+        return self.exps < other.exps
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return "*".join(f"d[{i},{r}]^{e}" if e != 1 else f"d[{i},{r}]"
+                        for (i, r), e in self.exps) or "1"
+
+
+_D_ONE = _dmono(0)
 
 
 def unpack_poly(p):
@@ -424,19 +511,11 @@ class Poly:
         moves, by an amount read off the w limbs, so distinct terms stay
         distinct.
         """
-        taps = [(_LIMB * k, 2 * e) for (i, r), e in dmon.exps
-                if (k := _INDEX.get(w_var(i, r))) is not None]
+        taps = _shift_taps(dmon.key)
         if not taps:
             return self
-        bias = _BIAS[-1]
-        d = {}
-        for key, c in self.terms.items():
-            lifted = key + bias
-            shift = 0
-            for off, f in taps:
-                shift += f * (((lifted >> off) & _MASK) - _HALF)
-            d[key + (shift << _Q_SHIFT)] = c
-        return Poly(d, _clean=False)
+        return Poly({key + _q_shift(key, taps): c
+                     for key, c in self.terms.items()}, _clean=False)
 
     def substitute(self, var, target):
         k = _INDEX.get(var)

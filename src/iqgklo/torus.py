@@ -3,70 +3,15 @@
 Generators: shift operators d_{i,r} and half-power coordinates w_{i,r}^{1/2}
 with d_{i,r} w_{i,r}^{1/2} = Q w_{i,r}^{1/2} d_{i,r} (Q the base unit,
 Q^2 = q) and everything else commuting.  A TorusElement is a finite sum of
-(Scalar coefficient) * (d-monomial), coefficient on the left.
+(Scalar coefficient) * (d-monomial), coefficient on the left.  The
+d-monomials (``DMonomial``, re-exported here) and the rule that moves one
+past a coefficient live in ``scalars``, next to the keys they share.
 """
 
 from __future__ import annotations
 
 from .errors import LocalizationViolation
-from .scalars import Monomial, Poly, Scalar
-
-
-class DMonomial:
-    """A commutative monomial in the shift operators: (i,r) -> exponent."""
-
-    __slots__ = ("exps", "_hash")
-
-    def __init__(self, exps):
-        self.exps = tuple(sorted(((i, r), e) for (i, r), e in exps if e != 0))
-        self._hash = hash(self.exps)
-
-    @classmethod
-    def one(cls):
-        return _D_ONE
-
-    @classmethod
-    def unit(cls, i, r, e=1):
-        return cls((((i, r), e),))
-
-    def __mul__(self, other):
-        d = dict(self.exps)
-        for k, e in other.exps:
-            d[k] = d.get(k, 0) + e
-        return DMonomial(d.items())
-
-    def __pow__(self, n):
-        return DMonomial((k, e * n) for k, e in self.exps)
-
-    def inverse(self):
-        return self ** -1
-
-    def exp_of(self, i, r):
-        for k, e in self.exps:
-            if k == (i, r):
-                return e
-        return 0
-
-    def is_one(self):
-        return not self.exps
-
-    def __eq__(self, other):
-        return isinstance(other, DMonomial) and self.exps == other.exps
-
-    def __lt__(self, other):
-        return self.exps < other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(f"d[{i},{r}]^{e}" if e != 1 else f"d[{i},{r}]"
-                        for (i, r), e in self.exps)
-
-
-_D_ONE = DMonomial(())
+from .scalars import DMonomial, Monomial, Poly, Scalar
 
 
 class TorusElement:
@@ -88,7 +33,7 @@ class TorusElement:
 
     @classmethod
     def from_scalar(cls, s):
-        return cls({_D_ONE: s})
+        return cls({DMonomial.one(): s})
 
     @classmethod
     def monomial(cls, s, d):
@@ -122,21 +67,14 @@ class TorusElement:
         return TorusElement({d: c * s for d, c in self.terms.items()})
 
     def equals(self, other):
-        keys = set(self.terms) | set(other.terms)
         zero = Scalar.zero()
-        for d in keys:
-            if not self.terms.get(d, zero).equals(other.terms.get(d, zero)):
-                return False
-        return True
+        return all(self.terms.get(d, zero).equals(other.terms.get(d, zero))
+                   for d in set(self.terms) | set(other.terms))
 
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"({c!r})*{d!r}" for d, c in sorted(self.terms.items()))
-
-
-def _w_whole(var):
-    return Monomial.unit(var, 2)
 
 
 def _admissible_candidates(wvars, max_qhalf=12):
@@ -147,13 +85,13 @@ def _admissible_candidates(wvars, max_qhalf=12):
     """
     shapes = []
     for va in wvars:
-        a = _w_whole(va)
+        a = Monomial.unit(va, 2)
         shapes.append((a, a.inverse()))
         shapes.append((Monomial.one(), a))
         for vb in wvars:
             if vb == va:
                 continue
-            b = _w_whole(vb)
+            b = Monomial.unit(vb, 2)
             shapes.append((a, b))
             shapes.append((a, b.inverse()))
     out = []

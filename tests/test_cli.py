@@ -43,6 +43,15 @@ def test_image_single_generator(capsys):
     doc = json.loads(out)
     assert list(doc["images"]) == ["B1"]
     assert "delta[" in doc["images"]["B1"]
+    assert doc["images"]["B1"] == (
+        "delta[u=q^-2*w:1:1^2]((-1*q^2*w:1:1^2*z:1:1*zt:1"
+        " + -1*q^2*w:1:1^2*z:1:2*zt:1 + 1*q^4*z:1:1*z:1:2*zt:1"
+        " + 1*w:1:1^4*zt:1)/(-1*q^4*w:1:1^2 + 1*q^4*w:1:1^6 + 1*w:1:1^2"
+        " + -1*w:1:1^6))d[1,1]^-1"
+        " + delta[u=q^-2*w:1:1^-2]((1*q^2*w:1:1^2*zt:1"
+        " + -1*q^4*w:1:1^4*z:1:1*zt:1 + -1*q^4*w:1:1^4*z:1:2*zt:1"
+        " + 1*q^6*w:1:1^6*z:1:1*z:1:2*zt:1)/(1*1 + -1*q^4 + 1*q^4*w:1:1^4"
+        " + -1*w:1:1^4))d[1,1]")
 
 
 def test_image_unknown_generator(capsys):
@@ -185,3 +194,70 @@ def test_inline_instance_adjacent_involution():
         "type": "A", "rank": 4, "tau": [[1, 4], [2, 3]],
         "framing": [1, 0, 0, 1], "shift": [0, 0, 0, 0]})
     assert inst.diagram.t(2) == 3 and inst.mult == (1, 1, 1, 1)
+
+
+def _inline(**fields):
+    desc = {"type": "A", "rank": 1, "framing": [2], "shift": [0]}
+    desc.update(fields)
+    return {"schema": SCHEMA_ID, "instance": desc}
+
+
+def _without_framing():
+    doc = _inline()
+    del doc["instance"]["framing"]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _without_framing(),
+    _inline(rank="x"),
+    _inline(framing=["a"]),
+    {"schema": SCHEMA_ID, "catalog": "sA1-v1-t0", "trials": "many"},
+    [SCHEMA_ID, "sA1-v1-t0"],
+    _inline(rank=2, tau=[[1, "b"]], framing=[1, 1], shift=[0, 0]),
+    _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=5),
+], ids=["no-framing", "rank-x", "framing-a", "trials-many", "array",
+        "cycle-entry", "orientation"])
+def test_malformed_config_is_input_error(capsys, tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--order", "-1"), ("--trials", "0"), ("--trials", "-3"),
+])
+def test_check_rejects_vacuous_gate_flags(capsys, flags):
+    code, out, err = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                             "--relations", "HB", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("order", -1), ("trials", 0), ("trials", -3), ("bb1_convention", "x"),
+])
+def test_check_rejects_vacuous_gate_config(capsys, tmp_path, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": SCHEMA_ID,
+                                    "catalog": "sA1-v1-t0",
+                                    "relations": ["HB"], key: value}))
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--instance", "qsA4", "--trials", "5"),
+    ("validate", "--instance", "qsA4", "--bb1-convention", "i"),
+    ("image", "B1", "--instance", "sA1-v1-t0", "--seed", "3"),
+    ("image", "B1", "--instance", "sA1-v1-t0", "--order", "3"),
+    ("identities", "--order", "3"),
+])
+def test_oracle_options_belong_to_check_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

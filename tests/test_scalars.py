@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
-    GR, GR_I, Monomial, Poly, Scalar, coeff_inverse, one_minus, q_bracket,
-    unpack_poly, w_var,
+    GR, GR_I, DMonomial, Monomial, Poly, Scalar, coeff_inverse, one_minus,
+    q_bracket, unpack_poly, w_var,
 )
-from iqgklo.torus import DMonomial
 
 
 def test_gaussian_rational_arithmetic():
@@ -57,24 +56,17 @@ def test_substitute_kills_denominator():
         s.substitute("u", Monomial.one())
 
 
-class FakeD:
-    """Minimal stand-in exposing .exps like a difference-operator monomial."""
-
-    def __init__(self, exps):
-        self.exps = tuple(exps)
-
-
 def test_conjugation_shifts_w_halves():
     # Moving the (i,r)-shift of weight e past w_{i,r}^{h/2} costs q^{e*h/2}
     # per base unit, i.e. Q^{2*e*h} total on a whole power.
-    d = FakeD([((1, 1), 1)])
+    d = DMonomial.unit(1, 1)
     s = Scalar.from_mono(Monomial.w(1, 1))
     assert s.conjugate(d).equals(Scalar.from_mono(Monomial.w(1, 1)) * Scalar.q_int(2))
     # Untouched variables pass through freely.
     t = Scalar.from_mono(Monomial.w(2, 1))
     assert t.conjugate(d).equals(t)
     # Inverse operator shifts the other way.
-    dinv = FakeD([((1, 1), -1)])
+    dinv = DMonomial.unit(1, 1, -1)
     assert s.conjugate(dinv).equals(s * Scalar.q_int(-2))
 
 
@@ -251,7 +243,7 @@ def test_poly_matches_reference(a, b, target, var, value, dexps):
 
     def conj(exps, c):
         shift = sum(2 * e * exps.get(w_var(i, r), 0)
-                    for (i, r), e in dmon.exps)
+                    for (i, r), e in dexps)
         exps["q"] = exps.get("q", 0) + shift
         return exps, c
     assert _ref(pa.conjugate(dmon)) == _ref_map(a, conj)

@@ -34,6 +34,47 @@ def test_conjugation_central_symbols():
     assert z.conjugate(d).equals(z)
 
 
+def test_dmonomial_repr_and_order_by_integer_index():
+    # (1, 2) < (1, 10) and (2, 1) < (10, 1) as integers; by name the
+    # coordinates w:1:10 and w:10:1 would sort first
+    d12, d110 = DMonomial.unit(1, 2), DMonomial.unit(1, 10, -1)
+    d21, d101 = DMonomial.unit(2, 1, 3), DMonomial.unit(10, 1)
+    assert repr(d110 * d12) == "d[1,2]*d[1,10]^-1"
+    assert repr(d101 * d21) == "d[2,1]^3*d[10,1]"
+    assert (d110 * d12).exps == (((1, 2), 1), ((1, 10), -1))
+    assert d12 < d110 and d21 < d101
+    assert sorted([d101, d110, d21, d12]) == [d12, d110, d21, d101]
+    x = op(Scalar.one(), d110) + op(w(1, 1), d12)
+    assert repr(x) == "(1*w:1:1^2)*d[1,2] + (1*1)*d[1,10]^-1"
+
+
+def test_dmonomial_product_and_identity():
+    d = DMonomial.unit(1, 1) * DMonomial.unit(1, 2, -1)
+    assert d * DMonomial.unit(1, 1, -1) == DMonomial.unit(1, 2, -1)
+    assert (d * DMonomial.unit(1, 1, -1) * DMonomial.unit(1, 2)).is_one()
+    assert DMonomial.one().is_one() and repr(DMonomial.one()) == "1"
+    assert d == DMonomial([((1, 2), -1), ((1, 1), 1)])
+    assert hash(d) == hash(DMonomial([((1, 2), -1), ((1, 1), 1)]))
+
+
+def test_conjugation_composes_and_agrees_on_pin_targets():
+    dmons = [DMonomial.unit(1, 1), DMonomial.unit(1, 2, -1),
+             DMonomial.unit(1, 1, -2) * DMonomial.unit(2, 1),
+             DMonomial.one()]
+    monos = [Monomial.w_half(1, 1, 3) * Monomial.w(1, 2, -1),
+             Monomial.w(2, 1) * Monomial.q_int(1) * Monomial.unit("u"),
+             Monomial.unit("z:1:1"), Monomial.one()]
+    p = sum((Poly.mono(m, GR(k + 1, k)) for k, m in enumerate(monos)),
+            Poly.zero())
+    for d1 in dmons:
+        for d2 in dmons:
+            assert p.conjugate(d1 * d2) == p.conjugate(d1).conjugate(d2)
+        for m in monos:
+            assert Poly.mono(m.conjugate(d1)) == Poly.mono(m).conjugate(d1)
+    # d[1,1] past w_{1,1}^(3/2) costs Q^6 = q^3
+    assert monos[0].conjugate(dmons[0]) == monos[0] * Monomial.q_int(3)
+
+
 def test_shift_past_whole_coordinate():
     d = op(Scalar.one(), DMonomial.unit(1, 1))
     x = op(w(1, 1), DMonomial.one())
