@@ -263,7 +263,7 @@ def resolve_pins(pins):
 
 
 def _pins_key(pins):
-    return tuple(sorted((v, M.exps) for v, M in pins.items()))
+    return tuple(sorted((v, M.key) for v, M in pins.items()))
 
 
 class Distribution:
@@ -287,11 +287,9 @@ class Distribution:
     def add_term(self, pins, coeff, dmon):
         """Add one term; pins are resolved and substituted into coeff."""
         pins = resolve_pins(pins)
-        names = coeff.variables()
         for v, M in pins.items():
-            if v in names:
+            if coeff.has_var(v):
                 coeff = coeff.substitute(v, M)
-                names = coeff.variables()
         key = (_pins_key(pins), dmon)
         if key in self.terms:
             self.terms[key] = (pins, self.terms[key][1] + coeff)
@@ -346,22 +344,12 @@ class Distribution:
 
     def rename_spectral(self, mapping):
         """Simultaneously rename free spectral variables (a bijection)."""
-        phases = [{old: f"__tmp{k}" for k, old in enumerate(mapping)},
-                  {f"__tmp{k}": mapping[old]
-                   for k, old in enumerate(mapping)}]
+        subst = {old: Monomial.unit(new) for old, new in mapping.items()}
         out = Distribution()
         for pins, coeff, dmon in self.items():
-            p, c = dict(pins), coeff
-            for phase in phases:
-                p2 = {}
-                for v, M in p.items():
-                    for old, new in phase.items():
-                        M = M.substitute(old, Monomial.unit(new))
-                    p2[phase.get(v, v)] = M
-                p = p2
-                for old, new in phase.items():
-                    c = c.substitute(old, Monomial.unit(new))
-            out.add_term(p, c, dmon)
+            out.add_term({mapping.get(v, v): M.substitute(subst)
+                          for v, M in pins.items()},
+                         coeff.substitute(subst), dmon)
         return out
 
     def __repr__(self):
@@ -424,9 +412,16 @@ def canonicalize_compare(x, y):
     check_fully_pinned(y)
     xs = {(_pins_key(p), d): (p, c) for p, c, d in x.items()}
     ys = {(_pins_key(p), d): (p, c) for p, c, d in y.items()}
+    both = {**ys, **xs}
+
+    def report_order(key):
+        # by the decoded exponents, so the order never depends on limbs
+        p = both[key][0]
+        return repr((tuple((v, p[v].exps) for v, _ in key[0]), key[1]))
+
     bad = []
-    for key in sorted(set(xs) | set(ys), key=repr):
-        p = (xs.get(key) or ys.get(key))[0]
+    for key in sorted(both, key=report_order):
+        p = both[key][0]
         cx = xs[key][1] if key in xs else Scalar.zero()
         cy = ys[key][1] if key in ys else Scalar.zero()
         if not cx.equals(cy):

@@ -28,6 +28,17 @@ pairs the limbs of the two keys: d_{i,r}^e past w_{i,r}^(h/2) costs
 Q^(2*e*h), added to the q limb.  The limb layout is known only to this
 module.
 
+Every ``Poly`` carries its content monomial, the per-variable minimum
+exponent over its terms, which ``Scalar`` divides out of numerator and
+denominator.  It is computed from every key (a per-limb minimum) only
+when nothing set it: a one-term constructor sets it to the term's key,
+``mul_mono`` shifts it by the monomial's key, negation and scaling keep
+it, and a product gets the sum of its factors' contents.  The product
+rule is exact because the coefficients lie in an integral domain: per
+variable, the parts of lowest degree of the two factors multiply to a
+nonzero part of the product, and nothing else reaches that degree.  The
+zero polynomial has content 1.
+
 Coefficients are canonical: a real value is a plain int (or a Fraction when
 not integral), and a GR only carries a nonzero imaginary part, so equal
 coefficients compare and hash equal whatever their history.  The helpers
@@ -42,7 +53,9 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import or_
 
 from .errors import DenominatorVanishes, DivisionByZero
 
@@ -213,16 +226,17 @@ def _limb_rows(keys):
             for key in keys]
 
 
-def _limb_min(keys):
-    """The key of the per-variable minimum over ``keys`` (absent = 0)."""
-    if len(keys) == 1:
-        for key in keys:
-            return key
-    rows = _limb_rows(keys)
-    n = len(rows[0])
-    b = _BIAS[n]
-    mins = _LIMBS[n].pack(*map(min, zip(*rows)))
-    return (int.from_bytes(mins, "little") ^ b) - b
+def _key_min(a, b):
+    """The key of the per-variable minimum of the keys a and b (absent
+    variables read 0).
+
+    Lifting every limb of a - b by _HALF leaves its top bit clear exactly
+    where a's exponent is below b's; those limbs of a - b are added to b.
+    """
+    bias = _BIAS[-1]
+    lifted = a - b + bias
+    below = (~(lifted >> (_LIMB - 1)) & (bias >> (_LIMB - 1))) * _MASK
+    return b + ((lifted & below) - (bias & below))
 
 
 def _decode(key):
@@ -230,6 +244,29 @@ def _decode(key):
     names = _NAMES
     (limbs,) = _limb_rows((key,))
     return tuple(sorted((names[k], e) for k, e in enumerate(limbs) if e))
+
+
+def _substitution(var, target):
+    """(bit offset, limb bias, target key) per variable to replace.
+
+    ``var, target`` is one variable and its monomial; a mapping
+    {variable: monomial} with ``target`` None replaces all its variables
+    at once.  Variables never registered occur nowhere and are skipped.
+    """
+    subs = var.items() if target is None else ((var, target),)
+    return [(_LIMB * k, _BIAS[k + 1], t.key)
+            for v, t in subs if (k := _INDEX.get(v)) is not None]
+
+
+def _substitute_key(key, plan):
+    """``key`` with every planned variable replaced; each exponent is read
+    from ``key`` itself, so a target may hold another replaced variable."""
+    out = key
+    for off, bias, tk in plan:
+        e = (((key + bias) >> off) & _MASK) - _HALF
+        if e:
+            out += e * tk - (e << off)
+    return out
 
 
 def _mono(key):
@@ -294,22 +331,18 @@ class Monomial:
     def inverse(self):
         return _mono(-self.key)
 
-    def exp_of(self, var):
-        k = _INDEX.get(var)
-        return 0 if k is None else _limb(self.key, k)
-
     def vars(self):
         return [v for v, _ in self.exps]
 
     def has_var(self, var):
-        return self.exp_of(var) != 0
+        k = _INDEX.get(var)
+        return k is not None and _limb(self.key, k) != 0
 
-    def substitute(self, var, target):
-        """Replace var by the monomial ``target`` (which must not contain var)."""
-        e = self.exp_of(var)
-        if e == 0:
-            return self
-        return _mono(self.key - (e << (_LIMB * _INDEX[var])) + e * target.key)
+    def substitute(self, var, target=None):
+        """Replace var by the monomial ``target``, or every variable of the
+        mapping ``var`` by its monomial at once."""
+        key = _substitute_key(self.key, _substitution(var, target))
+        return self if key == self.key else _mono(key)
 
     def conjugate(self, dmon):
         """This monomial moved left through ``dmon``: d * M = M' * d."""
@@ -426,29 +459,32 @@ class Poly:
     """A Laurent polynomial: ``terms`` maps packed exponent keys (see the
     module docstring) to canonical nonzero coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_content", "_occ")
 
-    def __init__(self, terms=None, _clean=True):
+    def __init__(self, terms=None, _clean=True, _content=None):
         if terms is None:
             self.terms = {}
         elif _clean:
             self.terms = {k: c for k, c in terms.items() if c}
         else:
             self.terms = terms
+        self._content = _content        # content monomial; None: not known
 
     @classmethod
     def zero(cls):
-        return cls({}, _clean=False)
+        return cls({}, _clean=False, _content=_MON_ONE)
 
     @classmethod
     def const(cls, c):
         if not isinstance(c, GR):
             c = _as_num(c)
-        return cls({0: c} if c else {}, _clean=False)
+        return cls({0: c} if c else {}, _clean=False, _content=_MON_ONE)
 
     @classmethod
     def mono(cls, m, c=1):
-        return cls({m.key: c} if c else {}, _clean=False)
+        if not c:
+            return cls.zero()
+        return cls({m.key: c}, _clean=False, _content=m)
 
     def is_zero(self):
         return not self.terms
@@ -468,7 +504,8 @@ class Poly:
         return Poly(d, _clean=False)
 
     def __neg__(self):
-        return Poly({k: -c for k, c in self.terms.items()}, _clean=False)
+        return Poly({k: -c for k, c in self.terms.items()}, _clean=False,
+                    _content=self._content)
 
     def __sub__(self, other):
         return self + (-other)
@@ -492,16 +529,28 @@ class Poly:
                         d[k] = s
                     else:
                         del d[k]
-        return Poly(d, _clean=False)
+        ca, cb = self._content, other._content
+        if not d:
+            content = _MON_ONE
+        elif ca is None or cb is None:
+            content = None
+        else:
+            content = _mono(ca.key + cb.key)
+        return Poly(d, _clean=False, _content=content)
 
     def scale(self, c):
         if not c:
             return Poly.zero()
-        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False)
+        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False,
+                    _content=self._content)
 
     def mul_mono(self, m):
         mk = m.key
-        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False)
+        content = self._content
+        if content is not None and self.terms:
+            content = _mono(content.key + mk)
+        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False,
+                    _content=content)
 
     def conjugate(self, dmon):
         """Move the d-monomial ``dmon`` through this polynomial from the left.
@@ -517,16 +566,15 @@ class Poly:
         return Poly({key + _q_shift(key, taps): c
                      for key, c in self.terms.items()}, _clean=False)
 
-    def substitute(self, var, target):
-        k = _INDEX.get(var)
-        if k is None:
+    def substitute(self, var, target=None):
+        """Replace var by the monomial ``target``, or every variable of the
+        mapping ``var`` by its monomial in one simultaneous pass."""
+        plan = _substitution(var, target)
+        if not plan:
             return self
-        off, tk, bias = _LIMB * k, target.key, _BIAS[k + 1]
         d = {}
         for key, c in self.terms.items():
-            e = (((key + bias) >> off) & _MASK) - _HALF
-            if e:
-                key += e * tk - (e << off)
+            key = _substitute_key(key, plan)
             s = d.get(key)
             d[key] = c if s is None else s + c
         return Poly(d)
@@ -553,10 +601,11 @@ class Poly:
         """Exact evaluation; assignment maps every present variable to a
         coefficient.
 
-        Each value is cleared to a Gaussian integer over one fixed
-        denominator per variable (covering the variable's full exponent
-        range), so the term sum is pure integer arithmetic with a single
-        division at the end -- no per-term fraction reduction.
+        Each value a and its inverse are cleared to Gaussian integers over
+        their least denominators s and t, so a^e for every exponent e of the
+        variable is a Gaussian integer over the fixed denominator
+        s^hi * t^-lo.  The term sum is then pure integer arithmetic with a
+        single division at the end -- no per-term fraction reduction.
         """
         if not self.terms:
             return 0
@@ -577,23 +626,26 @@ class Poly:
                 if isinstance(comp, Fraction):
                     s = s * comp.denominator // gcd(s, comp.denominator)
             gre, gim = int(are * s), int(aim * s)
+            # 1/a = s*(gre - i gim)/norm = (ire + i iim)/t in lowest terms;
+            # for a real a = n/s this is s/n
             norm = gre * gre + gim * gim
+            r = gcd(s * gre, s * gim, norm)
+            ire, iim, t = s * gre // r, -s * gim // r, norm // r
             hp, ln = max(hi, 0), max(-lo, 0)
-            Dv = s ** hp * norm ** ln
+            Dv = s ** hp * t ** ln
             tab = {}
             pr, pi = 1, 0                     # (gre + i gim)^e
             for e in range(hi + 1):
                 if e >= lo:
-                    mult = s ** (hp - e) * norm ** ln
+                    mult = s ** (hp - e) * t ** ln
                     tab[e] = (pr * mult, pi * mult)
                 pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
-            pr, pi = 1, 0                     # conj^k for e = -k
+            pr, pi = 1, 0                     # (ire + i iim)^j for e = -j
             for j in range(1, ln + 1):
-                pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
-                e = -j
-                if e <= hi:
-                    mult = s ** (hp - e) * norm ** (ln + e)
-                    tab[e] = (pr * mult, pi * mult)
+                pr, pi = pr * ire - pi * iim, pr * iim + pi * ire
+                if -j <= hi:
+                    mult = s ** hp * t ** (ln - j)
+                    tab[-j] = (pr * mult, pi * mult)
             tables.append((k, tab, Dv))
             D *= Dv
         tre = tim = 0
@@ -620,11 +672,21 @@ class Poly:
         return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
                          _as_num(Fraction(tim) / D) if tim else 0)
 
+    def _occupied(self):
+        """The OR of every key lifted by the bias and xored back: a limb is
+        nonzero exactly where some term has a nonzero exponent.  Cached;
+        limbs registered later read 0, as they must, since keys never
+        change."""
+        try:
+            return self._occ
+        except AttributeError:
+            bias = _BIAS[-1]
+            self._occ = reduce(or_, map(bias.__xor__,
+                                        map(bias.__add__, self.terms)), 0)
+            return self._occ
+
     def variables(self):
-        bias = _BIAS[-1]
-        seen = 0
-        for key in self.terms:
-            seen |= (key + bias) ^ bias
+        seen = self._occupied()
         out = set()
         k = 0
         while seen:
@@ -634,11 +696,19 @@ class Poly:
             k += 1
         return out
 
+    def has_var(self, var):
+        """Whether some term has a nonzero exponent of ``var``."""
+        k = _INDEX.get(var)
+        return k is not None and (self._occupied() >> (_LIMB * k)) & _MASK != 0
+
     def content_monomial(self):
-        """The per-variable minimum-exponent monomial over all terms."""
-        if not self.terms:
-            return _MON_ONE
-        return _mono(_limb_min(self.terms))
+        """The per-variable minimum-exponent monomial over all terms (1 for
+        zero): cached, and computed from every key only if nothing set it."""
+        c = self._content
+        if c is None:
+            c = self._content = _mono(reduce(_key_min, self.terms)) \
+                if self.terms else _MON_ONE
+        return c
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -722,8 +792,8 @@ class Scalar:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if normalize and not num.is_zero():
-            g = _limb_min((num.content_monomial().key,
-                           den.content_monomial().key))
+            g = _key_min(num.content_monomial().key,
+                         den.content_monomial().key)
             if g:
                 gi = _mono(-g)
                 num = num.mul_mono(gi)
@@ -835,12 +905,16 @@ class Scalar:
                       dfac=None if self.dfac is None else
                       tuple(f.conjugate(dmon) for f in self.dfac))
 
-    def substitute(self, var, target):
+    def substitute(self, var, target=None):
+        """Replace var by the monomial ``target``, or every variable of the
+        mapping ``var`` by its monomial at once."""
         num = self.num.substitute(var, target)
         den = self.den.substitute(var, target)
         if den.is_zero():
-            raise DenominatorVanishes(
-                f"substituting {var} -> {target!r} kills the denominator")
+            subs = var.items() if target is None else ((var, target),)
+            what = ", ".join(f"{v} -> {t!r}" for v, t in subs)
+            raise DenominatorVanishes(f"substituting {what} kills the "
+                                      "denominator")
         return Scalar(num, den,
                       dfac=None if self.dfac is None else
                       tuple(f.substitute(var, target) for f in self.dfac))
@@ -863,6 +937,9 @@ class Scalar:
 
     def variables(self):
         return self.num.variables() | self.den.variables()
+
+    def has_var(self, var):
+        return self.num.has_var(var) or self.den.has_var(var)
 
     def __repr__(self):
         if self.den == POLY_ONE:

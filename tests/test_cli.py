@@ -5,8 +5,12 @@ import pytest
 from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
-from iqgklo.errors import NonSimplePole, ParseError, ValidationError
+from iqgklo import delta, relations
+from iqgklo.errors import (
+    DenominatorVanishes, NonSimplePole, ParseError, ValidationError,
+)
 from iqgklo.relations import RelationChecker
+from iqgklo.scalars import Scalar
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +104,40 @@ def test_check_aborted_relation_reports_failure(capsys, monkeypatch):
     bb2 = next(r for r in doc["results"] if r["check"] == "BB2[1,1]")
     assert bb2["status"] == "fail"
     assert bb2["detail"].startswith("aborted:")
+
+
+def test_check_aborted_expansion_fails_series_soundness(capsys, monkeypatch):
+    # the gamma of the aborted check stays logged, and the series pass
+    # expands it again: that must fail soundness (exit 1 with a report),
+    # not escape from the verb (exit 2 with none)
+    def expand_by_residues(gamma):
+        raise NonSimplePole("forced double pole")
+    monkeypatch.setattr(relations, "expand_by_residues", expand_by_residues)
+    monkeypatch.setattr(delta, "expand_by_residues", expand_by_residues)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["series_soundness"] == "fail"
+    (bb2,) = doc["results"]
+    assert bb2["status"] == "fail" and bb2["detail"].startswith("aborted:")
+
+
+def test_check_bad_specialization_fails_oracle_concordance(capsys,
+                                                           monkeypatch):
+    # every specialization hits a denominator, so the oracle runs out of
+    # retries: concordance fails (exit 1 with a report), the verb does not
+    def eval_numeric(self, assignment):
+        raise DenominatorVanishes("forced")
+    monkeypatch.setattr(Scalar, "eval_numeric", eval_numeric)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--trials", "2",
+                           "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["oracle_concordance"] == "fail"
+    assert doc["series_soundness"] == "pass"
+    assert [r["status"] for r in doc["results"]] == ["pass"]
 
 
 def test_check_builds_each_pair_once(capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from iqgklo.errors import DoublePin, NonSimplePole, UnpinnedResidual
@@ -149,3 +153,76 @@ def test_canonicalize_compare():
     free = Distribution.single({"v": Monomial.unit("u", -1)}, Scalar.one())
     with pytest.raises(UnpinnedResidual):
         canonicalize_compare(free, free)
+
+
+def _rename_two_phase(x, mapping):
+    """Reference rename: every old name to a fresh name, then each fresh
+    name to its new name, one variable at a time."""
+    phases = [{old: f"ref~{k}" for k, old in enumerate(mapping)},
+              {f"ref~{k}": mapping[old] for k, old in enumerate(mapping)}]
+    out = Distribution()
+    for pins, coeff, dmon in x.items():
+        p, c = dict(pins), coeff
+        for phase in phases:
+            p2 = {}
+            for v, M in p.items():
+                for old, new in phase.items():
+                    M = M.substitute(old, Monomial.unit(new))
+                p2[phase.get(v, v)] = M
+            p = p2
+            for old, new in phase.items():
+                c = c.substitute(old, Monomial.unit(new))
+        out.add_term(p, c, dmon)
+    return out
+
+
+def _spectral_mix():
+    """Terms pinning u1 and u2, with u1, u2, u and v left free in the
+    coefficients and in one pin target, and a factored denominator."""
+    u1, u2, u, v = (Scalar.var(n) for n in ("u1", "u2", "u", "v"))
+    q = Scalar.q_int(1)
+    # u*v^2 - u^2*v cancels once v is renamed to u
+    coeff = (u1 * u1 - q * u2 * v + Scalar.from_mono(W, GR(1, 2)) * u
+             + u * v * v - u * u * v) \
+        / ((u1 - q * u2) * (Scalar.one() - q * v))
+    x = Distribution.single({"u1": W}, coeff, DMonomial.unit(1, 1))
+    x = x + Distribution.single({"u2": W * Q2}, coeff * u1)
+    x = x + Distribution.single(
+        {"u1": Monomial.unit("u") * Q2, "u2": W.inverse()}, coeff - v)
+    return x + Distribution.single({}, coeff, DMonomial.unit(1, 2))
+
+
+@pytest.mark.parametrize("mapping", [
+    {"u1": "u2", "u2": "u1"},
+    {"u1": "u2", "u2": "u", "u": "u1"},
+    {"v": "u"},                     # onto a name the coefficients hold
+])
+def test_rename_matches_two_phase_reference(mapping):
+    x = _spectral_mix()
+    assert repr(x.rename_spectral(mapping)) == \
+        repr(_rename_two_phase(x, mapping))
+
+
+# In a fresh interpreter, so that names other tests registered cannot hide
+# a registration made by the renaming.
+RENAME_REGISTRY = """
+from test_delta import _spectral_mix, symmetrize
+from iqgklo import scalars
+x = _spectral_mix()
+names = list(scalars._NAMES)
+symmetrize(x, "u1", "u2")
+x.rename_spectral({"v": "u"})
+print(scalars._NAMES[len(names):] if scalars._NAMES[:len(names)] == names
+      else "reordered")
+"""
+
+
+def test_rename_registers_no_new_variable():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"),
+                            tests])
+    out = subprocess.run([sys.executable, "-c", RENAME_REGISTRY],
+                         env=dict(os.environ, PYTHONPATH=path,
+                                  PYTHONDONTWRITEBYTECODE="1"),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -225,6 +225,7 @@ def test_poly_matches_reference(a, b, target, var, value, dexps):
         names = {v for m in a for v, _ in m}
         mins = {v: min(dict(m).get(v, 0) for m in a) for v in names}
         assert pa.content_monomial().exps == _ref_mono(mins)
+    assert pa.has_var(var) == any(v == var for m in a for v, _ in m)
     # substitute a monomial free of var for var
     tgt = {v: e for v, e in target.items() if v != var}
 
@@ -258,6 +259,45 @@ def test_poly_matches_reference(a, b, target, var, value, dexps):
         want = (want[0] + c[0], want[1] + c[1])
     got = pa.eval_numeric({v: GR(*p) for v, p in point.items()})
     assert ((got.re, got.im) if isinstance(got, GR) else (got, 0)) == want
+
+
+def _ref_content(ref):
+    """The per-variable minimum exponent over the terms (absent reads 0)."""
+    names = {v for m in ref for v, _ in m}
+    return _ref_mono({v: min(dict(m).get(v, 0) for m in ref) for v in names})
+
+
+content_steps = st.lists(st.tuples(
+    st.sampled_from(("mul", "mul_mono", "neg", "add", "zero_mul")),
+    ref_polys(max_terms=3), ref_monos, st.booleans()), max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_polys(max_terms=4), content_steps)
+def test_content_follows_products(a, steps):
+    # each step's result is checked, which caches its content, so the next
+    # product or shift starts from a cached content and sets its own
+    p, ref = _poly(a), a
+    for op, b, mono, cache_b in steps:
+        pb = _poly(b)
+        if cache_b:
+            pb.content_monomial()
+        if op == "mul":
+            p, ref = p * pb, _ref_mul(ref, b)
+        elif op == "mul_mono":
+            p = p.mul_mono(Monomial(mono.items()))
+            ref = _ref_mul(ref, {_ref_mono(mono): (1, 0)})
+        elif op == "neg":
+            p, ref = -p, _ref_map(ref, lambda e, c: (e, (-c[0], -c[1])))
+        elif op == "add":
+            p = p + pb
+            ref = dict(ref)
+            for m, c in b.items():
+                _ref_add_term(ref, m, c)
+        else:
+            p, ref = p * (pb - pb), {}
+        assert _ref(p) == ref
+        assert p.content_monomial().exps == _ref_content(ref)
 
 
 def _fresh_scalars():
