@@ -254,7 +254,7 @@ def resolve_pins(pins):
             for u in t.vars():
                 if u in pins and u != v and not pins[u].has_var(v) \
                         and not pins[u].has_var(u):
-                    pins[v] = pins[v].substitute(u, pins[u])
+                    pins[v] = pins[v].substitute({u: pins[u]})
                     changed = True
                     break
         if not changed:
@@ -289,7 +289,7 @@ class Distribution:
         pins = resolve_pins(pins)
         for v, M in pins.items():
             if coeff.has_var(v):
-                coeff = coeff.substitute(v, M)
+                coeff = coeff.substitute({v: M})
         key = (_pins_key(pins), dmon)
         if key in self.terms:
             self.terms[key] = (pins, self.terms[key][1] + coeff)

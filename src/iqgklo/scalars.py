@@ -246,16 +246,12 @@ def _decode(key):
     return tuple(sorted((names[k], e) for k, e in enumerate(limbs) if e))
 
 
-def _substitution(var, target):
-    """(bit offset, limb bias, target key) per variable to replace.
-
-    ``var, target`` is one variable and its monomial; a mapping
-    {variable: monomial} with ``target`` None replaces all its variables
-    at once.  Variables never registered occur nowhere and are skipped.
-    """
-    subs = var.items() if target is None else ((var, target),)
+def _substitution(subst):
+    """(bit offset, limb bias, target key) per variable of the mapping
+    {variable: monomial}.  Variables never registered occur nowhere and
+    are skipped."""
     return [(_LIMB * k, _BIAS[k + 1], t.key)
-            for v, t in subs if (k := _INDEX.get(v)) is not None]
+            for v, t in subst.items() if (k := _INDEX.get(v)) is not None]
 
 
 def _substitute_key(key, plan):
@@ -338,10 +334,10 @@ class Monomial:
         k = _INDEX.get(var)
         return k is not None and _limb(self.key, k) != 0
 
-    def substitute(self, var, target=None):
-        """Replace var by the monomial ``target``, or every variable of the
-        mapping ``var`` by its monomial at once."""
-        key = _substitute_key(self.key, _substitution(var, target))
+    def substitute(self, subst):
+        """Replace every variable of the mapping ``subst`` by its monomial
+        at once."""
+        key = _substitute_key(self.key, _substitution(subst))
         return self if key == self.key else _mono(key)
 
     def conjugate(self, dmon):
@@ -566,10 +562,10 @@ class Poly:
         return Poly({key + _q_shift(key, taps): c
                      for key, c in self.terms.items()}, _clean=False)
 
-    def substitute(self, var, target=None):
-        """Replace var by the monomial ``target``, or every variable of the
-        mapping ``var`` by its monomial in one simultaneous pass."""
-        plan = _substitution(var, target)
+    def substitute(self, subst):
+        """Replace every variable of the mapping ``subst`` by its monomial
+        in one simultaneous pass."""
+        plan = _substitution(subst)
         if not plan:
             return self
         d = {}
@@ -601,11 +597,10 @@ class Poly:
         """Exact evaluation; assignment maps every present variable to a
         coefficient.
 
-        Each value a and its inverse are cleared to Gaussian integers over
-        their least denominators s and t, so a^e for every exponent e of the
-        variable is a Gaussian integer over the fixed denominator
-        s^hi * t^-lo.  The term sum is then pure integer arithmetic with a
-        single division at the end -- no per-term fraction reduction.
+        Each value is cleared to a Gaussian integer over one fixed
+        denominator per variable (covering the variable's full exponent
+        range), so the term sum is pure integer arithmetic with a single
+        division at the end -- no per-term fraction reduction.
         """
         if not self.terms:
             return 0
@@ -626,26 +621,23 @@ class Poly:
                 if isinstance(comp, Fraction):
                     s = s * comp.denominator // gcd(s, comp.denominator)
             gre, gim = int(are * s), int(aim * s)
-            # 1/a = s*(gre - i gim)/norm = (ire + i iim)/t in lowest terms;
-            # for a real a = n/s this is s/n
             norm = gre * gre + gim * gim
-            r = gcd(s * gre, s * gim, norm)
-            ire, iim, t = s * gre // r, -s * gim // r, norm // r
             hp, ln = max(hi, 0), max(-lo, 0)
-            Dv = s ** hp * t ** ln
+            Dv = s ** hp * norm ** ln
             tab = {}
             pr, pi = 1, 0                     # (gre + i gim)^e
             for e in range(hi + 1):
                 if e >= lo:
-                    mult = s ** (hp - e) * t ** ln
+                    mult = s ** (hp - e) * norm ** ln
                     tab[e] = (pr * mult, pi * mult)
                 pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
-            pr, pi = 1, 0                     # (ire + i iim)^j for e = -j
+            pr, pi = 1, 0                     # conj^k for e = -k
             for j in range(1, ln + 1):
-                pr, pi = pr * ire - pi * iim, pr * iim + pi * ire
-                if -j <= hi:
-                    mult = s ** hp * t ** (ln - j)
-                    tab[-j] = (pr * mult, pi * mult)
+                pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
+                e = -j
+                if e <= hi:
+                    mult = s ** (hp - e) * norm ** (ln + e)
+                    tab[e] = (pr * mult, pi * mult)
             tables.append((k, tab, Dv))
             D *= Dv
         tre = tim = 0
@@ -905,19 +897,18 @@ class Scalar:
                       dfac=None if self.dfac is None else
                       tuple(f.conjugate(dmon) for f in self.dfac))
 
-    def substitute(self, var, target=None):
-        """Replace var by the monomial ``target``, or every variable of the
-        mapping ``var`` by its monomial at once."""
-        num = self.num.substitute(var, target)
-        den = self.den.substitute(var, target)
+    def substitute(self, subst):
+        """Replace every variable of the mapping ``subst`` by its monomial
+        at once."""
+        num = self.num.substitute(subst)
+        den = self.den.substitute(subst)
         if den.is_zero():
-            subs = var.items() if target is None else ((var, target),)
-            what = ", ".join(f"{v} -> {t!r}" for v, t in subs)
+            what = ", ".join(f"{v} -> {t!r}" for v, t in subst.items())
             raise DenominatorVanishes(f"substituting {what} kills the "
                                       "denominator")
         return Scalar(num, den,
                       dfac=None if self.dfac is None else
-                      tuple(f.substitute(var, target) for f in self.dfac))
+                      tuple(f.substitute(subst) for f in self.dfac))
 
     def subst_const(self, var, value):
         num = self.num.subst_const(var, value)

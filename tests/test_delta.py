@@ -167,11 +167,11 @@ def _rename_two_phase(x, mapping):
             p2 = {}
             for v, M in p.items():
                 for old, new in phase.items():
-                    M = M.substitute(old, Monomial.unit(new))
+                    M = M.substitute({old: Monomial.unit(new)})
                 p2[phase.get(v, v)] = M
             p = p2
             for old, new in phase.items():
-                c = c.substitute(old, Monomial.unit(new))
+                c = c.substitute({old: Monomial.unit(new)})
         out.add_term(p, c, dmon)
     return out
 
