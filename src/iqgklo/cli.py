@@ -253,8 +253,8 @@ def cmd_check(args):
     checker = RelationChecker(inst, bb1_convention=cfg["bb1_convention"],
                               keep_pairs=True)
     report = checker.run(kinds)
-    series_ok = _series_soundness(checker, cfg)
-    oracle = _oracle_crosscheck(checker, report, cfg)
+    series, series_abort = _series_soundness(checker, cfg)
+    oracle, oracle_abort = _oracle_crosscheck(checker, report, cfg)
     doc = {
         "schema": REPORT_SCHEMA_ID,
         "instance": _describe(inst),
@@ -263,37 +263,49 @@ def cmd_check(args):
         "trials": cfg["trials"],
         "series_order": cfg["order"],
         "results": [_result_entry(r) for r in report.results],
-        "series_soundness": "pass" if series_ok else "fail",
-        "oracle_concordance": oracle,
-        "seconds": round(time.monotonic() - t0, 3),
+        "series_soundness": series,
     }
+    if series_abort:
+        doc["series_soundness_aborted"] = series_abort
+    doc["oracle_concordance"] = oracle
+    if oracle_abort:
+        doc["oracle_concordance_aborted"] = oracle_abort
+    doc["seconds"] = round(time.monotonic() - t0, 3)
     _emit(doc, args.format)
-    ok = report.ok() and series_ok and oracle == "pass"
+    ok = report.ok() and series == "pass" and oracle == "pass"
     return 0 if ok else 1
 
 
 def _series_soundness(checker, cfg):
-    """Check every logged residue expansion against its truncated series.
+    """Check every logged residue expansion against its truncated series:
+    (status, abort reason or None).
 
     The checker logs a gamma before expanding it, so the gamma of a check
     aborted on a pole or a vanishing denominator stays in the log.  Its
-    expansion aborts here again, and that fails soundness, not the verb.
+    expansion aborts here again, and that fails soundness, not the verb;
+    the reason names the case that logged the gamma and the error.
     """
-    try:
-        return all(truncated_series_check(g, order=cfg["order"])
-                   for g in checker.gamma_log)
-    except (NonSimplePole, DenominatorVanishes):
-        return False
+    for k, (g, case) in enumerate(zip(checker.gamma_log,
+                                      checker.gamma_cases)):
+        try:
+            if not truncated_series_check(g, order=cfg["order"]):
+                return "fail", None
+        except (NonSimplePole, DenominatorVanishes) as e:
+            return "fail", (f"gamma {k} (from {case}): "
+                            f"{type(e).__name__}: {e}")
+    return "pass", None
 
 
 def _oracle_crosscheck(checker, report, cfg):
     """Re-derive each pairwise verdict numerically from the sides the
-    checker kept (``keep_pairs``) and compare.
+    checker kept (``keep_pairs``) and compare: (status, abort reason or
+    None).
 
     A case without kept sides -- aborted on a pole or vanishing
     denominator, or with no delta-supported right side -- is skipped:
     its symbolic verdict is already ``fail``.  A case whose trials run
-    out of usable specializations fails the concordance.
+    out of usable specializations fails the concordance, and the reason
+    names the case and the error.
     """
     for r in report.results:
         sides = checker.pairs.get((r.kind, *r.pair))
@@ -303,11 +315,11 @@ def _oracle_crosscheck(checker, report, cfg):
         try:
             verdict, _ = randomized_equal(lhs, rhs, trials=cfg["trials"],
                                           seed=cfg["seed"])
-        except BadSpecialization:
-            return "fail"
+        except BadSpecialization as e:
+            return "fail", f"{r.name}: {type(e).__name__}: {e}"
         if verdict != (r.status == "pass"):
-            return "fail"
-    return "pass"
+            return "fail", None
+    return "pass", None
 
 
 def cmd_identities(args):

@@ -24,13 +24,8 @@ from .errors import (
 )
 from .scalars import (
     DMonomial, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, coeff_inverse,
-    coeff_pow,
+    coeff_pow, is_spectral,
 )
-
-
-def is_spectral(name):
-    """Spectral variables are the plain names (u, v, u1, ...)."""
-    return name != "q" and ":" not in name
 
 
 class FactorCurrent:
@@ -248,11 +243,12 @@ class FactorCurrent:
 def resolve_pins(pins):
     """Substitute pinned variables into one another's targets to a fixpoint."""
     pins = dict(pins)
+    names = sorted(pins)
     for _ in range(len(pins) + 2):
         changed = False
         for v, t in list(pins.items()):
-            for u in t.vars():
-                if u in pins and u != v and not pins[u].has_var(v) \
+            for u in names:
+                if u != v and t.has_var(u) and not pins[u].has_var(v) \
                         and not pins[u].has_var(u):
                     pins[v] = pins[v].substitute({u: pins[u]})
                     changed = True
@@ -396,10 +392,10 @@ def check_fully_pinned(dist):
     """Raise if any pin target still references a spectral variable."""
     for pins, coeff, dmon in dist.items():
         for v, M in pins.items():
-            for name in M.vars():
-                if is_spectral(name):
-                    raise UnpinnedResidual(
-                        f"pin {v} -> {M!r} references spectral {name}")
+            if M.has_spectral():
+                name = next(filter(is_spectral, M.vars()))
+                raise UnpinnedResidual(
+                    f"pin {v} -> {M!r} references spectral {name}")
 
 
 def canonicalize_compare(x, y):

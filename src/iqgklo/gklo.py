@@ -16,8 +16,6 @@ from .torus import TorusElement
 
 
 def zeta(inst, i):
-    if inst.zeta_values is not None:
-        return Scalar.const(inst.zeta_values[i - 1])
     return Scalar.var(zeta_var(i))
 
 

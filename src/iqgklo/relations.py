@@ -101,6 +101,8 @@ class RelationChecker:
         self._b = {}
         self._xi = {}
         self.gamma_log = []
+        self.gamma_cases = []       # the case that logged each gamma
+        self._case = None
 
     # --- cached images -------------------------------------------------
 
@@ -121,6 +123,7 @@ class RelationChecker:
 
     def _expand(self, gamma):
         self.gamma_log.append(gamma)
+        self.gamma_cases.append(self._case)
         return expand_by_residues(gamma)
 
     # --- RHS gammas ----------------------------------------------------
@@ -137,6 +140,7 @@ class RelationChecker:
 
     def eval_pair(self, kind, i, j):
         """(LHS, RHS) distributions for one relation case."""
+        self._case = f"{kind}[{i},{j}]"
         d = self.inst.diagram
         u, v = Scalar.var("u"), Scalar.var("v")
         Bu, Bv = self.B(i, "u"), self.B(j, "v")

@@ -226,7 +226,6 @@ class ShiftInstance:
     theta: tuple             # 0/1 markings on fixed nodes
     orientation: frozenset
     wp: dict                 # node -> Fraction in {-1/2, 0, 1/2}
-    zeta_values: tuple = None   # optional per-node numeric values (GR), else symbolic
 
     def w_count(self, i):
         return self.mult[i - 1]
@@ -254,7 +253,7 @@ def validate_theta(diagram, theta):
 
 
 def make_instance(name, diagram, framing, shift, theta=None,
-                  orientation=None, zeta_values=None):
+                  orientation=None):
     mult = solve_shift(diagram, framing, shift)
     theta = tuple(theta) if theta is not None else (0,) * diagram.rank
     validate_theta(diagram, theta)
@@ -264,7 +263,7 @@ def make_instance(name, diagram, framing, shift, theta=None,
         orientation = frozenset(tuple(e) for e in orientation)
     wp = assign_wp(diagram, orientation)
     return ShiftInstance(name, diagram, tuple(framing), tuple(shift), mult,
-                         theta, orientation, wp, zeta_values)
+                         theta, orientation, wp)
 
 
 def cartan_A(n):

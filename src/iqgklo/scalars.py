@@ -29,29 +29,37 @@ Q^(2*e*h), added to the q limb.  The limb layout is known only to this
 module.
 
 Every ``Poly`` carries its content monomial, the per-variable minimum
-exponent over its terms, which ``Scalar`` divides out of numerator and
-denominator.  It is computed from every key (a per-limb minimum) only
-when nothing set it: a one-term constructor sets it to the term's key,
-``mul_mono`` shifts it by the monomial's key, negation and scaling keep
-it, and a product gets the sum of its factors' contents.  The product
-rule is exact because the coefficients lie in an integral domain: per
-variable, the parts of lowest degree of the two factors multiply to a
-nonzero part of the product, and nothing else reaches that degree.  The
-zero polynomial has content 1.
+exponent over its terms.  It is computed from every key (a per-limb
+minimum) only when nothing set it: a one-term constructor sets it to the
+term's key, ``mul_mono`` shifts it by the monomial's key, negation and
+scaling keep it, and a product gets the sum of its factors' contents.
+The product rule is exact because the coefficients lie in an integral
+domain: per variable, the parts of lowest degree of the two factors
+multiply to a nonzero part of the product, and nothing else reaches that
+degree.  The zero polynomial has content 1.
 
 Coefficients are canonical: a real value is a plain int (or a Fraction when
 not integral), and a GR only carries a nonzero imaginary part, so equal
 coefficients compare and hash equal whatever their history.  The helpers
 ``coeff_inverse`` and ``coeff_pow`` invert and raise either kind exactly.
 
-Equality of fractions is decided by cross-multiplication; no polynomial
-GCD is ever computed.
+A ``Scalar`` is kept factored: a unit (a Gaussian rational times a
+monomial) times a multiset of primitive factors with signed exponents,
+over one expanded cofactor.  The denominators of this engine are
+products of binomials, so a product or quotient only adds exponents, a
+sum expands just the factors its two sides do not share and then
+divides each binomial denominator factor out of the new cofactor
+wherever it divides exactly (``divide_binomial``, linear time), and
+equality cancels the shared factors before it cross-multiplies.  No
+polynomial GCD is ever computed: a common factor that is not a binomial
+of the denominator is never found, so equality never relies on reduced
+forms.  A substitution rebuilds only the parts whose variables it
+changes, and returns the scalar itself when there are none.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -150,6 +158,8 @@ def coeff_inverse(c):
     """The exact inverse of a nonzero coefficient (real or GR)."""
     if isinstance(c, GR):
         return c.inverse()
+    if c == 1 or c == -1:
+        return c
     if not c:
         raise DivisionByZero("inverse of 0 in Q(i)")
     return _as_num(1 / Fraction(c))
@@ -196,16 +206,25 @@ _NAMES = []             # limb -> variable name, in registration order
 _INDEX = {}             # variable name -> limb
 _BIAS = [0]             # _BIAS[n]: _HALF in each of the limbs 0..n-1
 _LIMBS = [None]         # _LIMBS[n]: n little-endian signed limbs as bytes
+_SPECTRAL = 0           # all ones in the limb of every spectral variable
+
+
+def is_spectral(name):
+    """Spectral variables are the plain names (u, v, u1, ...)."""
+    return name != "q" and ":" not in name
 
 
 def _index(name):
     """The limb of ``name``, registering the name on first use."""
+    global _SPECTRAL
     k = _INDEX.get(name)
     if k is None:
         k = _INDEX[name] = len(_NAMES)
         _NAMES.append(name)
         _BIAS.append(_BIAS[-1] | _HALF << (_LIMB * k))
         _LIMBS.append(struct.Struct(f"<{k + 1}q"))
+        if is_spectral(name):
+            _SPECTRAL |= _MASK << (_LIMB * k)
     return k
 
 
@@ -334,6 +353,11 @@ class Monomial:
         k = _INDEX.get(var)
         return k is not None and _limb(self.key, k) != 0
 
+    def has_spectral(self):
+        """Whether some spectral variable has a nonzero exponent."""
+        bias = _BIAS[-1]
+        return ((self.key + bias) ^ bias) & _SPECTRAL != 0
+
     def substitute(self, subst):
         """Replace every variable of the mapping ``subst`` by its monomial
         at once."""
@@ -445,6 +469,32 @@ class DMonomial:
 _D_ONE = _dmono(0)
 
 
+def _cleared_point(v, a):
+    """The nonzero value ``a`` of ``v`` as (s, gre, gim, norm): a Gaussian
+    integer gre + i*gim over the integer s, and its norm."""
+    if not a:
+        raise DivisionByZero(f"evaluation maps {v} to 0")
+    are, aim = (a.re, a.im) if isinstance(a, GR) else (a, 0)
+    s = 1
+    for comp in (are, aim):
+        if isinstance(comp, Fraction):
+            s = s * comp.denominator // gcd(s, comp.denominator)
+    gre, gim = int(are * s), int(aim * s)
+    return s, gre, gim, gre * gre + gim * gim
+
+
+def _occupied_names(occ):
+    """The names of the nonzero limbs of an occupancy mask."""
+    out = set()
+    k = 0
+    while occ:
+        if occ & _MASK:
+            out.add(_NAMES[k])
+        occ >>= _LIMB
+        k += 1
+    return out
+
+
 def unpack_poly(p):
     """The terms of ``p`` as {Monomial: coefficient}: the one place where
     packed keys become Monomial objects."""
@@ -504,7 +554,18 @@ class Poly:
                     _content=self._content)
 
     def __sub__(self, other):
-        return self + (-other)
+        d = dict(self.terms)
+        for k, c in other.terms.items():
+            s = d.get(k)
+            if s is None:
+                d[k] = -c
+            else:
+                s = s - c
+                if s:
+                    d[k] = s
+                else:
+                    del d[k]
+        return Poly(d, _clean=False)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
@@ -535,6 +596,8 @@ class Poly:
         return Poly(d, _clean=False, _content=content)
 
     def scale(self, c):
+        if c == 1:
+            return self
         if not c:
             return Poly.zero()
         return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False,
@@ -604,6 +667,14 @@ class Poly:
         """
         if not self.terms:
             return 0
+        tre, tim, D = self._eval_cleared(assignment, {})
+        return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
+                         _as_num(Fraction(tim) / D) if tim else 0)
+
+    def _eval_cleared(self, assignment, points):
+        """(re, im, D) with the value (re + i*im) / D, D a positive
+        integer; ``points`` caches each variable's value as a Gaussian
+        integer over an integer, (s, gre, gim, norm), across calls."""
         rows = _limb_rows(self.terms)
         tables = []                           # (limb, table, Dv) per variable
         D = 1
@@ -612,16 +683,10 @@ class Poly:
             if not (lo or hi):
                 continue
             v = _NAMES[k]
-            a = assignment[v]
-            if not a:
-                raise DivisionByZero(f"evaluation maps {v} to 0")
-            are, aim = (a.re, a.im) if isinstance(a, GR) else (a, 0)
-            s = 1
-            for comp in (are, aim):
-                if isinstance(comp, Fraction):
-                    s = s * comp.denominator // gcd(s, comp.denominator)
-            gre, gim = int(are * s), int(aim * s)
-            norm = gre * gre + gim * gim
+            point = points.get(v)
+            if point is None:
+                point = points[v] = _cleared_point(v, assignment[v])
+            s, gre, gim, norm = point
             hp, ln = max(hi, 0), max(-lo, 0)
             Dv = s ** hp * norm ** ln
             tab = {}
@@ -661,8 +726,7 @@ class Poly:
                 tre += c * pr
                 if pi:
                     tim += c * pi
-        return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
-                         _as_num(Fraction(tim) / D) if tim else 0)
+        return tre, tim, D
 
     def _occupied(self):
         """The OR of every key lifted by the bias and xored back: a limb is
@@ -678,15 +742,7 @@ class Poly:
             return self._occ
 
     def variables(self):
-        seen = self._occupied()
-        out = set()
-        k = 0
-        while seen:
-            if seen & _MASK:
-                out.add(_NAMES[k])
-            seen >>= _LIMB
-            k += 1
-        return out
+        return _occupied_names(self._occupied())
 
     def has_var(self, var):
         """Whether some term has a nonzero exponent of ``var``."""
@@ -726,96 +782,247 @@ class Poly:
 POLY_ONE = Poly.const(1)
 
 
-def _divide_exact(p, b):
-    """Exact division of Laurent polynomial p by b; None if not divisible.
+def _canon(c):
+    """A coefficient in canonical form (see the module docstring)."""
+    return GR(c.re, c.im) if isinstance(c, GR) else _as_num(c)
 
-    Both are shifted by their content monomials first, then ordinary
-    multivariate division with lex leading terms (over the name-sorted
-    combined variable list, absent exponents read as zero) is attempted.
+
+def divide_binomial(p, b):
+    """p / b for a binomial b, or None when b does not divide p.
+
+    With b = c1 X^k1 + c2 X^k2 and delta = k2 - k1, each key of p is
+    reduced modulo delta: its exponent in the pivot limb (the lowest limb
+    where delta is nonzero) fixes a coset representative r and an index j
+    with key = r + j*delta.  Along each coset p is a Laurent polynomial
+    in Y = X^delta and b is X^k1 (c1 + c2 Y), so the quotient follows
+    from the one-step recurrence c1 q_j = p_j - c2 q_{j-1}, and it is
+    exact when every coset's recurrence ends on its top term.  Linear in
+    the number of terms and the exponent span.
     """
-    if b.is_zero():
-        return None
-    p = p.mul_mono(p.content_monomial().inverse())
-    b = b.mul_mono(b.content_monomial().inverse())
-    limbs = [_INDEX[v] for v in sorted(p.variables() | b.variables())]
-
-    def lex(key):
-        return tuple(_limb(key, k) for k in limbs)
-
-    q_terms = {}
-    rem = p
-    b_lead = max(b.terms, key=lex)
-    b_inv = coeff_inverse(b.terms[b_lead])
-    while not rem.is_zero():
-        lead = max(rem.terms, key=lex)
-        qk = lead - b_lead
-        if min(_limb_rows((qk,))[0]) < 0:
+    (k1, c1), (k2, c2) = b.terms.items()
+    delta = k2 - k1
+    low = (delta & -delta).bit_length() - 1
+    off = low - low % _LIMB
+    bias = _BIAS[off // _LIMB + 1]
+    d = (((delta + bias) >> off) & _MASK) - _HALF
+    if d < 0:
+        k1, c1, k2, c2, delta, d = k2, c2, k1, c1, -delta, -d
+    cosets = {}
+    for key, c in p.terms.items():
+        j = ((((key + bias) >> off) & _MASK) - _HALF) // d
+        r = key - j * delta
+        row = cosets.get(r)
+        if row is None:
+            cosets[r] = {j: c}
+        else:
+            row[j] = c
+    inv = coeff_inverse(c1)
+    out = {}
+    for r, row in cosets.items():
+        if len(row) < 2:
             return None
-        qc = rem.terms[lead] * b_inv
-        q_terms[qk] = qc
-        rem = rem - b.mul_mono(_mono(qk)).scale(qc)
-    return Poly(q_terms)
+        lo, hi = min(row), max(row)
+        base = r - k1
+        q = 0
+        for j in range(lo, hi):
+            c = row.get(j, 0)
+            if q:
+                c = c - c2 * q
+            q = c if inv == 1 else -c if inv == -1 else _canon(c * inv)
+            if q:
+                out[base + j * delta] = q
+        if row[hi] != c2 * q:
+            return None
+    return Poly(out, _clean=False)
 
 
-def _product(factors):
-    """The product of a Counter of Poly factors, with multiplicity."""
-    out = POLY_ONE
-    for f in factors.elements():
-        out = out * f
-    return out
+# --- factored scalars ------------------------------------------------------
+
+_LEADS = {}             # binomial exponent difference -> its sign rule
+
+
+def _second_leads(delta):
+    """For a content-free binomial X^k + X^(k+delta) with both keys
+    nonzero, whether X^(k+delta) holds the name-smallest variable.
+
+    The two keys have disjoint supports, so that variable's exponent in
+    delta is positive exactly when the second key holds it.  Memoized:
+    the differences that occur form a small set.
+    """
+    lead = _LEADS.get(delta)
+    if lead is None:
+        (limbs,) = _limb_rows((delta,))
+        lead = _LEADS[delta] = min(
+            (_NAMES[k], e) for k, e in enumerate(limbs) if e)[1] > 0
+    return lead
+
+
+def _binomial(k1, c1, k2, c2):
+    """c1 X^k1 + c2 X^k2 (distinct keys, nonzero coefficients) as
+    (unit, g, factor key, factor) with the binomial = unit * X^g * factor.
+
+    The factor is primitive: its content monomial is 1, its leading term
+    comes first (the constant term, else the term holding the
+    name-smallest variable), and its coefficients are coprime integers
+    with a positive leading one, or 1 and a Gaussian ratio.
+    """
+    g = _key_min(k1, k2)
+    k1 -= g
+    k2 -= g
+    if k1 and (not k2 or _second_leads(k2 - k1)):
+        k1, c1, k2, c2 = k2, c2, k1, c1
+    if type(c1) is int and type(c2) is int:
+        unit = gcd(c1, c2)
+        if c1 < 0:
+            unit = -unit
+        if unit != 1:
+            c1 //= unit
+            c2 //= unit
+    else:
+        ratio = _canon(c2 * coeff_inverse(c1))
+        if isinstance(ratio, GR):
+            unit, c1, c2 = c1, 1, ratio
+        else:
+            ratio = Fraction(ratio)
+            unit = _canon(c1 * Fraction(1, ratio.denominator))
+            c1, c2 = ratio.denominator, ratio.numerator
+    factor = Poly({k1: c1, k2: c2}, _clean=False, _content=_MON_ONE)
+    return unit, g, (k1, c1, k2, c2), factor
+
+
+def _put(f, key, poly, e):
+    """Multiply the factor dict ``f`` (key -> (factor, exponent)) by
+    poly^e in place."""
+    old = f.get(key)
+    if old is not None:
+        e += old[1]
+        if not e:
+            del f[key]
+            return
+    f[key] = (poly, e)
+
+
+def _absorb(poly, e, c, m, f):
+    """The unit (c, m) times the nonzero Poly ``poly`` raised to e, with
+    the factor in the dict ``f``; returns the new unit."""
+    terms = poly.terms
+    if len(terms) == 1:
+        ((k, a),) = terms.items()
+        return c * coeff_pow(a, e), m + e * k
+    if len(terms) == 2:
+        (k1, a1), (k2, a2) = terms.items()
+        unit, g, key, factor = _binomial(k1, a1, k2, a2)
+        _put(f, key, factor, e)
+        return c * coeff_pow(unit, e), m + e * g
+    g = poly.content_monomial().key
+    if g:
+        poly = poly.mul_mono(_mono(-g))
+    _put(f, frozenset(poly.terms.items()), poly, e)
+    return c, m + e * g
+
+
+def _scalar(c, m, num, f):
+    s = object.__new__(Scalar)
+    s.c = c
+    s.m = m
+    s.num = num
+    s.f = f
+    return s
+
+
+def _settle(c, m, num, f):
+    """The scalar c * X^m * num * (factors f), with a cofactor of at most
+    two terms moved into the unit or the factors (``f`` is owned)."""
+    if not c or not num.terms:
+        return SCALAR_ZERO
+    if len(num.terms) > 2:
+        return _scalar(c, m, num, f)
+    c, m = _absorb(num, 1, c, m, f)
+    return _scalar(c, m, POLY_ONE, f)
+
+
+def _expand(num, powers):
+    """num times the product of the (factor, exponent) pairs."""
+    out = None
+    for p, e in powers:
+        for _ in range(e):
+            out = p if out is None else out * p
+    if out is None:
+        return num
+    return out if num is POLY_ONE else num * out
+
+
+def _split(fa, fb):
+    """Cancel the common part of two factor dicts: the shared factors
+    (each to its lower exponent, absent ones reading 0) and the
+    (factor, exponent) lists each side has left to expand."""
+    shared, pa, pb = {}, [], []
+    for key, (p, ea) in fa.items():
+        eb = fb[key][1] if key in fb else 0
+        e = min(ea, eb)
+        if e:
+            shared[key] = (p, e)
+        if ea > e:
+            pa.append((p, ea - e))
+        if eb > e:
+            pb.append((p, eb - e))
+    for key, (p, eb) in fb.items():
+        if key not in fa:
+            if eb < 0:
+                shared[key] = (p, eb)
+                pa.append((p, -eb))
+            else:
+                pb.append((p, eb))
+    return shared, pa, pb
 
 
 class Scalar:
-    """An element of the fraction field: num / den with den a nonzero Poly.
+    """An element of the fraction field in factored form:
 
-    ``dfac`` is an optional factorization hint: a tuple of Polys whose
-    product equals den exactly (with multiplicity).  Denominators in this
-    engine are built as products of binomial factors, so tracking the
-    factors lets addition and equality cancel the shared ones instead of
-    cross-multiplying ever-growing expanded denominators.  The hint is
-    dropped (None) whenever an operation cannot maintain it.
+        c * X^m * num * prod over f of factor^e
+
+    with c a nonzero Gaussian rational (0 only for the zero scalar), m a
+    packed monomial key, ``num`` an expanded cofactor (``POLY_ONE`` or at
+    least three terms) and ``f`` a dict from factor key to (factor,
+    nonzero exponent).  A binomial factor is primitive (see
+    ``_binomial``) and keyed by its two terms; any other factor has
+    content 1 and is keyed by its term set.  Exponents are signed, so a
+    factor sits in the numerator or in the denominator and a product
+    cancels by adding exponents.  Factors are normalized once, when they
+    are made, and shared by every scalar built from them.
     """
 
-    __slots__ = ("num", "den", "dfac")
+    __slots__ = ("c", "m", "num", "f", "_occ")
 
-    def __init__(self, num, den=None, normalize=True, dfac=None):
-        if den is None:
-            den = POLY_ONE
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        if normalize and not num.is_zero():
-            g = _key_min(num.content_monomial().key,
-                         den.content_monomial().key)
-            if g:
-                gi = _mono(-g)
-                num = num.mul_mono(gi)
-                den = den.mul_mono(gi)
-                if dfac is not None:
-                    dfac = (dfac[0].mul_mono(gi),) + tuple(dfac[1:]) \
-                        if dfac else (den,)
-        if dfac is None and len(den.terms) <= 2:
-            dfac = () if den == POLY_ONE else (den,)
-        self.num = num
-        self.den = den
-        self.dfac = dfac
+    def __init__(self, num, den=None):
+        f = {}
+        c, m = 1, 0
+        if den is not None:
+            if den.is_zero():
+                raise DivisionByZero("zero denominator")
+            c, m = _absorb(den, -1, c, m, f)
+        s = _settle(c, m, num, f)
+        self.c, self.m, self.num, self.f = s.c, s.m, s.num, s.f
 
     # --- constructors ---
 
     @classmethod
     def zero(cls):
-        return cls(Poly.zero(), POLY_ONE, normalize=False)
+        return SCALAR_ZERO
 
     @classmethod
     def one(cls):
-        return cls(POLY_ONE, POLY_ONE, normalize=False)
+        return SCALAR_ONE
 
     @classmethod
     def const(cls, c):
-        return cls(Poly.const(c), POLY_ONE, normalize=False)
+        if not isinstance(c, GR):
+            c = _as_num(c)
+        return _scalar(c, 0, POLY_ONE, {}) if c else SCALAR_ZERO
 
     @classmethod
     def from_mono(cls, m, c=1):
-        return cls(Poly.mono(m, c), POLY_ONE, normalize=False)
+        return _scalar(c, m.key, POLY_ONE, {}) if c else SCALAR_ZERO
 
     @classmethod
     def q_half(cls, h):
@@ -832,118 +1039,265 @@ class Scalar:
     # --- predicates ---
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.c
 
     # --- arithmetic ---
 
     def __add__(self, other):
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den, dfac=self.dfac)
-        f1, f2 = self.dfac, other.dfac
-        if f1 is not None and f2 is not None:
-            c1, c2 = Counter(f1), Counter(f2)
-            e1, e2 = c1 - c2, c2 - c1
-            p1 = _product(e2)       # factors missing from self
-            p2 = _product(e1)       # factors missing from other
-            return Scalar(self.num * p1 + other.num * p2,
-                          self.den * p1, dfac=tuple((c1 + e2).elements()))
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        """Expand only the factors the two sides do not share, then cancel
+        each binomial denominator factor that divides the new cofactor."""
+        ca, cb = self.c, other.c
+        if not ca:
+            return other
+        if not cb:
+            return self
+        f, pa, pb = _split(self.f, other.f)
+        a, b = _expand(self.num, pa), _expand(other.num, pb)
+        m = _key_min(self.m, other.m)
+        if self.m != m:
+            a = a.mul_mono(_mono(self.m - m))
+        if other.m != m:
+            b = b.mul_mono(_mono(other.m - m))
+        if ca == cb:
+            p = a + b
+        elif ca == -cb:
+            p = a - b
+        elif type(ca) is int and type(cb) is int:
+            g = gcd(ca, cb)
+            p = a.scale(ca // g) + b.scale(cb // g)
+            ca = g
+        else:
+            p = a + b.scale(_canon(cb * coeff_inverse(ca)))
+        if not p.terms:
+            return SCALAR_ZERO
+        for key, (factor, e) in list(f.items()):
+            if e < 0 and type(key) is tuple:
+                while e < 0 and len(p.terms) > 2:
+                    quo = divide_binomial(p, factor)
+                    if quo is None:
+                        break
+                    p = quo
+                    e += 1
+                if e:
+                    f[key] = (factor, e)
+                else:
+                    del f[key]
+        return _settle(ca, m, p, f)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Scalar(-self.num, self.den, normalize=False, dfac=self.dfac)
+        return _scalar(-self.c, self.m, self.num, self.f) if self.c else self
 
     def __mul__(self, other):
-        if self.num == other.den:
-            return Scalar(other.num, self.den, dfac=self.dfac)
-        if other.num == self.den:
-            return Scalar(self.num, other.den, dfac=other.dfac)
-        f1, f2 = self.dfac, other.dfac
-        dfac = f1 + f2 if f1 is not None and f2 is not None else None
-        return Scalar(self.num * other.num, self.den * other.den, dfac=dfac)
+        c = self.c * other.c
+        if not c:
+            return SCALAR_ZERO
+        fa, fb = self.f, other.f
+        if not fb:
+            f = fa
+        elif not fa:
+            f = fb
+        else:
+            f = dict(fa)
+            for key, (p, e) in fb.items():
+                _put(f, key, p, e)
+        na, nb = self.num, other.num
+        m = self.m + other.m
+        if nb is POLY_ONE:
+            return _scalar(c, m, na, f)
+        if na is POLY_ONE:
+            return _scalar(c, m, nb, f)
+        return _settle(c, m, na * nb, dict(f))
 
     def __truediv__(self, other):
-        if other.num.is_zero():
-            raise DivisionByZero("division by zero scalar")
-        return self * Scalar(other.den, other.num, dfac=(other.num,))
+        return self * other.inverse()
 
     def inverse(self):
-        return Scalar.one() / self
+        if not self.c:
+            raise DivisionByZero("division by zero scalar")
+        f = {key: (p, -e) for key, (p, e) in self.f.items()}
+        c, m = coeff_inverse(self.c), -self.m
+        if self.num is not POLY_ONE:
+            c, m = _absorb(self.num, -1, c, m, f)
+        return _scalar(c, m, POLY_ONE, f)
 
     # --- comparisons ---
 
     def equals(self, other):
-        """Field equality by cross-multiplication (common denominator
-        factors are cancelled first when tracked)."""
-        if self.den == other.den:
-            return self.num == other.num
-        f1, f2 = self.dfac, other.dfac
-        if f1 is not None and f2 is not None:
-            c1, c2 = Counter(f1), Counter(f2)
-            e1, e2 = c1 - c2, c2 - c1
-            if sum(e1.values()) + sum(e2.values()) \
-                    < sum(c1.values()) + sum(c2.values()):
-                return (self.num * _product(e2)) == (other.num * _product(e1))
-        return (self.num * other.den) == (other.num * self.den)
+        """Field equality: the shared factors cancel, and what is left is
+        compared by cross-multiplication."""
+        if self is other:
+            return True
+        ca, cb = self.c, other.c
+        if not ca or not cb:
+            return not ca and not cb
+        _, pa, pb = _split(self.f, other.f)
+        a, b = _expand(self.num, pa), _expand(other.num, pb)
+        if len(a.terms) != len(b.terms):
+            return False
+        if self.m != other.m:
+            a = a.mul_mono(_mono(self.m - other.m))
+        if ca != cb:
+            a = a.scale(_canon(ca * coeff_inverse(cb)))
+        return a == b
 
     # --- structure operations ---
 
+    def _occupied(self):
+        """The limbs any part of this scalar uses (see Poly._occupied)."""
+        try:
+            return self._occ
+        except AttributeError:
+            bias = _BIAS[-1]
+            occ = (self.m + bias) ^ bias
+            occ |= self.num._occupied()
+            for p, _ in self.f.values():
+                occ |= p._occupied()
+            self._occ = occ
+            return occ
+
+    def _remap(self, mask, fn, c, m, vanishes):
+        """This scalar with fn applied to each part that uses a limb of
+        ``mask``, over the already mapped unit (c, m)."""
+        num = self.num
+        if num._occupied() & mask:
+            num = fn(num)
+        f = {}
+        zero = not num.terms
+        for key, (p, e) in self.f.items():
+            if not p._occupied() & mask:
+                _put(f, key, p, e)
+                continue
+            p = fn(p)
+            if not p.terms:
+                if e < 0:
+                    raise DenominatorVanishes(vanishes)
+                zero = True
+            else:
+                c, m = _absorb(p, e, c, m, f)
+        if zero:
+            return SCALAR_ZERO
+        return _settle(c, m, num, f)
+
     def conjugate(self, dmon):
-        return Scalar(self.num.conjugate(dmon), self.den.conjugate(dmon),
-                      normalize=False,
-                      dfac=None if self.dfac is None else
-                      tuple(f.conjugate(dmon) for f in self.dfac))
+        taps = _shift_taps(dmon.key)
+        mask = 0
+        for off, _ in taps:
+            mask |= _MASK << off
+        if not self.c or not self._occupied() & mask:
+            return self
+        return self._remap(mask, lambda p: p.conjugate(dmon), self.c,
+                           self.m + _q_shift(self.m, taps), None)
 
     def substitute(self, subst):
         """Replace every variable of the mapping ``subst`` by its monomial
-        at once."""
-        num = self.num.substitute(subst)
-        den = self.den.substitute(subst)
-        if den.is_zero():
-            what = ", ".join(f"{v} -> {t!r}" for v, t in subst.items())
-            raise DenominatorVanishes(f"substituting {what} kills the "
-                                      "denominator")
-        return Scalar(num, den,
-                      dfac=None if self.dfac is None else
-                      tuple(f.substitute(subst) for f in self.dfac))
+        at once; only the parts holding one of them are rebuilt."""
+        plan = _substitution(subst)
+        mask = 0
+        for off, _, _ in plan:
+            mask |= _MASK << off
+        if not self.c or not self._occupied() & mask:
+            return self
+        what = ", ".join(f"{v} -> {t!r}" for v, t in subst.items())
+        return self._remap(mask, lambda p: p.substitute(subst), self.c,
+                           _substitute_key(self.m, plan),
+                           f"substituting {what} kills the denominator")
 
     def subst_const(self, var, value):
-        num = self.num.subst_const(var, value)
-        den = self.den.subst_const(var, value)
-        if den.is_zero():
-            raise DenominatorVanishes(
-                f"substituting {var} -> {value!r} kills the denominator")
-        return Scalar(num, den,
-                      dfac=None if self.dfac is None else
-                      tuple(f.subst_const(var, value) for f in self.dfac))
+        if not value:
+            raise DivisionByZero("cannot substitute 0 for an invertible symbol")
+        k = _INDEX.get(var)
+        mask = 0 if k is None else _MASK << (_LIMB * k)
+        if not self.c or not self._occupied() & mask:
+            return self
+        e = _limb(self.m, k)
+        return self._remap(mask, lambda p: p.subst_const(var, value),
+                           self.c * coeff_pow(value, e),
+                           self.m - (e << (_LIMB * k)),
+                           f"substituting {var} -> {value!r} kills the "
+                           "denominator")
 
     def eval_numeric(self, assignment):
-        d = self.den.eval_numeric(assignment)
-        if not d:
-            raise DenominatorVanishes("denominator vanishes at this assignment")
-        return self.num.eval_numeric(assignment) * coeff_inverse(d)
+        """Exact evaluation, part by part: each part is cleared to a
+        Gaussian integer over an integer (see ``Poly.eval_numeric``), each
+        variable's value is cleared once, and the parts are combined in
+        integers with one division at the end.  The denominator factors
+        come first, so a vanishing one raises before any other work."""
+        if not self.c:
+            return 0
+        points = {}
+        nre, nim, dre, dim = 1, 0, 1, 0     # the value is c * n / d
+        for p, e in self.f.values():
+            if e < 0:
+                re, im, D = p._eval_cleared(assignment, points)
+                if not (re or im):
+                    raise DenominatorVanishes(
+                        "denominator vanishes at this assignment")
+                for _ in range(-e):
+                    dre, dim = dre * re - dim * im, dre * im + dim * re
+                    nre, nim = nre * D, nim * D
+        parts = [(p, e) for p, e in self.f.values() if e > 0]
+        if self.num is not POLY_ONE:
+            parts.append((self.num, 1))
+        if self.m:
+            parts.append((Poly({self.m: 1}, _clean=False), 1))
+        for p, e in parts:
+            re, im, D = p._eval_cleared(assignment, points)
+            for _ in range(e):
+                nre, nim = nre * re - nim * im, nre * im + nim * re
+                dre, dim = dre * D, dim * D
+        norm = dre * dre + dim * dim
+        re, im = nre * dre + nim * dim, nim * dre - nre * dim
+        return _canon(self.c * _gaussian(
+            _as_num(Fraction(re) / norm) if re else 0,
+            _as_num(Fraction(im) / norm) if im else 0))
 
     def variables(self):
-        return self.num.variables() | self.den.variables()
+        return _occupied_names(self._occupied())
 
     def has_var(self, var):
-        return self.num.has_var(var) or self.den.has_var(var)
+        k = _INDEX.get(var)
+        return k is not None and (self._occupied() >> (_LIMB * k)) & _MASK != 0
+
+    def den_factors(self):
+        """The factors of the denominator, one Poly per distinct factor."""
+        return [p for p, e in self.f.values() if e < 0]
+
+    def fraction(self):
+        """(numerator, denominator) as expanded Polys: the unit monomial's
+        negative exponents go to the denominator, the rest and the
+        constant to the numerator."""
+        m = self.m
+        num = self.num
+        if num is not POLY_ONE:
+            g = num.content_monomial().key
+            if g:
+                num = num.mul_mono(_mono(-g))
+                m += g
+        neg = _key_min(m, 0)
+        num = _expand(num, [(p, e) for p, e in self.f.values() if e > 0])
+        den = _expand(POLY_ONE, [(p, -e) for p, e in self.f.values() if e < 0])
+        return (num.mul_mono(_mono(m - neg)).scale(self.c),
+                den.mul_mono(_mono(-neg)))
 
     def __repr__(self):
-        if self.den == POLY_ONE:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+        if not self.c:
+            return "0"
+        num, den = self.fraction()
+        if den == POLY_ONE:
+            return repr(num)
+        return f"({num!r})/({den!r})"
 
 
-SCALAR_ONE = Scalar.one()
+SCALAR_ZERO = _scalar(0, 0, POLY_ONE, {})
+SCALAR_ONE = _scalar(1, 0, POLY_ONE, {})
 
 
 def one_minus(mono):
     """The scalar 1 - mono for a Monomial."""
-    return Scalar(POLY_ONE - Poly.mono(mono), POLY_ONE, normalize=False)
+    return Scalar(POLY_ONE - Poly.mono(mono))
 
 
 def q_bracket(n):

@@ -11,7 +11,7 @@ past a coefficient live in ``scalars``, next to the keys they share.
 from __future__ import annotations
 
 from .errors import LocalizationViolation
-from .scalars import DMonomial, Monomial, Poly, Scalar
+from .scalars import DMonomial, Monomial, Poly, Scalar, divide_binomial
 
 
 class TorusElement:
@@ -104,29 +104,28 @@ def _admissible_candidates(wvars, max_qhalf=12):
 def check_admissible(x, max_qhalf=12):
     """Verify every coefficient denominator factors over the allowed set.
 
-    Each denominator, up to a unit monomial, must be a product of binomials
-    of the catalogued shapes.  Raises LocalizationViolation with the
-    irreducible remainder otherwise.
+    Each denominator factor, up to a unit monomial, must be a product of
+    binomials of the catalogued shapes; each candidate is divided out
+    exactly (``divide_binomial``) for as long as one divides.  Raises
+    LocalizationViolation with the irreducible remainder otherwise.
     """
-    from .scalars import _divide_exact
     for c in x.terms.values():
-        den = c.den
-        if len(den.terms) == 1:
-            continue
-        wvars = sorted(v for v in den.variables() if v.startswith("w:"))
-        cands = _admissible_candidates(wvars, max_qhalf)
-        rem = den.mul_mono(den.content_monomial().inverse())
-        progress = True
-        while len(rem.terms) > 1 and progress:
-            progress = False
-            for b in cands:
-                quo = _divide_exact(rem, b)
-                if quo is not None:
-                    rem = quo.mul_mono(quo.content_monomial().inverse())
-                    progress = True
-                    break
-        if len(rem.terms) > 1 and any(v.startswith("w:")
-                                      for v in rem.variables()):
-            raise LocalizationViolation(f"denominator factor {rem!r} is not in "
-                                        "the allowed multiplicative set")
+        for rem in c.den_factors():
+            wvars = sorted(v for v in rem.variables() if v.startswith("w:"))
+            cands = _admissible_candidates(wvars, max_qhalf)
+            progress = True
+            while len(rem.terms) > 1 and progress:
+                progress = False
+                for b in cands:
+                    quo = divide_binomial(rem, b)
+                    if quo is not None:
+                        rem = quo
+                        progress = True
+                        break
+            if len(rem.terms) > 1 and any(v.startswith("w:")
+                                          for v in rem.variables()):
+                rem = rem.mul_mono(rem.content_monomial().inverse())
+                raise LocalizationViolation(
+                    f"denominator factor {rem!r} is not in the allowed "
+                    "multiplicative set")
     return True

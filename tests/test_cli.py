@@ -119,6 +119,9 @@ def test_check_aborted_expansion_fails_series_soundness(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["series_soundness"] == "fail"
+    assert doc["series_soundness_aborted"] == \
+        "gamma 0 (from BB2[1,1]): NonSimplePole: forced double pole"
+    assert "oracle_concordance_aborted" not in doc
     (bb2,) = doc["results"]
     assert bb2["status"] == "fail" and bb2["detail"].startswith("aborted:")
 
@@ -136,7 +139,10 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
     assert code == 1
     doc = json.loads(out)
     assert doc["oracle_concordance"] == "fail"
+    assert doc["oracle_concordance_aborted"] == \
+        "BB2[1,1]: BadSpecialization: exceeded 200 retries at trial 0"
     assert doc["series_soundness"] == "pass"
+    assert "series_soundness_aborted" not in doc
     assert [r["status"] for r in doc["results"]] == ["pass"]
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
-    GR, GR_I, DMonomial, Monomial, Poly, Scalar, coeff_inverse, one_minus,
-    q_bracket, unpack_poly, w_var,
+    GR, GR_I, DMonomial, Monomial, Poly, Scalar, coeff_inverse,
+    divide_binomial, one_minus, q_bracket, unpack_poly, w_var,
 )
 
 
@@ -326,7 +326,14 @@ def test_output_independent_of_registration_order():
             return p
         p, p_rev = build(terms), build(terms[::-1])
         assert p == p_rev and hash(p) == hash(p_rev)
-        seen.append((repr(p), hash(p), repr(sc.Scalar(p, p_rev * p))))
+        # a sum over binomial denominators with no constant term, so each
+        # factor's leading term is chosen by a variable name
+        b1 = build([({"c9": 1}, (1, 0)), ({"a9": 2, "q": 2}, (-1, 0))])
+        b2 = build([({"b9": 1}, (2, 0)), ({"c9": -1}, (3, 0))])
+        total = sc.Scalar(p, b1) + sc.Scalar(p_rev, b2 * b1) \
+            - sc.Scalar(sc.POLY_ONE, b2)
+        seen.append((repr(p), hash(p), repr(sc.Scalar(p, p_rev * p)),
+                     repr(total)))
     assert seen[0] == seen[1]
     assert seen[0][0] == ("5*1 + 3*a9^-1*b9^2 + -1*a9*c9^-2*q^4 + "
                           "(1/2+2*I)*c9")
@@ -346,3 +353,182 @@ def test_no_real_gaussian_survives():
     assert all(type(c) is int for c in p.terms.values())
     assert hash(p) == hash(Poly.const(1) + Poly.mono(x * x))
     assert type(p.eval_numeric({"u": GR_I})) is int
+
+
+# --- factored scalars against a plain fraction reference ---------------------
+#
+# The reference keeps a scalar as (numerator, denominator) reference
+# polynomials, combines them by cross-multiplication and never cancels.
+# Operands are products of a few numerators with binomials from a small
+# pool, so sums share factors and cancel some of them.  Only "v" is kept
+# out of the operands, for the substitution that kills a denominator.
+
+POOL = [
+    {(): (1, 0), (("q", 2), ("u", 1)): (-1, 0)},                # 1 - q u
+    {(("u", 1),): (1, 0), ((w_var(1, 1), 2),): (-1, 0)},         # u - w
+    {(("q", -2), (w_var(1, 1), -2)): (1, 0), (): (-1, 0)},       # content
+    {(): (1, 0), (("u", 1),): (0, 1)},                           # 1 + I u
+    {(("u", 1),): (Fraction(1, 2), 0), (("q", 2),): (-3, 0)},    # u/2 - 3 q
+    {(): (1, 0), (("u", 1),): (1, 0), (("q", 2),): (1, 0)},      # 1 + u + q
+]
+KILL = {(): (1, 0), (("q", 2), ("v", 1)): (-1, 0)}              # 1 - q v
+NAMES = ("q", "u", w_var(1, 1), w_var(1, 2))
+ref_terms = st.dictionaries(st.sampled_from(NAMES),
+                            st.integers(min_value=-2, max_value=2),
+                            max_size=3)
+
+
+@st.composite
+def ref_scalars(draw):
+    """(reference, Scalar): the Scalar is built the way the engine builds
+    its scalars, one factor at a time."""
+    num = {}
+    for m, c in draw(st.lists(st.tuples(ref_terms, ref_coeffs),
+                              min_size=1, max_size=2)):
+        _ref_add_term(num, _ref_mono(m), c)
+    den = {(): (1, 0)}
+    out = Scalar(_poly(num))
+    for k in draw(st.lists(st.sampled_from(range(len(POOL))), max_size=1)):
+        num = _ref_mul(num, POOL[k])
+        out = out * Scalar(_poly(POOL[k]))
+    for k in draw(st.lists(st.sampled_from(range(len(POOL))), max_size=2)):
+        den = _ref_mul(den, POOL[k])
+        out = out / Scalar(_poly(POOL[k]))
+    return (num, den), out
+
+
+def _ref_frac(s):
+    num, den = s.fraction()
+    return _ref(num), _ref(den)
+
+
+def _ref_same(x, y):
+    return _ref_mul(x[0], y[1]) == _ref_mul(y[0], x[1])
+
+
+def _ref_sum(x, y, sign=1):
+    total = _ref_mul(x[0], y[1])
+    for m, c in _ref_mul(y[0], x[1]).items():
+        _ref_add_term(total, m, (sign * c[0], sign * c[1]))
+    return total, _ref_mul(x[1], y[1])
+
+
+def _ref_value(ref, point):
+    total = (0, 0)
+    for m, c in ref.items():
+        for v, e in m:
+            c = _ref_cmul(c, _ref_cpow(point[v], e))
+        total = (total[0] + c[0], total[1] + c[1])
+    return total
+
+
+def _pair(value):
+    return (value.re, value.im) if isinstance(value, GR) else (value, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref_scalars(), ref_scalars(), ref_scalars(), ref_monos,
+       st.sampled_from(NAMES), ref_coeffs, ref_dexps)
+def test_factored_scalar_matches_reference(sa, sb, sc, target, var, value,
+                                           dexps):
+    (ra, a), (rb, b), (rc, c) = sa, sb, sc
+    for s, r in ((a, ra), (b, rb), (c, rc)):
+        assert _ref_same(_ref_frac(s), r)
+    # field operations
+    assert _ref_same(_ref_frac(a + b), _ref_sum(ra, rb))
+    assert _ref_same(_ref_frac(a - b), _ref_sum(ra, rb, -1))
+    assert _ref_same(_ref_frac(a * b),
+                     (_ref_mul(ra[0], rb[0]), _ref_mul(ra[1], rb[1])))
+    assert _ref_same(_ref_frac(a / b),
+                     (_ref_mul(ra[0], rb[1]), _ref_mul(ra[1], rb[0])))
+    abc = (a + b) * c + a / c
+    rabc = _ref_sum((_ref_mul(_ref_sum(ra, rb)[0], rc[0]),
+                     _ref_mul(_ref_sum(ra, rb)[1], rc[1])),
+                    (_ref_mul(ra[0], rc[1]), _ref_mul(ra[1], rc[0])))
+    assert _ref_same(_ref_frac(abc), rabc)
+    # equality, both ways round
+    assert abc.equals(a * c + b * c + a / c)
+    assert (a + b).equals(b + a)
+    assert (a - b).is_zero() == (not _ref_sum(ra, rb, -1)[0])
+    assert a.equals(b) == _ref_same(ra, rb)
+    assert (a + c).equals(b) == _ref_same(_ref_sum(ra, rc), rb)
+    # a substitution: the result matches the reference wherever the
+    # reference denominator survives, and it raises only where the
+    # reference denominator vanishes
+    tgt = Monomial((v, e) for v, e in target.items() if v != var)
+
+    def sub(exps, cc):
+        e = exps.pop(var, 0)
+        for v, k in tgt.exps:
+            exps[v] = exps.get(v, 0) + e * k
+        return exps, cc
+
+    def sub_const(exps, cc):
+        return exps, _ref_cmul(cc, _ref_cpow(value, exps.pop(var, 0)))
+
+    def conj(exps, cc):
+        exps["q"] = exps.get("q", 0) + sum(
+            2 * e * exps.get(w_var(i, r), 0) for (i, r), e in dexps)
+        return exps, cc
+
+    dmon = DMonomial(dexps)
+    for op, fn in ((lambda s: s.substitute({var: tgt}), sub),
+                   (lambda s: s.subst_const(var, GR(*value)), sub_const),
+                   (lambda s: s.conjugate(dmon), conj)):
+        ref = (_ref_map(rabc[0], fn), _ref_map(rabc[1], fn))
+        try:
+            got = op(abc)
+        except DenominatorVanishes:
+            assert not ref[1]
+            continue
+        if ref[1]:
+            assert _ref_same(_ref_frac(got), ref)
+    # a substitution that changes nothing returns the scalar itself
+    assert abc.substitute({"v": Monomial.q_int(1)}) is abc
+    assert abc.subst_const("v", 2) is abc
+    # exact evaluation
+    point = {v: (Fraction(k + 2, 3), Fraction(k - 3, 2))
+             for k, v in enumerate(NAMES)}
+    point["u"] = (Fraction(-5, 7), 0)
+    dv = _ref_value(rabc[1], point)
+    try:
+        got = abc.eval_numeric({v: GR(*p) for v, p in point.items()})
+    except DenominatorVanishes:
+        assert dv == (0, 0)
+    else:
+        if dv != (0, 0):
+            nv = _ref_value(rabc[0], point)
+            assert _ref_cmul(_pair(got), dv) == nv
+    # killing a denominator factor raises, also after a sum whose
+    # numerator the factor does not divide
+    kill = Scalar(_poly(KILL))
+    vq = {"v": Monomial.q_int(-1)}
+    if not a.is_zero():
+        with pytest.raises(DenominatorVanishes):
+            (a / kill).substitute(vq)
+        if not b.is_zero():
+            with pytest.raises(DenominatorVanishes):
+                (a / kill + b / (kill * kill)).substitute(vq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_monos, ref_coeffs, ref_monos, ref_coeffs, ref_polys(max_terms=5),
+       ref_monos, ref_coeffs)
+def test_divide_binomial(m1, c1, m2, c2, g, m3, c3):
+    f = {}
+    _ref_add_term(f, _ref_mono(m1), c1)
+    _ref_add_term(f, _ref_mono(m2), c2)
+    if len(f) != 2:
+        return
+    pf, pg = _poly(f), _poly(g)
+    assert divide_binomial(pf * pg, pf) == pg
+    # a monomial is never a multiple of a binomial, so neither is f*g plus one
+    off = _poly(_ref_add_term_copy(_ref_mul(f, g), _ref_mono(m3), c3))
+    if len(off.terms) >= 1 and off != pf * pg:
+        assert divide_binomial(off, pf) is None
+
+
+def _ref_add_term_copy(d, m, c):
+    d = dict(d)
+    _ref_add_term(d, m, c)
+    return d
