@@ -554,18 +554,7 @@ class Poly:
                     _content=self._content)
 
     def __sub__(self, other):
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            s = d.get(k)
-            if s is None:
-                d[k] = -c
-            else:
-                s = s - c
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return Poly(d, _clean=False)
+        return self + (-other)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
