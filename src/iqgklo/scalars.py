@@ -921,7 +921,8 @@ def _scalar(c, m, num, f):
 
 def _settle(c, m, num, f):
     """The scalar c * X^m * num * (factors f), with a cofactor of at most
-    two terms moved into the unit or the factors (``f`` is owned)."""
+    two terms moved into the unit or the factors; ``f`` must be a fresh
+    dict, since it may be updated in place."""
     if not c or not num.terms:
         return SCALAR_ZERO
     if len(num.terms) > 2:
