@@ -23,19 +23,15 @@ from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
 from .scalars import GR, Monomial, Poly, Scalar
 
 
-def act(x, f):
-    """Apply a normal-ordered operator to the monomial function f.
+def act(term, f):
+    """Apply one normal-ordered term, a (coeff, dmon) pair, to the monomial
+    function f.
 
-    x may be a TorusElement or a plain (coeff, dmon) pair; each shift
-    operator rescales the matching half-power coordinate, so the result
-    is again a Scalar multiple of f.
+    Each shift operator of dmon rescales the matching half-power
+    coordinate, so the result is again a Scalar multiple of f.
     """
-    items = x.terms.items() if hasattr(x, "terms") else [x[::-1]]
-    out = Scalar.zero()
-    base = Scalar.from_mono(f)
-    for dmon, coeff in items:
-        out = out + coeff * base.conjugate(dmon)
-    return out
+    coeff, dmon = term
+    return coeff * Scalar.from_mono(f).conjugate(dmon)
 
 
 def _random_gr(rng, max_height=64):
@@ -72,6 +68,9 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
     equals evaluating the acted-on product without building it.
     The value of the acted-on monomial depends only on the trial and the
     shift part, so it is evaluated once per distinct shift part per trial.
+    One evaluation memo per trial is shared by every coefficient of both
+    sides and by the acted-on monomials, so each distinct factor is
+    evaluated once per trial (see ``Scalar.eval_numeric``).
     Specializations that hit a denominator are retried (bounded).
     Returns (verdict, trials_run).
     """
@@ -95,6 +94,7 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
         assignment = _random_assignment(rng, sorted(variables))
         f = _random_test_monomial(rng, variables)
         fvals = {}
+        memo = {}
         try:
             for key in keys:
                 dmon = key[1]
@@ -103,9 +103,9 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
                 fv = fvals.get(dmon)
                 if fv is None:
                     fv = fvals[dmon] = act((Scalar.one(), dmon),
-                                           f).eval_numeric(assignment)
-                vx = cx.eval_numeric(assignment) * fv
-                vy = cy.eval_numeric(assignment) * fv
+                                           f).eval_numeric(assignment, memo)
+                vx = cx.eval_numeric(assignment, memo) * fv
+                vy = cy.eval_numeric(assignment, memo) * fv
                 if vx != vy:
                     return False, done + 1
         except (DenominatorVanishes, DivisionByZero):

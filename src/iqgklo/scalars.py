@@ -483,6 +483,30 @@ def _cleared_point(v, a):
     return s, gre, gim, gre * gre + gim * gim
 
 
+def _power_table(point, lo, hi):
+    """(table, Dv) for the cleared value ``point`` of a variable (see
+    ``_cleared_point``) and the exponent range lo..hi: Dv is the common
+    denominator of its powers, and table[e] the Gaussian integer
+    numerator of its e-th power over Dv, for every e in the range."""
+    s, gre, gim, norm = point
+    hp, ln = max(hi, 0), max(-lo, 0)
+    tab = {}
+    pr, pi = 1, 0                     # (gre + i gim)^e
+    for e in range(hi + 1):
+        if e >= lo:
+            mult = s ** (hp - e) * norm ** ln
+            tab[e] = (pr * mult, pi * mult)
+        pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
+    pr, pi = 1, 0                     # conj^k for e = -k
+    for j in range(1, ln + 1):
+        pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
+        e = -j
+        if e <= hi:
+            mult = s ** (hp - e) * norm ** (ln + e)
+            tab[e] = (pr * mult, pi * mult)
+    return tab, s ** hp * norm ** ln
+
+
 def _occupied_names(occ):
     """The names of the nonzero limbs of an occupancy mask."""
     out = set()
@@ -495,6 +519,17 @@ def _occupied_names(occ):
     return out
 
 
+def _eval_layout(terms):
+    """The evaluation layout of a nonzero term dict: (name, lowest, highest
+    exponent) per variable whose exponents are not all 0, and each term's
+    exponents of those variables, in term order."""
+    rows = _limb_rows(terms)
+    used = [k for k, col in enumerate(zip(*rows)) if any(col)]
+    cols = [[row[k] for row in rows] for k in used]
+    ranges = [(_NAMES[k], min(col), max(col)) for k, col in zip(used, cols)]
+    return ranges, list(zip(*cols)) if cols else [()] * len(rows)
+
+
 def unpack_poly(p):
     """The terms of ``p`` as {Monomial: coefficient}: the one place where
     packed keys become Monomial objects."""
@@ -505,7 +540,7 @@ class Poly:
     """A Laurent polynomial: ``terms`` maps packed exponent keys (see the
     module docstring) to canonical nonzero coefficients."""
 
-    __slots__ = ("terms", "_hash", "_content", "_occ")
+    __slots__ = ("terms", "_content", "_occ", "_layout")
 
     def __init__(self, terms=None, _clean=True, _content=None):
         if terms is None:
@@ -660,46 +695,32 @@ class Poly:
         return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
                          _as_num(Fraction(tim) / D) if tim else 0)
 
-    def _eval_cleared(self, assignment, points):
+    def _eval_cleared(self, assignment, memo):
         """(re, im, D) with the value (re + i*im) / D, D a positive
-        integer; ``points`` caches each variable's value as a Gaussian
-        integer over an integer, (s, gre, gim, norm), across calls."""
-        rows = _limb_rows(self.terms)
-        tables = []                           # (limb, table, Dv) per variable
+        integer.  ``memo`` (see ``Scalar.eval_numeric``) keeps each
+        variable's cleared value and each power table across calls at one
+        assignment."""
+        try:
+            ranges, rows = self._layout
+        except AttributeError:
+            ranges, rows = self._layout = _eval_layout(self.terms)
+        tables = []                           # (table, Dv) per variable
         D = 1
-        for k, col in enumerate(zip(*rows)):
-            lo, hi = min(col), max(col)
-            if not (lo or hi):
-                continue
-            v = _NAMES[k]
-            point = points.get(v)
-            if point is None:
-                point = points[v] = _cleared_point(v, assignment[v])
-            s, gre, gim, norm = point
-            hp, ln = max(hi, 0), max(-lo, 0)
-            Dv = s ** hp * norm ** ln
-            tab = {}
-            pr, pi = 1, 0                     # (gre + i gim)^e
-            for e in range(hi + 1):
-                if e >= lo:
-                    mult = s ** (hp - e) * norm ** ln
-                    tab[e] = (pr * mult, pi * mult)
-                pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
-            pr, pi = 1, 0                     # conj^k for e = -k
-            for j in range(1, ln + 1):
-                pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
-                e = -j
-                if e <= hi:
-                    mult = s ** (hp - e) * norm ** (ln + e)
-                    tab[e] = (pr * mult, pi * mult)
-            tables.append((k, tab, Dv))
-            D *= Dv
+        for span in ranges:
+            table = memo.get(span)
+            if table is None:
+                v = span[0]
+                point = memo.get(v)
+                if point is None:
+                    point = memo[v] = _cleared_point(v, assignment[v])
+                table = memo[span] = _power_table(point, span[1], span[2])
+            tables.append(table)
+            D *= table[1]
         tre = tim = 0
-        for limbs, c in zip(rows, self.terms.values()):
+        for exps, c in zip(rows, self.terms.values()):
             pr, pi = 1, 0
             rem = D
-            for k, tab, Dv in tables:
-                e = limbs[k]
+            for e, (tab, Dv) in zip(exps, tables):
                 if e:
                     tr, ti = tab[e]
                     pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
@@ -749,16 +770,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        # by variable names, so it does not depend on the registration
-        # order; cached, since a Poly is never mutated
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(frozenset((_decode(k), c)
-                                        for k, c in self.terms.items()))
-            return self._hash
 
     def __repr__(self):
         if not self.terms:
@@ -908,6 +919,16 @@ def _absorb(poly, e, c, m, f):
         poly = poly.mul_mono(_mono(-g))
     _put(f, frozenset(poly.terms.items()), poly, e)
     return c, m + e * g
+
+
+def _part_value(p, key, assignment, memo):
+    """The cleared value (re, im, D) of the part ``p`` of a scalar, looked
+    up in ``memo`` under ``key`` (see ``Scalar.eval_numeric``) and stored
+    there on a miss."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = p._eval_cleared(assignment, memo)
+    return value
 
 
 def _scalar(c, m, num, f):
@@ -1209,32 +1230,44 @@ class Scalar:
                            f"substituting {var} -> {value!r} kills the "
                            "denominator")
 
-    def eval_numeric(self, assignment):
+    def eval_numeric(self, assignment, memo=None):
         """Exact evaluation, part by part: each part is cleared to a
         Gaussian integer over an integer (see ``Poly.eval_numeric``), each
         variable's value is cleared once, and the parts are combined in
         integers with one division at the end.  The denominator factors
-        come first, so a vanishing one raises before any other work."""
+        come first, so a vanishing one raises before any other work.
+
+        ``memo``, a dict, carries what was computed at one assignment from
+        call to call, keyed by what determines it exactly: a variable's
+        cleared value by its name, a power table by (name, lowest, highest
+        exponent), and a part's cleared value by its factor key (four ints
+        for a binomial, the term set for any other factor), the cofactor's
+        by its term set and the unit monomial's by its packed key.  The key
+        kinds differ in type or length, so they never collide, and a part
+        shared by several scalars is evaluated once per assignment.  A memo
+        belongs to one assignment.
+        """
         if not self.c:
             return 0
-        points = {}
+        if memo is None:
+            memo = {}
         nre, nim, dre, dim = 1, 0, 1, 0     # the value is c * n / d
-        for p, e in self.f.values():
+        for key, (p, e) in self.f.items():
             if e < 0:
-                re, im, D = p._eval_cleared(assignment, points)
+                re, im, D = _part_value(p, key, assignment, memo)
                 if not (re or im):
                     raise DenominatorVanishes(
                         "denominator vanishes at this assignment")
                 for _ in range(-e):
                     dre, dim = dre * re - dim * im, dre * im + dim * re
                     nre, nim = nre * D, nim * D
-        parts = [(p, e) for p, e in self.f.values() if e > 0]
+        parts = [(p, key, e) for key, (p, e) in self.f.items() if e > 0]
         if self.num is not POLY_ONE:
-            parts.append((self.num, 1))
+            parts.append((self.num, frozenset(self.num.terms.items()), 1))
         if self.m:
-            parts.append((Poly({self.m: 1}, _clean=False), 1))
-        for p, e in parts:
-            re, im, D = p._eval_cleared(assignment, points)
+            parts.append((Poly({self.m: 1}, _clean=False), self.m, 1))
+        for p, key, e in parts:
+            re, im, D = _part_value(p, key, assignment, memo)
             for _ in range(e):
                 nre, nim = nre * re - nim * im, nre * im + nim * re
                 dre, dim = dre * D, dim * D

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from iqgklo.oracle import (
 )
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import catalog_by_name
-from iqgklo.scalars import Monomial, Scalar
+from iqgklo.scalars import GR, GR_I, Monomial, Poly, Scalar
 from iqgklo.torus import DMonomial, TorusElement
 
 
@@ -20,17 +21,26 @@ def _shift(i, r, e):
     return TorusElement.monomial(Scalar.one(), DMonomial.unit(i, r, e))
 
 
+def _act_terms(x, f):
+    """Act with the TorusElement x on f term by term."""
+    out = Scalar.zero()
+    for dmon, coeff in x.terms.items():
+        out = out + act((coeff, dmon), f)
+    return out
+
+
 def test_act_shift_rescales_half_power():
     # the shift operator on slot (1,1) multiplies w_{1,1}^(1/2) by Q^2
     f = Monomial.w(1, 1)                       # whole power, exponent 2
-    out = act(_shift(1, 1, 1), f)
+    out = _act_terms(_shift(1, 1, 1), f)
     assert out.equals(Scalar.q_int(2) * Scalar.from_mono(f))
 
 
 def test_act_is_linear_over_terms():
     f = Monomial.w(1, 1)
     up, down = _shift(1, 1, 1), _shift(1, 1, -1)
-    assert act(up + down, f).equals(act(up, f) + act(down, f))
+    assert _act_terms(up + down, f).equals(
+        _act_terms(up, f) + _act_terms(down, f))
 
 
 def test_act_commutator_defect_zero_on_same_slot():
@@ -38,7 +48,7 @@ def test_act_commutator_defect_zero_on_same_slot():
     f = Monomial.w(1, 1, 2)
     x, y = _shift(1, 1, 1), _shift(1, 1, -1)
     defect = x * y - y * x
-    assert act(defect, f).is_zero()
+    assert _act_terms(defect, f).is_zero()
 
 
 def test_randomized_equal_reflexive():
@@ -62,6 +72,23 @@ def test_randomized_equal_matches_symbolic_verdict():
     lhs, rhs = ck.eval_pair("BB2", 1, 1)
     verdict, trials = randomized_equal(lhs, rhs, trials=20, seed=0)
     assert verdict is True and trials == 20
+
+
+def test_randomized_equal_evaluates_each_factor_once_per_trial(monkeypatch):
+    # one memo per trial: no polynomial is evaluated twice at one
+    # assignment, though the two sides share most of their factors
+    inst = catalog_by_name("sA1-v1-t0")
+    lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
+    seen = Counter()
+    original = Poly._eval_cleared
+
+    def counted(self, assignment, memo):
+        seen[tuple(assignment.items()), frozenset(self.terms.items())] += 1
+        return original(self, assignment, memo)
+    monkeypatch.setattr(Poly, "_eval_cleared", counted)
+    assert randomized_equal(lhs, rhs, trials=20, seed=0) == (True, 20)
+    assert len({a for a, _ in seen}) == 20
+    assert max(seen.values()) == 1
 
 
 def _draws(x, y, seed):
@@ -107,11 +134,34 @@ def _reference_pairs():
     inst = catalog_by_name("sA1-v1-t0")
     b = build_B_image(inst, 1)
     eps = b.map_coeff(lambda pins, c: c * (Scalar.one() + Scalar.var("q", 2)))
+    # the theta = 1 image carries a Gaussian coefficient
+    bt = build_B_image(catalog_by_name("sA1-v1-t1"), 1)
+    gauss = Scalar.one() + Scalar.const(GR_I) * Scalar.var("q", 2)
+    epst = bt.map_coeff(lambda pins, c: c * gauss)
     return {"BB2[1,1]": RelationChecker(inst).eval_pair("BB2", 1, 1),
-            "perturbed": (b, eps)}
+            "perturbed": (b, eps),
+            "qsA2-v11 BB3[1,2]": RelationChecker(
+                catalog_by_name("qsA2-v11")).eval_pair("BB3", 1, 2),
+            "theta1 B[1]": (bt, bt),
+            "theta1 perturbed": (bt, epst)}
 
 
-@pytest.mark.parametrize("name", ["BB2[1,1]", "perturbed"])
+def _has_gaussian(dist):
+    return any(isinstance(x, GR) for _, c, _ in dist.items()
+               for x in [c.c, *c.num.terms.values(),
+                         *(y for p, _ in c.f.values()
+                           for y in p.terms.values())])
+
+
+def test_reference_pairs_cover_gaussian_coefficients():
+    pairs = _reference_pairs()
+    assert _has_gaussian(pairs["theta1 B[1]"][0])
+    assert _has_gaussian(pairs["theta1 perturbed"][1])
+
+
+@pytest.mark.parametrize("name", ["BB2[1,1]", "perturbed",
+                                  "qsA2-v11 BB3[1,2]", "theta1 B[1]",
+                                  "theta1 perturbed"])
 def test_randomized_equal_matches_full_product_reference(name):
     lhs, rhs = _reference_pairs()[name]
     for seed in (0, 5):

@@ -325,14 +325,14 @@ def test_output_independent_of_registration_order():
                 p = p + sc.Poly.mono(sc.Monomial(exps.items()), sc.GR(*c))
             return p
         p, p_rev = build(terms), build(terms[::-1])
-        assert p == p_rev and hash(p) == hash(p_rev)
+        assert p == p_rev
         # a sum over binomial denominators with no constant term, so each
         # factor's leading term is chosen by a variable name
         b1 = build([({"c9": 1}, (1, 0)), ({"a9": 2}, (-2, 0))])
         b2 = build([({"b9": 1}, (2, 0)), ({"c9": 1, "q": 2}, (3, 0))])
         total = sc.Scalar(p, b1) + sc.Scalar(p_rev, b2) \
             * sc.Scalar(sc.POLY_ONE, b1) - sc.Scalar(sc.POLY_ONE, b2)
-        seen.append((repr(p), hash(p), repr(sc.Scalar(p, p_rev * p)),
+        seen.append((repr(p), repr(sc.Scalar(p, p_rev * p)),
                      repr(total)))
     assert seen[0] == seen[1]
     assert seen[0][0] == ("5*1 + 3*a9^-1*b9^2 + -1*a9*c9^-2*q^4 + "
@@ -351,7 +351,6 @@ def test_no_real_gaussian_survives():
         * (Poly.const(1) - Poly.mono(x, GR_I))
     assert p == Poly.const(1) + Poly.mono(x * x)
     assert all(type(c) is int for c in p.terms.values())
-    assert hash(p) == hash(Poly.const(1) + Poly.mono(x * x))
     assert type(p.eval_numeric({"u": GR_I})) is int
 
 
@@ -514,6 +513,52 @@ def test_factored_scalar_matches_reference(sa, sb, sc, target, var, value,
         if not b.is_zero():
             with pytest.raises(DenominatorVanishes):
                 (a / kill + b / (kill * kill)).substitute(vq)
+
+
+# values of "u" at which a pool factor vanishes, given the other values
+VANISH = {
+    "1 - q u": lambda p: coeff_inverse(p["q"] * p["q"]),
+    "u - w": lambda p: p[w_var(1, 1)] * p[w_var(1, 1)],
+    "1 + I u": lambda p: GR_I,
+}
+small_grs = ref_coeffs.map(lambda c: GR(*c))
+
+
+def _outcome(s, assignment, memo=None):
+    try:
+        return s.eval_numeric(assignment, memo)
+    except DenominatorVanishes:
+        return DenominatorVanishes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ref_scalars(), min_size=2, max_size=6),
+       st.fixed_dictionaries({v: small_grs for v in NAMES}),
+       st.sampled_from([None, *VANISH]))
+def test_shared_memo_matches_fresh_evaluation(drawn, assignment, vanish):
+    # the scalars share factors of the pool, and their sums share
+    # cofactors; one memo serves them all at one assignment
+    if vanish is not None:
+        assignment["u"] = VANISH[vanish](assignment)
+    scalars = [s for _, s in drawn]
+    scalars += [a + b for a, b in zip(scalars, scalars[1:])]
+    memo = {}
+    for s in scalars:
+        assert _outcome(s, assignment, memo) == _outcome(s, assignment)
+
+
+def test_shared_memo_keeps_a_cached_zero_a_pole():
+    # 1 - q u vanishes at u = q^-2; evaluated first as a numerator factor,
+    # its zero is cached, and the scalar that divides by it must still raise
+    factor = Scalar(_poly(POOL[0]))
+    assignment = {"q": GR(2), "u": GR(Fraction(1, 4))}
+    memo = {}
+    assert factor.eval_numeric(assignment, memo) == 0
+    assert (factor * Scalar.var("u")).eval_numeric(assignment, memo) == 0
+    with pytest.raises(DenominatorVanishes):
+        (Scalar.var("u") / factor).eval_numeric(assignment, memo)
+    with pytest.raises(DenominatorVanishes):
+        (Scalar.one() / (factor * factor)).eval_numeric(assignment, memo)
 
 
 @settings(max_examples=80, deadline=None)
