@@ -23,8 +23,8 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    DMonomial, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, coeff_inverse,
-    coeff_pow, is_spectral,
+    DMonomial, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, add_into,
+    coeff_inverse, coeff_pow, is_spectral,
 )
 
 
@@ -50,10 +50,6 @@ class FactorCurrent:
     @classmethod
     def one(cls, var):
         return cls(var)
-
-    @classmethod
-    def from_scalar(cls, var, s):
-        return cls(var, pref=s)
 
     def copy_with(self, pref=None, power=None, factors=None):
         return FactorCurrent(
@@ -172,24 +168,6 @@ class FactorCurrent:
         geometric factor shifts exponents in one direction only, so exponents
         past the window on that side can be dropped soundly.
         """
-        def accumulate(nxt, k, p, shift_key, cc):
-            tgt = nxt.get(k)
-            if tgt is None:
-                tgt = nxt[k] = {}
-            get = tgt.get
-            for key, coeff in p.items():
-                kk = key + shift_key
-                nc = coeff * cc
-                s = get(kk)
-                if s is None:
-                    tgt[kk] = nc
-                else:
-                    s = s + nc
-                    if s:
-                        tgt[kk] = s
-                    else:
-                        del tgt[kk]
-
         cur = {self.power: {0: 1}}
         for (c, M), e in self.factors.items():
             if e <= 0:
@@ -198,7 +176,7 @@ class FactorCurrent:
             for j in range(e + 1):
                 cc = (-1) ** j * comb(e, j) * coeff_pow(c, j)
                 for n, p in cur.items():
-                    accumulate(nxt, n + j, p, j * M.key, cc)
+                    add_into(nxt.setdefault(n + j, {}), p, j * M.key, cc)
             cur = nxt
         down = side == "infinity"
         for (c, M), e in self.factors.items():
@@ -221,7 +199,7 @@ class FactorCurrent:
                     k = n + shift
                     if (down and k < -order) or (not down and k > order):
                         continue
-                    accumulate(nxt, k, p, shift * M.key, cc)
+                    add_into(nxt.setdefault(k, {}), p, shift * M.key, cc)
             cur = nxt
         return self.pref, {n: Poly(p, _clean=False) for n, p in cur.items()
                            if -order <= n <= order and p}

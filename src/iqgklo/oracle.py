@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
-from .scalars import GR, Monomial, Poly, Scalar
+from .scalars import GR, Monomial, Poly, Scalar, add_into
 
 
 def act(term, f):
@@ -71,12 +71,15 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
     One evaluation memo per trial is shared by every coefficient of both
     sides and by the acted-on monomials, so each distinct factor is
     evaluated once per trial (see ``Scalar.eval_numeric``).
-    Specializations that hit a denominator are retried (bounded).
+    Specializations that hit a denominator are retried (bounded).  The
+    groups are visited in a fixed order, x's first and then those only y
+    has, since which of a mismatch and a vanishing denominator comes first
+    in a trial decides between False and a retry.
     Returns (verdict, trials_run).
     """
     rng = random.Random(seed)
     gx, gy = _groups(x), _groups(y)
-    keys = set(gx) | set(gy)
+    keys = [*gx, *(key for key in gy if key not in gx)]
     if not keys:
         return True, trials
     variables = set()
@@ -160,22 +163,6 @@ def truncated_series_check(gamma, expansion=None, order=8):
     PL = {n: poly.terms for n, poly in L.items()}
     eroots = [rho.key for rho in roots]
 
-    def shift_sub(acc, src, ekey, sign=1):
-        # acc -= x^ekey * src (termwise), with sign flipping the roles
-        get = acc.get
-        for key, c in src.items():
-            kk = key + ekey
-            nc = c if sign < 0 else -c
-            s = get(kk)
-            if s is None:
-                acc[kk] = nc
-            else:
-                s = s + nc
-                if s:
-                    acc[kk] = s
-                else:
-                    del acc[kk]
-
     # (a) the factored recurrence prod_k (S - a_k^{-1}), S the index shift,
     # annihilates the window: applied one linear factor at a time, each
     # step is a key shift and a subtraction
@@ -183,9 +170,7 @@ def truncated_series_check(gamma, expansion=None, order=8):
     for er in eroots:
         nxt = {}
         for n in range(lo, hi):
-            d = dict(cur[n + 1])
-            shift_sub(d, cur[n], er)
-            nxt[n] = d
+            nxt[n] = add_into(dict(cur[n + 1]), cur[n], er, -1)
         cur = nxt
         hi -= 1
     if not all(not d for d in cur.values()):
@@ -202,26 +187,14 @@ def truncated_series_check(gamma, expansion=None, order=8):
                 continue
             new = [dict() for _ in range(len(e) + 1)]
             for j, ej in enumerate(e):
-                shift_sub(new[j + 1], ej, 0, sign=-1)
-                shift_sub(new[j], ej, er)
+                add_into(new[j + 1], ej)
+                add_into(new[j], ej, er, -1)
             e = new
         val = {}
-        get = val.get
         for j, ej in enumerate(e):
             lj = PL[n0 + j]
             for k1, c1 in ej.items():
-                for k2, c2 in lj.items():
-                    kk = k1 + k2
-                    nc = c1 * c2
-                    s = get(kk)
-                    if s is None:
-                        val[kk] = nc
-                    else:
-                        s = s + nc
-                        if s:
-                            val[kk] = s
-                        else:
-                            del val[kk]
+                add_into(val, lj, k1, c1)
         expect = coeff * Scalar.from_mono(a ** (-n0))
         for l, rho in enumerate(roots):
             if l != k:

@@ -28,16 +28,6 @@ pairs the limbs of the two keys: d_{i,r}^e past w_{i,r}^(h/2) costs
 Q^(2*e*h), added to the q limb.  The limb layout is known only to this
 module.
 
-Every ``Poly`` carries its content monomial, the per-variable minimum
-exponent over its terms.  It is computed from every key (a per-limb
-minimum) only when nothing set it: a one-term constructor sets it to the
-term's key, ``mul_mono`` shifts it by the monomial's key, negation and
-scaling keep it, and a product gets the sum of its factors' contents.
-The product rule is exact because the coefficients lie in an integral
-domain: per variable, the parts of lowest degree of the two factors
-multiply to a nonzero part of the product, and nothing else reaches that
-degree.  The zero polynomial has content 1.
-
 Coefficients are canonical: a real value is a plain int (or a Fraction when
 not integral), and a GR only carries a nonzero imaginary part, so equal
 coefficients compare and hash equal whatever their history.  The helpers
@@ -530,6 +520,34 @@ def _eval_layout(terms):
     return ranges, list(zip(*cols)) if cols else [()] * len(rows)
 
 
+def add_into(d, terms, shift=0, c=1):
+    """Add c * X^shift * terms to the term dict ``d`` in place and return
+    it; a sum that cancels is deleted, so no zero coefficient is kept.
+
+    ``terms`` maps packed keys to nonzero coefficients and ``c`` is
+    nonzero.  The key addition is skipped when ``shift`` is 0 and the
+    product when ``c`` is 1, so an unshifted sum keeps the key objects it
+    was given instead of building a new big int per term.
+    """
+    scaled = c != 1
+    get = d.get
+    for k, a in terms.items():
+        if shift:
+            k += shift
+        if scaled:
+            a = a * c
+        s = get(k)
+        if s is None:
+            d[k] = a
+        else:
+            s = s + a
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+    return d
+
+
 def unpack_poly(p):
     """The terms of ``p`` as {Monomial: coefficient}: the one place where
     packed keys become Monomial objects."""
@@ -540,100 +558,61 @@ class Poly:
     """A Laurent polynomial: ``terms`` maps packed exponent keys (see the
     module docstring) to canonical nonzero coefficients."""
 
-    __slots__ = ("terms", "_content", "_occ", "_layout")
+    __slots__ = ("terms", "_occ", "_layout")
 
-    def __init__(self, terms=None, _clean=True, _content=None):
+    def __init__(self, terms=None, _clean=True):
         if terms is None:
             self.terms = {}
         elif _clean:
             self.terms = {k: c for k, c in terms.items() if c}
         else:
             self.terms = terms
-        self._content = _content        # content monomial; None: not known
 
     @classmethod
     def zero(cls):
-        return cls({}, _clean=False, _content=_MON_ONE)
+        return cls({}, _clean=False)
 
     @classmethod
     def const(cls, c):
         if not isinstance(c, GR):
             c = _as_num(c)
-        return cls({0: c} if c else {}, _clean=False, _content=_MON_ONE)
+        return cls({0: c} if c else {}, _clean=False)
 
     @classmethod
     def mono(cls, m, c=1):
         if not c:
             return cls.zero()
-        return cls({m.key: c}, _clean=False, _content=m)
+        return cls({m.key: c}, _clean=False)
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        d = dict(self.terms)
-        for k, c in other.terms.items():
-            s = d.get(k)
-            if s is None:
-                d[k] = c
-            else:
-                s = s + c
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return Poly(d, _clean=False)
-
-    def __neg__(self):
-        return Poly({k: -c for k, c in self.terms.items()}, _clean=False,
-                    _content=self._content)
+        return Poly(add_into(dict(self.terms), other.terms), _clean=False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return Poly(add_into(dict(self.terms), other.terms, c=-1),
+                    _clean=False)
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         d = {}
-        get = d.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                c = c1 * c2
-                s = get(k)
-                if s is None:
-                    d[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        d[k] = s
-                    else:
-                        del d[k]
-        ca, cb = self._content, other._content
-        if not d:
-            content = _MON_ONE
-        elif ca is None or cb is None:
-            content = None
-        else:
-            content = _mono(ca.key + cb.key)
-        return Poly(d, _clean=False, _content=content)
+        for k, c in a.items():
+            add_into(d, b, k, c)
+        return Poly(d, _clean=False)
 
     def scale(self, c):
         if c == 1:
             return self
         if not c:
             return Poly.zero()
-        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False,
-                    _content=self._content)
+        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False)
 
     def mul_mono(self, m):
         mk = m.key
-        content = self._content
-        if content is not None and self.terms:
-            content = _mono(content.key + mk)
-        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False,
-                    _content=content)
+        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False)
 
     def conjugate(self, dmon):
         """Move the d-monomial ``dmon`` through this polynomial from the left.
@@ -662,44 +641,15 @@ class Poly:
             d[key] = c if s is None else s + c
         return Poly(d)
 
-    def subst_const(self, var, value):
-        """Replace var by the Gaussian rational ``value`` (nonzero)."""
-        if not value:
-            raise DivisionByZero("cannot substitute 0 for an invertible symbol")
-        k = _INDEX.get(var)
-        if k is None:
-            return self
-        off = _LIMB * k
-        d = {}
-        for key, c in self.terms.items():
-            e = _limb(key, k)
-            if e:
-                c = c * coeff_pow(value, e)
-                key -= e << off
-            s = d.get(key)
-            d[key] = c if s is None else s + c
-        return Poly(d)
-
-    def eval_numeric(self, assignment):
-        """Exact evaluation; assignment maps every present variable to a
-        coefficient.
-
-        Each value is cleared to a Gaussian integer over one fixed
-        denominator per variable (covering the variable's full exponent
-        range), so the term sum is pure integer arithmetic with a single
-        division at the end -- no per-term fraction reduction.
-        """
-        if not self.terms:
-            return 0
-        tre, tim, D = self._eval_cleared(assignment, {})
-        return _gaussian(_as_num(Fraction(tre) / D) if tre else 0,
-                         _as_num(Fraction(tim) / D) if tim else 0)
-
     def _eval_cleared(self, assignment, memo):
-        """(re, im, D) with the value (re + i*im) / D, D a positive
-        integer.  ``memo`` (see ``Scalar.eval_numeric``) keeps each
-        variable's cleared value and each power table across calls at one
-        assignment."""
+        """Exact evaluation of a nonzero Poly as (re, im, D), the value
+        (re + i*im) / D with D a positive integer.
+
+        Each variable's value is cleared to a Gaussian integer over one
+        fixed denominator (covering the variable's full exponent range),
+        so the term sum is pure integer arithmetic.  ``memo`` (see
+        ``Scalar.eval_numeric``) keeps each variable's cleared value and
+        each power table across calls at one assignment."""
         try:
             ranges, rows = self._layout
         except AttributeError:
@@ -761,12 +711,8 @@ class Poly:
 
     def content_monomial(self):
         """The per-variable minimum-exponent monomial over all terms (1 for
-        zero): cached, and computed from every key only if nothing set it."""
-        c = self._content
-        if c is None:
-            c = self._content = _mono(reduce(_key_min, self.terms)) \
-                if self.terms else _MON_ONE
-        return c
+        zero)."""
+        return _mono(reduce(_key_min, self.terms)) if self.terms else _MON_ONE
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -886,7 +832,7 @@ def _binomial(k1, c1, k2, c2):
             ratio = Fraction(ratio)
             unit = _canon(c1 * Fraction(1, ratio.denominator))
             c1, c2 = ratio.denominator, ratio.numerator
-    factor = Poly({k1: c1, k2: c2}, _clean=False, _content=_MON_ONE)
+    factor = Poly({k1: c1, k2: c2}, _clean=False)
     return unit, g, (k1, c1, k2, c2), factor
 
 
@@ -999,8 +945,11 @@ class Scalar:
     ``_binomial``) and keyed by its two terms; any other factor has
     content 1 and is keyed by its term set.  Exponents are signed, so a
     factor sits in the numerator or in the denominator and a product
-    cancels by adding exponents.  Factors are normalized once, when they
-    are made, and shared by every scalar built from them.
+    cancels by adding exponents.  Factors are normalized when they are
+    made.  A product shares its operands' factor objects, but ``_absorb``
+    and ``_binomial`` build a new ``Poly`` whenever they factor a part,
+    even for a factor key that already exists, so equal factors may be
+    distinct objects.
     """
 
     __slots__ = ("c", "m", "num", "f", "_occ")
@@ -1216,23 +1165,9 @@ class Scalar:
                            _substitute_key(self.m, plan),
                            f"substituting {what} kills the denominator")
 
-    def subst_const(self, var, value):
-        if not value:
-            raise DivisionByZero("cannot substitute 0 for an invertible symbol")
-        k = _INDEX.get(var)
-        mask = 0 if k is None else _MASK << (_LIMB * k)
-        if not self.c or not self._occupied() & mask:
-            return self
-        e = _limb(self.m, k)
-        return self._remap(mask, lambda p: p.subst_const(var, value),
-                           self.c * coeff_pow(value, e),
-                           self.m - (e << (_LIMB * k)),
-                           f"substituting {var} -> {value!r} kills the "
-                           "denominator")
-
     def eval_numeric(self, assignment, memo=None):
         """Exact evaluation, part by part: each part is cleared to a
-        Gaussian integer over an integer (see ``Poly.eval_numeric``), each
+        Gaussian integer over an integer (see ``Poly._eval_cleared``), each
         variable's value is cleared once, and the parts are combined in
         integers with one division at the end.  The denominator factors
         come first, so a vanishing one raises before any other work.

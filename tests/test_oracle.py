@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -91,6 +95,42 @@ def test_randomized_equal_evaluates_each_factor_once_per_trial(monkeypatch):
     assert max(seen.values()) == 1
 
 
+# Records, in a fresh interpreter, every coefficient the oracle evaluates
+# on the qsA2-v11 BB3[1,2] pair, in order.
+VISITS = """
+import json
+from iqgklo.oracle import randomized_equal
+from iqgklo.relations import RelationChecker
+from iqgklo.satake import catalog_by_name
+from iqgklo.scalars import Scalar
+lhs, rhs = RelationChecker(catalog_by_name("qsA2-v11")).eval_pair("BB3", 1, 2)
+seen = []
+original = Scalar.eval_numeric
+
+def recorded(self, assignment, memo=None):
+    seen.append(repr(self))
+    return original(self, assignment, memo)
+Scalar.eval_numeric = recorded
+randomized_equal(lhs, rhs, trials=1, seed=0)
+print(json.dumps(seen))
+"""
+
+
+def test_randomized_equal_visit_order_ignores_hash_seed():
+    # which of a mismatch and a vanishing denominator is met first in a
+    # trial decides the (verdict, trials) pair, so the order of the
+    # support groups must not follow the string hashes
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    orders = [json.loads(subprocess.run(
+        [sys.executable, "-c", VISITS],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        capture_output=True, text=True, check=True).stdout)
+        for seed in ("0", "1")]
+    assert len(orders[0]) > 2
+    assert orders[0] == orders[1]
+
+
 def _draws(x, y, seed):
     """The oracle's support groups and its stream of random
     (assignment, test monomial) draws for one seed."""
@@ -103,7 +143,7 @@ def _draws(x, y, seed):
     def draw():
         assignment = _random_assignment(rng, sorted(variables))
         return assignment, _random_test_monomial(rng, variables)
-    return gx, gy, set(gx) | set(gy), draw
+    return gx, gy, [*gx, *(k for k in gy if k not in gx)], draw
 
 
 def _reference_randomized_equal(x, y, trials, seed, max_retries=200):
