@@ -157,52 +157,49 @@ class FactorCurrent:
                 coeff = coeff * unit if e > 0 else coeff / unit
         return self.degree_at_infinity(), coeff
 
-    def series_raw(self, side, order):
-        """Truncated Laurent expansion on [-order, order] as
-        (pref, {x-exponent: Poly}), the scalar prefactor left unmultiplied.
+    def series_raw(self, side, order, low=None):
+        """Truncated Laurent expansion on [low, order], low defaulting to
+        -order, as (pref, {x-exponent: Poly}), the scalar prefactor left
+        unmultiplied.
 
-        side "infinity": expand negative-exponent factors in powers of 1/x;
-        side "zero": expand them in powers of x.  Internally the expansion is
-        convolved over the packed terms of denominator-free Polys.  Positive
-        factors are applied first (exactly), after which every remaining
-        geometric factor shifts exponents in one direction only, so exponents
-        past the window on that side can be dropped soundly.
+        Each factor is expanded by the binomial series of (1 - t)^e: on side
+        "zero" in t = c*M*x, on side "infinity" in t = 1/(c*M*x), after
+        writing (1 - c*M*x)^e = (-c*M*x)^e * (1 - t)^e.  So the expansion at
+        zero starts at x^power and the one at infinity at the top degree
+        x^(power + sum e), and from there every factor moves exponents only
+        up (zero) or only down (infinity): an exponent past the window on
+        that side is dropped as soon as it appears.  The expansion is
+        convolved over the packed terms of denominator-free Polys.
         """
-        cur = {self.power: {0: 1}}
-        for (c, M), e in self.factors.items():
-            if e <= 0:
-                continue
-            nxt = {}
-            for j in range(e + 1):
-                cc = (-1) ** j * comb(e, j) * coeff_pow(c, j)
-                for n, p in cur.items():
-                    add_into(nxt.setdefault(n + j, {}), p, j * M.key, cc)
-            cur = nxt
+        low = -order if low is None else low
         down = side == "infinity"
+        start = self.degree_at_infinity() if down else self.power
+        cur = {start: {0: 1}} if (start >= low if down else start <= order) \
+            else {}
         for (c, M), e in self.factors.items():
-            if e >= 0 or not cur:
-                continue
-            m = -e
-            if down:
-                jmax = max(cur) + order - m
-            else:
-                jmax = order - min(cur)
+            if not cur:
+                break
+            jmax = max(cur) - low if down else order - min(cur)
+            if e > 0:
+                jmax = min(jmax, e)
             nxt = {}
-            for j in range(max(jmax, -1) + 1):
+            for j in range(jmax + 1):
+                # the coefficient of t^j in (1 - t)^e
+                b = (-1) ** j * comb(e, j) if e > 0 else comb(j - e - 1, j)
                 if down:
-                    shift = -m - j
-                    cc = (-1) ** m * comb(m - 1 + j, j) * coeff_pow(c, shift)
+                    shift, mexp = -j, e - j
+                    b = -b if e % 2 else b
                 else:
-                    shift = j
-                    cc = comb(m - 1 + j, j) * coeff_pow(c, j)
+                    shift = mexp = j
+                cc = b * coeff_pow(c, mexp)
                 for n, p in cur.items():
                     k = n + shift
-                    if (down and k < -order) or (not down and k > order):
+                    if (k < low) if down else (k > order):
                         continue
-                    add_into(nxt.setdefault(k, {}), p, shift * M.key, cc)
+                    add_into(nxt.setdefault(k, {}), p, mexp * M.key, cc)
             cur = nxt
         return self.pref, {n: Poly(p, _clean=False) for n, p in cur.items()
-                           if -order <= n <= order and p}
+                           if low <= n <= order and p}
 
     def equals(self, other):
         """Equality as rational functions (cross-multiplied)."""

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
-from .scalars import GR, Monomial, Poly, Scalar, add_into
+from .scalars import GR, Monomial, Poly, Scalar
 
 
 def act(term, f):
@@ -120,86 +120,82 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
 def truncated_series_check(gamma, expansion=None, order=8):
     """Verify the residue expansion against truncated two-sided series.
 
-    The difference of the expansions of gamma at infinity and at zero must
-    equal, coefficient by coefficient on x^n for |n| <= order, the sum of
-    the delta contributions coeff * a^(-n).
+    The difference L of the expansions of gamma at infinity and at zero
+    must equal, coefficient by coefficient on x^n for |n| <= order, the
+    sum of the delta contributions coeff * a^(-n).
 
     The coefficientwise comparison is carried out in an equivalent split
     form.  With p distinct pins a_k, both sides satisfy the monic order-p
-    recurrence whose characteristic roots are the a_k^(-1) (for the delta
-    side identically; leading and trailing coefficients are unit
+    recurrence whose characteristic roots are the rho_k = a_k^(-1) (for
+    the delta side identically; leading and trailing coefficients are unit
     monomials, so solutions are pinned by any p consecutive values).
     Hence equality over the whole window is equivalent to (a) the series
     side satisfying the recurrence at every offset that fits the window,
-    a denominator-free polynomial identity, and (b) direct equality on p
-    consecutive central coefficients, where the series polynomials are
-    smallest.
+    and (b) direct equality on p consecutive central coefficients.
+
+    Both steps multiply gamma by a polynomial in x before expanding it.
+    With Q = prod_k (1 - rho_k x) and Q_k = Q / (1 - rho_k x), the
+    recurrence applied at offset n is the coefficient of x^(n+p) in Q*L,
+    and its leave-one-out form at n0 is the coefficient of x^(n0+p-1) in
+    Q_k*L.  Multiplying by a Laurent polynomial commutes with both
+    expansions, and a coefficient of the product reads only the window
+    coefficients of L that the recurrence reads, so (a) holds iff the two
+    expansions of Q*gamma agree on [p - order, order], and (b) takes one
+    coefficient of the two expansions of Q_k*gamma.  Each expansion is
+    truncated to the exponents that step reads.  When the expansion is
+    right, Q*gamma has no pole and Q_k*gamma one, so neither step expands
+    the large edge coefficients of gamma's own window.
     """
     from .delta import expand_by_residues
     if expansion is None:
         expansion = expand_by_residues(gamma)
-    pref, plus = gamma.series_raw("infinity", order)
-    _, minus = gamma.series_raw("zero", order)
-    L = {n: plus.get(n, Poly.zero()) - minus.get(n, Poly.zero())
-         for n in range(-order, order + 1)}
     terms = [(pins[gamma.var], coeff)
              for pins, coeff, _ in expansion.items()]
     p = len(terms)
 
-    def direct_equal(n):
-        rhs = Scalar.zero()
-        for a, coeff in terms:
-            rhs = rhs + coeff * Scalar.from_mono(a ** (-n))
-        return (pref * Scalar(L[n])).equals(rhs)
+    def window(fc, low, high):
+        # the difference of fc's two expansions on [low, high]
+        pref, plus = fc.series_raw("infinity", high, low)
+        _, minus = fc.series_raw("zero", high, low)
+        return pref, {n: plus.get(n, Poly.zero()) - minus.get(n, Poly.zero())
+                      for n in range(low, high + 1)}
 
-    if p == 0:
-        return all(poly.is_zero() for poly in L.values())
-    if 2 * order + 1 <= p:
+    if p == 0 or 2 * order + 1 <= p:
+        pref, L = window(gamma, -order, order)
+
+        def direct_equal(n):
+            rhs = Scalar.zero()
+            for a, coeff in terms:
+                rhs = rhs + coeff * Scalar.from_mono(a ** (-n))
+            return (pref * Scalar(L[n])).equals(rhs)
+
+        if p == 0:
+            return all(poly.is_zero() for poly in L.values())
         # window too narrow to separate the components; compare directly
         return all(direct_equal(n) for n in range(-order, order + 1))
     roots = [a.inverse() for a, _ in terms]
-    # the recurrence steps below work on the packed terms directly: a shift
-    # by a root is an addition of its key
-    PL = {n: poly.terms for n, poly in L.items()}
-    eroots = [rho.key for rho in roots]
+    q_gamma = gamma
+    for rho in roots:
+        q_gamma = q_gamma.times_linear(rho)
 
-    # (a) the factored recurrence prod_k (S - a_k^{-1}), S the index shift,
-    # annihilates the window: applied one linear factor at a time, each
-    # step is a key shift and a subtraction
-    cur, lo, hi = PL, -order, order
-    for er in eroots:
-        nxt = {}
-        for n in range(lo, hi):
-            nxt[n] = add_into(dict(cur[n + 1]), cur[n], er, -1)
-        cur = nxt
-        hi -= 1
-    if not all(not d for d in cur.values()):
+    # (a) the recurrence prod_k (S - rho_k), S the index shift, annihilates
+    # the window
+    _, L = window(q_gamma, p - order, order)
+    if not all(poly.is_zero() for poly in L.values()):
         return False
-    # (b) for each pin, the leave-one-out operator prod_{l != k}(S - a_l^{-1})
+    # (b) for each pin, the leave-one-out operator prod_{l != k}(S - rho_l)
     # kills every other component, so its value at one central offset pins
     # the k-th delta amplitude:
-    #   sum_j e_j L[n0+j] = coeff_k * a_k^{-n0} * prod_{l != k}(rho_k - rho_l)
+    #   [x^(n0+p-1)] Q_k*L = coeff_k * a_k^(-n0) * prod_{l != k}(rho_k - rho_l)
     n0 = max(-order, min(-(p // 2), order - p + 1))
+    m = n0 + p - 1
     for k, (a, coeff) in enumerate(terms):
-        e = [{0: 1}]
-        for l, er in enumerate(eroots):
-            if l == k:
-                continue
-            new = [dict() for _ in range(len(e) + 1)]
-            for j, ej in enumerate(e):
-                add_into(new[j + 1], ej)
-                add_into(new[j], ej, er, -1)
-            e = new
-        val = {}
-        for j, ej in enumerate(e):
-            lj = PL[n0 + j]
-            for k1, c1 in ej.items():
-                add_into(val, lj, k1, c1)
+        pref, L = window(q_gamma.times_linear(roots[k], 1, -1), m, m)
         expect = coeff * Scalar.from_mono(a ** (-n0))
         for l, rho in enumerate(roots):
             if l != k:
                 expect = expect * (Scalar.from_mono(roots[k]) -
                                    Scalar.from_mono(rho))
-        if not (pref * Scalar(Poly(val, _clean=False))).equals(expect):
+        if not (pref * Scalar(L[m])).equals(expect):
             return False
     return True

@@ -323,10 +323,6 @@ class Monomial:
         """w_{i,r}^m (whole powers)."""
         return cls(((w_var(i, r), 2 * m),))
 
-    @classmethod
-    def w_half(cls, i, r, h=1):
-        return cls(((w_var(i, r), h),))
-
     def __mul__(self, other):
         return _mono(self.key + other.key)
 

@@ -178,6 +178,24 @@ def test_identities_verb(capsys):
     assert all(r["status"] == "pass" for r in doc["results"])
 
 
+def test_check_multiplicity_three(capsys, tmp_path):
+    # A1 with framing 6 has multiplicity 3; its series pass must finish
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema": SCHEMA_ID,
+        "instance": {"type": "A", "rank": 1, "framing": [6], "shift": [0],
+                     "theta": [0]},
+    }))
+    code, out, _ = run_cli(capsys, "check", "--config", str(cfg_path),
+                           "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["instance"]["multiplicities"] == [3]
+    assert doc["series_soundness"] == "pass"
+    assert doc["oracle_concordance"] == "pass"
+    assert all(r["status"] == "pass" for r in doc["results"])
+
+
 def test_load_config_inline_instance(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -16,8 +17,8 @@ from iqgklo.oracle import (
     randomized_equal, truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
-from iqgklo.satake import catalog_by_name
-from iqgklo.scalars import GR, GR_I, Monomial, Poly, Scalar
+from iqgklo.satake import build_catalog, catalog_by_name
+from iqgklo.scalars import GR, GR_I, Monomial, Poly, Scalar, add_into
 from iqgklo.torus import DMonomial, TorusElement
 
 
@@ -170,6 +171,69 @@ def _reference_randomized_equal(x, y, trials, seed, max_retries=200):
     return True, done
 
 
+@cache
+def _reference_window(gamma, order):
+    """gamma's expanded window, shared by the reference checks of every
+    expansion tried against gamma."""
+    pref, plus = gamma.series_raw("infinity", order)
+    _, minus = gamma.series_raw("zero", order)
+    return pref, {n: plus.get(n, Poly.zero()) - minus.get(n, Poly.zero())
+                  for n in range(-order, order + 1)}
+
+
+def _reference_series_check(gamma, expansion, order):
+    """The full-window series check: expand gamma over |n| <= order, then
+    step the recurrence prod_k (S - a_k^{-1}) across the expanded window
+    and apply its leave-one-out forms at n0."""
+    pref, L = _reference_window(gamma, order)
+    terms = [(pins[gamma.var], coeff) for pins, coeff, _ in expansion.items()]
+    p = len(terms)
+
+    def direct_equal(n):
+        rhs = Scalar.zero()
+        for a, coeff in terms:
+            rhs = rhs + coeff * Scalar.from_mono(a ** (-n))
+        return (pref * Scalar(L[n])).equals(rhs)
+
+    if p == 0:
+        return all(poly.is_zero() for poly in L.values())
+    if 2 * order + 1 <= p:
+        return all(direct_equal(n) for n in range(-order, order + 1))
+    roots = [a.inverse() for a, _ in terms]
+    PL = {n: poly.terms for n, poly in L.items()}
+    eroots = [rho.key for rho in roots]
+    cur, hi = PL, order
+    for er in eroots:
+        cur = {n: add_into(dict(cur[n + 1]), cur[n], er, -1)
+               for n in range(-order, hi)}
+        hi -= 1
+    if any(cur.values()):
+        return False
+    n0 = max(-order, min(-(p // 2), order - p + 1))
+    for k, (a, coeff) in enumerate(terms):
+        e = [{0: 1}]
+        for l, er in enumerate(eroots):
+            if l == k:
+                continue
+            new = [dict() for _ in range(len(e) + 1)]
+            for j, ej in enumerate(e):
+                add_into(new[j + 1], ej)
+                add_into(new[j], ej, er, -1)
+            e = new
+        val = {}
+        for j, ej in enumerate(e):
+            for k1, c1 in ej.items():
+                add_into(val, PL[n0 + j], k1, c1)
+        expect = coeff * Scalar.from_mono(a ** (-n0))
+        for l, rho in enumerate(roots):
+            if l != k:
+                expect = expect * (Scalar.from_mono(roots[k]) -
+                                   Scalar.from_mono(rho))
+        if not (pref * Scalar(Poly(val, _clean=False))).equals(expect):
+            return False
+    return True
+
+
 def _reference_pairs():
     inst = catalog_by_name("sA1-v1-t0")
     b = build_B_image(inst, 1)
@@ -247,6 +311,23 @@ def test_series_check_rejects_scaled_expansion():
     assert not truncated_series_check(gamma, expansion=bad, order=8)
 
 
+def test_series_check_reads_the_whole_window(monkeypatch):
+    # an expansion at infinity that is wrong only at the window's edge
+    # coefficient must fail, though every central coefficient is right
+    inst = catalog_by_name("sA1-v1-t0")
+    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    original = FactorCurrent.series_raw
+
+    def wrong_at_edge(self, side, order, low=None):
+        pref, coeffs = original(self, side, order, low)
+        if side == "infinity" and order >= 8:
+            coeffs = {**coeffs, 8: coeffs.get(8, Poly.zero()) + Poly.const(1)}
+        return pref, coeffs
+    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at_edge)
+    assert not truncated_series_check(gamma, order=8)
+    assert truncated_series_check(gamma, order=7)
+
+
 def test_series_check_rejects_dropped_pin():
     inst = catalog_by_name("sA1-v1-t0")
     gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
@@ -255,3 +336,79 @@ def test_series_check_rejects_dropped_pin():
     for pins, coeff, dmon in full[:-1]:
         partial.add_term(pins, coeff, dmon)
     assert not truncated_series_check(gamma, expansion=partial, order=8)
+
+
+@pytest.fixture(scope="module")
+def catalog_gammas():
+    """The residue-expanded Cartan current of every node of every
+    multiplicity-1 catalog instance."""
+    return {f"{inst.name}:{i}": times_x_minus_xinv(build_Xi(inst, i, var="u"))
+            for inst in build_catalog() if max(inst.mult) == 1
+            for i in inst.diagram.nodes()}
+
+
+def _with_terms(terms):
+    out = Distribution.zero()
+    for pins, coeff, dmon in terms:
+        out.add_term(pins, coeff, dmon)
+    return out
+
+
+def _corrupted(gamma, expansion):
+    """Wrong expansions of gamma: scaled amplitudes, each pin dropped, each
+    pin moved by q, an extra pin, one negated amplitude and no pin."""
+    items = list(expansion.items())
+    q = Monomial.q_int(1)
+    yield expansion.map_coeff(lambda pins, c: c * Scalar.q_int(1))
+    for k, (pins, coeff, dmon) in enumerate(items):
+        yield _with_terms(items[:k] + items[k + 1:])
+        moved = ({gamma.var: pins[gamma.var] * q}, coeff, dmon)
+        yield _with_terms(items[:k] + [moved] + items[k + 1:])
+    pins, coeff, dmon = items[0]
+    yield _with_terms(items + [({gamma.var: pins[gamma.var] * q ** 3},
+                                coeff, dmon)])
+    yield _with_terms([(pins, -coeff, dmon)] + items[1:])
+    yield Distribution.zero()
+
+
+def test_series_check_matches_full_window_reference(catalog_gammas):
+    # one gamma per instance keeps the full-window reference fast
+    firsts = {}
+    for name, gamma in catalog_gammas.items():
+        firsts.setdefault(name.split(":")[0], gamma)
+    verdicts = set()
+    for gamma in firsts.values():
+        expansion = expand_by_residues(gamma)
+        cases = [(expansion, order) for order in range(9)]
+        cases += [(bad, order) for bad in _corrupted(gamma, expansion)
+                  for order in (8, 3, 1)]
+        for exp, order in cases:
+            verdict = truncated_series_check(gamma, exp, order)
+            assert verdict == _reference_series_check(gamma, exp, order)
+            verdicts.add(verdict)
+    _reference_window.cache_clear()
+    assert verdicts == {True, False}
+
+
+def test_series_raw_window_is_consistent(catalog_gammas):
+    # the series check reads [p - order, order] in step (a) and one
+    # coefficient in step (b), so every narrower window must agree with
+    # the wide one
+    for gamma in catalog_gammas.values():
+        roots = [pins[gamma.var].inverse()
+                 for pins, _, _ in expand_by_residues(gamma).items()]
+        q_gamma = gamma
+        for rho in roots:
+            q_gamma = q_gamma.times_linear(rho)
+        currents = [gamma, q_gamma,
+                    *(q_gamma.times_linear(rho, 1, -1) for rho in roots)]
+        for fc, side in product(currents, ("infinity", "zero")):
+            pref, wide = fc.series_raw(side, 8)
+            windows = [(-order, order) for order in range(9)]
+            windows += [(n, n) for n in range(-8, 9)]
+            for low, order in windows:
+                pref_o, narrow = fc.series_raw(side, order, low)
+                assert pref_o is pref
+                assert {n: c.terms for n, c in narrow.items()} == \
+                    {n: c.terms for n, c in wide.items()
+                     if low <= n <= order}

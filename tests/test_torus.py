@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import LocalizationViolation
-from iqgklo.scalars import GR, Monomial, Poly, Scalar, one_minus
+from iqgklo.scalars import GR, Monomial, Poly, Scalar, one_minus, w_var
 from iqgklo.torus import DMonomial, TorusElement, check_admissible
 
 
@@ -11,7 +11,7 @@ def w(i, r, m=1):
 
 
 def w_half(i, r, h=1):
-    return Scalar.from_mono(Monomial.w_half(i, r, h))
+    return Scalar.from_mono(Monomial.unit(w_var(i, r), h))
 
 
 def op(s, d):
@@ -61,7 +61,7 @@ def test_conjugation_composes_and_agrees_on_pin_targets():
     dmons = [DMonomial.unit(1, 1), DMonomial.unit(1, 2, -1),
              DMonomial.unit(1, 1, -2) * DMonomial.unit(2, 1),
              DMonomial.one()]
-    monos = [Monomial.w_half(1, 1, 3) * Monomial.w(1, 2, -1),
+    monos = [Monomial.unit(w_var(1, 1), 3) * Monomial.w(1, 2, -1),
              Monomial.w(2, 1) * Monomial.q_int(1) * Monomial.unit("u"),
              Monomial.unit("z:1:1"), Monomial.one()]
     p = sum((Poly.mono(m, GR(k + 1, k)) for k, m in enumerate(monos)),
