@@ -23,8 +23,8 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    DMonomial, Monomial, POLY_ONE, Poly, SCALAR_ONE, Scalar, add_into,
-    coeff_inverse, coeff_pow, is_spectral,
+    DMonomial, Monomial, Poly, SCALAR_ONE, Scalar, add_into, coeff_inverse,
+    coeff_pow, is_spectral, times_powers,
 )
 
 
@@ -66,10 +66,7 @@ class FactorCurrent:
 
     def times_linear_inv_arg(self, M, c=1, e=1):
         """Multiply by (1 - c*M/x)^e = [-c*M/x * (1 - c^{-1}M^{-1}x)]^e."""
-        unit = Scalar.from_mono(M, -c)
-        pref = self.pref
-        for _ in range(abs(e)):
-            pref = pref * unit if e > 0 else pref / unit
+        pref = times_powers(self.pref, [({M.key: -c}, e)])
         return self.copy_with(pref=pref, power=self.power - e) \
                    .times_linear(M.inverse(), coeff_inverse(c), e)
 
@@ -122,18 +119,24 @@ class FactorCurrent:
     # --- evaluation ----------------------------------------------------
 
     def evaluate(self, a):
-        """The Scalar value at x = a (a Monomial, possibly spectral)."""
-        out = self.pref * Scalar.from_mono(a ** self.power)
+        """The Scalar value at x = a (a Monomial, possibly spectral).
+
+        Each linear factor 1 - c*M*a goes into the prefactor once, with its
+        signed exponent (``times_powers``).  The first factor that vanishes
+        makes the value 0, or raises when it is a pole."""
+        powers = [({a.key: 1}, self.power)]
         for (c, M), e in self.factors.items():
-            lin = Scalar(POLY_ONE - Poly.mono(M * a, c))
-            if lin.is_zero():
-                if e < 0:
-                    raise DenominatorVanishes(
-                        f"evaluation at {a!r} hits the pole (1-{c}*{M!r}*x)")
+            k = M.key + a.key
+            if k:
+                powers.append(({0: 1, k: -c}, e))
+            elif c != 1:
+                powers.append(({0: 1 - c}, e))
+            elif e < 0:
+                raise DenominatorVanishes(
+                    f"evaluation at {a!r} hits the pole (1-{c}*{M!r}*x)")
+            else:
                 return Scalar.zero()
-            for _ in range(abs(e)):
-                out = out * lin if e > 0 else out / lin
-        return out
+        return times_powers(self.pref, powers)
 
     def to_scalar(self):
         return self.evaluate(Monomial.unit(self.var))
@@ -150,11 +153,8 @@ class FactorCurrent:
 
     def leading_at_infinity(self):
         """(degree, coefficient) of the top term of the expansion at x=infinity."""
-        coeff = self.pref
-        for (c, M), e in self.factors.items():
-            unit = Scalar.from_mono(M, -c)
-            for _ in range(abs(e)):
-                coeff = coeff * unit if e > 0 else coeff / unit
+        coeff = times_powers(self.pref, [({M.key: -c}, e) for (c, M), e
+                                         in self.factors.items()])
         return self.degree_at_infinity(), coeff
 
     def series_raw(self, side, order, low=None):
@@ -237,6 +237,14 @@ def _pins_key(pins):
     return tuple(sorted((v, M.key) for v, M in pins.items()))
 
 
+def _pinned(pins, coeff):
+    """coeff with each pinned variable replaced by its target."""
+    for v, M in pins.items():
+        if coeff.has_var(v):
+            coeff = coeff.substitute({v: M})
+    return coeff
+
+
 class Distribution:
     """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon)."""
 
@@ -258,35 +266,49 @@ class Distribution:
     def add_term(self, pins, coeff, dmon):
         """Add one term; pins are resolved and substituted into coeff."""
         pins = resolve_pins(pins)
-        for v, M in pins.items():
-            if coeff.has_var(v):
-                coeff = coeff.substitute({v: M})
-        key = (_pins_key(pins), dmon)
-        if key in self.terms:
-            self.terms[key] = (pins, self.terms[key][1] + coeff)
-        else:
-            self.terms[key] = (pins, coeff)
+        self._merge((_pins_key(pins), dmon), pins, _pinned(pins, coeff))
+
+    def _merge(self, key, pins, coeff):
+        """Add one term that is already resolved, under its merge key."""
+        old = self.terms.get(key)
+        self.terms[key] = (pins, coeff if old is None else old[1] + coeff)
+
+    def _resolved(self):
+        """(merge key, pins, coeff) per term, zero coefficients skipped."""
+        for key, (pins, coeff) in self.terms.items():
+            if not coeff.is_zero():
+                yield key, pins, coeff
 
     def items(self):
         """Yield (pins, coeff, dmon) with zero coefficients skipped."""
-        for (pkey, dmon), (pins, coeff) in self.terms.items():
-            if not coeff.is_zero():
-                yield pins, coeff, dmon
+        for (_, dmon), pins, coeff in self._resolved():
+            yield pins, coeff, dmon
 
     def is_zero(self):
         return all(c.is_zero() for _, c in self.terms.values())
 
-    def __add__(self, other):
+    def _sum(self, other, negate):
+        """self + other, or self - other when ``negate``, in one pass over
+        terms that are already resolved, so no pin is resolved or
+        substituted again."""
         out = Distribution()
-        for pins, coeff, dmon in [*self.items(), *other.items()]:
-            out.add_term(pins, coeff, dmon)
+        for key, pins, coeff in self._resolved():
+            out._merge(key, pins, coeff)
+        for key, pins, coeff in other._resolved():
+            out._merge(key, pins, -coeff if negate else coeff)
         return out
 
-    def __neg__(self):
-        return self.map_coeff(lambda pins, coeff: -coeff)
+    def __add__(self, other):
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, True)
+
+    def __neg__(self):
+        out = Distribution()
+        out.terms = {key: (pins, -coeff)
+                     for key, pins, coeff in self._resolved()}
+        return out
 
     def scale(self, s):
         """Left-multiply every coefficient by a pin-free scalar."""
@@ -295,8 +317,8 @@ class Distribution:
     def map_coeff(self, fn):
         """Replace each coefficient by fn(pins, coeff) (pins substituted after)."""
         out = Distribution()
-        for pins, coeff, dmon in self.items():
-            out.add_term(pins, fn(pins, coeff), dmon)
+        out.terms = {key: (pins, _pinned(pins, fn(pins, coeff)))
+                     for key, pins, coeff in self._resolved()}
         return out
 
     def __mul__(self, other):

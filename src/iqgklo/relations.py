@@ -107,10 +107,18 @@ class RelationChecker:
     # --- cached images -------------------------------------------------
 
     def B(self, i, var):
+        """The B-current image of node i in the spectral variable ``var``.
+
+        The image is built once per node, in u.  Its coefficients are
+        values at monomial points, so they never hold u, and any other
+        name is a renaming of the pins."""
         key = (i, var)
         if key not in self._b:
-            c = self.corrupt if self.corrupt == "drop_const" else None
-            self._b[key] = build_B_image(self.inst, i, var=var, corrupt=c)
+            if var == "u":
+                c = self.corrupt if self.corrupt == "drop_const" else None
+                self._b[key] = build_B_image(self.inst, i, corrupt=c)
+            else:
+                self._b[key] = self.B(i, "u").rename_spectral({"u": var})
         return self._b[key]
 
     def Xi(self, i, var="u"):

@@ -781,6 +781,7 @@ def divide_binomial(p, b):
 # --- factored scalars ------------------------------------------------------
 
 _LEADS = {}             # binomial exponent difference -> its sign rule
+_FACTORS = {}           # factor key -> the one Poly of that factor
 
 
 def _second_leads(delta):
@@ -806,7 +807,8 @@ def _binomial(k1, c1, k2, c2):
     The factor is primitive: its content monomial is 1, its leading term
     comes first (the constant term, else the term holding the
     name-smallest variable), and its coefficients are coprime integers
-    with a positive leading one, or 1 and a Gaussian ratio.
+    with a positive leading one, or 1 and a Gaussian ratio.  It is the
+    one Poly that the factor table holds for its key.
     """
     g = _key_min(k1, k2)
     k1 -= g
@@ -828,8 +830,11 @@ def _binomial(k1, c1, k2, c2):
             ratio = Fraction(ratio)
             unit = _canon(c1 * Fraction(1, ratio.denominator))
             c1, c2 = ratio.denominator, ratio.numerator
-    factor = Poly({k1: c1, k2: c2}, _clean=False)
-    return unit, g, (k1, c1, k2, c2), factor
+    key = (k1, c1, k2, c2)
+    factor = _FACTORS.get(key)
+    if factor is None:
+        factor = _FACTORS[key] = Poly({k1: c1, k2: c2}, _clean=False)
+    return unit, g, key, factor
 
 
 def _put(f, key, poly, e):
@@ -859,8 +864,40 @@ def _absorb(poly, e, c, m, f):
     g = poly.content_monomial().key
     if g:
         poly = poly.mul_mono(_mono(-g))
-    _put(f, frozenset(poly.terms.items()), poly, e)
+    key = frozenset(poly.terms.items())
+    _put(f, key, _FACTORS.setdefault(key, poly), e)
     return c, m + e * g
+
+
+def times_powers(s, powers):
+    """The scalar s times the product of t^e over the (terms, e) pairs,
+    each ``terms`` the term dict of a nonzero monomial or binomial.
+
+    Each binomial goes into one factor dict with its signed exponent, so
+    t^e costs one step, not |e| products.  A factor whose exponent passes
+    through 0 moves to the end of the dict, as |e| single products would
+    move it, so the result is the scalar those products give, factor
+    order included.
+    """
+    if not s.c:
+        return SCALAR_ZERO
+    c, m, f = s.c, s.m, dict(s.f)
+    for terms, e in powers:
+        if not e:
+            continue
+        if len(terms) == 1:
+            ((k, a),) = terms.items()
+            c, m = c * coeff_pow(a, e), m + e * k
+            continue
+        (k1, a1), (k2, a2) = terms.items()
+        unit, g, key, factor = _binomial(k1, a1, k2, a2)
+        c, m = c * coeff_pow(unit, e), m + e * g
+        old = f.get(key)
+        if old is not None and old[1] * (old[1] + e) < 0:
+            del f[key]
+            e += old[1]
+        _put(f, key, factor, e)
+    return _scalar(c, m, s.num, f)
 
 
 def _part_value(p, key, assignment, memo):
@@ -942,10 +979,11 @@ class Scalar:
     content 1 and is keyed by its term set.  Exponents are signed, so a
     factor sits in the numerator or in the denominator and a product
     cancels by adding exponents.  Factors are normalized when they are
-    made.  A product shares its operands' factor objects, but ``_absorb``
-    and ``_binomial`` build a new ``Poly`` whenever they factor a part,
-    even for a factor key that already exists, so equal factors may be
-    distinct objects.
+    made, and one table holds one ``Poly`` per factor key: ``_binomial``
+    and ``_absorb`` hand out the table's object, so equal factors are one
+    object, shared by every scalar that holds them, and each factor's
+    occupancy mask and evaluation layout are computed once.  The table
+    only grows; it holds each distinct factor the process has made.
     """
 
     __slots__ = ("c", "m", "num", "f", "_occ")

@@ -5,7 +5,7 @@ import pytest
 from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
-from iqgklo import delta, relations
+from iqgklo import delta, relations, scalars
 from iqgklo.errors import (
     DenominatorVanishes, NonSimplePole, ParseError, ValidationError,
 )
@@ -161,6 +161,32 @@ def test_check_builds_each_pair_once(capsys, monkeypatch):
                 if r["check"].split("[")[0] not in ("HH", "HB", "DEG")]
     assert pairwise
     assert sorted(f"{k}[{i},{j}]" for k, i, j in calls) == sorted(pairwise)
+
+
+def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
+    # every factor key is one object, so its evaluation layout is decoded
+    # once per check, however many scalars and trials share it; a fresh
+    # factor table keeps layouts that other tests decoded out of the count
+    monkeypatch.setattr(scalars, "_FACTORS", {})
+    decoded, keys = [], set()
+    eval_layout, part_value = scalars._eval_layout, scalars._part_value
+
+    def count_layout(terms):
+        decoded.append(terms)
+        return eval_layout(terms)
+
+    def count_part(p, key, assignment, memo):
+        if scalars._FACTORS.get(key) is p:
+            keys.add(key)
+        return part_value(p, key, assignment, memo)
+    monkeypatch.setattr(scalars, "_eval_layout", count_layout)
+    monkeypatch.setattr(scalars, "_part_value", count_part)
+    code, _, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
+                         "--format", "structured")
+    assert code == 0
+    factor_terms = {id(p.terms) for p in scalars._FACTORS.values()}
+    assert keys
+    assert sum(id(t) in factor_terms for t in decoded) == len(keys)
 
 
 def test_check_unknown_relation_kind(capsys):

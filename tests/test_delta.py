@@ -1,15 +1,20 @@
 import os
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 
-from iqgklo.errors import DoublePin, NonSimplePole, UnpinnedResidual
+from iqgklo.errors import (
+    DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
+)
 from iqgklo.delta import (
     Distribution, FactorCurrent, bracket_q, canonicalize_compare,
     expand_by_residues, resolve_pins, symmetrize,
 )
-from iqgklo.scalars import GR, Monomial, Poly, Scalar
+from iqgklo.gklo import build_B_image, build_W, build_Xi
+from iqgklo.satake import build_catalog
+from iqgklo.scalars import GR, POLY_ONE, Monomial, Poly, Scalar
 from iqgklo.torus import DMonomial
 
 
@@ -226,3 +231,166 @@ def test_rename_registers_no_new_variable():
                                   PYTHONDONTWRITEBYTECODE="1"),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# --- the merge kernels and the evaluation against their old forms --------
+
+
+def _reference_add(x, y):
+    """x + y with every term of both sides added again through add_term:
+    the reference for the merge kernel."""
+    out = Distribution()
+    for pins, coeff, dmon in [*x.items(), *y.items()]:
+        out.add_term(pins, coeff, dmon)
+    return out
+
+
+def _reference_map_coeff(x, fn):
+    out = Distribution()
+    for pins, coeff, dmon in x.items():
+        out.add_term(pins, fn(pins, coeff), dmon)
+    return out
+
+
+def _reference_neg(x):
+    return _reference_map_coeff(x, lambda pins, coeff: -coeff)
+
+
+def _reference_sub(x, y):
+    return _reference_add(x, _reference_neg(y))
+
+
+def _factored(s):
+    """A scalar's factored form, factor order included: equal forms print
+    the same bytes."""
+    return (s.c, s.m, s.num.terms, [(key, e) for key, (_, e) in s.f.items()])
+
+
+def _assert_same_terms(got, want):
+    # the order matters: randomized_equal visits groups in insertion order
+    assert list(got.terms) == list(want.terms)
+    for key, (pins, coeff) in got.terms.items():
+        want_pins, want_coeff = want.terms[key]
+        assert pins == want_pins
+        assert _factored(coeff) == _factored(want_coeff)
+
+
+@cache
+def _b_products():
+    """(Bu*Bv, Bv*Bu) for every ordered node pair of every catalog
+    instance, and the two weighted products of the BB2 left side."""
+    u, v, q2 = Scalar.var("u"), Scalar.var("v"), Scalar.q_int(2)
+    out = []
+    for inst in build_catalog():
+        nodes = inst.diagram.nodes()
+        images = {i: (build_B_image(inst, i), build_B_image(inst, i, var="v"))
+                  for i in nodes}
+        for i in nodes:
+            for j in nodes:
+                bu, bv = images[i][0], images[j][1]
+                x, y = bu * bv, bv * bu
+                out.append((x, y))
+                out.append((x.map_coeff(lambda p, c: (u - q2 * v) * c),
+                            y.map_coeff(lambda p, c: (v - q2 * u) * c)))
+    return out
+
+
+def test_merge_kernels_match_add_term_path():
+    merged = 0
+    for x, y in _b_products():
+        for a, b in ((x, y), (y, x), (x, x)):
+            total = a + b
+            _assert_same_terms(total, _reference_add(a, b))
+            _assert_same_terms(a - b, _reference_sub(a, b))
+            merged += len(a.terms) + len(b.terms) - len(total.terms)
+        _assert_same_terms(-x, _reference_neg(x))
+        # a zero sum keeps its slot, so a sum with a cancelled term inside
+        # must match too
+        _assert_same_terms((x - x) + y, _reference_add(_reference_sub(x, x),
+                                                       y))
+    assert merged
+
+
+def test_map_coeff_matches_add_term_path():
+    u = Scalar.var("u")
+
+    def fn(pins, coeff):
+        # the new coefficient holds the pinned u, which is substituted
+        return (u - Scalar.q_int(1)) * coeff
+    for x, _ in _b_products():
+        _assert_same_terms(x.map_coeff(fn), _reference_map_coeff(x, fn))
+
+
+def _reference_evaluate(fc, a):
+    """FactorCurrent.evaluate as |e| products or quotients per factor."""
+    out = fc.pref * Scalar.from_mono(a ** fc.power)
+    for (c, M), e in fc.factors.items():
+        lin = Scalar(POLY_ONE - Poly.mono(M * a, c))
+        if lin.is_zero():
+            if e < 0:
+                raise DenominatorVanishes("pole")
+            return Scalar.zero()
+        for _ in range(abs(e)):
+            out = out * lin if e > 0 else out / lin
+    return out
+
+
+def _evaluated(fc, a, evaluate):
+    try:
+        s = evaluate(fc, a)
+    except DenominatorVanishes:
+        return "pole"
+    return _factored(s), repr(s)
+
+
+def _currents_and_points():
+    """Each catalog Xi current and W current with its points: its own
+    variable, the pin targets of every B image of the instance, and the
+    point where each of its linear factors vanishes."""
+    for inst in build_catalog():
+        nodes = inst.diagram.nodes()
+        pins = {M for i in nodes
+                for p, _, _ in build_B_image(inst, i).items()
+                for M in p.values()}
+        for i in nodes:
+            for fc in (build_Xi(inst, i), build_W(inst, i, "u"),
+                       build_W(inst, i, "u").invert_arg()):
+                roots = {M.inverse() for c, M in fc.factors if c == 1}
+                yield fc, [Monomial.unit("u"), *pins, *roots]
+
+
+def test_evaluate_matches_repeated_products():
+    outcomes = set()
+    for fc, points in _currents_and_points():
+        for a in points:
+            got = _evaluated(fc, a, FactorCurrent.evaluate)
+            assert got == _evaluated(fc, a, _reference_evaluate)
+            outcomes.add("pole" if got == "pole" else
+                         "zero" if not got[0][0] else "value")
+    assert outcomes == {"pole", "zero", "value"}
+
+
+def test_evaluate_moves_a_factor_whose_exponent_passes_zero():
+    # the prefactor divides by 1 - q^2 and the square of 1 - q*x brings it
+    # back at x = q: one product at a time drops the factor and puts it
+    # back last, and the one-step absorption must do the same
+    q, one = Monomial.q_int(1), Poly.const(1)
+    pref = Scalar(one - Poly.mono(q ** 6), one - Poly.mono(q ** 2))
+    fc = FactorCurrent("x", pref=pref).times_linear(q, e=2)
+    (k2, e2), (k6, e6) = ((key, e) for key, (_, e) in pref.f.items())
+    assert (e2, e6) == (-1, 1)
+    got = _evaluated(fc, q, FactorCurrent.evaluate)
+    assert got == _evaluated(fc, q, _reference_evaluate)
+    assert got[0][3] == [(k6, 1), (k2, 1)]
+
+
+def test_leading_at_infinity_matches_repeated_products():
+    for fc, _ in _currents_and_points():
+        coeff = fc.pref
+        for (c, M), e in fc.factors.items():
+            unit = Scalar.from_mono(M, -c)
+            for _ in range(abs(e)):
+                coeff = coeff * unit if e > 0 else coeff / unit
+        got = fc.leading_at_infinity()[1]
+        assert _factored(got) == _factored(coeff)
+        assert repr(got) == repr(coeff)

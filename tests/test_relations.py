@@ -4,6 +4,7 @@ from iqgklo.relations import (
     ALL_KINDS, BB_KINDS, RelationChecker, chi_exchange_suite, classify_bb,
     classify_serre, identity_suite, merged_chi_suite, run_all,
 )
+from iqgklo.gklo import build_B_image
 from iqgklo.satake import build_catalog, catalog_by_name
 
 CATALOG = build_catalog()
@@ -42,6 +43,25 @@ def test_classify_serre_cases():
     qs3 = catalog_by_name("qsA3-t0").diagram
     assert classify_serre(qs3, 1, 3) is None      # pairing 0
     assert classify_serre(qs3, 1, 2) == "Serre1"
+
+
+@pytest.mark.parametrize("corrupt", [None, "drop_const"])
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_renamed_b_image_matches_built_image(inst, corrupt):
+    """The checker builds each node's B image once, in u, and renames it;
+    every renamed image is the one built in that variable, term by term
+    and in the same order."""
+    checker = RelationChecker(inst, corrupt=corrupt)
+    for i in inst.diagram.nodes():
+        for var in ("u", "v", "u1", "u2"):
+            got = checker.B(i, var)
+            want = build_B_image(inst, i, var=var, corrupt=corrupt)
+            assert list(got.terms) == list(want.terms)
+            for (pins, coeff, dmon), (wpins, wcoeff, wdmon) in zip(
+                    got.items(), want.items(), strict=True):
+                assert pins == wpins and dmon == wdmon
+                assert coeff.equals(wcoeff)
+                assert repr(coeff) == repr(wcoeff)
 
 
 def test_case_enumeration_covers_all_pairs():

@@ -37,6 +37,21 @@ def test_partial_fraction_sum_is_one():
     assert s.equals(Scalar.one())
 
 
+def test_equal_binomials_share_one_factor():
+    # built twice, in the numerator of one scalar and, scaled, in the
+    # denominator of the other, 1 - q u is one factor object
+    qu = Monomial.unit("u") * Monomial.q_int(1)
+
+    def one_minus_qu():
+        return Poly.const(1) - Poly.mono(qu)
+    a = Scalar(one_minus_qu())
+    b = Scalar(Poly.const(1), one_minus_qu().scale(GR(0, 3)))
+    ((fa, ea),) = a.f.values()
+    ((fb, eb),) = b.f.values()
+    assert (ea, eb) == (1, -1)
+    assert fa is fb
+
+
 def test_ratio_collapses_to_power():
     # (q - q^{-1})/(q^2 - 1) = q^{-1}
     num = Scalar.q_int(1) - Scalar.q_int(-1)
