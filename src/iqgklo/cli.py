@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .errors import (
     BadSpecialization, DenominatorVanishes, IQGKLOError, NonSimplePole,
@@ -330,7 +331,10 @@ def cmd_identities(args):
     return 0 if all(r.status == "pass" for r in results) else 1
 
 
+@cache
 def build_parser():
+    """The command-line parser, built on first use and then reused, since
+    parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="iqgklo",
         description="Exact verification of difference-operator "

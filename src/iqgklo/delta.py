@@ -336,13 +336,17 @@ class Distribution:
         return out
 
     def rename_spectral(self, mapping):
-        """Simultaneously rename free spectral variables (a bijection)."""
+        """Simultaneously rename free spectral variables (a bijection).
+
+        A bijective renaming of resolved terms leaves them resolved, so the
+        renamed terms are merged directly, in order, and no pin is
+        resolved or substituted again."""
         subst = {old: Monomial.unit(new) for old, new in mapping.items()}
         out = Distribution()
-        for pins, coeff, dmon in self.items():
-            out.add_term({mapping.get(v, v): M.substitute(subst)
-                          for v, M in pins.items()},
-                         coeff.substitute(subst), dmon)
+        for (_, dmon), pins, coeff in self._resolved():
+            pins = {mapping.get(v, v): M.substitute(subst)
+                    for v, M in pins.items()}
+            out._merge((_pins_key(pins), dmon), pins, coeff.substitute(subst))
         return out
 
     def __repr__(self):

@@ -2,12 +2,15 @@
 
 Two instruments:
 
-* randomized_equal -- compares two delta-supported distributions by acting
-  on random monomial test functions under random exact Gaussian-rational
-  specializations of all base variables.  Acting on a monomial only
-  rescales it, so each coefficient is evaluated at the specialization and
-  then multiplied by the value of the acted-on test monomial.  It shares
-  no simplification code with the symbolic comparison path.
+* randomized_equal -- compares two delta-supported distributions, support
+  group by support group, under random exact Gaussian-rational
+  specializations of all base variables.  Each coefficient is evaluated
+  to an unreduced fraction of Gaussian integers, and the two values of a
+  group are compared by cross-multiplication, in integers only.  A random
+  monomial test function is still drawn on every trial but not applied:
+  acting on it only rescales it, and its value is a common nonzero
+  factor of a group's two sides.  It shares no simplification code with
+  the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
@@ -20,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
-from .scalars import GR, Monomial, Poly, Scalar
+from .scalars import GR, SCALAR_ZERO, Monomial, Poly, Scalar
 
 
 def act(term, f):
@@ -57,20 +60,30 @@ def _groups(dist):
     return {_group_key(p, d): c for p, c, d in dist.items()}
 
 
+def _same_value(a, b):
+    """Whether two unreduced values (nre, nim, dre, dim) of
+    ``Scalar._eval_cleared`` are equal: n/d == n'/d' exactly when
+    n*d' == n'*d in the Gaussian integers."""
+    nre, nim, dre, dim = a
+    mre, mim, ere, eim = b
+    return (nre * ere - nim * eim == mre * dre - mim * dim
+            and nre * eim + nim * ere == mre * dim + mim * dre)
+
+
 def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
     """Numeric concordance check for two fully pinned distributions.
 
     For each trial the two sides are compared support group by support
-    group at a random exact specialization: the shift part acts on a
-    random test monomial, and each side's coefficient is evaluated and
-    then multiplied by the value of the acted-on monomial.  Evaluation is
-    a ring homomorphism and a monomial never evaluates to 0, so this
-    equals evaluating the acted-on product without building it.
-    The value of the acted-on monomial depends only on the trial and the
-    shift part, so it is evaluated once per distinct shift part per trial.
+    group at a random exact specialization.  Each side's coefficient is
+    evaluated as an unreduced fraction n/d of Gaussian integers (see
+    ``Scalar._eval_cleared``), and the two values are equal exactly when
+    nx*dy == ny*dx, so the comparison needs no gcd and no Fraction.
+    Acting with the shift part on a monomial test function only rescales
+    it, and the rescaled monomial's value is the same nonzero number on
+    both sides of a group, so it cannot change a verdict: the test
+    monomial is drawn on every trial but not applied.
     One evaluation memo per trial is shared by every coefficient of both
-    sides and by the acted-on monomials, so each distinct factor is
-    evaluated once per trial (see ``Scalar.eval_numeric``).
+    sides, so each distinct factor is evaluated once per trial.
     Specializations that hit a denominator are retried (bounded).  The
     groups are visited in a fixed order, x's first and then those only y
     has, since which of a mismatch and a vanishing denominator comes first
@@ -95,21 +108,16 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
                 f"exceeded {max_retries} retries at trial {done}")
         attempts += 1
         assignment = _random_assignment(rng, sorted(variables))
-        f = _random_test_monomial(rng, variables)
-        fvals = {}
+        # not applied (see above), but still drawn: the draw keeps the
+        # random stream, and with it each seed's specializations, retries
+        # and trial counts
+        _random_test_monomial(rng, variables)
         memo = {}
         try:
             for key in keys:
-                dmon = key[1]
-                cx = gx.get(key, Scalar.zero())
-                cy = gy.get(key, Scalar.zero())
-                fv = fvals.get(dmon)
-                if fv is None:
-                    fv = fvals[dmon] = act((Scalar.one(), dmon),
-                                           f).eval_numeric(assignment, memo)
-                vx = cx.eval_numeric(assignment, memo) * fv
-                vy = cy.eval_numeric(assignment, memo) * fv
-                if vx != vy:
+                vx = gx.get(key, SCALAR_ZERO)._eval_cleared(assignment, memo)
+                vy = gy.get(key, SCALAR_ZERO)._eval_cleared(assignment, memo)
+                if not _same_value(vx, vy):
                     return False, done + 1
         except (DenominatorVanishes, DivisionByZero):
             continue

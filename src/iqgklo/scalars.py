@@ -465,7 +465,9 @@ def _cleared_point(v, a):
     for comp in (are, aim):
         if isinstance(comp, Fraction):
             s = s * comp.denominator // gcd(s, comp.denominator)
-    gre, gim = int(are * s), int(aim * s)
+    # an int is its own numerator over 1, so both kinds clear alike
+    gre = are.numerator * (s // are.denominator)
+    gim = aim.numerator * (s // aim.denominator)
     return s, gre, gim, gre * gre + gim * gim
 
 
@@ -644,7 +646,7 @@ class Poly:
         Each variable's value is cleared to a Gaussian integer over one
         fixed denominator (covering the variable's full exponent range),
         so the term sum is pure integer arithmetic.  ``memo`` (see
-        ``Scalar.eval_numeric``) keeps each variable's cleared value and
+        ``Scalar._eval_cleared``) keeps each variable's cleared value and
         each power table across calls at one assignment."""
         try:
             ranges, rows = self._layout
@@ -781,7 +783,8 @@ def divide_binomial(p, b):
 # --- factored scalars ------------------------------------------------------
 
 _LEADS = {}             # binomial exponent difference -> its sign rule
-_FACTORS = {}           # factor key -> the one Poly of that factor
+_FACTORS = {}           # factor key -> the one Poly of that factor, and
+                        # unit monomial key -> its one-term Poly
 
 
 def _second_leads(delta):
@@ -902,7 +905,7 @@ def times_powers(s, powers):
 
 def _part_value(p, key, assignment, memo):
     """The cleared value (re, im, D) of the part ``p`` of a scalar, looked
-    up in ``memo`` under ``key`` (see ``Scalar.eval_numeric``) and stored
+    up in ``memo`` under ``key`` (see ``Scalar._eval_cleared``) and stored
     there on a miss."""
     value = memo.get(key)
     if value is None:
@@ -1200,11 +1203,26 @@ class Scalar:
                            f"substituting {what} kills the denominator")
 
     def eval_numeric(self, assignment, memo=None):
-        """Exact evaluation, part by part: each part is cleared to a
-        Gaussian integer over an integer (see ``Poly._eval_cleared``), each
-        variable's value is cleared once, and the parts are combined in
-        integers with one division at the end.  The denominator factors
-        come first, so a vanishing one raises before any other work.
+        """Exact evaluation: the value of ``_eval_cleared`` reduced once,
+        to a canonical coefficient.  ``memo`` is as there; without one, a
+        private memo is used."""
+        nre, nim, dre, dim = self._eval_cleared(
+            assignment, {} if memo is None else memo)
+        norm = dre * dre + dim * dim
+        re, im = nre * dre + nim * dim, nim * dre - nre * dim
+        return _gaussian(_as_num(Fraction(re, norm)) if re else 0,
+                         _as_num(Fraction(im, norm)) if im else 0)
+
+    def _eval_cleared(self, assignment, memo):
+        """Exact evaluation as (nre, nim, dre, dim), the value
+        (nre + i*nim) / (dre + i*dim) with a nonzero denominator, not
+        reduced: the zero scalar gives (0, 0, 1, 0).
+
+        Each part is cleared to a Gaussian integer over an integer (see
+        ``Poly._eval_cleared``), each variable's value is cleared once,
+        and the parts and the unit's constant are combined in integers.
+        The denominator factors come first, so a vanishing one raises
+        before any other work.
 
         ``memo``, a dict, carries what was computed at one assignment from
         call to call, keyed by what determines it exactly: a variable's
@@ -1217,9 +1235,7 @@ class Scalar:
         belongs to one assignment.
         """
         if not self.c:
-            return 0
-        if memo is None:
-            memo = {}
+            return 0, 0, 1, 0
         nre, nim, dre, dim = 1, 0, 1, 0     # the value is c * n / d
         for key, (p, e) in self.f.items():
             if e < 0:
@@ -1234,17 +1250,18 @@ class Scalar:
         if self.num is not POLY_ONE:
             parts.append((self.num, frozenset(self.num.terms.items()), 1))
         if self.m:
-            parts.append((Poly({self.m: 1}, _clean=False), self.m, 1))
+            mono = _FACTORS.get(self.m)
+            if mono is None:
+                mono = _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
+            parts.append((mono, self.m, 1))
         for p, key, e in parts:
             re, im, D = _part_value(p, key, assignment, memo)
             for _ in range(e):
                 nre, nim = nre * re - nim * im, nre * im + nim * re
                 dre, dim = dre * D, dim * D
-        norm = dre * dre + dim * dim
-        re, im = nre * dre + nim * dim, nim * dre - nre * dim
-        return _canon(self.c * _gaussian(
-            _as_num(Fraction(re) / norm) if re else 0,
-            _as_num(Fraction(im) / norm) if im else 0))
+        s, cre, cim, _ = _cleared_point("the unit", self.c)
+        return (nre * cre - nim * cim, nre * cim + nim * cre,
+                dre * s, dim * s)
 
     def variables(self):
         return _occupied_names(self._occupied())

@@ -130,9 +130,9 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
                                                            monkeypatch):
     # every specialization hits a denominator, so the oracle runs out of
     # retries: concordance fails (exit 1 with a report), the verb does not
-    def eval_numeric(self, assignment, memo=None):
+    def eval_cleared(self, assignment, memo):
         raise DenominatorVanishes("forced")
-    monkeypatch.setattr(Scalar, "eval_numeric", eval_numeric)
+    monkeypatch.setattr(Scalar, "_eval_cleared", eval_cleared)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--trials", "2",
                            "--format", "structured")

@@ -13,7 +13,7 @@ from iqgklo.delta import Distribution, FactorCurrent, expand_by_residues
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
-    _groups, _random_assignment, _random_test_monomial, act,
+    _groups, _random_assignment, _random_test_monomial, _same_value, act,
     randomized_equal, truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
@@ -106,12 +106,12 @@ from iqgklo.satake import catalog_by_name
 from iqgklo.scalars import Scalar
 lhs, rhs = RelationChecker(catalog_by_name("qsA2-v11")).eval_pair("BB3", 1, 2)
 seen = []
-original = Scalar.eval_numeric
+original = Scalar._eval_cleared
 
-def recorded(self, assignment, memo=None):
+def recorded(self, assignment, memo):
     seen.append(repr(self))
     return original(self, assignment, memo)
-Scalar.eval_numeric = recorded
+Scalar._eval_cleared = recorded
 randomized_equal(lhs, rhs, trials=1, seed=0)
 print(json.dumps(seen))
 """
@@ -271,6 +271,52 @@ def test_randomized_equal_matches_full_product_reference(name):
     for seed in (0, 5):
         assert randomized_equal(lhs, rhs, trials=20, seed=seed) == \
             _reference_randomized_equal(lhs, rhs, trials=20, seed=seed)
+
+
+# every catalog instance of multiplicity 1, for the kept pairs below
+MULT1 = [inst.name for inst in build_catalog() if max(inst.mult) == 1]
+
+
+@pytest.mark.parametrize("name", MULT1)
+@pytest.mark.parametrize("corrupt", [None, "drop_const"])
+def test_randomized_equal_matches_full_product_reference_on_kept_pairs(
+        name, corrupt):
+    checker = RelationChecker(catalog_by_name(name), corrupt=corrupt,
+                              keep_pairs=True)
+    checker.run()
+    assert checker.pairs
+    for case, (lhs, rhs) in checker.pairs.items():
+        assert randomized_equal(lhs, rhs, trials=20, seed=0) == \
+            _reference_randomized_equal(lhs, rhs, trials=20, seed=0), case
+
+
+def test_kept_pairs_reference_covers_false_verdicts():
+    # dropping the constant breaks BB2 on the theta = 1 instance, so the
+    # comparison above meets a False verdict and not only agreement
+    checker = RelationChecker(catalog_by_name("sA1-v1-t1"),
+                              corrupt="drop_const", keep_pairs=True)
+    checker.run()
+    lhs, rhs = checker.pairs[("BB2", 1, 1)]
+    assert randomized_equal(lhs, rhs, trials=20, seed=0) == (False, 1)
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ((1, 1, 1, 0), (2, 2, 2, 0), True),     # (1+i)/1 and (2+2i)/2
+    ((1, 1, 1, 0), (2, 0, 1, -1), True),    # 1+i and 2/(1-i)
+    ((1, 1, 1, 0), (1, -1, 1, 0), False),   # equal real parts
+    ((1, 1, 1, 0), (2, 1, 1, 0), False),    # equal imaginary parts
+    ((0, 0, 1, 0), (0, 0, 5, 3), True),     # zero over any denominator
+])
+def test_same_value_cross_multiplies_both_components(a, b, same):
+    assert _same_value(a, b) is same
+    assert _same_value(b, a) is same
+
+
+def test_randomized_equal_sees_a_difference_in_the_imaginary_part():
+    x = Distribution.single({}, Scalar.var("q") * Scalar.const(GR(1, 1)))
+    y = Distribution.single({}, Scalar.var("q") * Scalar.const(GR(1, -1)))
+    assert randomized_equal(x, y, trials=5, seed=0) == (False, 1)
+    assert randomized_equal(x, x, trials=5, seed=0) == (True, 5)
 
 
 def test_evaluate_then_rescale_equals_full_product_per_group():

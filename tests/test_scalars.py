@@ -554,6 +554,65 @@ def test_shared_memo_matches_fresh_evaluation(drawn, assignment, vanish):
         assert _outcome(s, assignment, memo) == _outcome(s, assignment)
 
 
+def _reduced(cleared):
+    """The unreduced value (nre, nim, dre, dim) as one coefficient."""
+    nre, nim, dre, dim = cleared
+    return GR(nre, nim) * coeff_inverse(GR(dre, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_scalars(), ref_coeffs, ref_terms,
+       st.fixed_dictionaries({v: small_grs for v in NAMES}))
+def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
+    # a constant, often Gaussian, and a unit monomial times a + 1, which
+    # holds a cofactor and the denominator factors of a
+    ra, a = sa
+    mono = Monomial(_ref_mono(m))
+    s = Scalar.from_mono(mono, GR(*c)) * (a + Scalar.one())
+    point = {v: _pair(g) for v, g in assignment.items()}
+    na, da = (_ref_value(r, point) for r in ra)
+    memo = {}
+    try:
+        for t in (a, s):            # a fills the memo that s reads
+            cleared = t._eval_cleared(assignment, memo)
+    except DenominatorVanishes:
+        assert da == (0, 0)
+        return
+    # the memo that a filled serves s as a fresh one does
+    assert cleared == s._eval_cleared(assignment, {})
+    nre, nim, dre, dim = cleared
+    assert (dre, dim) != (0, 0)
+    assert _reduced(cleared) == s.eval_numeric(assignment)
+    if da != (0, 0):
+        # c * mono * (na + da) / da, cross-multiplied
+        unit = _ref_cmul(c, _ref_value({mono.exps: (1, 0)}, point))
+        num = _ref_cmul(unit, (na[0] + da[0], na[1] + da[1]))
+        assert _ref_cmul((nre, nim), da) == _ref_cmul((dre, dim), num)
+
+
+def test_cleared_value_of_every_part_kind():
+    # a Gaussian constant, a unit monomial with a negative exponent, a
+    # cofactor, a numerator factor and two denominator factors, one squared
+    q, u, w = (Scalar.var(v) for v in ("q", "u", w_var(1, 1)))
+    cofactor = Scalar.one() + u + q * q
+    gauss = Scalar.one() + Scalar.const(GR_I) * u
+    s = (Scalar.from_mono(Monomial((("q", 3), ("u", -2))), GR(2, -3))
+         * cofactor * (u - w * w)
+         / (Scalar.one() - q * q * u) / (gauss * gauss))
+    assert isinstance(s.c, GR) and s.m and len(s.num.terms) == 3
+    assert sorted(e for _, e in s.f.values()) == [-2, -1, 1]
+    assignment = {"q": GR(2, 1), "u": GR(Fraction(-1, 3)),
+                  w_var(1, 1): GR(Fraction(1, 2), Fraction(3, 5))}
+    qv, uv, wv = assignment["q"], assignment["u"], assignment[w_var(1, 1)]
+    want = (GR(2, -3) * qv * qv * qv * coeff_inverse(uv * uv)
+            * (1 + uv + qv * qv) * (uv - wv * wv)
+            * coeff_inverse((1 - qv * qv * uv)
+                            * (1 + GR_I * uv) * (1 + GR_I * uv)))
+    assert _reduced(s._eval_cleared(assignment, {})) == want
+    assert s.eval_numeric(assignment) == want
+    assert Scalar.zero()._eval_cleared(assignment, {}) == (0, 0, 1, 0)
+
+
 def test_shared_memo_keeps_a_cached_zero_a_pole():
     # 1 - q u vanishes at u = q^-2; evaluated first as a numerator factor,
     # its zero is cached, and the scalar that divides by it must still raise
