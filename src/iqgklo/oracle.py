@@ -137,9 +137,10 @@ def truncated_series_check(gamma, expansion=None, order=8):
     recurrence whose characteristic roots are the rho_k = a_k^(-1) (for
     the delta side identically; leading and trailing coefficients are unit
     monomials, so solutions are pinned by any p consecutive values).
-    Hence equality over the whole window is equivalent to (a) the series
-    side satisfying the recurrence at every offset that fits the window,
-    and (b) direct equality on p consecutive central coefficients.
+    Hence, when the window holds p + 1 coefficients or more, equality over
+    it is equivalent to (a) the series side satisfying the recurrence at
+    every offset that fits the window, and (b) direct equality on p
+    consecutive central coefficients.
 
     Both steps multiply gamma by a polynomial in x before expanding it.
     With Q = prod_k (1 - rho_k x) and Q_k = Q / (1 - rho_k x), the
@@ -153,6 +154,17 @@ def truncated_series_check(gamma, expansion=None, order=8):
     truncated to the exponents that step reads.  When the expansion is
     right, Q*gamma has no pole and Q_k*gamma one, so neither step expands
     the large edge coefficients of gamma's own window.
+
+    Both steps run on every window, also on the two kinds where the
+    recurrence has no room.  With no pin (p = 0), step (a) reads
+    [-order, order] and requires it to be zero, and step (b) is empty.
+    When 2*order + 1 <= p, step (a)'s range [p - order, order] is empty and
+    n0 = -order.  The Q_k have distinct roots, so they are a basis of the
+    polynomials of degree below p, and step (b)'s p reads are p independent
+    linear forms in the coefficients n0 .. n0 + p - 1 of L.  So step (b)
+    alone holds exactly when the expansion is right on
+    [-order, p - 1 - order], which contains the window.  In every case the
+    check reads at least the coefficients with |n| <= order.
     """
     from .delta import expand_by_residues
     if expansion is None:
@@ -168,19 +180,6 @@ def truncated_series_check(gamma, expansion=None, order=8):
         return pref, {n: plus.get(n, Poly.zero()) - minus.get(n, Poly.zero())
                       for n in range(low, high + 1)}
 
-    if p == 0 or 2 * order + 1 <= p:
-        pref, L = window(gamma, -order, order)
-
-        def direct_equal(n):
-            rhs = Scalar.zero()
-            for a, coeff in terms:
-                rhs = rhs + coeff * Scalar.from_mono(a ** (-n))
-            return (pref * Scalar(L[n])).equals(rhs)
-
-        if p == 0:
-            return all(poly.is_zero() for poly in L.values())
-        # window too narrow to separate the components; compare directly
-        return all(direct_equal(n) for n in range(-order, order + 1))
     roots = [a.inverse() for a, _ in terms]
     q_gamma = gamma
     for rho in roots:

@@ -115,17 +115,16 @@ class RelationChecker:
         key = (i, var)
         if key not in self._b:
             if var == "u":
-                c = self.corrupt if self.corrupt == "drop_const" else None
-                self._b[key] = build_B_image(self.inst, i, corrupt=c)
+                self._b[key] = build_B_image(self.inst, i,
+                                             corrupt=self.corrupt)
             else:
                 self._b[key] = self.B(i, "u").rename_spectral({"u": var})
         return self._b[key]
 
     def Xi(self, i, var="u"):
         if i not in self._xi:
-            c = self.corrupt if self.corrupt in ("drop_kappa", "flip_wp") \
-                else None
-            self._xi[i] = build_Xi(self.inst, i, var="u", corrupt=c)
+            self._xi[i] = build_Xi(self.inst, i, var="u",
+                                   corrupt=self.corrupt)
         fc = self._xi[i]
         return fc if var == "u" else fc.rename_var(var)
 
@@ -278,10 +277,7 @@ class RelationChecker:
     def check_deg(self, i):
         t0 = time.monotonic()
         try:
-            coeff = leading_coefficient_K(self.inst, i,
-                                          corrupt=self.corrupt
-                                          if self.corrupt in
-                                          ("drop_kappa", "flip_wp") else None)
+            coeff = leading_coefficient_K(self.inst, i, corrupt=self.corrupt)
         except DegreeMismatch as e:
             return CheckResult("DEG", (i,), "fail", [((), None, None, None)],
                                detail=str(e), seconds=time.monotonic() - t0)
@@ -346,10 +342,6 @@ class RelationChecker:
             else:
                 report.results.append(self.check_pair(kind, *nodes))
         return report
-
-
-def run_all(inst, kinds=None, bb1_convention="taui", corrupt=None):
-    return RelationChecker(inst, bb1_convention, corrupt).run(kinds)
 
 
 # --- lemma suites -------------------------------------------------------

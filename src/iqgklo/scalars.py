@@ -1302,15 +1302,3 @@ class Scalar:
 
 SCALAR_ZERO = _scalar(0, 0, POLY_ONE, {})
 SCALAR_ONE = _scalar(1, 0, POLY_ONE, {})
-
-
-def one_minus(mono):
-    """The scalar 1 - mono for a Monomial."""
-    return Scalar(POLY_ONE - Poly.mono(mono))
-
-
-def q_bracket(n):
-    """[n] = (q^n - q^-n)/(q - q^-1) as an exact scalar."""
-    num = Poly.mono(Monomial.q_int(n)) - Poly.mono(Monomial.q_int(-n))
-    den = Poly.mono(Monomial.q_int(1)) - Poly.mono(Monomial.q_int(-1))
-    return Scalar(num, den)

@@ -458,3 +458,18 @@ def test_series_raw_window_is_consistent(catalog_gammas):
                 assert {n: c.terms for n, c in narrow.items()} == \
                     {n: c.terms for n, c in wide.items()
                      if low <= n <= order}
+
+
+def test_series_check_narrow_windows_at_multiplicity_two():
+    # sA1-v2-t1's gamma has 9 pins, so every window up to order 4 holds
+    # fewer than p + 1 coefficients and is read by step (b) alone
+    inst = catalog_by_name("sA1-v2-t1")
+    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    expansion = expand_by_residues(gamma)
+    assert len(list(expansion.items())) == 9
+    for order in range(9):
+        assert truncated_series_check(gamma, expansion, order)
+    bad = list(_corrupted(gamma, expansion))
+    assert len(bad) == 22
+    for exp in bad:
+        assert not truncated_series_check(gamma, exp, 0)

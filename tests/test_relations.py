@@ -2,7 +2,7 @@ import pytest
 
 from iqgklo.relations import (
     ALL_KINDS, BB_KINDS, RelationChecker, chi_exchange_suite, classify_bb,
-    classify_serre, identity_suite, merged_chi_suite, run_all,
+    classify_serre, identity_suite, merged_chi_suite,
 )
 from iqgklo.gklo import build_B_image
 from iqgklo.satake import build_catalog, catalog_by_name
@@ -78,33 +78,34 @@ def test_case_enumeration_covers_all_pairs():
 
 
 def test_full_run_split_rank1():
-    rep = run_all(catalog_by_name("sA1-v1-t0"))
+    rep = RelationChecker(catalog_by_name("sA1-v1-t0")).run()
     assert rep.ok()
     names = {r.name if r.pair else r.kind for r in rep.results}
     assert {"HH", "DEG[1]", "HB[1,1]", "BB2[1,1]"} <= names
 
 
 def test_full_run_split_rank1_theta():
-    assert run_all(catalog_by_name("sA1-v1-t1")).ok()
+    assert RelationChecker(catalog_by_name("sA1-v1-t1")).run().ok()
 
 
 def test_full_run_quasisplit_rank2():
-    rep = run_all(catalog_by_name("qsA2-v11"))
+    rep = RelationChecker(catalog_by_name("qsA2-v11")).run()
     assert rep.ok()
     kinds = {r.kind for r in rep.results}
     assert {"BB3", "Serre3"} <= kinds
 
 
 def test_serre2_on_split_rank2():
-    rep = run_all(catalog_by_name("sA2-v11-t00"), kinds=["Serre2", "BB5"])
+    rep = RelationChecker(catalog_by_name("sA2-v11-t00")).run(
+        ["Serre2", "BB5"])
     assert rep.ok()
     assert {r.kind for r in rep.results} == {"Serre2", "BB5"}
 
 
 def test_bb1_conventions():
     inst = catalog_by_name("qsA3-t0")
-    assert run_all(inst, kinds=["BB1"], bb1_convention="taui").ok()
-    rep = run_all(inst, kinds=["BB1"], bb1_convention="i")
+    assert RelationChecker(inst, "taui").run(["BB1"]).ok()
+    rep = RelationChecker(inst, "i").run(["BB1"])
     assert not rep.ok()
     assert all("Cartan currents differ" in r.detail for r in rep.failed())
 
@@ -142,8 +143,8 @@ def test_identity_suite_green():
 def test_negative_controls(name, corrupt, expect):
     """Each deliberate corruption breaks at least one relation, with the
     discrepancy localized to explicit support points."""
-    rep = run_all(catalog_by_name(name), kinds=["BB2", "BB3"],
-                  corrupt=corrupt)
+    rep = RelationChecker(catalog_by_name(name), corrupt=corrupt).run(
+        ["BB2", "BB3"])
     bad = rep.failed()
     assert expect in {r.name for r in bad}
     for r in bad:
@@ -153,5 +154,5 @@ def test_negative_controls(name, corrupt, expect):
 
 
 def test_corrupt_none_matches_clean():
-    clean = run_all(catalog_by_name("sA1-v1-t1"), kinds=["BB2"])
+    clean = RelationChecker(catalog_by_name("sA1-v1-t1")).run(["BB2"])
     assert clean.ok()

@@ -9,8 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
     GR, GR_I, DMonomial, Monomial, Poly, Scalar, coeff_inverse,
-    divide_binomial, one_minus, q_bracket, unpack_poly, w_var,
+    divide_binomial, unpack_poly, w_var,
 )
+
+
+def one_minus(mono):
+    """The scalar 1 - mono for a Monomial."""
+    return Scalar(Poly.const(1) - Poly.mono(mono))
 
 
 def test_gaussian_rational_arithmetic():
@@ -26,7 +31,9 @@ def test_gaussian_rational_arithmetic():
 
 def test_q_bracket_two_at_q_four():
     # [2] = q + q^{-1}; with the base unit set to 2 (so q = 4) this is 17/4.
-    val = q_bracket(2).eval_numeric({"q": GR(2)})
+    num = Poly.mono(Monomial.q_int(2)) - Poly.mono(Monomial.q_int(-2))
+    den = Poly.mono(Monomial.q_int(1)) - Poly.mono(Monomial.q_int(-1))
+    val = Scalar(num, den).eval_numeric({"q": GR(2)})
     assert val == GR(Fraction(17, 4))
 
 

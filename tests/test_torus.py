@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import LocalizationViolation
-from iqgklo.scalars import GR, Monomial, Poly, Scalar, one_minus, w_var
+from iqgklo.scalars import GR, Monomial, Poly, Scalar, w_var
 from iqgklo.torus import DMonomial, TorusElement, check_admissible
 
 
