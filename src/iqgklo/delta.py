@@ -169,9 +169,12 @@ class FactorCurrent:
         x^(power + sum e), and from there every factor moves exponents only
         up (zero) or only down (infinity): an exponent past the window on
         that side is dropped as soon as it appears.  The expansion is
-        convolved over the packed terms of denominator-free Polys.
+        convolved over the packed terms of denominator-free Polys.  An
+        empty window (low > order) returns no coefficient at once.
         """
         low = -order if low is None else low
+        if low > order:
+            return self.pref, {}
         down = side == "infinity"
         start = self.degree_at_infinity() if down else self.power
         cur = {start: {0: 1}} if (start >= low if down else start <= order) \

@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
-from .scalars import GR, SCALAR_ZERO, Monomial, Poly, Scalar
+from .scalars import GR, SCALAR_ZERO, Poly, Scalar, add_into
 
 
 def act(term, f):
@@ -45,11 +45,6 @@ def _random_gr(rng, max_height=64):
 
 def _random_assignment(rng, variables):
     return {v: _random_gr(rng) for v in variables}
-
-
-def _random_test_monomial(rng, variables):
-    wvars = sorted(v for v in variables if v.startswith("w:"))
-    return Monomial((v, rng.randint(-3, 3)) for v in wvars)
 
 
 def _group_key(pins, dmon):
@@ -100,6 +95,8 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
         for c in g.values():
             variables |= c.variables()
     variables.add("q")
+    names = sorted(variables)
+    n_test_exps = sum(v.startswith("w:") for v in variables)
     done = 0
     attempts = 0
     while done < trials:
@@ -107,11 +104,12 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
             raise BadSpecialization(
                 f"exceeded {max_retries} retries at trial {done}")
         attempts += 1
-        assignment = _random_assignment(rng, sorted(variables))
-        # not applied (see above), but still drawn: the draw keeps the
-        # random stream, and with it each seed's specializations, retries
-        # and trial counts
-        _random_test_monomial(rng, variables)
+        assignment = _random_assignment(rng, names)
+        # the test monomial's exponents, one per w: variable: not applied
+        # (see above), but drawn, since the draws keep the random stream,
+        # and with it each seed's specializations, retries and trial counts
+        for _ in range(n_test_exps):
+            rng.randint(-3, 3)
         memo = {}
         try:
             for key in keys:
@@ -123,6 +121,21 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
             continue
         done += 1
     return True, done
+
+
+def _leave_one_out(A, Z, m, rho):
+    """The coefficient of x^m in the difference of the expansions at
+    infinity and at zero of F / (1 - rho*x), read off F's expansions A at
+    infinity and Z at zero:  -sum_{n>m} rho^(m-n) A_n - sum_{n<=m}
+    rho^(m-n) Z_n, each term one shifted copy of A_n's or Z_n's terms."""
+    value = {}
+    for n, c in A.items():
+        if n > m:
+            add_into(value, c.terms, (m - n) * rho.key, -1)
+    for n, c in Z.items():
+        if n <= m:
+            add_into(value, c.terms, (m - n) * rho.key, -1)
+    return Poly(value, _clean=False)
 
 
 def truncated_series_check(gamma, expansion=None, order=8):
@@ -145,15 +158,23 @@ def truncated_series_check(gamma, expansion=None, order=8):
     Both steps multiply gamma by a polynomial in x before expanding it.
     With Q = prod_k (1 - rho_k x) and Q_k = Q / (1 - rho_k x), the
     recurrence applied at offset n is the coefficient of x^(n+p) in Q*L,
-    and its leave-one-out form at n0 is the coefficient of x^(n0+p-1) in
-    Q_k*L.  Multiplying by a Laurent polynomial commutes with both
-    expansions, and a coefficient of the product reads only the window
-    coefficients of L that the recurrence reads, so (a) holds iff the two
-    expansions of Q*gamma agree on [p - order, order], and (b) takes one
-    coefficient of the two expansions of Q_k*gamma.  Each expansion is
-    truncated to the exponents that step reads.  When the expansion is
-    right, Q*gamma has no pole and Q_k*gamma one, so neither step expands
-    the large edge coefficients of gamma's own window.
+    and its leave-one-out form at n0 is the coefficient of x^m,
+    m = n0 + p - 1, in Q_k*L.  Multiplying by a Laurent polynomial commutes
+    with both expansions, so (a) holds iff the two expansions of Q*gamma,
+    A at infinity and Z at zero, agree on [p - order, order].  Q*gamma is
+    expanded once per side, and step (b) reads every Q_k*gamma off A and
+    Z: the expansions are ring homomorphisms, and 1/(1 - rho x) expands as
+    sum_{j>=0} rho^j x^j at zero and as -sum_{j>=1} rho^(-j) x^(-j) at
+    infinity, so
+
+      [x^m] (Q_k*gamma)_inf - [x^m] (Q_k*gamma)_0
+          = -sum_{n>m} rho_k^(m-n) A_n - sum_{n<=m} rho_k^(m-n) Z_n.
+
+    A ends at Q*gamma's top degree and Z starts at its power, so both sums
+    are finite, and A and Z are each truncated to the exponents the two
+    steps read.  When the expansion is right, Q*gamma has no pole, so
+    neither side expands the large edge coefficients of gamma's own
+    window.
 
     Both steps run on every window, also on the two kinds where the
     recurrence has no room.  With no pin (p = 0), step (a) reads
@@ -172,37 +193,35 @@ def truncated_series_check(gamma, expansion=None, order=8):
     terms = [(pins[gamma.var], coeff)
              for pins, coeff, _ in expansion.items()]
     p = len(terms)
-
-    def window(fc, low, high):
-        # the difference of fc's two expansions on [low, high]
-        pref, plus = fc.series_raw("infinity", high, low)
-        _, minus = fc.series_raw("zero", high, low)
-        return pref, {n: plus.get(n, Poly.zero()) - minus.get(n, Poly.zero())
-                      for n in range(low, high + 1)}
-
     roots = [a.inverse() for a, _ in terms]
     q_gamma = gamma
     for rho in roots:
         q_gamma = q_gamma.times_linear(rho)
+    n0 = max(-order, min(-(p // 2), order - p + 1))
+    m = n0 + p - 1
+    # n0 >= -order, so A's window [p - order, top] holds step (b)'s
+    # exponents n > m as well as step (a)'s range
+    pref, A = q_gamma.series_raw(
+        "infinity", max(order, q_gamma.degree_at_infinity()), p - order)
+    _, Z = q_gamma.series_raw("zero", max(order, m), q_gamma.power)
+    zero = Poly.zero()
 
     # (a) the recurrence prod_k (S - rho_k), S the index shift, annihilates
     # the window
-    _, L = window(q_gamma, p - order, order)
-    if not all(poly.is_zero() for poly in L.values()):
+    if any(A.get(n, zero).terms != Z.get(n, zero).terms
+           for n in range(p - order, order + 1)):
         return False
     # (b) for each pin, the leave-one-out operator prod_{l != k}(S - rho_l)
     # kills every other component, so its value at one central offset pins
     # the k-th delta amplitude:
-    #   [x^(n0+p-1)] Q_k*L = coeff_k * a_k^(-n0) * prod_{l != k}(rho_k - rho_l)
-    n0 = max(-order, min(-(p // 2), order - p + 1))
-    m = n0 + p - 1
+    #   [x^m] Q_k*L = coeff_k * a_k^(-n0) * prod_{l != k}(rho_k - rho_l)
     for k, (a, coeff) in enumerate(terms):
-        pref, L = window(q_gamma.times_linear(roots[k], 1, -1), m, m)
+        value = _leave_one_out(A, Z, m, roots[k])
         expect = coeff * Scalar.from_mono(a ** (-n0))
         for l, rho in enumerate(roots):
             if l != k:
                 expect = expect * (Scalar.from_mono(roots[k]) -
                                    Scalar.from_mono(rho))
-        if not (pref * Scalar(L[m])).equals(expect):
+        if not (pref * Scalar(value)).equals(expect):
             return False
     return True

@@ -72,6 +72,16 @@ def test_residue_matches_truncated_series():
         assert lhs.equals(rhs), n
 
 
+def test_series_raw_empty_window_returns_no_coefficient():
+    gamma = (FactorCurrent.one("x").times_power(1)
+             .times_linear(W, e=-1).times_linear(Q2))
+    for side in ("infinity", "zero"):
+        for order, low in ((0, 1), (-3, 4), (5, 6)):
+            pref, coeffs = gamma.series_raw(side, order, low)
+            assert pref is gamma.pref
+            assert coeffs == {}
+
+
 def test_invert_and_scale_arg_roundtrip():
     fc = (FactorCurrent.one("u").times_power(2).times_linear(W, e=-1)
           .times_linear(Q2, e=1).scale(Scalar.q_int(3)))

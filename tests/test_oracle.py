@@ -9,12 +9,13 @@ from itertools import product
 
 import pytest
 
+from iqgklo import oracle
 from iqgklo.delta import Distribution, FactorCurrent, expand_by_residues
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
-    _groups, _random_assignment, _random_test_monomial, _same_value, act,
-    randomized_equal, truncated_series_check,
+    _groups, _random_assignment, _same_value, act, randomized_equal,
+    truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
@@ -130,6 +131,45 @@ def test_randomized_equal_visit_order_ignores_hash_seed():
         for seed in ("0", "1")]
     assert len(orders[0]) > 2
     assert orders[0] == orders[1]
+
+
+def _random_test_monomial(rng, variables):
+    """The monomial test function of one trial: an exponent in [-3, 3] for
+    each w: variable, drawn in name order."""
+    wvars = sorted(v for v in variables if v.startswith("w:"))
+    return Monomial((v, rng.randint(-3, 3)) for v in wvars)
+
+
+@pytest.mark.parametrize("name", ["sA1-v1-t1", "sA1-v2-t0", "qsA3-t0",
+                                  "qsA2-v11"])
+def test_randomized_equal_keeps_the_test_monomial_draws(name, monkeypatch):
+    # randomized_equal draws the test monomial's exponents without building
+    # it, so each trial must leave the random stream where building it did
+    checker = RelationChecker(catalog_by_name(name), keep_pairs=True)
+    checker.run()
+
+    def variables_of(pair):
+        out = {"q"}
+        for g in map(_groups, pair):
+            for c in g.values():
+                out |= c.variables()
+        return out
+    lhs, rhs = max(checker.pairs.values(), key=lambda pair: sum(
+        v.startswith("w:") for v in variables_of(pair)))
+    variables = variables_of((lhs, rhs))
+    assert any(v.startswith("w:") for v in variables)
+    states = []
+
+    def recorded(rng, names):
+        states.append(rng.getstate())
+        return _random_assignment(rng, names)
+    monkeypatch.setattr(oracle, "_random_assignment", recorded)
+    assert randomized_equal(lhs, rhs, trials=5, seed=3) == (True, 5)
+    rng = random.Random(3)
+    for state in states:
+        assert rng.getstate() == state
+        _random_assignment(rng, sorted(variables))
+        _random_test_monomial(rng, variables)
 
 
 def _draws(x, y, seed):
@@ -436,28 +476,91 @@ def test_series_check_matches_full_window_reference(catalog_gammas):
     assert verdicts == {True, False}
 
 
+def _q_gamma(gamma, expansion):
+    """Q*gamma, Q = prod_k (1 - rho_k x) over the roots rho_k = a_k^(-1)
+    of the expansion's pins, and the roots."""
+    roots = [pins[gamma.var].inverse() for pins, _, _ in expansion.items()]
+    q_gamma = gamma
+    for rho in roots:
+        q_gamma = q_gamma.times_linear(rho)
+    return q_gamma, roots
+
+
+def _check_windows(q_gamma, p, order):
+    """The windows (side, low, high) the series check expands Q*gamma
+    over."""
+    n0 = max(-order, min(-(p // 2), order - p + 1))
+    m = n0 + p - 1
+    return [("infinity", p - order,
+             max(order, q_gamma.degree_at_infinity())),
+            ("zero", q_gamma.power, max(order, m))]
+
+
 def test_series_raw_window_is_consistent(catalog_gammas):
-    # the series check reads [p - order, order] in step (a) and one
-    # coefficient in step (b), so every narrower window must agree with
-    # the wide one
+    # every narrower window must agree with the wide one, among them the
+    # two windows of Q*gamma that the series check reads at each order
     for gamma in catalog_gammas.values():
-        roots = [pins[gamma.var].inverse()
-                 for pins, _, _ in expand_by_residues(gamma).items()]
-        q_gamma = gamma
-        for rho in roots:
-            q_gamma = q_gamma.times_linear(rho)
+        q_gamma, roots = _q_gamma(gamma, expand_by_residues(gamma))
         currents = [gamma, q_gamma,
                     *(q_gamma.times_linear(rho, 1, -1) for rho in roots)]
         for fc, side in product(currents, ("infinity", "zero")):
-            pref, wide = fc.series_raw(side, 8)
             windows = [(-order, order) for order in range(9)]
             windows += [(n, n) for n in range(-8, 9)]
+            if fc is q_gamma:
+                windows += [(low, high) for order in range(9)
+                            for s, low, high in _check_windows(
+                                q_gamma, len(roots), order)
+                            if s == side]
+            pref, wide = fc.series_raw(side, max(
+                max(-low, high) for low, high in windows))
             for low, order in windows:
                 pref_o, narrow = fc.series_raw(side, order, low)
                 assert pref_o is pref
                 assert {n: c.terms for n, c in narrow.items()} == \
                     {n: c.terms for n, c in wide.items()
                      if low <= n <= order}
+
+
+def _reference_leave_one_out(q_gamma, rho, m):
+    """[x^m] of the two expansions' difference of Q_k*gamma, with
+    Q_k = Q / (1 - rho x), each expansion built from Q_k*gamma itself."""
+    fc = q_gamma.times_linear(rho, 1, -1)
+    _, plus = fc.series_raw("infinity", m, m)
+    _, minus = fc.series_raw("zero", m, m)
+    return plus.get(m, Poly.zero()) - minus.get(m, Poly.zero())
+
+
+def test_leave_one_out_matches_expanding_each_product(catalog_gammas,
+                                                      monkeypatch):
+    # step (b) reads each Q_k*gamma off the two expansions of Q*gamma; its
+    # value must be the one that expanding Q_k*gamma itself gives, also on
+    # narrow windows (sA1-v2-t1, 9 pins) and for wrong expansions there
+    seen = []
+    original = oracle._leave_one_out
+
+    def recorded(A, Z, m, rho):
+        value = original(A, Z, m, rho)
+        seen.append((rho, m, value))
+        return value
+    monkeypatch.setattr(oracle, "_leave_one_out", recorded)
+    narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1,
+                                         var="u"))
+    narrow_exp = expand_by_residues(narrow)
+    cases = [(gamma, expand_by_residues(gamma), order)
+             for gamma in [*catalog_gammas.values(), narrow]
+             for order in range(9)]
+    cases += [(narrow, bad, order) for bad in _corrupted(narrow, narrow_exp)
+              for order in range(5)]
+    reads = 0
+    for gamma, expansion, order in cases:
+        seen.clear()
+        truncated_series_check(gamma, expansion, order)
+        q_gamma, _ = _q_gamma(gamma, expansion)
+        for rho, m, value in seen:
+            assert value.terms == \
+                _reference_leave_one_out(q_gamma, rho, m).terms
+        reads += len(seen)
+    assert reads > len(cases)
 
 
 def test_series_check_narrow_windows_at_multiplicity_two():
