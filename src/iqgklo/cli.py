@@ -64,7 +64,9 @@ def _ints(values, what):
 
 
 def _kinds(kinds):
-    bad = {str(k) for k in _list(kinds, "relations") if k not in ALL_KINDS}
+    if not _list(kinds, "relations"):
+        raise ValidationError("relations must name at least one kind")
+    bad = {str(k) for k in kinds if k not in ALL_KINDS}
     if bad:
         raise ValidationError(f"unknown relation kinds {sorted(bad)}")
     return kinds
@@ -126,7 +128,7 @@ def load_config(path=None, text=None):
     else:
         raise ParseError("config needs a 'catalog' name or inline 'instance'")
     cfg = {key: doc.get(key, val) for key, val in DEFAULTS.items()}
-    if cfg["relations"]:
+    if cfg["relations"] is not None:
         _kinds(cfg["relations"])
     for key in ("trials", "seed", "order"):
         _int(cfg[key], key)

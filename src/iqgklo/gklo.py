@@ -2,9 +2,9 @@
 
 Builds, per validated instance: the factored building-block currents, the
 Cartan-current image Xi_i(u) (a pure rational function), the B-current
-image (a delta-supported Distribution over the quantum torus), the block
-operators chi assembled from the B-image, and the degree/leading-term
-extraction for the K-generators.
+image (a delta-supported Distribution over the quantum torus) and the
+block operators chi, both read off one table of blocks, and the
+degree/leading-term extraction for the K-generators.
 """
 
 from __future__ import annotations
@@ -132,116 +132,72 @@ def one_minus_q2():
     return Scalar.one() - Scalar.q_int(2)
 
 
-def build_B_image(inst, i, var="u", corrupt=None):
-    """The B-current image as a delta-supported Distribution."""
+def _blocks(inst, i, var="u", corrupt=None):
+    """The delta terms of the B-current image of node i, in assembly order:
+    (sign, r, pin target, coefficient, shift part) per block.
+
+    Block ("+", r) is pinned at w_{i,r}/q and shifts d_{i,r}^{-1}; block
+    ("-", r) is pinned at 1/(q w_{tau i,r}) and shifts d_{tau i,r}.  Each
+    coefficient is a prefactor times the node's currents at the pin over
+    W_{k,r} without its r-th factor at w_{k,r}; the "+" prefactor carries
+    q^{|wp_i|}, which is 1 on a fixed node, and the "-" one carries q, or
+    -q on a moved node.  A fixed node alternates the two signs per r and
+    ends with the marked node's constant block ("+", 0); a moved node
+    lists every "+" block, then every "-" block.
+    """
     d = inst.diagram
     ti = d.t(i)
-    out = Distribution.zero()
-    if ti == i:
-        for r in range(1, inst.w_count(i) + 1):
-            a = Monomial.w(i, r) * Monomial.q_int(-1)
-            num = [build_Z(inst, i, var)]
-            num += [build_WW(inst, j, var) for j in neighbors_in(inst, i)]
-            num += [build_W(inst, j, var).invert_arg()
-                    for j in neighbors_out(inst, i) if d.t(j) == j]
-            coeff = (zeta(inst, i) / one_minus_q2()) * _eval_prod(num, a) \
-                / build_WWir(inst, i, r, var).evaluate(Monomial.w(i, r))
-            out.add_term({var: a}, coeff, DMonomial.unit(i, r, -1))
-
-            b = (Monomial.w(i, r) * Monomial.q_int(1)).inverse()
-            num = [build_Z(inst, i, var)]
-            if inst.th(i):
-                num.append(build_kappa(var))
-            num += [build_WW(inst, j, var).invert_arg()
-                    for j in neighbors_out(inst, i) if d.t(j) != j]
-            num += [build_W(inst, j, var).invert_arg()
-                    for j in neighbors_out(inst, i) if d.t(j) == j]
-            coeff = (Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
-                * _eval_prod(num, b) \
-                / build_WWir(inst, i, r, var).evaluate(Monomial.w(i, r))
-            out.add_term({var: b}, coeff, DMonomial.unit(i, r))
-        if inst.th(i) and corrupt != "drop_const":
-            num = [build_Z(inst, i, var)]
-            num += [build_W(inst, j, var) for j in d.neighbors(i)]
-            coeff = Scalar.const(GR_I) * zeta(inst, i) \
-                * _eval_prod(num, Monomial.one()) \
-                / ((Scalar.one() + Scalar.q_int(1))
-                   * build_WW(inst, i, var).evaluate(Monomial.q_int(1)))
-            out.add_term({var: Monomial.one()}, coeff, DMonomial.one())
+    fixed = ti == i
+    nin, nout = neighbors_in(inst, i), neighbors_out(inst, i)
+    z = build_Z(inst, i, var)
+    pref = zeta(inst, i) / one_minus_q2()
+    q = Scalar.q_int(1)
+    plus_pref = Scalar.q_half(int(2 * abs(inst.wp[i]))) * pref
+    minus_pref = (q if fixed else -q) * pref
+    plus = [z] + [build_WW(inst, j, var) for j in nin]
+    if fixed:
+        fixed_out = [build_W(inst, j, var).invert_arg()
+                     for j in nout if d.t(j) == j]
+        plus += fixed_out
+        minus = [z] + [build_kappa(var)] * inst.th(i) \
+            + [build_WW(inst, j, var).invert_arg()
+               for j in nout if d.t(j) != j] + fixed_out
+        rows = [(sign, r) for r in range(1, inst.w_count(i) + 1)
+                for sign in "+-"]
     else:
-        qabswp = Scalar.q_half(int(2 * abs(inst.wp[i])))  # q^{|wp_i|} = Q^{2|wp_i|}
-        for r in range(1, inst.w_count(i) + 1):
-            a = Monomial.w(i, r) * Monomial.q_int(-1)
-            num = [build_Z(inst, i, var)]
-            num += [build_WW(inst, j, var) for j in neighbors_in(inst, i)]
-            coeff = (qabswp * zeta(inst, i) / one_minus_q2()) \
-                * _eval_prod(num, a) \
-                / build_WWir(inst, i, r, var).evaluate(Monomial.w(i, r))
-            out.add_term({var: a}, coeff, DMonomial.unit(i, r, -1))
-        for t in range(1, inst.w_count(ti) + 1):
-            b = (Monomial.w(ti, t) * Monomial.q_int(1)).inverse()
-            num = [build_Z(inst, i, var)]
-            num += [build_WW(inst, d.t(j), var).invert_arg()
-                    for j in neighbors_in(inst, i)]
-            coeff = -(Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
-                * _eval_prod(num, b) \
-                / build_WWir(inst, ti, t, var).evaluate(Monomial.w(ti, t))
-            out.add_term({var: b}, coeff, DMonomial.unit(ti, t))
+        minus = [z] + [build_WW(inst, d.t(j), var).invert_arg()
+                       for j in nin]
+        rows = [("+", r) for r in range(1, inst.w_count(i) + 1)] \
+            + [("-", t) for t in range(1, inst.w_count(ti) + 1)]
+    for sign, r in rows:
+        k, e, c, num = (i, -1, plus_pref, plus) if sign == "+" \
+            else (ti, 1, minus_pref, minus)
+        pin = Monomial.w(k, r, -e) * Monomial.q_int(-1)
+        coeff = c * _eval_prod(num, pin) \
+            / build_WWir(inst, k, r, var).evaluate(Monomial.w(k, r))
+        yield sign, r, pin, coeff, DMonomial.unit(k, r, e)
+    if inst.th(i) and corrupt != "drop_const":
+        num = [z] + [build_W(inst, j, var) for j in d.neighbors(i)]
+        coeff = Scalar.const(GR_I) * zeta(inst, i) \
+            * _eval_prod(num, Monomial.one()) \
+            / ((Scalar.one() + q)
+               * build_WW(inst, i, var).evaluate(Monomial.q_int(1)))
+        yield "+", 0, Monomial.one(), coeff, DMonomial.one()
+
+
+def build_B_image(inst, i, var="u", corrupt=None):
+    """The B-current image as a delta-supported Distribution."""
+    out = Distribution.zero()
+    for _, _, pin, coeff, dmon in _blocks(inst, i, var, corrupt):
+        out.add_term({var: pin}, coeff, dmon)
     return out
 
 
 def build_chi(inst, i):
-    """Block operators: dict (sign, r) -> (pin target Monomial, TorusElement).
-
-    For fixed nodes these follow the closed formulas with arguments already
-    substituted; the B-image is their delta-assembly.  For moved nodes the
-    blocks are read off the two sums of the B-image.
-    """
-    d = inst.diagram
-    ti = d.t(i)
-    out = {}
-    if ti == i:
-        if inst.th(i):
-            num = [build_Z(inst, i, "u")]
-            num += [build_W(inst, j, "u") for j in d.neighbors(i)]
-            c0 = Scalar.const(GR_I) * zeta(inst, i) \
-                * _eval_prod(num, Monomial.one()) \
-                / ((Scalar.one() + Scalar.q_int(1))
-                   * build_WW(inst, i, "u").evaluate(Monomial.q_int(1)))
-            out[("+", 0)] = (Monomial.one(),
-                             TorusElement.from_scalar(c0))
-        for r in range(1, inst.w_count(i) + 1):
-            wr = Monomial.w(i, r)
-            a = wr * Monomial.q_int(-1)
-            val = (zeta(inst, i) / one_minus_q2()) \
-                * build_Z(inst, i, "u").evaluate(a) \
-                / build_WWir(inst, i, r, "u").evaluate(wr)
-            for j in neighbors_in(inst, i):
-                val = val * build_WW(inst, j, "u").evaluate(a)
-            for j in neighbors_out(inst, i):
-                if d.t(j) == j:
-                    val = val * build_W(inst, j, "u").evaluate(a.inverse())
-            out[("+", r)] = (a, TorusElement.monomial(val, DMonomial.unit(i, r, -1)))
-
-            b = (wr * Monomial.q_int(1)).inverse()
-            val = (Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
-                * build_Z(inst, i, "u").evaluate(b) \
-                / build_WWir(inst, i, r, "u").evaluate(wr)
-            if inst.th(i):
-                val = val * build_kappa("u").evaluate(b.inverse())
-            for j in neighbors_out(inst, i):
-                if d.t(j) == j:
-                    val = val * build_W(inst, j, "u").evaluate(b.inverse())
-                else:
-                    val = val * build_WW(inst, j, "u").evaluate(b.inverse())
-            out[("-", r)] = (b, TorusElement.monomial(val, DMonomial.unit(i, r)))
-    else:
-        dist = build_B_image(inst, i)
-        for pins, coeff, dmon in dist.items():
-            ((_, r), e), = dmon.exps
-            sign = "+" if e < 0 else "-"
-            out[(sign, r)] = (pins["u"], TorusElement.monomial(coeff, dmon))
-    return out
+    """Block operators: dict (sign, r) -> (pin target Monomial,
+    TorusElement); the B-image is their delta-assembly."""
+    return {(sign, r): (pin, TorusElement.monomial(coeff, dmon))
+            for sign, r, pin, coeff, dmon in _blocks(inst, i)}
 
 
 def extend_a2n(inst, i):

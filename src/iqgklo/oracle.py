@@ -25,6 +25,8 @@ from fractions import Fraction
 from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
 from .scalars import GR, SCALAR_ZERO, Poly, Scalar, add_into
 
+MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
+
 
 def act(term, f):
     """Apply one normal-ordered term, a (coeff, dmon) pair, to the monomial
@@ -65,7 +67,7 @@ def _same_value(a, b):
             and nre * eim + nim * ere == mre * dim + mim * dre)
 
 
-def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
+def randomized_equal(x, y, trials=20, seed=0):
     """Numeric concordance check for two fully pinned distributions.
 
     For each trial the two sides are compared support group by support
@@ -100,9 +102,9 @@ def randomized_equal(x, y, trials=20, seed=0, max_retries=200):
     done = 0
     attempts = 0
     while done < trials:
-        if attempts > max_retries + trials:
+        if attempts > MAX_RETRIES + trials:
             raise BadSpecialization(
-                f"exceeded {max_retries} retries at trial {done}")
+                f"exceeded {MAX_RETRIES} retries at trial {done}")
         attempts += 1
         assignment = _random_assignment(rng, names)
         # the test monomial's exponents, one per w: variable: not applied

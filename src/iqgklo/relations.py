@@ -151,8 +151,10 @@ class RelationChecker:
         d = self.inst.diagram
         u, v = Scalar.var("u"), Scalar.var("v")
         Bu, Bv = self.B(i, "u"), self.B(j, "v")
-        if kind == "BB1":
+        if kind in ("BB1", "BB4"):
             lhs = Bu * Bv - Bv * Bu
+            if kind == "BB4":
+                return lhs, Distribution.zero()
             if self.bb1_convention == "i" and \
                     not self.Xi(i).equals(self.Xi(d.t(i))):
                 return lhs, None
@@ -165,25 +167,16 @@ class RelationChecker:
                 self.Xi(i).scale(Scalar.one() / (_q(2) - Scalar.one())),
                 "u", "v")
             return lhs, rhs
-        if kind == "BB2":
-            lhs = (Bu * Bv).map_coeff(lambda p, c: (u - _q(2) * v) * c) \
-                + (Bv * Bu).map_coeff(lambda p, c: (v - _q(2) * u) * c)
-            gamma = times_x_minus_xinv(self.Xi(i)).scale(
-                Scalar.one() / (_q(-1) - _q(1)))
-            return lhs, self._pair_pin_rhs(gamma, "u", "v")
-        if kind == "BB3":
-            lhs = (Bu * Bv).map_coeff(lambda p, c: (u - _q(-1) * v) * c) \
-                + (Bv * Bu).map_coeff(lambda p, c: (v - _q(-1) * u) * c)
-            gamma = times_x_minus_xinv(self.Xi(i)).scale(
-                Scalar.one() / (_q(2) - Scalar.one()))
-            return lhs, self._pair_pin_rhs(gamma, "u", "v")
-        if kind == "BB4":
-            return Bu * Bv - Bv * Bu, Distribution.zero()
-        if kind == "BB5":
+        if kind in ("BB2", "BB3", "BB5"):
+            # c = C(i, j): 2 on BB2 (j = i), -1 on BB3 (j = tau i)
             c = d.c(i, j)
             lhs = (Bu * Bv).map_coeff(lambda p, cf: (u - _q(c) * v) * cf) \
                 + (Bv * Bu).map_coeff(lambda p, cf: (v - _q(c) * u) * cf)
-            return lhs, Distribution.zero()
+            if kind == "BB5":
+                return lhs, Distribution.zero()
+            den = _q(-1) - _q(1) if kind == "BB2" else _q(2) - Scalar.one()
+            gamma = times_x_minus_xinv(self.Xi(i)).scale(Scalar.one() / den)
+            return lhs, self._pair_pin_rhs(gamma, "u", "v")
         if kind in SERRE_KINDS:
             return self._eval_serre(kind, i, j)
         raise ValueError(f"unknown kind {kind!r}")

@@ -241,6 +241,8 @@ class ShiftInstance:
 
 
 def validate_theta(diagram, theta):
+    if len(theta) != diagram.rank:
+        raise ValidationError(f"{len(theta)} markings for rank {diagram.rank}")
     for i in diagram.nodes():
         if theta[i - 1] not in (0, 1):
             raise ValidationError(f"marking at node {i} must be 0 or 1")
@@ -261,6 +263,8 @@ def make_instance(name, diagram, framing, shift, theta=None,
         orientation = default_orientation(diagram)
     else:
         orientation = frozenset(tuple(e) for e in orientation)
+        if any(len(e) != 2 for e in orientation):
+            raise ValidationError("an orientation edge must be a pair")
     wp = assign_wp(diagram, orientation)
     return ShiftInstance(name, diagram, tuple(framing), tuple(shift), mult,
                          theta, orientation, wp)

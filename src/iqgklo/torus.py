@@ -77,7 +77,10 @@ class TorusElement:
         return " + ".join(f"({c!r})*{d!r}" for d, c in sorted(self.terms.items()))
 
 
-def _admissible_candidates(wvars, max_qhalf=12):
+MAX_QHALF = 12      # the largest |h| of q^(h/2) in an admissible binomial
+
+
+def _admissible_candidates(wvars):
     """Binomial generators of the allowed denominator multiplicative set.
 
     Forms, for whole powers a = w_{i,r}, b = w_{j,s}:
@@ -96,12 +99,12 @@ def _admissible_candidates(wvars, max_qhalf=12):
             shapes.append((a, b.inverse()))
     out = []
     for m1, m2 in shapes:
-        for h in range(-max_qhalf, max_qhalf + 1):
+        for h in range(-MAX_QHALF, MAX_QHALF + 1):
             out.append(Poly.mono(m1) - Poly.mono(m2 * Monomial.q_half(h)))
     return out
 
 
-def check_admissible(x, max_qhalf=12):
+def check_admissible(x):
     """Verify every coefficient denominator factors over the allowed set.
 
     Each denominator factor, up to a unit monomial, must be a product of
@@ -112,7 +115,7 @@ def check_admissible(x, max_qhalf=12):
     for c in x.terms.values():
         for rem in c.den_factors():
             wvars = sorted(v for v in rem.variables() if v.startswith("w:"))
-            cands = _admissible_candidates(wvars, max_qhalf)
+            cands = _admissible_candidates(wvars)
             progress = True
             while len(rem.terms) > 1 and progress:
                 progress = False

@@ -304,8 +304,13 @@ def _without_framing():
     [SCHEMA_ID, "sA1-v1-t0"],
     _inline(rank=2, tau=[[1, "b"]], framing=[1, 1], shift=[0, 0]),
     _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=5),
+    _inline(rank=2, framing=[1, 1], shift=[0, 0], theta=[0]),
+    _inline(rank=2, framing=[1, 1], shift=[0, 0], theta=[0, 0, 1]),
+    _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1, 2, 3]]),
+    _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1]]),
 ], ids=["no-framing", "rank-x", "framing-a", "trials-many", "array",
-        "cycle-entry", "orientation"])
+        "cycle-entry", "orientation", "theta-short", "theta-long",
+        "edge-triple", "edge-single"])
 def test_malformed_config_is_input_error(capsys, tmp_path, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -326,6 +331,7 @@ def test_check_rejects_vacuous_gate_flags(capsys, flags):
 
 @pytest.mark.parametrize("key, value", [
     ("order", -1), ("trials", 0), ("trials", -3), ("bb1_convention", "x"),
+    ("relations", []),
 ])
 def test_check_rejects_vacuous_gate_config(capsys, tmp_path, key, value):
     cfg_path = tmp_path / "cfg.json"

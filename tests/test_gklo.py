@@ -5,11 +5,13 @@ import pytest
 from iqgklo.delta import Distribution, canonicalize_compare
 from iqgklo.errors import DegreeMismatch, WrongCase
 from iqgklo.gklo import (
-    build_B_image, build_chi, build_Xi, build_W, build_WW, build_ZZ,
-    extend_a2n, extended_chi, extended_w, leading_coefficient_K,
+    _eval_prod, build_B_image, build_chi, build_kappa, build_W, build_WW,
+    build_WWir, build_Xi, build_Z, build_ZZ, extend_a2n, extended_chi,
+    extended_w, leading_coefficient_K, neighbors_in, neighbors_out,
+    one_minus_q2, zeta,
 )
 from iqgklo.satake import build_catalog, catalog_by_name
-from iqgklo.scalars import Monomial, Scalar
+from iqgklo.scalars import GR_I, DMonomial, Monomial, Scalar
 from iqgklo.torus import TorusElement, check_admissible
 
 CATALOG = build_catalog()
@@ -48,15 +50,64 @@ def test_b_image_term_count(inst):
             assert n == inst.w_count(i) + inst.w_count(ti)
 
 
+def _reference_fixed_chi(inst, i):
+    """The closed block formulas of a fixed node, arguments substituted,
+    written apart from the block table that builds the B-image."""
+    d = inst.diagram
+    out = {}
+    if inst.th(i):
+        num = [build_Z(inst, i, "u")]
+        num += [build_W(inst, j, "u") for j in d.neighbors(i)]
+        c0 = Scalar.const(GR_I) * zeta(inst, i) \
+            * _eval_prod(num, Monomial.one()) \
+            / ((Scalar.one() + Scalar.q_int(1))
+               * build_WW(inst, i, "u").evaluate(Monomial.q_int(1)))
+        out[("+", 0)] = (Monomial.one(), TorusElement.from_scalar(c0))
+    for r in range(1, inst.w_count(i) + 1):
+        wr = Monomial.w(i, r)
+        a = wr * Monomial.q_int(-1)
+        val = (zeta(inst, i) / one_minus_q2()) \
+            * build_Z(inst, i, "u").evaluate(a) \
+            / build_WWir(inst, i, r, "u").evaluate(wr)
+        for j in neighbors_in(inst, i):
+            val = val * build_WW(inst, j, "u").evaluate(a)
+        for j in neighbors_out(inst, i):
+            if d.t(j) == j:
+                val = val * build_W(inst, j, "u").evaluate(a.inverse())
+        out[("+", r)] = (a, TorusElement.monomial(val,
+                                                  DMonomial.unit(i, r, -1)))
+
+        b = (wr * Monomial.q_int(1)).inverse()
+        val = (Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
+            * build_Z(inst, i, "u").evaluate(b) \
+            / build_WWir(inst, i, r, "u").evaluate(wr)
+        if inst.th(i):
+            val = val * build_kappa("u").evaluate(b.inverse())
+        for j in neighbors_out(inst, i):
+            if d.t(j) == j:
+                val = val * build_W(inst, j, "u").evaluate(b.inverse())
+            else:
+                val = val * build_WW(inst, j, "u").evaluate(b.inverse())
+        out[("-", r)] = (b, TorusElement.monomial(val, DMonomial.unit(i, r)))
+    return out
+
+
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
 def test_chi_reassembly(inst):
-    """The closed-form blocks, delta-assembled, rebuild the B-image."""
+    """The closed-form blocks, delta-assembled, rebuild the B-image, and
+    they are the blocks build_chi reads off the block table."""
+    fixed = [i for i in inst.diagram.nodes() if inst.diagram.t(i) == i]
     for i in inst.diagram.nodes():
+        chi = build_chi(inst, i)
+        ref = _reference_fixed_chi(inst, i) if i in fixed else chi
         asm = Distribution.zero()
-        for (_, _), (pin, te) in build_chi(inst, i).items():
+        for (_, _), (pin, te) in ref.items():
             for dmon, coeff in te.terms.items():
                 asm.add_term({"u": pin}, coeff, dmon)
         assert canonicalize_compare(build_B_image(inst, i), asm) == []
+        assert set(ref) == set(chi)
+        for key, (pin, te) in ref.items():
+            assert chi[key][0] == pin and chi[key][1].equals(te), (i, key)
 
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)

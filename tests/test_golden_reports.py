@@ -1,6 +1,7 @@
-"""Reports against golden copies: the structured ``check`` report and the
-discrepancies of a negative control must stay byte-identical, apart from
-the ``seconds`` fields, which the golden copies leave out.
+"""Reports against golden copies: the structured ``check`` report, the
+discrepancies of a negative control and the structured ``image`` report
+must stay byte-identical, apart from the ``seconds`` fields, which the
+golden copies leave out.
 
 ``data/before-factored-scalars/`` keeps the copies made before scalars
 were factored.  Factored scalars print a fraction with a canonical sign
@@ -46,6 +47,15 @@ def test_check_report_matches_golden(capsys, golden, argv, code):
     assert main(["check", *argv, "--format", "structured"]) == code
     out = capsys.readouterr().out
     assert _text(json.loads(out)) == (DATA / golden).read_text()
+
+
+def test_image_report_matches_golden(capsys):
+    # every generator of a marked instance: both B-image shapes, the
+    # constant block and the Cartan-current reprs
+    assert main(["image", "--instance", "sA2-v11-t10",
+                 "--format", "structured"]) == 0
+    assert capsys.readouterr().out == \
+        (DATA / "image-sA2-v11-t10.json").read_text()
 
 
 def test_negative_control_discrepancies_match_golden():
