@@ -314,8 +314,12 @@ class Distribution:
         return out
 
     def scale(self, s):
-        """Left-multiply every coefficient by a pin-free scalar."""
-        return self.map_coeff(lambda pins, coeff: s * coeff)
+        """Left-multiply every coefficient by a pin-free scalar; the
+        products stay pin-free, so nothing is substituted."""
+        out = Distribution()
+        out.terms = {key: (pins, s * coeff)
+                     for key, pins, coeff in self._resolved()}
+        return out
 
     def map_coeff(self, fn):
         """Replace each coefficient by fn(pins, coeff) (pins substituted after)."""

@@ -91,3 +91,7 @@ class ParseError(IQGKLOError):
 
 class ValidationError(IQGKLOError):
     pass
+
+
+class AsymmetricMultiplicity(ValidationError):
+    """The multiplicities differ on a pair of nodes swapped by tau."""

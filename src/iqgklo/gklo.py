@@ -243,13 +243,15 @@ def extended_chi(inst, i):
     return out
 
 
-def leading_coefficient_K(inst, i, corrupt=None):
-    """Top coefficient of the Cartan-current image at u = infinity.
+def leading_coefficient_K(inst, i, xi=None):
+    """Top coefficient of the Cartan-current image ``xi`` of node i at
+    u = infinity; ``xi`` is built when not given.
 
     The top degree must equal the shift pairing at the involution image
     node; raises DegreeMismatch otherwise.
     """
-    xi = build_Xi(inst, i, corrupt=corrupt)
+    if xi is None:
+        xi = build_Xi(inst, i)
     deg, coeff = xi.leading_at_infinity()
     expected = inst.ell(inst.diagram.t(i))
     if deg != expected:

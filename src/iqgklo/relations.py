@@ -86,6 +86,14 @@ def _qmqinv():
     return _q(1) - _q(-1)          # q - q^{-1}
 
 
+def _at_pins(prod, x, y, c):
+    """prod with each coefficient times (x - q^c y), evaluated at the
+    term's pins before it multiplies the pin-free coefficient."""
+    qc = _q(c)
+    return prod.map_coeff(lambda pins, coeff: (
+        Scalar.from_mono(pins[x]) - qc * Scalar.from_mono(pins[y])) * coeff)
+
+
 class RelationChecker:
     """Evaluates relations on one instance; caches images and logs every
     rational function handed to the residue expansion (for the series
@@ -99,6 +107,7 @@ class RelationChecker:
         self.keep_pairs = keep_pairs
         self.pairs = {}
         self._b = {}
+        self._prod = {}
         self._xi = {}
         self.gamma_log = []
         self.gamma_cases = []       # the case that logged each gamma
@@ -120,6 +129,16 @@ class RelationChecker:
             else:
                 self._b[key] = self.B(i, "u").rename_spectral({"u": var})
         return self._b[key]
+
+    def prod(self, i, j, x="u", y="v"):
+        """B_i(x) B_j(y).  Each ordered product is built once, in (u, v);
+        its coefficients are pin-free, so any other pair of names is a
+        renaming of the pins."""
+        p = self._prod.get((i, j))
+        if p is None:
+            p = self._prod[(i, j)] = self.B(i, "u") * self.B(j, "v")
+        return p if (x, y) == ("u", "v") \
+            else p.rename_spectral({"u": x, "v": y})
 
     def Xi(self, i, var="u"):
         if i not in self._xi:
@@ -149,10 +168,9 @@ class RelationChecker:
         """(LHS, RHS) distributions for one relation case."""
         self._case = f"{kind}[{i},{j}]"
         d = self.inst.diagram
-        u, v = Scalar.var("u"), Scalar.var("v")
-        Bu, Bv = self.B(i, "u"), self.B(j, "v")
+        BuBv, BvBu = self.prod(i, j), self.prod(j, i, "v", "u")
         if kind in ("BB1", "BB4"):
-            lhs = Bu * Bv - Bv * Bu
+            lhs = BuBv - BvBu
             if kind == "BB4":
                 return lhs, Distribution.zero()
             if self.bb1_convention == "i" and \
@@ -170,8 +188,7 @@ class RelationChecker:
         if kind in ("BB2", "BB3", "BB5"):
             # c = C(i, j): 2 on BB2 (j = i), -1 on BB3 (j = tau i)
             c = d.c(i, j)
-            lhs = (Bu * Bv).map_coeff(lambda p, cf: (u - _q(c) * v) * cf) \
-                + (Bv * Bu).map_coeff(lambda p, cf: (v - _q(c) * u) * cf)
+            lhs = _at_pins(BuBv, "u", "v", c) + _at_pins(BvBu, "v", "u", c)
             if kind == "BB5":
                 return lhs, Distribution.zero()
             den = _q(-1) - _q(1) if kind == "BB2" else _q(2) - Scalar.one()
@@ -182,7 +199,8 @@ class RelationChecker:
         raise ValueError(f"unknown kind {kind!r}")
 
     def _serre_lhs(self, i, j):
-        inner = bracket_q(self.B(i, "u2"), self.B(j, "v"), _q(1))
+        inner = self.prod(i, j, "u2", "v") \
+            - self.prod(j, i, "v", "u2").scale(_q(1))
         outer = bracket_q(self.B(i, "u1"), inner, _q(-1))
         return symmetrize(outer, "u1", "u2")
 
@@ -270,7 +288,7 @@ class RelationChecker:
     def check_deg(self, i):
         t0 = time.monotonic()
         try:
-            coeff = leading_coefficient_K(self.inst, i, corrupt=self.corrupt)
+            coeff = leading_coefficient_K(self.inst, i, self.Xi(i))
         except DegreeMismatch as e:
             return CheckResult("DEG", (i,), "fail", [((), None, None, None)],
                                detail=str(e), seconds=time.monotonic() - t0)
@@ -594,11 +612,10 @@ def _identity_residue_termwise():
     (u-1/u)Xi_i(u)/(q^2-1) at its own pin, covering every pole exactly
     once."""
     for inst, i, j in _adjacent_pairs():
-        u, v = Scalar.var("u"), Scalar.var("v")
         Bu = build_B_image(inst, i, var="u")
         Bv = build_B_image(inst, j, var="v")
-        p1 = (Bu * Bv).map_coeff(lambda p, c: (u - _q(-1) * v) * c)
-        p2 = (Bv * Bu).map_coeff(lambda p, c: (v - _q(-1) * u) * c)
+        p1 = _at_pins(Bu * Bv, "u", "v", -1)
+        p2 = _at_pins(Bv * Bu, "v", "u", -1)
         gamma = times_x_minus_xinv(build_Xi(inst, i, var="u")).scale(
             Scalar.one() / (_q(2) - Scalar.one()))
         res = {pins["u"]: c for pins, c, _ in

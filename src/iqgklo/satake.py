@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    AdjacentThetas, IncompatibleOrientation, NegativeMultiplicity, NotADE,
-    NotDominant, NotInCorootLattice, TauNotAutomorphism, TauNotInvolution,
-    ThetaOutsideFixedSet, ValidationError,
+    AdjacentThetas, AsymmetricMultiplicity, IncompatibleOrientation,
+    NegativeMultiplicity, NotADE, NotDominant, NotInCorootLattice,
+    TauNotAutomorphism, TauNotInvolution, ThetaOutsideFixedSet,
+    ValidationError,
 )
 
 
@@ -159,6 +160,19 @@ def solve_shift(diagram, framing, shift):
     return v
 
 
+def check_tau_symmetric(diagram, mult):
+    """The multiplicities must agree on each pair of nodes that tau swaps:
+    the images pair W_i with W_{tau i} in Xi_i and in the B blocks, and
+    they satisfy the relations only when v_i = v_{tau i}.  The framing
+    itself may differ on such a pair."""
+    for i in diagram.nodes():
+        ti = diagram.t(i)
+        if i < ti and mult[i - 1] != mult[ti - 1]:
+            raise AsymmetricMultiplicity(
+                f"multiplicities differ on the involution pair {i},{ti}: "
+                f"v_{i} = {mult[i - 1]}, v_{ti} = {mult[ti - 1]}")
+
+
 def default_orientation(diagram):
     """Orient every edge, compatibly with the involution.
 
@@ -257,6 +271,7 @@ def validate_theta(diagram, theta):
 def make_instance(name, diagram, framing, shift, theta=None,
                   orientation=None):
     mult = solve_shift(diagram, framing, shift)
+    check_tau_symmetric(diagram, mult)
     theta = tuple(theta) if theta is not None else (0,) * diagram.rank
     validate_theta(diagram, theta)
     if orientation is None:

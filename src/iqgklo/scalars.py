@@ -1042,12 +1042,18 @@ class Scalar:
 
     def __add__(self, other):
         """Expand only the factors the two sides do not share, then cancel
-        each binomial denominator factor that divides the new cofactor."""
+        each binomial denominator factor that divides the new cofactor.
+        Two bare monomials with different keys make one binomial at once:
+        the unit, key and factor that the general path settles on."""
         ca, cb = self.c, other.c
         if not ca:
             return other
         if not cb:
             return self
+        if not self.f and not other.f and self.num is POLY_ONE \
+                and other.num is POLY_ONE and self.m != other.m:
+            unit, g, key, factor = _binomial(self.m, ca, other.m, cb)
+            return _scalar(unit, g, POLY_ONE, {key: (factor, 1)})
         f, pa, pb = _split(self.f, other.f)
         a, b = _expand(self.num, pa), _expand(other.num, pb)
         m = _key_min(self.m, other.m)

@@ -308,15 +308,39 @@ def _without_framing():
     _inline(rank=2, framing=[1, 1], shift=[0, 0], theta=[0, 0, 1]),
     _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1, 2, 3]]),
     _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1]]),
+    _inline(rank=2, tau=[[1, 2]], framing=[0, 1], shift=[-2, 2]),
 ], ids=["no-framing", "rank-x", "framing-a", "trials-many", "array",
         "cycle-entry", "orientation", "theta-short", "theta-long",
-        "edge-triple", "edge-single"])
+        "edge-triple", "edge-single", "tau-asymmetric-mult"])
 def test_malformed_config_is_input_error(capsys, tmp_path, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["validate", "check"])
+def test_tau_asymmetric_multiplicities_name_the_pair(capsys, tmp_path, verb):
+    # quasi-split A2, framing (0,1), shift (-2,2): v = (1,0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        _inline(rank=2, tau=[[1, 2]], framing=[0, 1], shift=[-2, 2])))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert "involution pair 1,2" in err and "v_1 = 1, v_2 = 0" in err
+
+
+def test_tau_asymmetric_framing_with_equal_multiplicities_passes(
+        capsys, tmp_path):
+    # framing (1,0), shift (0,-1): v = (1,1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        _inline(rank=2, tau=[[1, 2]], framing=[1, 0], shift=[0, -1])))
+    code, out, _ = run_cli(capsys, "check", "--config", str(cfg_path),
+                           "--format", "structured")
+    doc = json.loads(out)
+    assert code == 0 and doc["instance"]["multiplicities"] == [1, 1]
 
 
 @pytest.mark.parametrize("flags", [

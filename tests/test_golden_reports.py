@@ -58,14 +58,19 @@ def test_image_report_matches_golden(capsys):
         (DATA / "image-sA2-v11-t10.json").read_text()
 
 
-def test_negative_control_discrepancies_match_golden():
+@pytest.mark.parametrize("name, corrupt, kind", [
+    ("qsA2-v11", "flip_wp", "BB3"),
+    # the left side's prefactor is evaluated at the pins of each term
+    ("sA1-v1-t1", "drop_kappa", "BB2"),
+])
+def test_negative_control_discrepancies_match_golden(name, corrupt, kind):
     # localized failures: supports, shift parts and coefficient reprs, in
     # report order
-    inst = catalog_by_name("qsA2-v11")
-    report = RelationChecker(inst, corrupt="flip_wp").run(["BB3"])
+    inst = catalog_by_name(name)
+    report = RelationChecker(inst, corrupt=corrupt).run([kind])
     entries = [_result_entry(r) for r in report.results]
     assert _text(entries) == \
-        (DATA / "negative-qsA2-v11-flip_wp-BB3.json").read_text()
+        (DATA / f"negative-{name}-{corrupt}-{kind}.json").read_text()
 
 
 def _parse_coeff(text):

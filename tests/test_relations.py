@@ -4,10 +4,14 @@ from iqgklo.relations import (
     ALL_KINDS, BB_KINDS, RelationChecker, chi_exchange_suite, classify_bb,
     classify_serre, identity_suite, merged_chi_suite,
 )
-from iqgklo.gklo import build_B_image
+from iqgklo import gklo, relations
+from iqgklo.gklo import build_B_image, build_Xi, leading_coefficient_K
 from iqgklo.satake import build_catalog, catalog_by_name
+from iqgklo.scalars import Scalar
+from test_delta import _assert_same_terms
 
 CATALOG = build_catalog()
+CORRUPTIONS = (None, "drop_const", "flip_wp", "drop_kappa")
 
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
@@ -156,3 +160,81 @@ def test_negative_controls(name, corrupt, expect):
 def test_corrupt_none_matches_clean():
     clean = RelationChecker(catalog_by_name("sA1-v1-t1")).run(["BB2"])
     assert clean.ok()
+
+
+# --- the shared products and the pinned prefactors against their old forms -
+
+
+def _assert_same_reprs(got, want):
+    _assert_same_terms(got, want)
+    for (_, coeff), (_, want_coeff) in zip(got.terms.values(),
+                                           want.terms.values()):
+        assert repr(coeff) == repr(want_coeff)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_renamed_product_matches_direct_product(inst, corrupt):
+    """Each ordered product is built once, in (u, v); every other naming
+    the checker reads is that product renamed, term by term and in the
+    order of the product built directly in those variables."""
+    checker = RelationChecker(inst, corrupt=corrupt)
+    nodes = inst.diagram.nodes()
+    for i in nodes:
+        for j in nodes:
+            _assert_same_reprs(checker.prod(i, j, "v", "u"),
+                               checker.B(i, "v") * checker.B(j, "u"))
+            # the Serre namings; equal factored forms print the same bytes
+            for x, y in (("u2", "v"), ("v", "u2")):
+                _assert_same_terms(checker.prod(i, j, x, y),
+                                   checker.B(i, x) * checker.B(j, y))
+    assert len(checker._prod) == len(nodes) ** 2
+
+
+def _multiply_then_substitute(checker, i, j):
+    """(u - q^c v)BuBv + (v - q^c u)BvBu with the prefactor multiplied
+    into each whole coefficient and the pins substituted after."""
+    c = checker.inst.diagram.c(i, j)
+    u, v, qc = Scalar.var("u"), Scalar.var("v"), Scalar.q_int(c)
+    Bu, Bv = checker.B(i, "u"), checker.B(j, "v")
+    return (Bu * Bv).map_coeff(lambda p, cf: (u - qc * v) * cf) \
+        + (Bv * Bu).map_coeff(lambda p, cf: (v - qc * u) * cf)
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_exchange_lhs_matches_multiply_then_substitute(inst, corrupt):
+    checker = RelationChecker(inst, corrupt=corrupt)
+    seen = 0
+    for kind, (i, j) in [c for c in checker.cases()
+                         if c[0] in ("BB2", "BB3", "BB5")]:
+        lhs, _ = checker.eval_pair(kind, i, j)
+        _assert_same_reprs(lhs, _multiply_then_substitute(checker, i, j))
+        seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("name", ["sA1-v1-t1", "qsA2-v11", "qsA3-t1"])
+def test_deg_reads_the_cached_cartan_current(monkeypatch, name, corrupt):
+    """DEG and HB share one Xi_i per node, and DEG reports the leading
+    coefficient of the current it was handed."""
+    inst = catalog_by_name(name)
+    built = []
+
+    def counting_build_Xi(*args, **kwargs):
+        built.append(args[1])
+        return build_Xi(*args, **kwargs)
+    monkeypatch.setattr(relations, "build_Xi", counting_build_Xi)
+    monkeypatch.setattr(gklo, "build_Xi", counting_build_Xi)
+    report = RelationChecker(inst, corrupt=corrupt).run(["DEG", "HB"])
+    assert sorted(built) == list(inst.diagram.nodes())
+    monkeypatch.undo()
+    for r in report.results:
+        if r.kind != "DEG":
+            continue
+        i = r.pair[0]
+        coeff = leading_coefficient_K(
+            inst, i, build_Xi(inst, i, corrupt=corrupt))
+        assert r.status == "pass"
+        assert r.detail == f"leading coefficient {coeff!r}"

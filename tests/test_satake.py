@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from iqgklo.errors import (
-    AdjacentThetas, IncompatibleOrientation, NegativeMultiplicity, NotADE,
-    NotInCorootLattice, TauNotAutomorphism, TauNotInvolution,
-    ThetaOutsideFixedSet,
+    AdjacentThetas, AsymmetricMultiplicity, IncompatibleOrientation,
+    NegativeMultiplicity, NotADE, NotInCorootLattice, TauNotAutomorphism,
+    TauNotInvolution, ThetaOutsideFixedSet, ValidationError,
 )
 from iqgklo.satake import (
     assign_wp, build_catalog, cartan_A, catalog_by_name, default_orientation,
@@ -132,3 +132,16 @@ def test_tau_preserves_edges_and_orbit_sizes():
             assert frozenset((d.t(i), d.t(j))) in edges
         moved = [i for i in d.nodes() if d.t(i) != i]
         assert len(moved) == 2 * len(d.reps)
+
+
+def test_tau_asymmetric_multiplicities_rejected():
+    d = validate_diagram(cartan_A(2), (2, 1))
+    with pytest.raises(AsymmetricMultiplicity, match="pair 1,2") as exc:
+        make_instance("qsA2-v10", d, (0, 1), (-2, 2))
+    assert isinstance(exc.value, ValidationError)
+    d3 = validate_diagram(cartan_A(3), (3, 2, 1))
+    with pytest.raises(AsymmetricMultiplicity, match="pair 1,3"):
+        make_instance("qsA3-v100", d3, (2, 0, 0), (0, 1, 0))
+    # the framing may differ on a pair when the multiplicities agree
+    assert make_instance("qsA2-v11", d, (1, 0), (0, -1)).mult == (1, 1)
+

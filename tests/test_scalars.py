@@ -2,14 +2,15 @@
 
 import importlib.util
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
-    GR, GR_I, DMonomial, Monomial, Poly, Scalar, coeff_inverse,
-    divide_binomial, unpack_poly, w_var,
+    GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar, _canon, _key_min,
+    _mono, _settle, coeff_inverse, divide_binomial, unpack_poly, w_var,
 )
 
 
@@ -648,3 +649,51 @@ def test_divide_binomial(m1, c1, m2, c2, g, m3, c3):
     off = _ref_mul(f, g)
     _ref_add_term(off, _ref_mono(m3), c3)
     assert divide_binomial(_poly(off), pf) is None
+
+
+# --- the sum of two bare monomials against the general path -----------------
+
+
+def _general_monomial_sum(a, b):
+    """a + b for bare monomials with different keys, along the general
+    path of Scalar.__add__: both shifted to the lower key, the
+    coefficients combined, and the binomial settled."""
+    m = _key_min(a.m, b.m)
+    x, y = POLY_ONE.mul_mono(_mono(a.m - m)), POLY_ONE.mul_mono(_mono(b.m - m))
+    ca, cb = a.c, b.c
+    if ca == cb:
+        p = x + y
+    elif ca == -cb:
+        p = x - y
+    elif type(ca) is int and type(cb) is int:
+        g = gcd(ca, cb)
+        p, ca = x.scale(ca // g) + y.scale(cb // g), g
+    else:
+        p = x + y.scale(_canon(cb * coeff_inverse(ca)))
+    return _settle(ca, m, p, {})
+
+
+# int, Fraction and Gaussian coefficients, each in canonical form
+mono_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.builds(GR, small_fracs).filter(lambda c: type(c) is Fraction),
+    st.builds(GR, small_fracs, small_fracs.filter(bool)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ref_monos, mono_coeffs, ref_monos, mono_coeffs,
+       st.sampled_from(("free", "equal", "opposite")))
+def test_monomial_sum_matches_general_path(ma, ca, mb, cb, tie):
+    if tie != "free":
+        cb = ca if tie == "equal" else -ca
+    a = Scalar.from_mono(Monomial(_ref_mono(ma)), ca)
+    b = Scalar.from_mono(Monomial(_ref_mono(mb)), cb)
+    assume(a.m != b.m)
+    got, want = a + b, _general_monomial_sum(a, b)
+    assert got.c == want.c and got.m == want.m
+    assert got.num is POLY_ONE and want.num is POLY_ONE
+    assert list(got.f) == list(want.f) and len(got.f) == 1
+    (key, (factor, e)), = got.f.items()
+    assert factor is want.f[key][0] and e == want.f[key][1] == 1
+    assert repr(got) == repr(want)
+
