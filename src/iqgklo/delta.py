@@ -28,8 +28,25 @@ from .scalars import (
 )
 
 
+def _current(var, pref, power, factors):
+    """A FactorCurrent over a normalized factor dict (each key once, no
+    zero exponent or coefficient), which it takes over as it is."""
+    fc = object.__new__(FactorCurrent)
+    fc.var = var
+    fc.pref = pref
+    fc.power = power
+    fc.factors = factors
+    return fc
+
+
 class FactorCurrent:
-    """pref * x^power * prod over ((c, M), e) of (1 - c*M*x)^e."""
+    """pref * x^power * prod over ((c, M), e) of (1 - c*M*x)^e.
+
+    The constructor normalizes the factors it is given: equal keys are
+    merged in order of first appearance, and zero exponents and zero
+    coefficients are dropped.  Every other way of making a current starts
+    from a normalized dict and keeps it normalized, with the items and the
+    order that the constructor would give."""
 
     __slots__ = ("var", "pref", "power", "factors")
 
@@ -52,7 +69,9 @@ class FactorCurrent:
         return cls(var)
 
     def copy_with(self, pref=None, power=None, factors=None):
-        return FactorCurrent(
+        """A copy with the given parts replaced; ``factors`` must be a
+        normalized dict."""
+        return _current(
             self.var,
             self.pref if pref is None else pref,
             self.power if power is None else power,
@@ -61,8 +80,18 @@ class FactorCurrent:
     # --- builders -----------------------------------------------------
 
     def times_linear(self, M, c=1, e=1):
-        """Multiply by (1 - c*M*x)^e."""
-        return self.copy_with(factors=[*self.factors.items(), ((c, M), e)])
+        """Multiply by (1 - c*M*x)^e: a new factor goes last, a factor
+        already present takes the summed exponent in its place and leaves
+        when that sum is 0."""
+        f = dict(self.factors)
+        if e and c:
+            key = (c, M)
+            e += f.get(key, 0)
+            if e:
+                f[key] = e
+            else:
+                del f[key]
+        return self.copy_with(factors=f)
 
     def times_linear_inv_arg(self, M, c=1, e=1):
         """Multiply by (1 - c*M/x)^e = [-c*M/x * (1 - c^{-1}M^{-1}x)]^e."""
@@ -83,9 +112,8 @@ class FactorCurrent:
                              [*self.factors.items(), *other.factors.items()])
 
     def inverse(self):
-        return FactorCurrent(
-            self.var, self.pref.inverse(), -self.power,
-            {k: -e for k, e in self.factors.items()})
+        return _current(self.var, self.pref.inverse(), -self.power,
+                        {k: -e for k, e in self.factors.items()})
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -93,12 +121,13 @@ class FactorCurrent:
     # --- argument changes ---------------------------------------------
 
     def scale_arg(self, M, c=1):
-        """Substitute x -> c*M*x."""
+        """Substitute x -> c*M*x (c nonzero), which maps distinct factors
+        to distinct factors."""
         pref = self.pref * Scalar.from_mono(M ** self.power,
                                             coeff_pow(c, self.power))
-        return FactorCurrent(self.var, pref, self.power,
-                             [((ct * c, Mt * M), e)
-                              for (ct, Mt), e in self.factors.items()])
+        return _current(self.var, pref, self.power,
+                        {(ct * c, Mt * M): e
+                         for (ct, Mt), e in self.factors.items()})
 
     def invert_arg(self):
         """Substitute x -> 1/x."""
@@ -108,13 +137,14 @@ class FactorCurrent:
         return out
 
     def rename_var(self, newvar):
-        return FactorCurrent(newvar, self.pref, self.power, dict(self.factors))
+        return _current(newvar, self.pref, self.power, dict(self.factors))
 
     def conjugate(self, dmon):
-        """Move a shift-operator monomial through from the left."""
-        return FactorCurrent(self.var, self.pref.conjugate(dmon), self.power,
-                             [((c, M.conjugate(dmon)), e)
-                              for (c, M), e in self.factors.items()])
+        """Move a shift-operator monomial through from the left; distinct
+        monomials stay distinct (see ``Poly.conjugate``)."""
+        return _current(self.var, self.pref.conjugate(dmon), self.power,
+                        {(c, M.conjugate(dmon)): e
+                         for (c, M), e in self.factors.items()})
 
     # --- evaluation ----------------------------------------------------
 
@@ -219,8 +249,13 @@ class FactorCurrent:
 
 
 def resolve_pins(pins):
-    """Substitute pinned variables into one another's targets to a fixpoint."""
+    """Substitute pinned variables into one another's targets to a fixpoint.
+
+    Pinned variables are spectral, so when no target holds a spectral
+    variable there is nothing to substitute."""
     pins = dict(pins)
+    if not any(M.has_spectral() for M in pins.values()):
+        return pins
     names = sorted(pins)
     for _ in range(len(pins) + 2):
         changed = False
@@ -241,7 +276,10 @@ def _pins_key(pins):
 
 
 def _pinned(pins, coeff):
-    """coeff with each pinned variable replaced by its target."""
+    """coeff with each pinned variable replaced by its target; a
+    coefficient free of spectral variables holds none of them."""
+    if not coeff.has_spectral():
+        return coeff
     for v, M in pins.items():
         if coeff.has_var(v):
             coeff = coeff.substitute({v: M})
@@ -410,24 +448,26 @@ def canonicalize_compare(x, y):
     """Group by (pins, dmon) and compare coefficient sums exactly.
 
     Returns a list of discrepancies (pins, dmon, lhs coeff, rhs coeff);
-    empty list means equal.
+    empty list means equal.  The groups are compared in the order they
+    come, and only the discrepancies are ordered for the report: by the
+    repr of their decoded pins and dmon, which is distinct per group, so
+    the list is what sorting every group first would give.
     """
     check_fully_pinned(x)
     check_fully_pinned(y)
     xs = {(_pins_key(p), d): (p, c) for p, c, d in x.items()}
     ys = {(_pins_key(p), d): (p, c) for p, c, d in y.items()}
-    both = {**ys, **xs}
-
-    def report_order(key):
-        # by the decoded exponents, so the order never depends on limbs
-        p = both[key][0]
-        return repr((tuple((v, p[v].exps) for v, _ in key[0]), key[1]))
-
     bad = []
-    for key in sorted(both, key=report_order):
-        p = both[key][0]
+    for key, (p, _) in {**ys, **xs}.items():
         cx = xs[key][1] if key in xs else Scalar.zero()
         cy = ys[key][1] if key in ys else Scalar.zero()
         if not cx.equals(cy):
             bad.append((p, key[1], cx, cy))
+
+    def report_order(entry):
+        # by the decoded exponents, so the order never depends on limbs
+        p, dmon = entry[:2]
+        return repr((tuple((v, p[v].exps) for v in sorted(p)), dmon))
+
+    bad.sort(key=report_order)
     return bad

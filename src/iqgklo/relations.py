@@ -231,7 +231,8 @@ class RelationChecker:
         """Sym delta(u2 v)(1+q^2)(u2-v)v/((q u1-v)(v-q^2/u1)) (diff) B_i(u1);
         the whole prefactor is folded into the residue expansion at the
         pinned u1."""
-        one_plus_q2 = Scalar.one() + _q(2)
+        xi = times_x_minus_xinv(
+            self.Xi(i, "u2").scale(Scalar.one() + _q(2))).times_power(-1)
         out = Distribution.zero()
         for pinsB, cB, dB in self.B(i, "u1").items():
             a = pinsB["u1"]
@@ -242,9 +243,7 @@ class RelationChecker:
                 "u2",
                 pref=Scalar.from_mono(Monomial.q_int(2) * a.inverse(), -1)) \
                 .times_linear_inv_arg(Monomial.q_int(-2) * a)
-            gamma = times_x_minus_xinv(
-                self.Xi(i, "u2").scale(one_plus_q2)).times_power(-1)
-            gamma = gamma / (den1 * den2)
+            gamma = xi / (den1 * den2)
             for pinsR, R, _ in self._expand(gamma).items():
                 b = pinsR["u2"]
                 out.add_term({"u1": a, "u2": b, "v": b.inverse()},

@@ -13,12 +13,15 @@ Half-integer powers of q and w are integer powers of the base units, so
 every exponent is an integer.
 
 Exponent vectors are packed integers.  An append-only registry gives each
-variable name, on first use, its own signed 64-bit limb of the key, so the
-key of prod v^e_v is sum e_v * 2^(64*limb(v)), a monomial product is one
-integer addition and a power one integer multiplication.  Keys are decoded
-only where a per-variable view is needed; everything printed or sorted is
-ordered by variable name, never by limb, so no output depends on the order
-in which variables were registered.
+variable name, on first use, its own signed 32-bit limb of the key, so the
+key of prod v^e_v is sum e_v * 2^(32*limb(v)), a monomial product is one
+integer addition and a power one integer multiplication.  A limb holds
+exponents up to 2^31 - 1 in absolute value.  The largest |exponent| in
+any key built by the test suite is 60, and by ``iqgklo check`` on A1 at
+multiplicity 4 (framing 8, either theta) 38.  Keys are decoded only
+where a per-variable view is needed; everything printed or sorted is
+ordered by variable name, never by limb, so no output depends on the
+order in which variables were registered.
 
 A shift-operator monomial ``DMonomial`` is packed against the same
 registry: the exponent of d_{i,r} sits in the limb of ``w:i:r``, the
@@ -183,12 +186,14 @@ def zeta_var(i):
 
 # --- packed exponent keys --------------------------------------------------
 #
-# One signed 64-bit limb per registered variable; exponent sums at our
-# scales never approach the limb bound.  Adding _BIAS[n] lifts each of the
-# low n limbs into [0, 2^64) with no carry between limbs, which makes every
-# limb readable on its own.
+# One signed 32-bit limb per registered variable.  Exponent sums at our
+# scales stay far inside the limb bound of 2^31: the largest |exponent| in
+# any key is 60 over the test suite and 38 in ``iqgklo check`` on A1 at
+# multiplicity 4 (framing 8, either theta).  Adding _BIAS[n] lifts each of
+# the low n limbs into [0, 2^32) with no carry between limbs, which makes
+# every limb readable on its own.
 
-_LIMB = 64
+_LIMB = 32
 _MASK = (1 << _LIMB) - 1
 _HALF = 1 << (_LIMB - 1)
 
@@ -212,7 +217,7 @@ def _index(name):
         k = _INDEX[name] = len(_NAMES)
         _NAMES.append(name)
         _BIAS.append(_BIAS[-1] | _HALF << (_LIMB * k))
-        _LIMBS.append(struct.Struct(f"<{k + 1}q"))
+        _LIMBS.append(struct.Struct(f"<{k + 1}i"))
         if is_spectral(name):
             _SPECTRAL |= _MASK << (_LIMB * k)
     return k
@@ -226,11 +231,11 @@ def _limb(key, k):
 def _limb_rows(keys):
     """The limbs of every key, lowest first, as equal-length tuples.
 
-    The top nonzero limb of a key with bit length b is limb b // 64, so
+    The top nonzero limb of a key with bit length b is limb b // 32, so
     the rows stop at the top nonzero limb of the widest key.
     """
     n = max(map(abs, keys)).bit_length() // _LIMB + 1
-    b, limbs, nbytes = _BIAS[n], _LIMBS[n], 8 * n
+    b, limbs, nbytes = _BIAS[n], _LIMBS[n], 4 * n
     return [limbs.unpack(((key + b) ^ b).to_bytes(nbytes, "little"))
             for key in keys]
 
@@ -241,6 +246,8 @@ def _key_min(a, b):
 
     Lifting every limb of a - b by _HALF leaves its top bit clear exactly
     where a's exponent is below b's; those limbs of a - b are added to b.
+    So each difference of exponents must fit a limb too, as it does by
+    far at the exponents above.
     """
     bias = _BIAS[-1]
     lifted = a - b + bias
@@ -785,6 +792,7 @@ def divide_binomial(p, b):
 _LEADS = {}             # binomial exponent difference -> its sign rule
 _FACTORS = {}           # factor key -> the one Poly of that factor, and
                         # unit monomial key -> its one-term Poly
+_BINOMIALS = {}         # raw (k1, c1, k2, c2) -> what _binomial returns
 
 
 def _second_leads(delta):
@@ -805,7 +813,20 @@ def _second_leads(delta):
 
 def _binomial(k1, c1, k2, c2):
     """c1 X^k1 + c2 X^k2 (distinct keys, nonzero coefficients) as
-    (unit, g, factor key, factor) with the binomial = unit * X^g * factor.
+    (unit, g, factor key, factor) with the binomial = unit * X^g * factor
+    (see ``_normal_binomial``).  Memoized on the raw terms: the same raw
+    binomials recur throughout a check, and each is normalized once per
+    process.
+    """
+    raw = (k1, c1, k2, c2)
+    out = _BINOMIALS.get(raw)
+    if out is None:
+        out = _BINOMIALS[raw] = _normal_binomial(k1, c1, k2, c2)
+    return out
+
+
+def _normal_binomial(k1, c1, k2, c2):
+    """``_binomial`` computed afresh.
 
     The factor is primitive: its content monomial is 1, its leading term
     comes first (the constant term, else the term holding the
@@ -985,8 +1006,12 @@ class Scalar:
     made, and one table holds one ``Poly`` per factor key: ``_binomial``
     and ``_absorb`` hand out the table's object, so equal factors are one
     object, shared by every scalar that holds them, and each factor's
-    occupancy mask and evaluation layout are computed once.  The table
-    only grows; it holds each distinct factor the process has made.
+    occupancy mask and evaluation layout are computed once.  Beside it, a
+    second table maps each raw binomial (its two keys and coefficients
+    as given) to its normalized (unit, content key, factor key, factor),
+    so a binomial that recurs is normalized once.  Both tables only
+    grow; they hold each distinct factor and raw binomial the process
+    has made.
     """
 
     __slots__ = ("c", "m", "num", "f", "_occ")
@@ -1275,6 +1300,10 @@ class Scalar:
     def has_var(self, var):
         k = _INDEX.get(var)
         return k is not None and (self._occupied() >> (_LIMB * k)) & _MASK != 0
+
+    def has_spectral(self):
+        """Whether some part holds a spectral variable."""
+        return self._occupied() & _SPECTRAL != 0
 
     def den_factors(self):
         """The factors of the denominator, one Poly per distinct factor."""

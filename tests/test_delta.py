@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iqgklo.errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
@@ -14,7 +16,7 @@ from iqgklo.delta import (
 )
 from iqgklo.gklo import build_B_image, build_W, build_Xi
 from iqgklo.satake import build_catalog
-from iqgklo.scalars import GR, POLY_ONE, Monomial, Poly, Scalar
+from iqgklo.scalars import GR, POLY_ONE, Monomial, Poly, Scalar, coeff_pow
 from iqgklo.torus import DMonomial
 
 
@@ -331,6 +333,20 @@ def test_map_coeff_matches_add_term_path():
         _assert_same_terms(x.map_coeff(fn), _reference_map_coeff(x, fn))
 
 
+def test_map_coeff_substitutes_pins_and_keeps_pin_free_coefficients():
+    x = Distribution.single({"u": W}, Scalar.one())
+    u, q = Scalar.var("u"), Scalar.q_int(1)
+    # a new coefficient holding the pinned u gets the pin substituted, as
+    # the multiply-then-substitute references rely on
+    ((_, coeff, _),) = x.map_coeff(lambda pins, c: (u - q) * c).items()
+    assert not coeff.has_var("u")
+    assert coeff.equals(Scalar.from_mono(W) - q)
+    # a pin-free one is kept as it is, also when it holds a free variable
+    for free in (Scalar.from_mono(W) + q, Scalar.var("v") - q):
+        ((_, coeff, _),) = x.map_coeff(lambda pins, c: free).items()
+        assert coeff is free
+
+
 def _reference_evaluate(fc, a):
     """FactorCurrent.evaluate as |e| products or quotients per factor."""
     out = fc.pref * Scalar.from_mono(a ** fc.power)
@@ -404,3 +420,79 @@ def test_leading_at_infinity_matches_repeated_products():
         got = fc.leading_at_infinity()[1]
         assert _factored(got) == _factored(coeff)
         assert repr(got) == repr(coeff)
+
+
+# --- the copies of a current against the normalizing constructor ---------
+
+
+def _normalized_step(fc, op):
+    """One step of a chain through the normalizing constructor, from the
+    current's factor items."""
+    items = list(fc.factors.items())
+    var, pref, power = fc.var, fc.pref, fc.power
+    kind, *args = op
+    if kind == "times_linear":
+        M, c, e = args
+        return FactorCurrent(var, pref, power, [*items, ((c, M), e)])
+    if kind == "drop_factor":
+        (key,) = args
+        return FactorCurrent(var, pref, power,
+                             [(k, e) for k, e in items if k != key])
+    if kind == "inverse":
+        return FactorCurrent(var, pref.inverse(), -power,
+                             [(k, -e) for k, e in items])
+    if kind == "times_power":
+        return FactorCurrent(var, pref, power + args[0], items)
+    if kind == "scale":
+        return FactorCurrent(var, pref * args[0], power, items)
+    if kind == "rename_var":
+        return FactorCurrent(args[0], pref, power, items)
+    if kind == "conjugate":
+        (d,) = args
+        return FactorCurrent(var, pref.conjugate(d), power,
+                             [((c, M.conjugate(d)), e) for (c, M), e in items])
+    M, c = args                                         # scale_arg
+    pref = pref * Scalar.from_mono(M ** power, coeff_pow(c, power))
+    return FactorCurrent(var, pref, power,
+                         [((ct * c, Mt * M), e) for (ct, Mt), e in items])
+
+
+def _state(fc):
+    return fc.var, fc.power, list(fc.factors.items())
+
+
+# few monomials and coefficients, so that factors often merge and cancel
+CHAIN_MONOS = st.sampled_from([Monomial.one(), W, Q2, W * Q2, W.inverse()])
+CHAIN_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), GR(0, 1)])
+CHAIN_STEP = st.one_of(
+    st.tuples(st.just("times_linear"), CHAIN_MONOS, CHAIN_COEFFS,
+              st.integers(-2, 2)),
+    st.tuples(st.just("drop_factor"), st.integers(0, 7)),
+    st.tuples(st.just("inverse")),
+    st.tuples(st.just("times_power"), st.integers(-3, 3)),
+    st.tuples(st.just("scale"), st.sampled_from(
+        [Scalar.q_int(1), Scalar.var("u") + Scalar.one(),
+         Scalar.from_mono(W, GR(1, 2))])),
+    st.tuples(st.just("rename_var"), st.sampled_from(["x", "y"])),
+    st.tuples(st.just("conjugate"), st.sampled_from(
+        [DMonomial.unit(1, 1), DMonomial.unit(1, 1, -1)])),
+    st.tuples(st.just("scale_arg"), CHAIN_MONOS, CHAIN_COEFFS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(CHAIN_STEP, max_size=14))
+def test_copies_match_the_normalizing_constructor(chain):
+    fc = FactorCurrent.one("x")
+    for op in chain:
+        if op[0] == "drop_factor":
+            if not fc.factors:
+                continue
+            op = ("drop_factor", list(fc.factors)[op[1] % len(fc.factors)])
+        before, pref = _state(fc), fc.pref
+        got = getattr(fc, op[0])(*op[1:])
+        want = _normalized_step(fc, op)
+        # the operand is left as it was
+        assert _state(fc) == before and fc.pref is pref
+        assert _state(got) == _state(want)
+        assert _factored(got.pref) == _factored(want.pref)
+        fc = got

@@ -5,6 +5,7 @@ from iqgklo.relations import (
     classify_serre, identity_suite, merged_chi_suite,
 )
 from iqgklo import gklo, relations
+from iqgklo.delta import _pins_key, canonicalize_compare, check_fully_pinned
 from iqgklo.gklo import build_B_image, build_Xi, leading_coefficient_K
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import Scalar
@@ -238,3 +239,49 @@ def test_deg_reads_the_cached_cartan_current(monkeypatch, name, corrupt):
             inst, i, build_Xi(inst, i, corrupt=corrupt))
         assert r.status == "pass"
         assert r.detail == f"leading coefficient {coeff!r}"
+
+
+# --- the discrepancy order against sorting every group ---------------------
+
+
+def _compare_sorting_every_group(x, y):
+    """canonicalize_compare as it was: every group sorted by the report
+    key first, then compared in that order."""
+    check_fully_pinned(x)
+    check_fully_pinned(y)
+    xs = {(_pins_key(p), d): (p, c) for p, c, d in x.items()}
+    ys = {(_pins_key(p), d): (p, c) for p, c, d in y.items()}
+    both = {**ys, **xs}
+
+    def report_order(key):
+        p = both[key][0]
+        return repr((tuple((v, p[v].exps) for v, _ in key[0]), key[1]))
+
+    bad = []
+    for key in sorted(both, key=report_order):
+        p = both[key][0]
+        cx = xs[key][1] if key in xs else Scalar.zero()
+        cy = ys[key][1] if key in ys else Scalar.zero()
+        if not cx.equals(cy):
+            bad.append((p, key[1], cx, cy))
+    return bad
+
+
+@pytest.mark.parametrize("corrupt", ["drop_const", "flip_wp", "drop_kappa"])
+def test_discrepancies_in_the_order_of_sorting_every_group(monkeypatch,
+                                                           corrupt):
+    lists = []
+
+    def compare(x, y):
+        got = canonicalize_compare(x, y)
+        lists.append((got, _compare_sorting_every_group(x, y)))
+        return got
+    monkeypatch.setattr(relations, "canonicalize_compare", compare)
+    for inst in CATALOG:
+        RelationChecker(inst, corrupt=corrupt).run()
+    # some relation has several discrepancies, so their order is tested
+    assert max(len(got) for got, _ in lists) > 1
+    for got, want in lists:
+        assert len(got) == len(want)
+        for (p, d, cx, cy), (wp, wd, wx, wy) in zip(got, want):
+            assert p is wp and d == wd and cx is wx and cy is wy

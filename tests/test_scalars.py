@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.scalars import (
-    GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar, _canon, _key_min,
-    _mono, _settle, coeff_inverse, divide_binomial, unpack_poly, w_var,
+    _BINOMIALS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar,
+    _binomial, _canon, _index, _key_min, _limb_rows, _mono, _normal_binomial,
+    _q_shift, _settle, _shift_taps, _substitute_key, _substitution,
+    coeff_inverse, divide_binomial, unpack_poly, w_var,
 )
 
 
@@ -697,3 +699,73 @@ def test_monomial_sum_matches_general_path(ma, ca, mb, cb, tie):
     assert factor is want.f[key][0] and e == want.f[key][1] == 1
     assert repr(got) == repr(want)
 
+
+
+# --- the raw-binomial memo and the limb bounds ------------------------------
+
+
+@pytest.mark.parametrize("c1,c2", [
+    (3, -6),                                # int
+    (Fraction(1, 2), 3),                    # Fraction
+    (Fraction(-2, 3), Fraction(4, 9)),
+    (GR(1, 1), 2),                          # Gaussian
+    (2, GR(0, -1)),
+])
+def test_binomial_memo_hit_is_a_fresh_normalization(c1, c2):
+    k1 = Monomial.q_int(1).key
+    k2 = (Monomial.w(1, 1) * Monomial.unit("u", -1)).key
+    for raw in ((k1, c1, k2, c2), (k2, c2, k1, c1)):
+        first = _binomial(*raw)
+        assert _BINOMIALS[raw] is first
+        hit, fresh = _binomial(*raw), _normal_binomial(*raw)
+        assert hit is first
+        unit, g, key, factor = fresh
+        assert hit[:3] == (unit, g, key)
+        assert type(hit[0]) is type(unit)
+        assert hit[3] is factor
+
+
+BOUND = (1 << 31) - 1          # the largest |exponent| a limb holds
+
+
+def _key(limbs):
+    """The packed key of the exponents ``limbs``, lowest limb first."""
+    return sum(e << (_LIMB * k) for k, e in enumerate(limbs))
+
+
+def test_extreme_exponents_stay_in_their_limbs():
+    # four limbs side by side, registered together, so they are adjacent
+    names = [f"edge:{n}" for n in range(4)]
+    ks = [_index(v) for v in names]
+    assert ks == list(range(ks[0], ks[0] + 4))
+    # every limb up to the new ones at alternating +-BOUND
+    edge = [BOUND if k % 2 else -BOUND for k in range(ks[-1] + 1)]
+    for limbs in (edge, [-e for e in edge]):
+        (got,) = _limb_rows((_key(limbs),))
+        assert list(got) == limbs
+
+    # the per-variable minimum, where every difference fits a limb
+    near = [e - 1 if e > 0 else e + 1 for e in edge]
+    a, b = _key(edge), _key(near)
+    assert _key_min(a, b) == _key_min(b, a) == _key(map(min, edge, near))
+    assert _key_min(a, 0) == _key([min(e, 0) for e in edge])
+
+    # an extreme exponent moved into another limb of the four
+    base = [0] * ks[0] + [BOUND, -BOUND, BOUND, 0]
+    for src in range(3):
+        plan = _substitution({names[src]: Monomial.unit(names[3])})
+        want = list(base)
+        want[ks[3]], want[ks[src]] = base[ks[src]], 0
+        assert _substitute_key(_key(base), plan) == _key(want)
+
+    # a shift that takes the q limb to +-BOUND between full limbs
+    q, w = _index("q"), _index(w_var(97, 1))
+    for sign in (1, -1):
+        limbs = [sign * BOUND if k % 2 else -sign * BOUND
+                 for k in range(w + 1)]
+        limbs[q], limbs[w] = sign * (BOUND - 2), 1
+        key = _key(limbs)
+        want = list(limbs)
+        want[q] = sign * BOUND
+        taps = _shift_taps(DMonomial.unit(97, 1, sign).key)
+        assert key + _q_shift(key, taps) == _key(want)
