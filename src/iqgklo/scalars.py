@@ -789,7 +789,6 @@ def divide_binomial(p, b):
 
 # --- factored scalars ------------------------------------------------------
 
-_LEADS = {}             # binomial exponent difference -> its sign rule
 _FACTORS = {}           # factor key -> the one Poly of that factor, and
                         # unit monomial key -> its one-term Poly
 _BINOMIALS = {}         # raw (k1, c1, k2, c2) -> what _binomial returns
@@ -800,15 +799,10 @@ def _second_leads(delta):
     nonzero, whether X^(k+delta) holds the name-smallest variable.
 
     The two keys have disjoint supports, so that variable's exponent in
-    delta is positive exactly when the second key holds it.  Memoized:
-    the differences that occur form a small set.
+    delta is positive exactly when the second key holds it.
     """
-    lead = _LEADS.get(delta)
-    if lead is None:
-        (limbs,) = _limb_rows((delta,))
-        lead = _LEADS[delta] = min(
-            (_NAMES[k], e) for k, e in enumerate(limbs) if e)[1] > 0
-    return lead
+    (limbs,) = _limb_rows((delta,))
+    return min((_NAMES[k], e) for k, e in enumerate(limbs) if e)[1] > 0
 
 
 def _binomial(k1, c1, k2, c2):

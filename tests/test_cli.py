@@ -166,9 +166,11 @@ def test_check_builds_each_pair_once(capsys, monkeypatch):
 def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
     # every factor key is one object, so its evaluation layout is decoded
     # once per check, however many scalars and trials share it; a fresh
-    # factor table keeps layouts that other tests decoded out of the count
+    # factor table, and a fresh raw-binomial table in front of it, keep
+    # factors and layouts that other tests made out of the count
     monkeypatch.setattr(scalars, "_FACTORS", {})
-    decoded, keys = [], set()
+    monkeypatch.setattr(scalars, "_BINOMIALS", {})
+    decoded, keys, strays = [], set(), []
     eval_layout, part_value = scalars._eval_layout, scalars._part_value
 
     def count_layout(terms):
@@ -176,8 +178,11 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
         return eval_layout(terms)
 
     def count_part(p, key, assignment, memo):
-        if scalars._FACTORS.get(key) is p:
+        factor = scalars._FACTORS.get(key)
+        if factor is p:
             keys.add(key)
+        elif factor is not None:
+            strays.append(key)
         return part_value(p, key, assignment, memo)
     monkeypatch.setattr(scalars, "_eval_layout", count_layout)
     monkeypatch.setattr(scalars, "_part_value", count_part)
@@ -185,7 +190,7 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
                          "--format", "structured")
     assert code == 0
     factor_terms = {id(p.terms) for p in scalars._FACTORS.values()}
-    assert keys
+    assert keys and not strays
     assert sum(id(t) in factor_terms for t in decoded) == len(keys)
 
 
