@@ -3,14 +3,12 @@
 Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
-  group by support group, under random exact Gaussian-rational
-  specializations of all base variables.  Each coefficient is evaluated
-  to an unreduced fraction of Gaussian integers, and the two values of a
-  group are compared by cross-multiplication, in integers only.  A random
-  monomial test function is still drawn on every trial but not applied:
-  acting on it only rescales it, and its value is a common nonzero
-  factor of a group's two sides.  It shares no simplification code with
-  the symbolic comparison path.
+  group by support group, at random exact rational values of all base
+  variables, in integers only, on a plan compiled once per pair: each
+  distinct part of the coefficients is evaluated once per trial, and the
+  parts that both sides of a group share are cancelled, exactly, so each
+  (verdict, trials) pair is that of evaluating every coefficient whole.
+  It shares no simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
@@ -20,10 +18,10 @@ Two instruments:
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import gcd
 
-from .errors import BadSpecialization, DenominatorVanishes, DivisionByZero
-from .scalars import GR, SCALAR_ZERO, Poly, Scalar, add_into
+from .errors import BadSpecialization
+from .scalars import SCALAR_ZERO, Poly, Scalar, add_into, combine_cleared
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
 
@@ -39,89 +37,107 @@ def act(term, f):
     return coeff * Scalar.from_mono(f).conjugate(dmon)
 
 
-def _random_gr(rng, max_height=64):
-    num = rng.randint(1, max_height) * rng.choice((1, -1))
-    den = rng.randint(1, max_height)
-    return GR(Fraction(num, den))
-
-
-def _random_assignment(rng, variables):
-    return {v: _random_gr(rng) for v in variables}
-
-
-def _group_key(pins, dmon):
-    return (tuple(sorted((v, M.exps) for v, M in pins.items())), dmon)
+def _random_points(rng, names, n_test_exps, max_height=64):
+    """One attempt's draws: for each name in order, a random rational n/d,
+    0 < |n|, d <= max_height, drawn cleared as (s, g, 0, g*g), the integer
+    g over s in lowest terms (see ``scalars._cleared_point``); then the
+    test monomial's exponents in [-3, 3], drawn and dropped."""
+    points = {}
+    for v in names:
+        n = rng.randint(1, max_height) * rng.choice((1, -1))
+        d = rng.randint(1, max_height)
+        g = gcd(n, d)
+        points[v] = d // g, n // g, 0, (n // g) ** 2
+    for _ in range(n_test_exps):
+        rng.randint(-3, 3)
+    return points
 
 
 def _groups(dist):
-    return {_group_key(p, d): c for p, c, d in dist.items()}
+    """Each support group's coefficient, keyed by its pins and shift."""
+    return {(tuple(sorted((v, M.exps) for v, M in p.items())), d): c
+            for p, c, d in dist.items()}
 
 
 def _same_value(a, b):
     """Whether two unreduced values (nre, nim, dre, dim) of
-    ``Scalar._eval_cleared`` are equal: n/d == n'/d' exactly when
-    n*d' == n'*d in the Gaussian integers."""
+    ``combine_cleared`` are equal: n/d == n'/d' exactly when n*d' == n'*d
+    in the Gaussian integers."""
     nre, nim, dre, dim = a
     mre, mim, ere, eim = b
     return (nre * ere - nim * eim == mre * dre - mim * dim
             and nre * eim + nim * ere == mre * dim + mim * dre)
 
 
+def _plan(x, y):
+    """(parts, groups): each distinct part of the coefficients'
+    ``eval_plan`` by key, and per support group, x's first and then those
+    only y has, (dens, shared, vx, vy): the parts of either side's
+    denominator, the numerator parts both sides hold, and each side as
+    (unit, den, num) with what both hold in their numerators, or both in
+    their denominators, cancelled to the lower multiplicity."""
+    gx, gy = _groups(x), _groups(y)
+    parts, groups = {}, []
+    for key in [*gx, *(key for key in gy if key not in gx)]:
+        (ux, dx, nx, px), (uy, dy, ny, py) = (
+            g.get(key, SCALAR_ZERO).eval_plan() for g in (gx, gy))
+        parts.update(px)
+        parts.update(py)
+        sd, sn = dx & dy, nx & ny
+        groups.append((dx.keys() | dy.keys(), sn.keys(),
+                       (ux, dx - sd, nx - sn), (uy, dy - sd, ny - sn)))
+    return parts, groups
+
+
 def randomized_equal(x, y, trials=20, seed=0):
     """Numeric concordance check for two fully pinned distributions.
 
-    For each trial the two sides are compared support group by support
-    group at a random exact specialization.  Each side's coefficient is
-    evaluated as an unreduced fraction n/d of Gaussian integers (see
-    ``Scalar._eval_cleared``), and the two values are equal exactly when
-    nx*dy == ny*dx, so the comparison needs no gcd and no Fraction.
-    Acting with the shift part on a monomial test function only rescales
-    it, and the rescaled monomial's value is the same nonzero number on
-    both sides of a group, so it cannot change a verdict: the test
-    monomial is drawn on every trial but not applied.
-    One evaluation memo per trial is shared by every coefficient of both
-    sides, so each distinct factor is evaluated once per trial.
-    Specializations that hit a denominator are retried (bounded).  The
-    groups are visited in a fixed order, x's first and then those only y
-    has, since which of a mismatch and a vanishing denominator comes first
-    in a trial decides between False and a retry.
-    Returns (verdict, trials_run).
+    The pair is compiled once (``_plan``).  Each trial draws every
+    variable's value already cleared, evaluates each distinct part once,
+    to a Gaussian integer over an integer, and compares the two sides of
+    each support group as unreduced n/d: n/d == n'/d' exactly when
+    n*d' == n'*d, so no gcd and no Fraction is needed.  The parts that
+    both sides share are cancelled, and in every trial exactly so:
+    * a vanishing denominator part of either side, shared or not,
+      retries the trial, as the whole values would;
+    * else a vanishing shared numerator part makes both sides 0, and the
+      group is equal in this trial;
+    * else the shared parts are one nonzero factor of both sides of
+      n*d' == n'*d, and dropping it leaves the verdict as it was.
+    The test monomial is drawn on every trial but not applied: the shift
+    part only rescales it, by one nonzero factor of both sides of a
+    group.  So the draws, the retries (bounded) and the group order, which
+    is fixed since a mismatch met before a vanishing denominator decides
+    False and not a retry, are those of evaluating every coefficient
+    whole on the test monomial, and so is (verdict, trials_run).
     """
     rng = random.Random(seed)
-    gx, gy = _groups(x), _groups(y)
-    keys = [*gx, *(key for key in gy if key not in gx)]
-    if not keys:
+    parts, groups = _plan(x, y)
+    if not groups:
         return True, trials
-    variables = set()
-    for g in (gx, gy):
-        for c in g.values():
-            variables |= c.variables()
-    variables.add("q")
-    names = sorted(variables)
-    n_test_exps = sum(v.startswith("w:") for v in variables)
-    done = 0
-    attempts = 0
+    names = sorted({"q"}.union(*(p.variables() for p in parts.values())))
+    n_test_exps = sum(v.startswith("w:") for v in names)
+    done = attempts = 0
     while done < trials:
         if attempts > MAX_RETRIES + trials:
             raise BadSpecialization(
                 f"exceeded {MAX_RETRIES} retries at trial {done}")
         attempts += 1
-        assignment = _random_assignment(rng, names)
-        # the test monomial's exponents, one per w: variable: not applied
-        # (see above), but drawn, since the draws keep the random stream,
-        # and with it each seed's specializations, retries and trial counts
-        for _ in range(n_test_exps):
-            rng.randint(-3, 3)
-        memo = {}
-        try:
-            for key in keys:
-                vx = gx.get(key, SCALAR_ZERO)._eval_cleared(assignment, memo)
-                vy = gy.get(key, SCALAR_ZERO)._eval_cleared(assignment, memo)
-                if not _same_value(vx, vy):
-                    return False, done + 1
-        except (DenominatorVanishes, DivisionByZero):
-            continue
-        done += 1
+        # every variable's point is in the memo, so no assignment is read
+        memo = _random_points(rng, names, n_test_exps)
+        values = {key: p._eval_cleared(None, memo)
+                  for key, p in parts.items()}
+        zero = {key for key, (re, im, _) in values.items() if not (re or im)}
+        for dens, shared, vx, vy in groups:
+            if zero and not zero.isdisjoint(dens):
+                break
+            if zero and not zero.isdisjoint(shared):
+                continue
+            if not _same_value(combine_cleared(*vx, values),
+                               combine_cleared(*vy, values)):
+                return False, done + 1
+        else:
+            done += 1
     return True, done
 
 

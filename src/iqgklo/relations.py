@@ -322,35 +322,20 @@ class RelationChecker:
     def cases(self):
         """All applicable (kind, nodes) cases for this instance."""
         d = self.inst.diagram
-        out = [("HH", ())]
-        for i in d.nodes():
-            out.append(("DEG", (i,)))
-        for i in d.nodes():
-            for j in d.nodes():
-                out.append(("HB", (i, j)))
-        for i in d.nodes():
-            for j in d.nodes():
-                out.append((classify_bb(d, i, j), (i, j)))
-        for i in d.nodes():
-            for j in d.nodes():
-                k = classify_serre(d, i, j)
-                if k:
-                    out.append((k, (i, j)))
-        return out
+        pairs = [(i, j) for i in d.nodes() for j in d.nodes()]
+        return [("HH", ()), *(("DEG", (i,)) for i in d.nodes()),
+                *(("HB", p) for p in pairs),
+                *((classify_bb(d, *p), p) for p in pairs),
+                *((k, p) for p in pairs if (k := classify_serre(d, *p)))]
 
     def run(self, kinds=None):
         report = CheckReport(self.inst.name)
+        checks = {"HH": self.check_hh, "DEG": self.check_deg,
+                  "HB": self.check_hb}
         for kind, nodes in self.cases():
-            if kinds is not None and kind not in kinds:
-                continue
-            if kind == "HH":
-                report.results.append(self.check_hh())
-            elif kind == "DEG":
-                report.results.append(self.check_deg(nodes[0]))
-            elif kind == "HB":
-                report.results.append(self.check_hb(*nodes))
-            else:
-                report.results.append(self.check_pair(kind, *nodes))
+            if kinds is None or kind in kinds:
+                report.results.append(checks[kind](*nodes) if kind in checks
+                                      else self.check_pair(kind, *nodes))
         return report
 
 

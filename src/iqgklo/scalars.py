@@ -15,13 +15,11 @@ every exponent is an integer.
 Exponent vectors are packed integers.  An append-only registry gives each
 variable name, on first use, its own signed 32-bit limb of the key, so the
 key of prod v^e_v is sum e_v * 2^(32*limb(v)), a monomial product is one
-integer addition and a power one integer multiplication.  A limb holds
-exponents up to 2^31 - 1 in absolute value.  The largest |exponent| in
-any key built by the test suite is 60, and by ``iqgklo check`` on A1 at
-multiplicity 4 (framing 8, either theta) 38.  Keys are decoded only
-where a per-variable view is needed; everything printed or sorted is
-ordered by variable name, never by limb, so no output depends on the
-order in which variables were registered.
+integer addition and a power one integer multiplication (see the limb
+bound at ``_LIMB``).  Keys are decoded only where a per-variable view is
+needed; everything printed or sorted is ordered by variable name, never
+by limb, so no output depends on the order in which variables were
+registered.
 
 A shift-operator monomial ``DMonomial`` is packed against the same
 registry: the exponent of d_{i,r} sits in the limb of ``w:i:r``, the
@@ -53,6 +51,7 @@ changes, and returns the scalar itself when there are none.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -648,13 +647,10 @@ class Poly:
 
     def _eval_cleared(self, assignment, memo):
         """Exact evaluation of a nonzero Poly as (re, im, D), the value
-        (re + i*im) / D with D a positive integer.
-
-        Each variable's value is cleared to a Gaussian integer over one
-        fixed denominator (covering the variable's full exponent range),
-        so the term sum is pure integer arithmetic.  ``memo`` (see
-        ``Scalar._eval_cleared``) keeps each variable's cleared value and
-        each power table across calls at one assignment."""
+        (re + i*im) / D with D a positive integer: each variable's value is
+        cleared to a Gaussian integer over one denominator that covers its
+        exponent range, so the term sum is pure integer arithmetic.
+        ``memo`` is as in ``Scalar._eval_cleared``."""
         try:
             ranges, rows = self._layout
         except AttributeError:
@@ -918,14 +914,25 @@ def times_powers(s, powers):
     return _scalar(c, m, s.num, f)
 
 
-def _part_value(p, key, assignment, memo):
-    """The cleared value (re, im, D) of the part ``p`` of a scalar, looked
-    up in ``memo`` under ``key`` (see ``Scalar._eval_cleared``) and stored
-    there on a miss."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = p._eval_cleared(assignment, memo)
-    return value
+def combine_cleared(unit, den, num, values):
+    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), not
+    reduced (see ``Scalar._eval_cleared``): ``unit`` is a cleared constant
+    (s, cre, cim), the value (cre + i*cim) / s, and ``den`` and ``num``
+    map part keys to multiplicities, each part's value (re, im, D), the
+    value (re + i*im) / D, being ``values[key]``."""
+    dre, nre, nim = unit
+    dim = 0
+    for key, e in den.items():
+        re, im, D = values[key]
+        for _ in range(e):
+            dre, dim = dre * re - dim * im, dre * im + dim * re
+            nre, nim = nre * D, nim * D
+    for key, e in num.items():
+        re, im, D = values[key]
+        for _ in range(e):
+            nre, nim = nre * re - nim * im, nre * im + nim * re
+            dre, dim = dre * D, dim * D
+    return nre, nim, dre, dim
 
 
 def _scalar(c, m, num, f):
@@ -997,15 +1004,11 @@ class Scalar:
     content 1 and is keyed by its term set.  Exponents are signed, so a
     factor sits in the numerator or in the denominator and a product
     cancels by adding exponents.  Factors are normalized when they are
-    made, and one table holds one ``Poly`` per factor key: ``_binomial``
-    and ``_absorb`` hand out the table's object, so equal factors are one
-    object, shared by every scalar that holds them, and each factor's
-    occupancy mask and evaluation layout are computed once.  Beside it, a
-    second table maps each raw binomial (its two keys and coefficients
-    as given) to its normalized (unit, content key, factor key, factor),
-    so a binomial that recurs is normalized once.  Both tables only
-    grow; they hold each distinct factor and raw binomial the process
-    has made.
+    made, and one table, ``_FACTORS``, holds one ``Poly`` per factor key:
+    ``_binomial`` and ``_absorb`` hand out its object, so equal factors
+    are one object, shared by every scalar that holds them, and each
+    factor's occupancy mask and evaluation layout are computed once.  The
+    table only grows, as does ``_BINOMIALS`` (see ``_binomial``).
     """
 
     __slots__ = ("c", "m", "num", "f", "_occ")
@@ -1238,55 +1241,51 @@ class Scalar:
         return _gaussian(_as_num(Fraction(re, norm)) if re else 0,
                          _as_num(Fraction(im, norm)) if im else 0)
 
+    def eval_plan(self):
+        """(unit, den, num, parts): the constant cleared once, (s, cre, cim)
+        (see ``combine_cleared``; 0 over 1 for the zero scalar, which has no
+        part), the multiplicities of the denominator factors and of the
+        numerator parts (the numerator factors, the cofactor, the unit
+        monomial) as Counters over part keys, and each key's Poly.  A key
+        determines its part: a factor's key (four ints for a binomial, the
+        term set for any other factor), the cofactor's term set, the unit
+        monomial's packed key.  The kinds never collide, so a part that
+        several scalars share has one key."""
+        den, num, parts = Counter(), Counter(), {}
+        if not self.c:
+            return (1, 0, 0), den, num, parts
+        for key, (p, e) in self.f.items():
+            if e < 0:
+                den[key] = -e
+            else:
+                num[key] = e
+            parts[key] = p
+        if self.num is not POLY_ONE:
+            key = frozenset(self.num.terms.items())
+            num[key] += 1
+            parts[key] = self.num
+        if self.m:
+            if self.m not in _FACTORS:
+                _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
+            num[self.m] += 1
+            parts[self.m] = _FACTORS[self.m]
+        return _cleared_point("the unit", self.c)[:3], den, num, parts
+
     def _eval_cleared(self, assignment, memo):
         """Exact evaluation as (nre, nim, dre, dim), the value
         (nre + i*nim) / (dre + i*dim) with a nonzero denominator, not
-        reduced: the zero scalar gives (0, 0, 1, 0).
-
-        Each part is cleared to a Gaussian integer over an integer (see
-        ``Poly._eval_cleared``), each variable's value is cleared once,
-        and the parts and the unit's constant are combined in integers.
-        The denominator factors come first, so a vanishing one raises
-        before any other work.
-
-        ``memo``, a dict, carries what was computed at one assignment from
-        call to call, keyed by what determines it exactly: a variable's
-        cleared value by its name, a power table by (name, lowest, highest
-        exponent), and a part's cleared value by its factor key (four ints
-        for a binomial, the term set for any other factor), the cofactor's
-        by its term set and the unit monomial's by its packed key.  The key
-        kinds differ in type or length, so they never collide, and a part
-        shared by several scalars is evaluated once per assignment.  A memo
-        belongs to one assignment.
-        """
-        if not self.c:
-            return 0, 0, 1, 0
-        nre, nim, dre, dim = 1, 0, 1, 0     # the value is c * n / d
-        for key, (p, e) in self.f.items():
-            if e < 0:
-                re, im, D = _part_value(p, key, assignment, memo)
-                if not (re or im):
-                    raise DenominatorVanishes(
-                        "denominator vanishes at this assignment")
-                for _ in range(-e):
-                    dre, dim = dre * re - dim * im, dre * im + dim * re
-                    nre, nim = nre * D, nim * D
-        parts = [(p, key, e) for key, (p, e) in self.f.items() if e > 0]
-        if self.num is not POLY_ONE:
-            parts.append((self.num, frozenset(self.num.terms.items()), 1))
-        if self.m:
-            mono = _FACTORS.get(self.m)
-            if mono is None:
-                mono = _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
-            parts.append((mono, self.m, 1))
-        for p, key, e in parts:
-            re, im, D = _part_value(p, key, assignment, memo)
-            for _ in range(e):
-                nre, nim = nre * re - nim * im, nre * im + nim * re
-                dre, dim = dre * D, dim * D
-        s, cre, cim, _ = _cleared_point("the unit", self.c)
-        return (nre * cre - nim * cim, nre * cim + nim * cre,
-                dre * s, dim * s)
+        reduced: each part of ``eval_plan`` is cleared once (see
+        ``Poly._eval_cleared``), and ``combine_cleared`` combines them.
+        ``memo``, a dict, belongs to one assignment and carries from call
+        to call each variable's cleared value, by name, and each power
+        table, by (name, lowest, highest exponent)."""
+        unit, den, num, parts = self.eval_plan()
+        values = {key: p._eval_cleared(assignment, memo)
+                  for key, p in parts.items()}
+        if any(not (values[key][0] or values[key][1]) for key in den):
+            raise DenominatorVanishes(
+                "denominator vanishes at this assignment")
+        return combine_cleared(unit, den, num, values)
 
     def variables(self):
         return _occupied_names(self._occupied())

@@ -5,10 +5,8 @@ import pytest
 from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
-from iqgklo import delta, relations, scalars
-from iqgklo.errors import (
-    DenominatorVanishes, NonSimplePole, ParseError, ValidationError,
-)
+from iqgklo import delta, oracle, relations, scalars
+from iqgklo.errors import NonSimplePole, ParseError, ValidationError
 from iqgklo.relations import RelationChecker
 from iqgklo.scalars import Scalar
 
@@ -128,11 +126,12 @@ def test_check_aborted_expansion_fails_series_soundness(capsys, monkeypatch):
 
 def test_check_bad_specialization_fails_oracle_concordance(capsys,
                                                            monkeypatch):
-    # every specialization hits a denominator, so the oracle runs out of
-    # retries: concordance fails (exit 1 with a report), the verb does not
-    def eval_cleared(self, assignment, memo):
-        raise DenominatorVanishes("forced")
-    monkeypatch.setattr(Scalar, "_eval_cleared", eval_cleared)
+    # every variable drawn as 1 puts a zero in a denominator of every
+    # attempt, so the oracle runs out of retries: concordance fails (exit 1
+    # with a report), the verb does not
+    def all_ones(rng, names, n_test_exps):
+        return {v: (1, 1, 0, 1) for v in names}
+    monkeypatch.setattr(oracle, "_random_points", all_ones)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--trials", "2",
                            "--format", "structured")
@@ -171,21 +170,23 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
     monkeypatch.setattr(scalars, "_FACTORS", {})
     monkeypatch.setattr(scalars, "_BINOMIALS", {})
     decoded, keys, strays = [], set(), []
-    eval_layout, part_value = scalars._eval_layout, scalars._part_value
+    eval_layout, eval_plan = scalars._eval_layout, Scalar.eval_plan
 
     def count_layout(terms):
         decoded.append(terms)
         return eval_layout(terms)
 
-    def count_part(p, key, assignment, memo):
-        factor = scalars._FACTORS.get(key)
-        if factor is p:
-            keys.add(key)
-        elif factor is not None:
-            strays.append(key)
-        return part_value(p, key, assignment, memo)
+    def count_parts(self):
+        plan = eval_plan(self)
+        for key, p in plan[3].items():
+            factor = scalars._FACTORS.get(key)
+            if factor is p:
+                keys.add(key)
+            elif factor is not None:
+                strays.append(key)
+        return plan
     monkeypatch.setattr(scalars, "_eval_layout", count_layout)
-    monkeypatch.setattr(scalars, "_part_value", count_part)
+    monkeypatch.setattr(Scalar, "eval_plan", count_parts)
     code, _, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
                          "--format", "structured")
     assert code == 0

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from iqgklo.cli import instance_from_description
 from iqgklo.delta import Distribution, canonicalize_compare
 from iqgklo.errors import DegreeMismatch, WrongCase
 from iqgklo.gklo import (
@@ -115,6 +116,33 @@ def test_b_image_coefficients_admissible(inst):
     for i in inst.diagram.nodes():
         for _, coeff, dmon in build_B_image(inst, i).items():
             check_admissible(TorusElement.monomial(coeff, dmon))
+
+
+# Shifted instances, the paper's subject, which the all-shift-0 catalog
+# lacks: the five inline descriptions that the check benchmark runs.
+SHIFTED = {
+    "A1-f3-s1": {"type": "A", "rank": 1, "framing": [3], "shift": [1]},
+    "A1-f0-s-2": {"type": "A", "rank": 1, "framing": [0], "shift": [-2]},
+    "A1-t1-f2-s-2": {"type": "A", "rank": 1, "framing": [2], "shift": [-2],
+                     "theta": [1]},
+    "A2-f21-s10": {"type": "A", "rank": 2, "framing": [2, 1],
+                   "shift": [1, 0]},
+    "qsA3-f111-s010": {"type": "A", "rank": 3, "tau": [[1, 3]],
+                       "framing": [1, 1, 1], "shift": [0, 1, 0]},
+}
+
+
+def test_shifted_b_image_coefficients_admissible():
+    seen = 0
+    for desc in SHIFTED.values():
+        inst = instance_from_description(desc)
+        assert any(inst.shift)
+        for i in inst.diagram.nodes():
+            for _, coeff, dmon in build_B_image(inst, i).items():
+                assert coeff.den_factors()
+                check_admissible(TorusElement.monomial(coeff, dmon))
+                seen += 1
+    assert seen == 19
 
 
 def _chi_swap_holds(chis, i, j, k1, k2, cij, rhs_second_sign=None):

@@ -4,23 +4,28 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo import oracle
 from iqgklo.delta import Distribution, FactorCurrent, expand_by_residues
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
-    _groups, _random_assignment, _same_value, act, randomized_equal,
+    _groups, _plan, _same_value, act, randomized_equal,
     truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
-from iqgklo.scalars import GR, GR_I, Monomial, Poly, Scalar, add_into
+from iqgklo.scalars import (
+    GR, GR_I, Monomial, Poly, Scalar, _cleared_point, add_into,
+)
 from iqgklo.torus import DMonomial, TorusElement
+from test_scalars import ref_scalars
 
 
 def _shift(i, r, e):
@@ -81,24 +86,30 @@ def test_randomized_equal_matches_symbolic_verdict():
 
 
 def test_randomized_equal_evaluates_each_factor_once_per_trial(monkeypatch):
-    # one memo per trial: no polynomial is evaluated twice at one
-    # assignment, though the two sides share most of their factors
+    # one memo of drawn points per trial: no part is evaluated twice in a
+    # trial, though the two sides share most of their factors
     inst = catalog_by_name("sA1-v1-t0")
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
     seen = Counter()
+    memos = {}                      # kept alive, so no id is reused
     original = Poly._eval_cleared
 
     def counted(self, assignment, memo):
-        seen[tuple(assignment.items()), frozenset(self.terms.items())] += 1
+        memos[id(memo)] = memo
+        seen[id(memo), frozenset(self.terms.items())] += 1
         return original(self, assignment, memo)
     monkeypatch.setattr(Poly, "_eval_cleared", counted)
     assert randomized_equal(lhs, rhs, trials=20, seed=0) == (True, 20)
-    assert len({a for a, _ in seen}) == 20
+    assert len(memos) == 20
     assert max(seen.values()) == 1
+    # every part of both sides is evaluated in every trial
+    parts = {frozenset(p.terms.items()) for p in _plan(lhs, rhs)[0].values()}
+    assert Counter(terms for _, terms in seen) == {t: 20 for t in parts}
 
 
-# Records, in a fresh interpreter, every coefficient the oracle evaluates
-# on the qsA2-v11 BB3[1,2] pair, in order.
+# Records, in a fresh interpreter, every coefficient the oracle compiles
+# on the qsA2-v11 BB3[1,2] pair, in order; the plan's groups are compared
+# in that order, x's side of each group before y's.
 VISITS = """
 import json
 from iqgklo.oracle import randomized_equal
@@ -107,12 +118,12 @@ from iqgklo.satake import catalog_by_name
 from iqgklo.scalars import Scalar
 lhs, rhs = RelationChecker(catalog_by_name("qsA2-v11")).eval_pair("BB3", 1, 2)
 seen = []
-original = Scalar._eval_cleared
+original = Scalar.eval_plan
 
-def recorded(self, assignment, memo):
+def recorded(self):
     seen.append(repr(self))
-    return original(self, assignment, memo)
-Scalar._eval_cleared = recorded
+    return original(self)
+Scalar.eval_plan = recorded
 randomized_equal(lhs, rhs, trials=1, seed=0)
 print(json.dumps(seen))
 """
@@ -140,57 +151,84 @@ def _random_test_monomial(rng, variables):
     return Monomial((v, rng.randint(-3, 3)) for v in wvars)
 
 
+def _reference_draw(rng, variables):
+    """One attempt's draws, made the long way: for each variable in name
+    order a Gaussian rational n/d, |n| and d in 1..64 (n's sign drawn
+    after its size), then the test monomial."""
+    assignment = {}
+    for v in sorted(variables):
+        n = rng.randint(1, 64) * rng.choice((1, -1))
+        assignment[v] = GR(Fraction(n, rng.randint(1, 64)))
+    return assignment, _random_test_monomial(rng, variables)
+
+
+def _variables(x, y):
+    out = {"q"}
+    for g in (_groups(x), _groups(y)):
+        for c in g.values():
+            out |= c.variables()
+    return out
+
+
 @pytest.mark.parametrize("name", ["sA1-v1-t1", "sA1-v2-t0", "qsA3-t0",
                                   "qsA2-v11"])
 def test_randomized_equal_keeps_the_test_monomial_draws(name, monkeypatch):
-    # randomized_equal draws the test monomial's exponents without building
-    # it, so each trial must leave the random stream where building it did
+    # randomized_equal draws each value already cleared and the test
+    # monomial's exponents without building it, so each attempt must leave
+    # the random stream where the long way left it, with the same values
     checker = RelationChecker(catalog_by_name(name), keep_pairs=True)
     checker.run()
-
-    def variables_of(pair):
-        out = {"q"}
-        for g in map(_groups, pair):
-            for c in g.values():
-                out |= c.variables()
-        return out
     lhs, rhs = max(checker.pairs.values(), key=lambda pair: sum(
-        v.startswith("w:") for v in variables_of(pair)))
-    variables = variables_of((lhs, rhs))
+        v.startswith("w:") for v in _variables(*pair)))
+    variables = _variables(lhs, rhs)
     assert any(v.startswith("w:") for v in variables)
-    states = []
+    records = []
+    draw = oracle._random_points
 
-    def recorded(rng, names):
-        states.append(rng.getstate())
-        return _random_assignment(rng, names)
-    monkeypatch.setattr(oracle, "_random_assignment", recorded)
+    def recorded(rng, names, n_test_exps):
+        state = rng.getstate()
+        points = draw(rng, names, n_test_exps)
+        records.append((state, dict(points)))   # the oracle adds to points
+        return points
+    monkeypatch.setattr(oracle, "_random_points", recorded)
+    attempts = []
+    _, _, _, reference = _draws(lhs, rhs, 3)
+
+    def logged():
+        attempts.append(reference())
+        return attempts[-1]
     assert randomized_equal(lhs, rhs, trials=5, seed=3) == (True, 5)
+    assert _reference_randomized_equal(lhs, rhs, 5, 3, draw=logged) == \
+        (True, 5)
+    # one draw per attempt, each from where the long way left the stream
+    assert len(records) == len(attempts) >= 5
     rng = random.Random(3)
-    for state in states:
+    for state, points in records:
         assert rng.getstate() == state
-        _random_assignment(rng, sorted(variables))
-        _random_test_monomial(rng, variables)
+        assignment, _ = _reference_draw(rng, variables)
+        assert points == {v: _cleared_point(v, a)
+                          for v, a in assignment.items()}
+        assert {v: GR(Fraction(g, s)) for v, (s, g, _, _) in points.items()} \
+            == assignment
 
 
 def _draws(x, y, seed):
     """The oracle's support groups and its stream of random
-    (assignment, test monomial) draws for one seed."""
+    (assignment, test monomial) draws for one seed, made the long way."""
     gx, gy = _groups(x), _groups(y)
-    variables = {"q"}
-    for c in list(gx.values()) + list(gy.values()):
-        variables |= c.variables()
+    variables = _variables(x, y)
     rng = random.Random(seed)
-
-    def draw():
-        assignment = _random_assignment(rng, sorted(variables))
-        return assignment, _random_test_monomial(rng, variables)
-    return gx, gy, [*gx, *(k for k in gy if k not in gx)], draw
+    return gx, gy, [*gx, *(k for k in gy if k not in gx)], \
+        lambda: _reference_draw(rng, variables)
 
 
-def _reference_randomized_equal(x, y, trials, seed, max_retries=200):
+def _reference_randomized_equal(x, y, trials, seed, max_retries=200,
+                                draw=None):
     """The full-product oracle: act on the test monomial with the whole
-    symbolic coefficient, then evaluate the product."""
-    gx, gy, keys, draw = _draws(x, y, seed)
+    symbolic coefficient, then evaluate the product.  ``draw`` replaces
+    the seed's stream of draws when given."""
+    gx, gy, keys, seeded = _draws(x, y, seed)
+    draw = draw or seeded
     if not keys:
         return True, trials
     done = attempts = 0
@@ -318,16 +356,18 @@ MULT1 = [inst.name for inst in build_catalog() if max(inst.mult) == 1]
 
 
 @pytest.mark.parametrize("name", MULT1)
-@pytest.mark.parametrize("corrupt", [None, "drop_const"])
+@pytest.mark.parametrize("corrupt", [None, "drop_const", "drop_kappa",
+                                     "flip_wp"])
 def test_randomized_equal_matches_full_product_reference_on_kept_pairs(
         name, corrupt):
     checker = RelationChecker(catalog_by_name(name), corrupt=corrupt,
                               keep_pairs=True)
     checker.run()
     assert checker.pairs
-    for case, (lhs, rhs) in checker.pairs.items():
-        assert randomized_equal(lhs, rhs, trials=20, seed=0) == \
-            _reference_randomized_equal(lhs, rhs, trials=20, seed=0), case
+    for (case, (lhs, rhs)), seed in product(checker.pairs.items(), (0, 7)):
+        assert randomized_equal(lhs, rhs, trials=20, seed=seed) == \
+            _reference_randomized_equal(lhs, rhs, trials=20, seed=seed), \
+            (case, seed)
 
 
 def test_kept_pairs_reference_covers_false_verdicts():
@@ -338,6 +378,74 @@ def test_kept_pairs_reference_covers_false_verdicts():
     checker.run()
     lhs, rhs = checker.pairs[("BB2", 1, 1)]
     assert randomized_equal(lhs, rhs, trials=20, seed=0) == (False, 1)
+
+
+def _scripted(monkeypatch, assignments):
+    """Make the oracle draw the given assignments, in order, and return the
+    same stream of (assignment, test monomial) draws for the reference."""
+    points = iter([{v: _cleared_point(v, a) for v, a in assignment.items()}
+                   for assignment in assignments])
+    monkeypatch.setattr(oracle, "_random_points",
+                        lambda rng, names, n_test_exps: next(points))
+    draws = iter(assignments)
+    return lambda: (next(draws), Monomial.one())
+
+
+# 1 - q u vanishes at the first assignment and not at the second
+ONE_MINUS_QU = Scalar.one() - Scalar.var("q", 2) * Scalar.var("u")
+VANISH_THEN_NOT = [{"q": GR(2), "u": GR(Fraction(1, 4))},
+                   {"q": GR(3), "u": GR(5)}]
+
+
+def test_vanishing_shared_numerator_part_leaves_the_group_equal(
+        monkeypatch):
+    # both sides hold 1 - q u in their numerators; where it vanishes, both
+    # sides are 0, so the group is equal in that trial, and the mismatch
+    # of 1 + u and 2 + u shows only in the second
+    x = Distribution.single(
+        {}, ONE_MINUS_QU * (Scalar.one() + Scalar.var("u")))
+    y = Distribution.single(
+        {}, ONE_MINUS_QU * (Scalar.const(2) + Scalar.var("u")))
+    ((_, shared, _, _),) = _plan(x, y)[1]
+    assert shared
+    draw = _scripted(monkeypatch, VANISH_THEN_NOT)
+    assert randomized_equal(x, y, trials=5, seed=0) == (False, 2) == \
+        _reference_randomized_equal(x, y, 5, 0, draw=draw)
+
+
+def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
+    # both sides divide by 1 - q u, which cancels from the comparison; the
+    # numerators 1 and 2 - q u agree where it vanishes, so only the retry
+    # keeps that attempt from counting as an equal trial
+    x = Distribution.single({}, Scalar.one() / ONE_MINUS_QU)
+    y = Distribution.single(
+        {}, (Scalar.const(2) - Scalar.var("q", 2) * Scalar.var("u"))
+        / ONE_MINUS_QU)
+    ((dens, _, (_, dx, _), (_, dy, _)),) = _plan(x, y)[1]
+    assert dens and not dx and not dy
+    draw = _scripted(monkeypatch, VANISH_THEN_NOT)
+    assert randomized_equal(x, y, trials=5, seed=0) == (False, 1) == \
+        _reference_randomized_equal(x, y, 5, 0, draw=draw)
+
+
+@settings.get_profile(os.environ.get("IQGKLO_ORACLE_PROFILE", "oracle"))
+@given(st.lists(ref_scalars(), min_size=4, max_size=4),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 3))
+def test_randomized_equal_matches_reference_when_sides_share_parts(
+        drawn, i, j, seed):
+    # coefficients over the pool of test_scalars, whose sides share
+    # factors (c, d) and sums (a + b), equal or not, in two groups
+    a, b, c, d = (s for _, s in drawn)
+    assume(not c.is_zero() and not d.is_zero())
+    s = a + b
+    forms = [s * c, a * c + b * c, s * d, s / c, a / c + b / c, s * c / d]
+    shift = DMonomial.unit(1, 1)
+    x = Distribution.single({}, forms[i]) \
+        + Distribution.single({}, forms[j] * c, shift)
+    y = Distribution.single({}, forms[j]) \
+        + Distribution.single({}, forms[i] * c, shift)
+    assert randomized_equal(x, y, trials=4, seed=seed) == \
+        _reference_randomized_equal(x, y, 4, seed)
 
 
 @pytest.mark.parametrize("a, b, same", [

@@ -625,7 +625,8 @@ def test_cleared_value_of_every_part_kind():
 
 def test_shared_memo_keeps_a_cached_zero_a_pole():
     # 1 - q u vanishes at u = q^-2; evaluated first as a numerator factor,
-    # its zero is cached, and the scalar that divides by it must still raise
+    # it leaves its power tables in the memo, and the scalar that divides
+    # by it must still raise
     factor = Scalar(_poly(POOL[0]))
     assignment = {"q": GR(2), "u": GR(Fraction(1, 4))}
     memo = {}
