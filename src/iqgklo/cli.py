@@ -373,7 +373,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, IQGKLOError) as e:
+    except IQGKLOError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -278,7 +278,7 @@ def _pins_key(pins):
 def _pinned(pins, coeff):
     """coeff with each pinned variable replaced by its target; a
     coefficient free of spectral variables holds none of them."""
-    if not coeff.has_spectral():
+    if not pins or not coeff.has_spectral():
         return coeff
     for v, M in pins.items():
         if coeff.has_var(v):
@@ -287,7 +287,10 @@ def _pinned(pins, coeff):
 
 
 class Distribution:
-    """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon)."""
+    """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon).
+
+    Every result has the receiver's type, so a subclass (the pin-free
+    ``torus.TorusElement``) is closed under the algebra."""
 
     __slots__ = ("terms",)
 
@@ -332,7 +335,7 @@ class Distribution:
         """self + other, or self - other when ``negate``, in one pass over
         terms that are already resolved, so no pin is resolved or
         substituted again."""
-        out = Distribution()
+        out = type(self)()
         for key, pins, coeff in self._resolved():
             out._merge(key, pins, coeff)
         for key, pins, coeff in other._resolved():
@@ -346,30 +349,32 @@ class Distribution:
         return self._sum(other, True)
 
     def __neg__(self):
-        out = Distribution()
+        out = type(self)()
         out.terms = {key: (pins, -coeff)
                      for key, pins, coeff in self._resolved()}
         return out
 
     def scale(self, s):
         """Left-multiply every coefficient by a pin-free scalar; the
-        products stay pin-free, so nothing is substituted."""
-        out = Distribution()
-        out.terms = {key: (pins, s * coeff)
+        products stay pin-free, so nothing is substituted.  Scalars
+        commute, and ``coeff * s`` copies the larger factor dict."""
+        out = type(self)()
+        out.terms = {key: (pins, coeff * s)
                      for key, pins, coeff in self._resolved()}
         return out
 
     def map_coeff(self, fn):
         """Replace each coefficient by fn(pins, coeff) (pins substituted after)."""
-        out = Distribution()
+        out = type(self)()
         out.terms = {key: (pins, _pinned(pins, fn(pins, coeff)))
                      for key, pins, coeff in self._resolved()}
         return out
 
     def __mul__(self, other):
-        out = Distribution()
+        out = type(self)()
+        right = list(other.items())
         for pins1, c1, d1 in self.items():
-            for pins2, c2, d2 in other.items():
+            for pins2, c2, d2 in right:
                 overlap = set(pins1) & set(pins2)
                 if overlap:
                     raise DoublePin(f"variables {sorted(overlap)} pinned in "
@@ -387,7 +392,7 @@ class Distribution:
         renamed terms are merged directly, in order, and no pin is
         resolved or substituted again."""
         subst = {old: Monomial.unit(new) for old, new in mapping.items()}
-        out = Distribution()
+        out = type(self)()
         for (_, dmon), pins, coeff in self._resolved():
             pins = {mapping.get(v, v): M.substitute(subst)
                     for v, M in pins.items()}
@@ -455,8 +460,8 @@ def canonicalize_compare(x, y):
     """
     check_fully_pinned(x)
     check_fully_pinned(y)
-    xs = {(_pins_key(p), d): (p, c) for p, c, d in x.items()}
-    ys = {(_pins_key(p), d): (p, c) for p, c, d in y.items()}
+    xs = {key: (p, c) for key, p, c in x._resolved()}
+    ys = {key: (p, c) for key, p, c in y._resolved()}
     bad = []
     for key, (p, _) in {**ys, **xs}.items():
         cx = xs[key][1] if key in xs else Scalar.zero()

@@ -650,7 +650,7 @@ class Poly:
         (re + i*im) / D with D a positive integer: each variable's value is
         cleared to a Gaussian integer over one denominator that covers its
         exponent range, so the term sum is pure integer arithmetic.
-        ``memo`` is as in ``Scalar._eval_cleared``."""
+        ``memo`` is as in ``Scalar.eval_numeric``."""
         try:
             ranges, rows = self._layout
         except AttributeError:
@@ -915,11 +915,11 @@ def times_powers(s, powers):
 
 
 def combine_cleared(unit, den, num, values):
-    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), not
-    reduced (see ``Scalar._eval_cleared``): ``unit`` is a cleared constant
-    (s, cre, cim), the value (cre + i*cim) / s, and ``den`` and ``num``
-    map part keys to multiplicities, each part's value (re, im, D), the
-    value (re + i*im) / D, being ``values[key]``."""
+    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), the
+    value (nre + i*nim) / (dre + i*dim), not reduced: ``unit`` is a cleared
+    constant (s, cre, cim), the value (cre + i*cim) / s, and ``den`` and
+    ``num`` map part keys to multiplicities, each part's value (re, im, D),
+    the value (re + i*im) / D, being ``values[key]``."""
     dre, nre, nim = unit
     dim = 0
     for key, e in den.items():
@@ -1231,11 +1231,21 @@ class Scalar:
                            f"substituting {what} kills the denominator")
 
     def eval_numeric(self, assignment, memo=None):
-        """Exact evaluation: the value of ``_eval_cleared`` reduced once,
-        to a canonical coefficient.  ``memo`` is as there; without one, a
-        private memo is used."""
-        nre, nim, dre, dim = self._eval_cleared(
-            assignment, {} if memo is None else memo)
+        """Exact evaluation to a canonical coefficient: each part of
+        ``eval_plan`` is cleared once (see ``Poly._eval_cleared``),
+        ``combine_cleared`` combines them, and the value is reduced once.
+        ``memo``, a dict, belongs to one assignment and carries from call
+        to call each variable's cleared value, by name, and each power
+        table, by (name, lowest, highest exponent); without one, a private
+        memo is used."""
+        memo = {} if memo is None else memo
+        unit, den, num, parts = self.eval_plan()
+        values = {key: p._eval_cleared(assignment, memo)
+                  for key, p in parts.items()}
+        if any(not (values[key][0] or values[key][1]) for key in den):
+            raise DenominatorVanishes(
+                "denominator vanishes at this assignment")
+        nre, nim, dre, dim = combine_cleared(unit, den, num, values)
         norm = dre * dre + dim * dim
         re, im = nre * dre + nim * dim, nim * dre - nre * dim
         return _gaussian(_as_num(Fraction(re, norm)) if re else 0,
@@ -1270,22 +1280,6 @@ class Scalar:
             num[self.m] += 1
             parts[self.m] = _FACTORS[self.m]
         return _cleared_point("the unit", self.c)[:3], den, num, parts
-
-    def _eval_cleared(self, assignment, memo):
-        """Exact evaluation as (nre, nim, dre, dim), the value
-        (nre + i*nim) / (dre + i*dim) with a nonzero denominator, not
-        reduced: each part of ``eval_plan`` is cleared once (see
-        ``Poly._eval_cleared``), and ``combine_cleared`` combines them.
-        ``memo``, a dict, belongs to one assignment and carries from call
-        to call each variable's cleared value, by name, and each power
-        table, by (name, lowest, highest exponent)."""
-        unit, den, num, parts = self.eval_plan()
-        values = {key: p._eval_cleared(assignment, memo)
-                  for key, p in parts.items()}
-        if any(not (values[key][0] or values[key][1]) for key in den):
-            raise DenominatorVanishes(
-                "denominator vanishes at this assignment")
-        return combine_cleared(unit, den, num, values)
 
     def variables(self):
         return _occupied_names(self._occupied())

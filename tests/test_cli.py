@@ -5,7 +5,7 @@ import pytest
 from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
-from iqgklo import delta, oracle, relations, scalars
+from iqgklo import cli, delta, oracle, relations, scalars
 from iqgklo.errors import NonSimplePole, ParseError, ValidationError
 from iqgklo.relations import RelationChecker
 from iqgklo.scalars import Scalar
@@ -142,6 +142,36 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
         "BB2[1,1]: BadSpecialization: exceeded 200 retries at trial 0"
     assert doc["series_soundness"] == "pass"
     assert "series_soundness_aborted" not in doc
+    assert [r["status"] for r in doc["results"]] == ["pass"]
+
+
+def test_check_series_mismatch_fails_soundness(capsys, monkeypatch):
+    # an expansion that does not match its truncated series fails the
+    # soundness pass without an abort reason (exit 1 with a report)
+    monkeypatch.setattr(cli, "truncated_series_check",
+                        lambda gamma, order: False)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["series_soundness"] == "fail"
+    assert "series_soundness_aborted" not in doc
+    assert doc["oracle_concordance"] == "pass"
+    assert [r["status"] for r in doc["results"]] == ["pass"]
+
+
+def test_check_oracle_disagreement_fails_concordance(capsys, monkeypatch):
+    # an oracle verdict that differs from the symbolic one fails the
+    # concordance without an abort reason (exit 1 with a report)
+    monkeypatch.setattr(cli, "randomized_equal",
+                        lambda lhs, rhs, trials, seed: (False, 1))
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["oracle_concordance"] == "fail"
+    assert "oracle_concordance_aborted" not in doc
+    assert doc["series_soundness"] == "pass"
     assert [r["status"] for r in doc["results"]] == ["pass"]
 
 

@@ -16,8 +16,9 @@ from iqgklo.delta import (
 )
 from iqgklo.gklo import build_B_image, build_W, build_Xi
 from iqgklo.satake import build_catalog
-from iqgklo.scalars import GR, POLY_ONE, Monomial, Poly, Scalar, coeff_pow
-from iqgklo.torus import DMonomial
+from iqgklo.scalars import (
+    GR, POLY_ONE, DMonomial, Monomial, Poly, Scalar, coeff_pow,
+)
 
 
 W = Monomial.w(1, 1)          # a whole coordinate

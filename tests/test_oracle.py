@@ -22,9 +22,9 @@ from iqgklo.oracle import (
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import (
-    GR, GR_I, Monomial, Poly, Scalar, _cleared_point, add_into,
+    GR, GR_I, DMonomial, Monomial, Poly, Scalar, _cleared_point, add_into,
 )
-from iqgklo.torus import DMonomial, TorusElement
+from iqgklo.torus import TorusElement
 from test_scalars import ref_scalars
 
 
@@ -35,7 +35,7 @@ def _shift(i, r, e):
 def _act_terms(x, f):
     """Act with the TorusElement x on f term by term."""
     out = Scalar.zero()
-    for dmon, coeff in x.terms.items():
+    for _, coeff, dmon in x.items():
         out = out + act((coeff, dmon), f)
     return out
 

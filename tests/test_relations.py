@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from iqgklo.relations import (
@@ -156,6 +158,27 @@ def test_negative_controls(name, corrupt, expect):
         assert 1 <= len(r.failures)
         for pins, dmon, cl, cr in r.failures:
             assert pins            # pinned support point identified
+
+
+def test_wrong_multiplicities_fail_hb_and_deg():
+    """Multiplicities that the coweights do not give break the Cartan
+    currents: HB fails on every pair, each failure at a v pin, and DEG
+    fails on the nodes whose top degree moved."""
+    inst = dataclasses.replace(catalog_by_name("qsA2-v11"), mult=(1, 0))
+    rep = RelationChecker(inst).run(["HB", "DEG"])
+    assert {r.name: r.status for r in rep.results} == {
+        "DEG[1]": "fail", "DEG[2]": "fail", "HB[1,1]": "fail",
+        "HB[1,2]": "fail", "HB[2,1]": "fail", "HB[2,2]": "fail"}
+    for r in rep.results:
+        if r.kind == "HB":
+            assert r.failures
+            assert all(set(pins) == {"v"} for pins, *_ in r.failures)
+        else:
+            assert r.detail.startswith("top degree")
+    inst = dataclasses.replace(catalog_by_name("sA1-v1-t0"), mult=(2,))
+    rep = RelationChecker(inst).run(["HB", "DEG"])
+    assert {r.name: r.status for r in rep.results} == {
+        "DEG[1]": "fail", "HB[1,1]": "pass"}
 
 
 def test_corrupt_none_matches_clean():

@@ -12,7 +12,7 @@ from iqgklo.scalars import (
     _BINOMIALS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar,
     _binomial, _canon, _index, _key_min, _limb_rows, _mono, _normal_binomial,
     _q_shift, _settle, _shift_taps, _substitute_key, _substitution,
-    coeff_inverse, divide_binomial, unpack_poly, w_var,
+    coeff_inverse, combine_cleared, divide_binomial, unpack_poly, w_var,
 )
 
 
@@ -564,6 +564,16 @@ def test_shared_memo_matches_fresh_evaluation(drawn, assignment, vanish):
         assert _outcome(s, assignment, memo) == _outcome(s, assignment)
 
 
+def _cleared(s, assignment):
+    """The unreduced value (nre, nim, dre, dim) of s: ``combine_cleared``
+    over the parts of its ``eval_plan``."""
+    unit, den, num, parts = s.eval_plan()
+    memo = {}
+    return combine_cleared(unit, den, num,
+                           {key: p._eval_cleared(assignment, memo)
+                            for key, p in parts.items()})
+
+
 def _reduced(cleared):
     """The unreduced value (nre, nim, dre, dim) as one coefficient."""
     nre, nim, dre, dim = cleared
@@ -584,15 +594,16 @@ def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
     memo = {}
     try:
         for t in (a, s):            # a fills the memo that s reads
-            cleared = t._eval_cleared(assignment, memo)
+            value = t.eval_numeric(assignment, memo)
     except DenominatorVanishes:
         assert da == (0, 0)
         return
     # the memo that a filled serves s as a fresh one does
-    assert cleared == s._eval_cleared(assignment, {})
+    assert value == s.eval_numeric(assignment)
+    cleared = _cleared(s, assignment)
     nre, nim, dre, dim = cleared
     assert (dre, dim) != (0, 0)
-    assert _reduced(cleared) == s.eval_numeric(assignment)
+    assert _reduced(cleared) == value
     if da != (0, 0):
         # c * mono * (na + da) / da, cross-multiplied
         unit = _ref_cmul(c, _ref_value({mono.exps: (1, 0)}, point))
@@ -618,9 +629,9 @@ def test_cleared_value_of_every_part_kind():
             * (1 + uv + qv * qv) * (uv - wv * wv)
             * coeff_inverse((1 - qv * qv * uv)
                             * (1 + GR_I * uv) * (1 + GR_I * uv)))
-    assert _reduced(s._eval_cleared(assignment, {})) == want
+    assert _reduced(_cleared(s, assignment)) == want
     assert s.eval_numeric(assignment) == want
-    assert Scalar.zero()._eval_cleared(assignment, {}) == (0, 0, 1, 0)
+    assert _cleared(Scalar.zero(), assignment) == (0, 0, 1, 0)
 
 
 def test_shared_memo_keeps_a_cached_zero_a_pole():
