@@ -75,7 +75,7 @@ def _kinds(kinds):
 def _tau_from_cycles(rank, cycles):
     tau = list(range(1, rank + 1))
     for cyc in _list(cycles or [], "tau"):
-        if not isinstance(cyc, list) or len(cyc) != 2:
+        if not isinstance(cyc, list) or len(cyc) != 2 or cyc[0] == cyc[1]:
             raise ValidationError(f"involution cycle {cyc} must be a 2-cycle")
         a, b = _ints(cyc, "involution cycle")
         if not (1 <= a <= rank and 1 <= b <= rank):
@@ -93,6 +93,12 @@ def instance_from_description(desc):
     if missing:
         raise ValidationError(f"an inline instance needs {missing}")
     rank = _int(desc["rank"], "rank")
+    framing = _ints(desc["framing"], "framing")
+    shift = _ints(desc["shift"], "shift")
+    # before anything of size rank is built
+    if rank < 1 or len(framing) != rank or len(shift) != rank:
+        raise ValidationError(f"rank {rank} needs rank >= 1 and {rank} "
+                              "framing and shift entries each")
     tau = _tau_from_cycles(rank, desc.get("tau"))
     diagram = validate_diagram(cartan_A(rank),
                                None if tau == tuple(range(1, rank + 1))
@@ -102,8 +108,7 @@ def instance_from_description(desc):
         edges = [_ints(e, "orientation edge")
                  for e in _list(edges, "orientation")]
     return make_instance(desc.get("name", f"inline-A{rank}"), diagram,
-                         _ints(desc["framing"], "framing"),
-                         _ints(desc["shift"], "shift"),
+                         framing, shift,
                          None if theta is None else _ints(theta, "theta"),
                          edges)
 

@@ -43,10 +43,6 @@ class AdjacentThetas(IQGKLOError):
     pass
 
 
-class WrongCase(IQGKLOError):
-    pass
-
-
 # --- exact arithmetic ---
 
 class DivisionByZero(IQGKLOError):

@@ -2,17 +2,16 @@
 
 Builds, per validated instance: the factored building-block currents, the
 Cartan-current image Xi_i(u) (a pure rational function), the B-current
-image (a delta-supported Distribution over the quantum torus) and the
-block operators chi, both read off one table of blocks, and the
-degree/leading-term extraction for the K-generators.
+image (a delta-supported Distribution over the quantum torus, whose terms
+are the block operators, one per pin), and the degree/leading-term
+extraction for the K-generators.
 """
 
 from __future__ import annotations
 
 from .delta import Distribution, FactorCurrent
-from .errors import DegreeMismatch, WrongCase
+from .errors import DegreeMismatch
 from .scalars import DMonomial, GR_I, Monomial, Scalar, w_var, z_var, zeta_var
-from .torus import TorusElement
 
 
 def zeta(inst, i):
@@ -132,18 +131,20 @@ def one_minus_q2():
     return Scalar.one() - Scalar.q_int(2)
 
 
-def _blocks(inst, i, var="u", corrupt=None):
-    """The delta terms of the B-current image of node i, in assembly order:
-    (sign, r, pin target, coefficient, shift part) per block.
+def build_B_image(inst, i, var="u", corrupt=None):
+    """The B-current image of node i as a delta-supported Distribution:
+    one block operator (coefficient times shift part) per pin.
 
-    Block ("+", r) is pinned at w_{i,r}/q and shifts d_{i,r}^{-1}; block
-    ("-", r) is pinned at 1/(q w_{tau i,r}) and shifts d_{tau i,r}.  Each
-    coefficient is a prefactor times the node's currents at the pin over
-    W_{k,r} without its r-th factor at w_{k,r}; the "+" prefactor carries
-    q^{|wp_i|}, which is 1 on a fixed node, and the "-" one carries q, or
-    -q on a moved node.  A fixed node alternates the two signs per r and
-    ends with the marked node's constant block ("+", 0); a moved node
-    lists every "+" block, then every "-" block.
+    The block of w_{i,r} is pinned at w_{i,r}/q and shifts d_{i,r}^{-1};
+    the block of w_{tau i,r}^{-1} is pinned at 1/(q w_{tau i,r}) and shifts
+    d_{tau i,r}; a marked node adds a constant block pinned at 1 with no
+    shift.  So q times a block's pin is its coordinate in the exchange
+    laws.  Each coefficient is a prefactor times the node's currents at
+    the pin over W_{k,r} without its r-th factor at w_{k,r}; the prefactor
+    of w_i's blocks carries q^{|wp_i|}, which is 1 on a fixed node, and
+    that of w_{tau i}'s carries q, or -q on a moved node.  A fixed node
+    alternates the two per r and ends with the constant block; a moved
+    node lists every block of w_i, then every block of w_{tau i}.
     """
     d = inst.diagram
     ti = d.t(i)
@@ -152,8 +153,6 @@ def _blocks(inst, i, var="u", corrupt=None):
     z = build_Z(inst, i, var)
     pref = zeta(inst, i) / one_minus_q2()
     q = Scalar.q_int(1)
-    plus_pref = Scalar.q_half(int(2 * abs(inst.wp[i]))) * pref
-    minus_pref = (q if fixed else -q) * pref
     plus = [z] + [build_WW(inst, j, var) for j in nin]
     if fixed:
         fixed_out = [build_W(inst, j, var).invert_arg()
@@ -162,84 +161,31 @@ def _blocks(inst, i, var="u", corrupt=None):
         minus = [z] + [build_kappa(var)] * inst.th(i) \
             + [build_WW(inst, j, var).invert_arg()
                for j in nout if d.t(j) != j] + fixed_out
-        rows = [(sign, r) for r in range(1, inst.w_count(i) + 1)
-                for sign in "+-"]
     else:
         minus = [z] + [build_WW(inst, d.t(j), var).invert_arg()
                        for j in nin]
-        rows = [("+", r) for r in range(1, inst.w_count(i) + 1)] \
-            + [("-", t) for t in range(1, inst.w_count(ti) + 1)]
-    for sign, r in rows:
-        k, e, c, num = (i, -1, plus_pref, plus) if sign == "+" \
-            else (ti, 1, minus_pref, minus)
+    # (node k, shift exponent, prefactor, currents) of the blocks of w_k
+    own = (i, -1, Scalar.q_half(int(2 * abs(inst.wp[i]))) * pref, plus)
+    paired = (ti, 1, (q if fixed else -q) * pref, minus)
+    if fixed:
+        rows = [(block, r) for r in range(1, inst.w_count(i) + 1)
+                for block in (own, paired)]
+    else:
+        rows = [(own, r) for r in range(1, inst.w_count(i) + 1)] \
+            + [(paired, t) for t in range(1, inst.w_count(ti) + 1)]
+    out = Distribution.zero()
+    for (k, e, c, num), r in rows:
         pin = Monomial.w(k, r, -e) * Monomial.q_int(-1)
         coeff = c * _eval_prod(num, pin) \
             / build_WWir(inst, k, r, var).evaluate(Monomial.w(k, r))
-        yield sign, r, pin, coeff, DMonomial.unit(k, r, e)
+        out.add_term({var: pin}, coeff, DMonomial.unit(k, r, e))
     if inst.th(i) and corrupt != "drop_const":
         num = [z] + [build_W(inst, j, var) for j in d.neighbors(i)]
         coeff = Scalar.const(GR_I) * zeta(inst, i) \
             * _eval_prod(num, Monomial.one()) \
             / ((Scalar.one() + q)
                * build_WW(inst, i, var).evaluate(Monomial.q_int(1)))
-        yield "+", 0, Monomial.one(), coeff, DMonomial.one()
-
-
-def build_B_image(inst, i, var="u", corrupt=None):
-    """The B-current image as a delta-supported Distribution."""
-    out = Distribution.zero()
-    for _, _, pin, coeff, dmon in _blocks(inst, i, var, corrupt):
-        out.add_term({var: pin}, coeff, dmon)
-    return out
-
-
-def build_chi(inst, i):
-    """Block operators: dict (sign, r) -> (pin target Monomial,
-    TorusElement); the B-image is their delta-assembly."""
-    return {(sign, r): (pin, TorusElement.monomial(coeff, dmon))
-            for sign, r, pin, coeff, dmon in _blocks(inst, i)}
-
-
-def extend_a2n(inst, i):
-    """Index extension merging the two coordinate families across a
-    c = -1 involution pair; returns (n, rprime map, resolver)."""
-    d = inst.diagram
-    ti = d.t(i)
-    if ti == i or d.c(i, ti) != -1:
-        raise WrongCase(f"node {i} is not part of a c=-1 involution pair")
-    n = inst.w_count(i) + inst.w_count(ti)
-
-    def rprime(r):
-        return n + 1 - r
-
-    def resolve(k, r):
-        """(node, index, exponent sign) for the extended symbol w_{k,r}."""
-        vk = inst.w_count(k)
-        if 1 <= r <= vk:
-            return (k, r, 1)
-        if vk < r <= n:
-            return (d.t(k), rprime(r), -1)
-        raise WrongCase(f"index {r} out of extended range 1..{n}")
-
-    return n, rprime, resolve
-
-
-def extended_w(inst, i, r):
-    """The extended coordinate w_{i,r} as a Monomial."""
-    k, s, e = extend_a2n(inst, i)[2](i, r)
-    return Monomial.w(k, s, e)
-
-
-def extended_chi(inst, i):
-    """dict r -> (pin target, TorusElement) over the merged index range."""
-    n, rprime, _ = extend_a2n(inst, i)
-    chi = build_chi(inst, i)
-    out = {}
-    for r in range(1, n + 1):
-        if r <= inst.w_count(i):
-            out[r] = chi[("+", r)]
-        else:
-            out[r] = chi[("-", rprime(r))]
+        out.add_term({var: Monomial.one()}, coeff, DMonomial.one())
     return out
 
 

@@ -14,10 +14,11 @@ from .delta import (
 )
 from .errors import DegreeMismatch, DenominatorVanishes, NonSimplePole
 from .gklo import (
-    build_B_image, build_chi, build_Xi, build_kappa, extend_a2n,
-    extended_chi, extended_w, leading_coefficient_K, times_x_minus_xinv,
+    build_B_image, build_Xi, build_kappa, leading_coefficient_K,
+    times_x_minus_xinv,
 )
 from .scalars import DMonomial, Monomial, Scalar
+from .torus import TorusElement
 
 BB_KINDS = ("BB1", "BB2", "BB3", "BB4", "BB5")
 SERRE_KINDS = ("Serre1", "Serre2", "Serre3")
@@ -342,86 +343,53 @@ class RelationChecker:
 # --- lemma suites -------------------------------------------------------
 
 
-def _wmon(i, r, e=1):
-    return Monomial.q_int(e) if r == 0 else Monomial.w(i, r, e)
-
-
-def _swap_sides(c1, c2, wr, ws, cexp):
-    lhs = (c1 * c2).scale(Scalar.from_mono(wr) -
-                          _q(cexp) * Scalar.from_mono(ws))
-    rhs = (c2 * c1).scale(_q(cexp) * Scalar.from_mono(wr) -
-                          Scalar.from_mono(ws))
-    return lhs, rhs
-
-
-def _swap_case(out, sides, label, pair, c1, c2, wr, ws, cexp):
-    lhs, rhs = _swap_sides(c1, c2, wr, ws, cexp)
-    out.append(CheckResult(label, pair,
-                           "pass" if lhs.equals(rhs) else "fail"))
-    if sides is not None:
-        sides.append((pair, lhs, rhs))
+def _exchange_suite(inst, nodes, kind, sides):
+    """The exchange law (W_x - q^c W_y) x y = (q^c W_x - W_y) y x among the
+    block operators x of B_i and y of B_j, with c = C(i, j) and W = q times
+    the block's pin.  It is checked once for each unordered pair of distinct
+    blocks, over i <= j in ``nodes`` that are equal or adjacent, whose shift
+    parts touch different coordinates d_{k,r}: swapping x and y negates
+    both sides.  Returns CheckResult entries labelled (i, j, dx, dy) by the
+    shift parts; optionally records the operator sides."""
+    d = inst.diagram
+    blocks = {i: [(Scalar.from_mono(Monomial.q_int(1) * pins["u"]),
+                   TorusElement.monomial(coeff, dmon), dmon)
+                  for pins, coeff, dmon in build_B_image(inst, i).items()]
+              for i in nodes}
+    out = []
+    for i in nodes:
+        for j in nodes:
+            c = d.c(i, j)
+            if j < i or c == 0:
+                continue
+            for a, (wx, x, dx) in enumerate(blocks[i]):
+                for wy, y, dy in blocks[j][a + 1:] if i == j else blocks[j]:
+                    if {k for k, _ in dx.exps} & {k for k, _ in dy.exps}:
+                        continue
+                    lhs = (x * y).scale(wx - _q(c) * wy)
+                    rhs = (y * x).scale(_q(c) * wx - wy)
+                    pair = (i, j, dx, dy)
+                    out.append(CheckResult(
+                        kind, pair, "pass" if lhs.equals(rhs) else "fail"))
+                    if sides is not None:
+                        sides.append((pair, lhs, rhs))
+    return out
 
 
 def chi_exchange_suite(inst, sides=None):
-    """The four exchange laws among the block operators on fixed nodes
-    (the mixed-sign law with the corrected right-hand sign).  Returns
-    CheckResult entries; optionally records the operator sides."""
+    """The exchange laws among the block operators of the fixed nodes."""
     d = inst.diagram
-    out = []
-    chis = {i: build_chi(inst, i) for i in d.nodes() if d.t(i) == i}
-    for i in chis:
-        keys = sorted(chis[i])
-        for k1 in keys:
-            for k2 in keys:
-                if k1[1] == k2[1]:
-                    continue
-                e1 = 1 if k1[0] == "+" else -1
-                e2 = 1 if k2[0] == "+" else -1
-                _swap_case(out, sides, "chi-exchange", (i, k1, k2),
-                           chis[i][k1][1], chis[i][k2][1],
-                           _wmon(i, k1[1], e1), _wmon(i, k2[1], e2), 2)
-    for i in chis:
-        for j in d.neighbors(i):
-            if j not in chis:
-                continue
-            cij = d.c(i, j)
-            for k1 in chis[i]:
-                for k2 in chis[j]:
-                    e1 = 1 if k1[0] == "+" else -1
-                    e2 = 1 if k2[0] == "+" else -1
-                    _swap_case(out, sides, "chi-exchange", (i, j, k1, k2),
-                               chis[i][k1][1], chis[j][k2][1],
-                               _wmon(i, k1[1], e1), _wmon(j, k2[1], e2),
-                               cij)
-    return out
+    return _exchange_suite(inst, [i for i in d.nodes() if d.t(i) == i],
+                           "chi-exchange", sides)
 
 
 def merged_chi_suite(inst, sides=None):
-    """The three exchange laws in the merged index range for adjacent
-    involution pairs."""
+    """The exchange laws among the block operators of the nodes of
+    adjacent involution pairs."""
     d = inst.diagram
-    out = []
-    for i in d.nodes():
-        j = d.t(i)
-        if j <= i or d.c(i, j) != -1:
-            continue
-        n, rp, _ = extend_a2n(inst, i)
-        ci, cj = extended_chi(inst, i), extended_chi(inst, j)
-        for r in range(1, n + 1):
-            for s in range(1, n + 1):
-                if r == s:
-                    continue
-                for k, ck in ((i, ci), (j, cj)):
-                    _swap_case(out, sides, "merged-chi", (k, r, s),
-                               ck[r][1], ck[s][1],
-                               extended_w(inst, k, r),
-                               extended_w(inst, k, s), 2)
-                sp = rp(s)
-                _swap_case(out, sides, "merged-chi", (i, j, r, sp),
-                           ci[r][1], cj[sp][1],
-                           extended_w(inst, i, r),
-                           extended_w(inst, j, sp), -1)
-    return out
+    return _exchange_suite(inst, [i for i in d.nodes()
+                                  if d.t(i) != i and d.c(i, d.t(i)) == -1],
+                           "merged-chi", sides)
 
 
 # --- standalone identity suite ------------------------------------------

@@ -345,15 +345,29 @@ def _without_framing():
     _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1, 2, 3]]),
     _inline(rank=2, framing=[1, 1], shift=[0, 0], orientation=[[1]]),
     _inline(rank=2, tau=[[1, 2]], framing=[0, 1], shift=[-2, 2]),
+    _inline(rank=2000),
+    _inline(rank=10**21),
+    _inline(rank=0, framing=[], shift=[]),
+    _inline(tau=[[1, 1]]),
 ], ids=["no-framing", "rank-x", "framing-a", "trials-many", "array",
         "cycle-entry", "orientation", "theta-short", "theta-long",
-        "edge-triple", "edge-single", "tau-asymmetric-mult"])
+        "edge-triple", "edge-single", "tau-asymmetric-mult", "rank-large",
+        "rank-huge", "rank-zero", "cycle-fixes-node"])
 def test_malformed_config_is_input_error(capsys, tmp_path, doc):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_rank_checked_before_anything_of_its_size_is_built(monkeypatch):
+    def built(*args):
+        raise AssertionError("built before the rank was checked")
+    monkeypatch.setattr(cli, "_tau_from_cycles", built)
+    monkeypatch.setattr(cli, "cartan_A", built)
+    with pytest.raises(ValidationError):
+        instance_from_description(_inline(rank=2000)["instance"])
 
 
 @pytest.mark.parametrize("verb", ["validate", "check"])

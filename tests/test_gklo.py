@@ -4,12 +4,11 @@ import pytest
 
 from iqgklo.cli import instance_from_description
 from iqgklo.delta import Distribution, canonicalize_compare
-from iqgklo.errors import DegreeMismatch, WrongCase
+from iqgklo.errors import DegreeMismatch
 from iqgklo.gklo import (
-    _eval_prod, build_B_image, build_chi, build_kappa, build_W, build_WW,
-    build_WWir, build_Xi, build_Z, build_ZZ, extend_a2n, extended_chi,
-    extended_w, leading_coefficient_K, neighbors_in, neighbors_out,
-    one_minus_q2, zeta,
+    _eval_prod, build_B_image, build_kappa, build_W, build_WW, build_WWir,
+    build_Xi, build_Z, build_ZZ, leading_coefficient_K, neighbors_in,
+    neighbors_out, one_minus_q2, zeta,
 )
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import GR_I, DMonomial, Monomial, Scalar
@@ -96,20 +95,24 @@ def _reference_fixed_chi(inst, i):
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
 def test_chi_reassembly(inst):
-    """The closed-form blocks, delta-assembled, rebuild the B-image, and
-    they are the blocks build_chi reads off the block table."""
-    fixed = [i for i in inst.diagram.nodes() if inst.diagram.t(i) == i]
-    for i in inst.diagram.nodes():
-        chi = build_chi(inst, i)
-        ref = _reference_fixed_chi(inst, i) if i in fixed else chi
+    """On each fixed node, the closed-form blocks, delta-assembled, rebuild
+    the B-image, each block as the term with its shift part and pin."""
+    d = inst.diagram
+    for i in d.nodes():
+        if d.t(i) != i:
+            continue
+        ref = _reference_fixed_chi(inst, i)
+        image = build_B_image(inst, i)
+        terms = {dmon: (pins["u"], coeff)
+                 for pins, coeff, dmon in image.items()}
         asm = Distribution.zero()
-        for (_, _), (pin, te) in ref.items():
-            for _, coeff, dmon in te.items():
-                asm.add_term({"u": pin}, coeff, dmon)
-        assert canonicalize_compare(build_B_image(inst, i), asm) == []
-        assert set(ref) == set(chi)
         for key, (pin, te) in ref.items():
-            assert chi[key][0] == pin and chi[key][1].equals(te), (i, key)
+            [(_, coeff, dmon)] = te.items()
+            asm.add_term({"u": pin}, coeff, dmon)
+            assert terms[dmon][0] == pin and terms[dmon][1].equals(coeff), \
+                (i, key)
+        assert canonicalize_compare(image, asm) == []
+        assert len(terms) == len(ref)
 
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
@@ -146,17 +149,37 @@ def test_shifted_b_image_coefficients_admissible():
     assert seen == 19
 
 
-def _chi_swap_holds(chis, i, j, k1, k2, cij, rhs_second_sign=None):
+def _term(inst, i, dmon):
+    """(pin, operator) of the term of B_i whose shift part is dmon."""
+    [term] = [(pins["u"], TorusElement.monomial(coeff, d))
+              for pins, coeff, d in build_B_image(inst, i).items()
+              if d == dmon]
+    return term
+
+
+def _fixed_block(inst, i, sign, r):
+    """Block (sign, r) of a fixed node as (coordinate, operator): it shifts
+    d_{i,r}^{-1} ("+"), d_{i,r} ("-") or nothing (r = 0), and q times its
+    pin is the coordinate wmon(i, r, e)."""
+    e = 1 if sign == "+" else -1
+    pin, op = _term(inst, i, DMonomial.one() if r == 0
+                    else DMonomial.unit(i, r, -e))
+    assert Monomial.q_int(1) * pin == wmon(i, r, e)
+    return Scalar.from_mono(wmon(i, r, e)), op
+
+
+def _fixed_keys(inst, i):
+    return [("+", 0)] * inst.th(i) + [
+        (sign, r) for r in range(1, inst.w_count(i) + 1) for sign in "+-"]
+
+
+def _chi_swap_holds(inst, i, j, k1, k2, cij, rhs_second_sign=None):
     """(w_{i,r}^e1 - q^c w_{j,s}^e2) x_{i,r} x_{j,s}
        == (q^c w_{i,r}^e1 - w_{j,s}^e2) x_{j,s} x_{i,r}."""
     (s1, r), (s2, s) = k1, k2
-    e1 = 1 if s1 == "+" else -1
-    e2 = 1 if s2 == "+" else -1
-    c1 = chis[i][k1][1]
-    c2 = chis[j][(rhs_second_sign or s2, s)][1]
-    c2l = chis[i][k2][1] if i == j else chis[j][k2][1]
-    wr = Scalar.from_mono(wmon(i, r, e1))
-    ws = Scalar.from_mono(wmon(j, s, e2))
+    wr, c1 = _fixed_block(inst, i, s1, r)
+    ws, c2l = _fixed_block(inst, j, s2, s)
+    c2 = _fixed_block(inst, j, rhs_second_sign or s2, s)[1]
     lhs = (c1 * c2l).scale(wr - Scalar.q_int(cij) * ws)
     rhs = (c2 * c1).scale(Scalar.q_int(cij) * wr - ws)
     return lhs.equals(rhs)
@@ -164,82 +187,72 @@ def _chi_swap_holds(chis, i, j, k1, k2, cij, rhs_second_sign=None):
 
 def test_chi_commutation_same_node_with_constant_slot():
     inst = catalog_by_name("sA1-v1-t1")
-    chis = {1: build_chi(inst, 1)}
-    keys = sorted(chis[1])
+    keys = _fixed_keys(inst, 1)
     for k1 in keys:
         for k2 in keys:
             if k1[1] == k2[1]:
                 continue
-            assert _chi_swap_holds(chis, 1, 1, k1, k2, 2), (k1, k2)
+            assert _chi_swap_holds(inst, 1, 1, k1, k2, 2), (k1, k2)
 
 
 def test_chi_commutation_same_node_two_rows():
     inst = catalog_by_name("sA1-v2-t0")
-    chis = {1: build_chi(inst, 1)}
-    assert _chi_swap_holds(chis, 1, 1, ("+", 1), ("+", 2), 2)
-    assert _chi_swap_holds(chis, 1, 1, ("+", 1), ("-", 2), 2)
+    assert _chi_swap_holds(inst, 1, 1, ("+", 1), ("+", 2), 2)
+    assert _chi_swap_holds(inst, 1, 1, ("+", 1), ("-", 2), 2)
 
 
 def test_chi_commutation_cross_node():
     inst = catalog_by_name("sA2-v11-t00")
-    chis = {i: build_chi(inst, i) for i in (1, 2)}
     for (i, j) in [(1, 2), (2, 1)]:
-        for k1 in chis[i]:
-            for k2 in chis[j]:
-                assert _chi_swap_holds(chis, i, j, k1, k2, -1), (i, j, k1, k2)
+        for k1 in _fixed_keys(inst, i):
+            for k2 in _fixed_keys(inst, j):
+                assert _chi_swap_holds(inst, i, j, k1, k2, -1), (i, j, k1, k2)
 
 
 def test_chi_commutation_cross_node_mixed_sign_needs_matching_rhs():
     # regression anchor: with the right-hand operator pair taken at the
     # first factor's sign instead, the mixed-sign exchange law fails
     inst = catalog_by_name("sA2-v11-t00")
-    chis = {i: build_chi(inst, i) for i in (1, 2)}
-    assert not _chi_swap_holds(chis, 1, 2, ("+", 1), ("-", 1), -1,
+    assert not _chi_swap_holds(inst, 1, 2, ("+", 1), ("-", 1), -1,
                                rhs_second_sign="+")
+
+
+def _merged_block(inst, i, r):
+    """Block r of node i's merged index range 1..n, n = v_i + v_{tau i},
+    as (coordinate, operator).  The coordinate is w_{i,r} for r <= v_i,
+    else w_{tau i,n+1-r}^{-1}, and q times the block's pin equals it."""
+    ti = inst.diagram.t(i)
+    n = inst.w_count(i) + inst.w_count(ti)
+    if r <= inst.w_count(i):
+        w, dmon = Monomial.w(i, r), DMonomial.unit(i, r, -1)
+    else:
+        w, dmon = Monomial.w(ti, n + 1 - r, -1), DMonomial.unit(ti, n + 1 - r)
+    pin, op = _term(inst, i, dmon)
+    assert Monomial.q_int(1) * pin == w
+    return Scalar.from_mono(w), op
 
 
 def test_merged_index_identities():
     inst = catalog_by_name("qsA2-v11")
     i, j = 1, 2
-    n, rp, _ = extend_a2n(inst, i)
-    ci, cj = extended_chi(inst, i), extended_chi(inst, j)
-    wm = lambda k, r: Scalar.from_mono(extended_w(inst, k, r))
+    n = inst.w_count(i) + inst.w_count(j)
+    assert n == 2
+    ci = {r: _merged_block(inst, i, r) for r in range(1, n + 1)}
+    cj = {r: _merged_block(inst, j, r) for r in range(1, n + 1)}
     for r in range(1, n + 1):
         for s in range(1, n + 1):
             if r == s:
                 continue
-            for k, ck in [(i, ci), (j, cj)]:
-                lhs = (ck[r][1] * ck[s][1]).scale(
-                    wm(k, r) - Scalar.q_int(2) * wm(k, s))
-                rhs = (ck[s][1] * ck[r][1]).scale(
-                    Scalar.q_int(2) * wm(k, r) - wm(k, s))
-                assert lhs.equals(rhs), (k, r, s)
-            sp = rp(s)
-            lhs = (ci[r][1] * cj[sp][1]).scale(
-                wm(i, r) - Scalar.q_int(-1) * wm(j, sp))
-            rhs = (cj[sp][1] * ci[r][1]).scale(
-                Scalar.q_int(-1) * wm(i, r) - wm(j, sp))
+            for ck in (ci, cj):
+                (wr, xr), (ws, xs) = ck[r], ck[s]
+                lhs = (xr * xs).scale(wr - Scalar.q_int(2) * ws)
+                rhs = (xs * xr).scale(Scalar.q_int(2) * wr - ws)
+                assert lhs.equals(rhs), (ck is ci, r, s)
+            sp = n + 1 - s
+            (wr, xr), (ws, xs) = ci[r], cj[sp]
+            lhs = (xr * xs).scale(wr - Scalar.q_int(-1) * ws)
+            rhs = (xs * xr).scale(Scalar.q_int(-1) * wr - ws)
             assert lhs.equals(rhs), (r, sp)
-
-
-def test_extend_requires_paired_node():
-    inst = catalog_by_name("sA1-v1-t0")
-    with pytest.raises(WrongCase):
-        extend_a2n(inst, 1)
-    qs = catalog_by_name("qsA3-t0")   # moved pair exists but is not adjacent
-    with pytest.raises(WrongCase):
-        extend_a2n(qs, 1)
-
-
-def test_extend_resolver_roundtrip():
-    inst = catalog_by_name("qsA2-v11")
-    n, rp, resolve = extend_a2n(inst, 1)
-    assert n == 2
-    assert resolve(1, 1) == (1, 1, 1)
-    assert resolve(1, 2) == (2, 1, -1)
-    assert extended_w(inst, 1, 2) == Monomial.w(2, 1, -1)
-    with pytest.raises(WrongCase):
-        resolve(1, 3)
 
 
 def test_leading_degree_matches_shift():

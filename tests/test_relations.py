@@ -7,11 +7,15 @@ from iqgklo.relations import (
     classify_serre, identity_suite, merged_chi_suite,
 )
 from iqgklo import gklo, relations
+from iqgklo.cli import instance_from_description
 from iqgklo.delta import _pins_key, canonicalize_compare, check_fully_pinned
 from iqgklo.gklo import build_B_image, build_Xi, leading_coefficient_K
-from iqgklo.satake import build_catalog, catalog_by_name
-from iqgklo.scalars import Scalar
+from iqgklo.satake import (
+    build_catalog, catalog_by_name, make_instance, validate_diagram,
+)
+from iqgklo.scalars import Monomial, Scalar
 from test_delta import _assert_same_terms
+from test_gklo import SHIFTED, _term
 
 CATALOG = build_catalog()
 CORRUPTIONS = (None, "drop_const", "flip_wp", "drop_kappa")
@@ -118,8 +122,8 @@ def test_bb1_conventions():
 
 
 @pytest.mark.parametrize("name,count", [
-    ("sA1-v1-t0", 0), ("sA1-v1-t1", 4), ("sA2-v11-t10", 16),
-    ("sA1-v2-t1", 16),
+    ("sA1-v1-t0", 0), ("sA1-v1-t1", 2), ("sA2-v11-t10", 8),
+    ("sA1-v2-t1", 8),
 ])
 def test_chi_exchange_suite(name, count):
     res = chi_exchange_suite(catalog_by_name(name))
@@ -128,10 +132,62 @@ def test_chi_exchange_suite(name, count):
 
 
 @pytest.mark.parametrize("name,count", [
-    ("qsA2-v11", 6), ("qsA4", 6), ("qsA3-t0", 0),
+    ("qsA2-v11", 4), ("qsA4", 4), ("qsA3-t0", 0),
 ])
 def test_merged_chi_suite(name, count):
     res = merged_chi_suite(catalog_by_name(name))
+    assert len(res) == count
+    assert all(r.status == "pass" for r in res)
+
+
+def _block(inst, i, dmon):
+    """(q * pin, operator) of the term of B_i whose shift part is dmon."""
+    pin, op = _term(inst, i, dmon)
+    return Scalar.from_mono(Monomial.q_int(1) * pin), op
+
+
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_exchange_suites_swapped_law_negates_both_sides(inst):
+    """The suites check one order of each block pair: with x and y
+    swapped, each side of the law is the negated other side."""
+    sides = []
+    chi_exchange_suite(inst, sides)
+    merged_chi_suite(inst, sides)
+    for (i, j, dx, dy), lhs, rhs in sides:
+        (wx, x), (wy, y) = _block(inst, i, dx), _block(inst, j, dy)
+        qc = Scalar.q_int(inst.diagram.c(i, j))
+        assert canonicalize_compare((y * x).scale(wy - qc * wx), -rhs) == []
+        assert canonicalize_compare((x * y).scale(qc * wy - wx), -lhs) == []
+
+
+def _cartan(rank, edges):
+    c = [[2 if a == b else 0 for b in range(rank)] for a in range(rank)]
+    for a, b in edges:
+        c[a - 1][b - 1] = c[b - 1][a - 1] = -1
+    return c
+
+
+# theta-marked quasi-split D4 (tau swaps legs 3 and 4 of the branch node
+# 2) and E6 (chain 1-2-3-4-5 with node 6 on node 3, tau = (1 5)(2 4))
+D4 = validate_diagram(_cartan(4, [(1, 2), (2, 3), (2, 4)]), (1, 2, 4, 3))
+E6 = validate_diagram(_cartan(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]),
+                      (5, 4, 3, 2, 1, 6))
+LEMMA_INSTANCES = {name: instance_from_description(desc)
+                   for name, desc in SHIFTED.items()}
+LEMMA_INSTANCES["qsD4-t1000"] = make_instance(
+    "qsD4-t1000", D4, (0, 1, 0, 0), (0,) * 4, (1, 0, 0, 0))
+LEMMA_INSTANCES["qsE6-t6"] = make_instance(
+    "qsE6-t6", E6, (0,) * 5 + (1,), (0,) * 6, (0,) * 5 + (1,))
+
+
+@pytest.mark.parametrize("name,count", [
+    ("A1-f3-s1", 0), ("A1-f0-s-2", 0), ("A1-t1-f2-s-2", 8),
+    ("A2-f21-s10", 4), ("qsA3-f111-s010", 0), ("qsD4-t1000", 18),
+    ("qsE6-t6", 50),
+])
+def test_lemma_suites_shifted_and_d_e(name, count):
+    inst = LEMMA_INSTANCES[name]
+    res = chi_exchange_suite(inst) + merged_chi_suite(inst)
     assert len(res) == count
     assert all(r.status == "pass" for r in res)
 
