@@ -3,12 +3,14 @@
 Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
-  group by support group, at random exact rational values of all base
-  variables, in integers only, on a plan compiled once per pair: each
-  distinct part of the coefficients is evaluated once per trial, and the
-  parts that both sides of a group share are cancelled, exactly, so each
-  (verdict, trials) pair is that of evaluating every coefficient whole.
-  It shares no simplification code with the symbolic comparison path.
+  group by support group, at random real rational values g/s of all base
+  variables, in integers only, on a kernel compiled once per pair: each
+  distinct part of the coefficients is decoded once into integer rows,
+  each trial powers every variable once over the union of its exponent
+  spans, each part is evaluated once per trial, and the parts that both
+  sides of a group share are cancelled, exactly, so each (verdict,
+  trials) pair is that of evaluating every coefficient whole.  It shares
+  no simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
@@ -18,12 +20,16 @@ Two instruments:
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import BadSpecialization
-from .scalars import SCALAR_ZERO, Poly, Scalar, add_into, combine_cleared
+from .scalars import (
+    GR, SCALAR_ZERO, Poly, Scalar, add_into, combine_cleared,
+)
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
+MAX_HEIGHT = 64     # bound on the numerator and denominator of a draw
+_HEIGHT_BITS = MAX_HEIGHT.bit_length()
 
 
 def act(term, f):
@@ -37,19 +43,37 @@ def act(term, f):
     return coeff * Scalar.from_mono(f).conjugate(dmon)
 
 
-def _random_points(rng, names, n_test_exps, max_height=64):
+def _random_points(rng, names, n_test_exps):
     """One attempt's draws: for each name in order, a random rational n/d,
-    0 < |n|, d <= max_height, drawn cleared as (s, g, 0, g*g), the integer
-    g over s in lowest terms (see ``scalars._cleared_point``); then the
-    test monomial's exponents in [-3, 3], drawn and dropped."""
-    points = {}
-    for v in names:
-        n = rng.randint(1, max_height) * rng.choice((1, -1))
-        d = rng.randint(1, max_height)
+    0 < |n|, d <= MAX_HEIGHT, as (s, g), the integer g over the positive
+    integer s in lowest terms; then the test monomial's exponents in
+    [-3, 3], drawn and dropped.
+
+    Every value is read off ``rng.getrandbits`` by the rejection loop of
+    CPython's ``randrange``: 7 bits until below 64 for |n| - 1, 2 bits
+    until below 2 for the sign (1 picks -1), likewise 7 bits for d - 1,
+    and 3 bits until below 7 for each exponent plus 3.  So the values,
+    and the state the generator is left in, are those of
+    ``randint(1, 64) * choice((1, -1))``, ``randint(1, 64)`` and
+    ``randint(-3, 3)``."""
+    bits = rng.getrandbits
+    points = []
+    for _ in names:
+        n = bits(_HEIGHT_BITS)
+        while n >= MAX_HEIGHT:
+            n = bits(_HEIGHT_BITS)
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        d = bits(_HEIGHT_BITS)
+        while d >= MAX_HEIGHT:
+            d = bits(_HEIGHT_BITS)
+        n, d = (-n - 1 if sign else n + 1), d + 1
         g = gcd(n, d)
-        points[v] = d // g, n // g, 0, (n // g) ** 2
+        points.append((d // g, n // g))
     for _ in range(n_test_exps):
-        rng.randint(-3, 3)
+        while bits(3) >= 7:
+            pass
     return points
 
 
@@ -89,15 +113,91 @@ def _plan(x, y):
     return parts, groups
 
 
+def _compile(parts):
+    """(names, spans, kernels): the pair's variables in name order, "q"
+    always among them, each variable's span (lo, hi), the union of its
+    exponent ranges over all parts widened to hold 0, and each part's
+    kernel by key.
+
+    The trial's power tables lie end to end in one flat list (see
+    ``_power_tables``), so a kernel refers to a power by its index there.
+    A kernel is (L, den_at, rows): L clears the denominators of the
+    part's coefficients, den_at indexes the 0th power of each variable the
+    part holds, and rows holds (re, im, powers) per term, the coefficient
+    times L and the index of each of those variables' powers.  The
+    exponents are read off each part's cached layout (``Poly.layout``)."""
+    layouts = {key: p.layout() for key, p in parts.items()}
+    spans = {"q": (0, 0)}
+    for ranges, _ in layouts.values():
+        for v, lo, hi in ranges:
+            a, b = spans.get(v, (0, 0))
+            spans[v] = min(a, lo), max(b, hi)
+    names = sorted(spans)
+    zero, end = {}, 0                   # the index of each v^0
+    for v in names:
+        lo, hi = spans[v]
+        zero[v] = end - lo
+        end += hi - lo + 1
+    kernels = {}
+    for key, (ranges, rows) in layouts.items():
+        coeffs = [(c.re, c.im) if isinstance(c, GR) else (c, 0)
+                  for c in parts[key].terms.values()]
+        L = lcm(*(x.denominator for c in coeffs for x in c))
+        at = [zero[v] for v, _, _ in ranges]
+        kernels[key] = (L, at, [(int(re * L), int(im * L),
+                                 [i + e for i, e in zip(at, exps)])
+                                for (re, im), exps in zip(coeffs, rows)])
+    return names, [spans[v] for v in names], kernels
+
+
+def _power_tables(points, spans):
+    """The trial's power tables end to end: for each variable's drawn
+    g/s and span (lo, hi), g^(e-lo) * s^(hi-e) for e = lo .. hi, the
+    numerator of its e-th power over the one denominator g^(-lo) * s^hi,
+    which is the table's entry at e = 0."""
+    out = []
+    for (s, g), (lo, hi) in zip(points, spans):
+        table = [1]
+        for _ in range(hi - lo):
+            table.append(table[-1] * g)         # g^(e-lo)
+        sk = 1
+        for i in reversed(range(hi - lo)):
+            sk *= s
+            table[i] *= sk                      # times s^(hi-e)
+        out += table
+    return out
+
+
+def _part_value(kernel, powers):
+    """One part's value (re, im, D), the value (re + i*im) / D, on the
+    trial's power tables: every power of a variable is over that
+    variable's denominator, so each term is a plain integer product."""
+    L, den_at, rows = kernel
+    get = powers.__getitem__
+    tre = tim = 0
+    for re, im, at in rows:
+        p = prod(map(get, at))
+        tre += re * p
+        tim += im * p
+    return tre, tim, L * prod(map(get, den_at))
+
+
 def randomized_equal(x, y, trials=20, seed=0):
     """Numeric concordance check for two fully pinned distributions.
 
-    The pair is compiled once (``_plan``).  Each trial draws every
-    variable's value already cleared, evaluates each distinct part once,
-    to a Gaussian integer over an integer, and compares the two sides of
-    each support group as unreduced n/d: n/d == n'/d' exactly when
-    n*d' == n'*d, so no gcd and no Fraction is needed.  The parts that
-    both sides share are cancelled, and in every trial exactly so:
+    The pair is compiled once: ``_plan`` lists the distinct parts and the
+    support groups, and ``_compile`` gives every variable one span, the
+    union of its exponent ranges over the parts, and every part a kernel
+    of integer rows, decoded once from the part's layout.  Each trial draws
+    every variable as a real rational g/s (``_random_points``), builds one
+    power table per variable over its span, all powers of a variable over
+    one denominator (``_power_tables``), evaluates each distinct part once
+    in plain integers (``_part_value``; the Gaussian coefficients enter as
+    their real and imaginary rows), and compares the two sides of each
+    support group as unreduced n/d (``combine_cleared``): n/d == n'/d'
+    exactly when n*d' == n'*d, so no gcd and no Fraction is needed.  The
+    parts that both sides share are cancelled, and in every trial exactly
+    so:
     * a vanishing denominator part of either side, shared or not,
       retries the trial, as the whole values would;
     * else a vanishing shared numerator part makes both sides 0, and the
@@ -115,7 +215,7 @@ def randomized_equal(x, y, trials=20, seed=0):
     parts, groups = _plan(x, y)
     if not groups:
         return True, trials
-    names = sorted({"q"}.union(*(p.variables() for p in parts.values())))
+    names, spans, kernels = _compile(parts)
     n_test_exps = sum(v.startswith("w:") for v in names)
     done = attempts = 0
     while done < trials:
@@ -123,10 +223,9 @@ def randomized_equal(x, y, trials=20, seed=0):
             raise BadSpecialization(
                 f"exceeded {MAX_RETRIES} retries at trial {done}")
         attempts += 1
-        # every variable's point is in the memo, so no assignment is read
-        memo = _random_points(rng, names, n_test_exps)
-        values = {key: p._eval_cleared(None, memo)
-                  for key, p in parts.items()}
+        powers = _power_tables(_random_points(rng, names, n_test_exps),
+                               spans)
+        values = {key: _part_value(k, powers) for key, k in kernels.items()}
         zero = {key for key, (re, im, _) in values.items() if not (re or im)}
         for dens, shared, vx, vy in groups:
             if zero and not zero.isdisjoint(dens):

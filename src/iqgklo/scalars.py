@@ -481,7 +481,9 @@ def _power_table(point, lo, hi):
     """(table, Dv) for the cleared value ``point`` of a variable (see
     ``_cleared_point``) and the exponent range lo..hi: Dv is the common
     denominator of its powers, and table[e] the Gaussian integer
-    numerator of its e-th power over Dv, for every e in the range."""
+    numerator of its e-th power over Dv, for every e in the range.  It
+    serves ``Poly._eval_cleared``, and so ``Scalar.eval_numeric``, the
+    reference; the oracle powers its real points on its own tables."""
     s, gre, gim, norm = point
     hp, ln = max(hi, 0), max(-lo, 0)
     tab = {}
@@ -645,16 +647,24 @@ class Poly:
             d[key] = c if s is None else s + c
         return Poly(d)
 
+    def layout(self):
+        """The evaluation layout of this nonzero Poly (see
+        ``_eval_layout``), decoded once and cached."""
+        try:
+            return self._layout
+        except AttributeError:
+            self._layout = _eval_layout(self.terms)
+            return self._layout
+
     def _eval_cleared(self, assignment, memo):
         """Exact evaluation of a nonzero Poly as (re, im, D), the value
         (re + i*im) / D with D a positive integer: each variable's value is
         cleared to a Gaussian integer over one denominator that covers its
         exponent range, so the term sum is pure integer arithmetic.
-        ``memo`` is as in ``Scalar.eval_numeric``."""
-        try:
-            ranges, rows = self._layout
-        except AttributeError:
-            ranges, rows = self._layout = _eval_layout(self.terms)
+        ``memo`` is as in ``Scalar.eval_numeric``.  This path serves
+        ``eval_numeric``, the reference for the oracle's real-point kernel
+        (see ``oracle``), at any Gaussian point."""
+        ranges, rows = self.layout()
         tables = []                           # (table, Dv) per variable
         D = 1
         for span in ranges:

@@ -130,7 +130,7 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
     # attempt, so the oracle runs out of retries: concordance fails (exit 1
     # with a report), the verb does not
     def all_ones(rng, names, n_test_exps):
-        return {v: (1, 1, 0, 1) for v in names}
+        return [(1, 1)] * len(names)
     monkeypatch.setattr(oracle, "_random_points", all_ones)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--trials", "2",
