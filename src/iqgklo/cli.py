@@ -255,8 +255,8 @@ def cmd_check(args):
         raise ValidationError("bb1_convention must be 'taui' or 'i'")
     inst = cfg["instance"]
     kinds = cfg["relations"]
-    if args.relations:
-        kinds = _kinds(args.relations.split(","))
+    if args.relations is not None:
+        kinds = _kinds(args.relations.split(",") if args.relations else [])
     t0 = time.monotonic()
     checker = RelationChecker(inst, bb1_convention=cfg["bb1_convention"],
                               keep_pairs=True)
@@ -288,15 +288,18 @@ def _series_soundness(checker, cfg):
     """Check every logged residue expansion against its truncated series:
     (status, abort reason or None).
 
-    The checker logs a gamma before expanding it, so the gamma of a check
-    aborted on a pole or a vanishing denominator stays in the log.  Its
-    expansion aborts here again, and that fails soundness, not the verb;
-    the reason names the case that logged the gamma and the error.
+    Each gamma is checked with the expansion that its relation check
+    used, as the checker logged it.  The checker logs a gamma before
+    expanding it, so the gamma of a check aborted on a pole or a
+    vanishing denominator stays in the log, without an expansion.  It is
+    expanded here again, that aborts again, and that fails soundness, not
+    the verb; the reason names the case that logged the gamma and the
+    error.
     """
-    for k, (g, case) in enumerate(zip(checker.gamma_log,
-                                      checker.gamma_cases)):
+    for k, (g, case, expansion) in enumerate(zip(
+            checker.gamma_log, checker.gamma_cases, checker.expansions)):
         try:
-            if not truncated_series_check(g, order=cfg["order"]):
+            if not truncated_series_check(g, expansion, cfg["order"]):
                 return "fail", None
         except (NonSimplePole, DenominatorVanishes) as e:
             return "fail", (f"gamma {k} (from {case}): "

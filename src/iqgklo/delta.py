@@ -46,7 +46,14 @@ class FactorCurrent:
     merged in order of first appearance, and zero exponents and zero
     coefficients are dropped.  Every other way of making a current starts
     from a normalized dict and keeps it normalized, with the items and the
-    order that the constructor would give."""
+    order that the constructor would give.
+
+    This is a normal form of a rational function of x (``equals``) while
+    the prefactor and every M are free of x and every key is canonical: c
+    a nonzero coefficient in its canonical form (see ``GR``), M a packed
+    Monomial.  Then the factors are irreducibles of K[x, 1/x], K the field
+    of the other variables, with constant term 1, so distinct keys are
+    non-associate, and the units of K[x, 1/x] are the pref * x^power."""
 
     __slots__ = ("var", "pref", "power", "factors")
 
@@ -235,8 +242,17 @@ class FactorCurrent:
                            if low <= n <= order and p}
 
     def equals(self, other):
-        """Equality as rational functions (cross-multiplied)."""
-        return self.to_scalar().equals(other.to_scalar())
+        """Equality as rational functions of x: by unique factorization
+        (see the class docstring), two nonzero currents are equal exactly
+        when their powers, factor dicts and prefactors are."""
+        for fc in (self, other):
+            assert not fc.pref.has_var(fc.var) and not any(
+                M.has_var(fc.var) for _, M in fc.factors), fc
+        if self.pref.is_zero() or other.pref.is_zero():
+            return self.pref.is_zero() and other.pref.is_zero()
+        return (self.var == other.var and self.power == other.power
+                and self.factors == other.factors
+                and self.pref.equals(other.pref))
 
     def __repr__(self):
         fs = " * ".join(f"(1-{c}*{M!r}*{self.var})^{e}"

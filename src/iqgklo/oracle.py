@@ -4,13 +4,13 @@ Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
   group by support group, at random real rational values g/s of all base
-  variables, in integers only, on a kernel compiled once per pair: each
-  distinct part of the coefficients is decoded once into integer rows,
-  each trial powers every variable once over the union of its exponent
-  spans, each part is evaluated once per trial, and the parts that both
-  sides of a group share are cancelled, exactly, so each (verdict,
-  trials) pair is that of evaluating every coefficient whole.  It shares
-  no simplification code with the symbolic comparison path.
+  variables, in integers only: each trial powers every variable once over
+  the union of its exponent spans, and each distinct part of the
+  coefficients is decoded into integer rows on first use and evaluated at
+  most once per trial, only where a verdict needs it.  The parts that both
+  sides of a group share are cancelled, exactly, so each (verdict, trials)
+  pair is that of evaluating every coefficient whole.  It shares no
+  simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
@@ -99,37 +99,37 @@ def _plan(x, y):
     only y has, (dens, shared, vx, vy): the parts of either side's
     denominator, the numerator parts both sides hold, and each side as
     (unit, den, num) with what both hold in their numerators, or both in
-    their denominators, cancelled to the lower multiplicity."""
+    their denominators, cancelled to the lower multiplicity.  A group
+    equal in all four to an earlier one is left out: in every trial that
+    reaches it, the earlier group has passed, and so would it."""
     gx, gy = _groups(x), _groups(y)
-    parts, groups = {}, []
+    parts, groups, seen = {}, [], set()
     for key in [*gx, *(key for key in gy if key not in gx)]:
         (ux, dx, nx, px), (uy, dy, ny, py) = (
             g.get(key, SCALAR_ZERO).eval_plan() for g in (gx, gy))
         parts.update(px)
         parts.update(py)
         sd, sn = dx & dy, nx & ny
-        groups.append((dx.keys() | dy.keys(), sn.keys(),
-                       (ux, dx - sd, nx - sn), (uy, dy - sd, ny - sn)))
+        dens, shared = frozenset(dx.keys() | dy.keys()), frozenset(sn)
+        vx, vy = (ux, dx - sd, nx - sn), (uy, dy - sd, ny - sn)
+        sig = dens, shared, *((u, frozenset(d.items()), frozenset(n.items()))
+                              for u, d, n in (vx, vy))
+        if sig not in seen:
+            seen.add(sig)
+            groups.append((dens, shared, vx, vy))
     return parts, groups
 
 
 def _compile(parts):
-    """(names, spans, kernels): the pair's variables in name order, "q"
+    """(names, spans, zero): the pair's variables in name order, "q"
     always among them, each variable's span (lo, hi), the union of its
-    exponent ranges over all parts widened to hold 0, and each part's
-    kernel by key.
-
-    The trial's power tables lie end to end in one flat list (see
-    ``_power_tables``), so a kernel refers to a power by its index there.
-    A kernel is (L, den_at, rows): L clears the denominators of the
-    part's coefficients, den_at indexes the 0th power of each variable the
-    part holds, and rows holds (re, im, powers) per term, the coefficient
-    times L and the index of each of those variables' powers.  The
-    exponents are read off each part's cached layout (``Poly.layout``)."""
-    layouts = {key: p.layout() for key, p in parts.items()}
+    exponent ranges over all parts widened to hold 0, and the index of
+    each variable's 0th power in the trial's power tables, which lie end
+    to end in one flat list (see ``_power_tables``).  The exponent ranges
+    are read off each part's cached layout (``Poly.layout``)."""
     spans = {"q": (0, 0)}
-    for ranges, _ in layouts.values():
-        for v, lo, hi in ranges:
+    for p in parts.values():
+        for v, lo, hi in p.layout()[0]:
             a, b = spans.get(v, (0, 0))
             spans[v] = min(a, lo), max(b, hi)
     names = sorted(spans)
@@ -138,16 +138,36 @@ def _compile(parts):
         lo, hi = spans[v]
         zero[v] = end - lo
         end += hi - lo + 1
-    kernels = {}
-    for key, (ranges, rows) in layouts.items():
-        coeffs = [(c.re, c.im) if isinstance(c, GR) else (c, 0)
-                  for c in parts[key].terms.values()]
-        L = lcm(*(x.denominator for c in coeffs for x in c))
-        at = [zero[v] for v, _, _ in ranges]
-        kernels[key] = (L, at, [(int(re * L), int(im * L),
-                                 [i + e for i, e in zip(at, exps)])
-                                for (re, im), exps in zip(coeffs, rows)])
-    return names, [spans[v] for v in names], kernels
+    return names, [spans[v] for v in names], zero
+
+
+def _kernel(part, zero):
+    """One part's kernel (L, den_at, rows) on the power tables that
+    ``zero`` indexes: L clears the denominators of the part's
+    coefficients, den_at indexes the 0th power of each variable the part
+    holds, and rows holds (re, im, powers) per term, the coefficient times
+    L and the index of each of those variables' powers."""
+    ranges, rows = part.layout()
+    coeffs = [(c.re, c.im) if isinstance(c, GR) else (c, 0)
+              for c in part.terms.values()]
+    L = lcm(*(x.denominator for c in coeffs for x in c))
+    at = [zero[v] for v, _, _ in ranges]
+    return L, at, [(int(re * L), int(im * L),
+                     [i + e for i, e in zip(at, exps)])
+                    for (re, im), exps in zip(coeffs, rows)]
+
+
+class _OnDemand(dict):
+    """A dict that makes each missing value on first use, by ``make``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _power_tables(points, spans):
@@ -182,40 +202,50 @@ def _part_value(kernel, powers):
     return tre, tim, L * prod(map(get, den_at))
 
 
+def _vanishes(values, keys):
+    """Whether one of the parts ``keys`` is 0 in this trial."""
+    for key in keys:
+        re, im, _ = values[key]
+        if not (re or im):
+            return True
+    return False
+
+
 def randomized_equal(x, y, trials=20, seed=0):
     """Numeric concordance check for two fully pinned distributions.
 
-    The pair is compiled once: ``_plan`` lists the distinct parts and the
-    support groups, and ``_compile`` gives every variable one span, the
-    union of its exponent ranges over the parts, and every part a kernel
-    of integer rows, decoded once from the part's layout.  Each trial draws
-    every variable as a real rational g/s (``_random_points``), builds one
-    power table per variable over its span, all powers of a variable over
-    one denominator (``_power_tables``), evaluates each distinct part once
-    in plain integers (``_part_value``; the Gaussian coefficients enter as
-    their real and imaginary rows), and compares the two sides of each
-    support group as unreduced n/d (``combine_cleared``): n/d == n'/d'
-    exactly when n*d' == n'*d, so no gcd and no Fraction is needed.  The
-    parts that both sides share are cancelled, and in every trial exactly
-    so:
-    * a vanishing denominator part of either side, shared or not,
-      retries the trial, as the whole values would;
-    * else a vanishing shared numerator part makes both sides 0, and the
-      group is equal in this trial;
-    * else the shared parts are one nonzero factor of both sides of
-      n*d' == n'*d, and dropping it leaves the verdict as it was.
-    The test monomial is drawn on every trial but not applied: the shift
-    part only rescales it, by one nonzero factor of both sides of a
-    group.  So the draws, the retries (bounded) and the group order, which
-    is fixed since a mismatch met before a vanishing denominator decides
-    False and not a retry, are those of evaluating every coefficient
-    whole on the test monomial, and so is (verdict, trials_run).
+    The pair is planned once (``_plan``), and every variable gets one span,
+    the union of its exponent ranges over all parts (``_compile``).  Each
+    trial draws every variable as a real rational g/s (``_random_points``)
+    and builds one power table per variable over its span, all powers of
+    a variable over one denominator (``_power_tables``).  A part's kernel
+    is decoded on first use (``_kernel``), and a part is evaluated in
+    plain integers (``_part_value``) only when a verdict needs it, at most
+    once per trial.  Per group, in order:
+    * its denominator parts, shared or not, are evaluated first, and one
+      that vanishes retries the trial, as the whole values would;
+    * else its two sides, the parts both share cancelled, are compared as
+      unreduced n/d (``combine_cleared``): n/d == n'/d' exactly when
+      n*d' == n'*d, so no gcd and no Fraction is needed;
+    * only if they differ are its shared numerator parts evaluated: one
+      that vanishes makes both whole sides 0, and the group is equal in
+      this trial; else they are one nonzero factor of both sides of
+      n*d' == n'*d, and the verdict is False.
+    Where the reduced sides agree, so do the whole ones, so no verdict
+    needs the shared parts there.  The test monomial is drawn on every
+    trial but not applied: the shift part only rescales it, by one nonzero
+    factor of both sides of a group.  So the draws, the retries (bounded)
+    and the group order, which is fixed since a mismatch met before a
+    vanishing denominator decides False and not a retry, are those of
+    evaluating every coefficient whole on the test monomial, and so is
+    (verdict, trials_run).
     """
     rng = random.Random(seed)
     parts, groups = _plan(x, y)
     if not groups:
         return True, trials
-    names, spans, kernels = _compile(parts)
+    names, spans, zero = _compile(parts)
+    kernels = _OnDemand(lambda key: _kernel(parts[key], zero))
     n_test_exps = sum(v.startswith("w:") for v in names)
     done = attempts = 0
     while done < trials:
@@ -225,15 +255,14 @@ def randomized_equal(x, y, trials=20, seed=0):
         attempts += 1
         powers = _power_tables(_random_points(rng, names, n_test_exps),
                                spans)
-        values = {key: _part_value(k, powers) for key, k in kernels.items()}
-        zero = {key for key, (re, im, _) in values.items() if not (re or im)}
+        values = _OnDemand(
+            lambda key, powers=powers: _part_value(kernels[key], powers))
         for dens, shared, vx, vy in groups:
-            if zero and not zero.isdisjoint(dens):
+            if _vanishes(values, dens):
                 break
-            if zero and not zero.isdisjoint(shared):
-                continue
             if not _same_value(combine_cleared(*vx, values),
-                               combine_cleared(*vy, values)):
+                               combine_cleared(*vy, values)) \
+                    and not _vanishes(values, shared):
                 return False, done + 1
         else:
             done += 1

@@ -87,6 +87,14 @@ def _qmqinv():
     return _q(1) - _q(-1)          # q - q^{-1}
 
 
+def _hb_ratio(b, c, ct):
+    """The ratio of ``check_hb`` at the pin b as a Scalar in u."""
+    b = Scalar.from_mono(b)
+    u, uinv = Scalar.var("u"), Scalar.var("u", -1)
+    return ((_q(c) * u - b) * (_q(ct) * uinv - b)) \
+        / ((u - _q(c) * b) * (uinv - _q(ct) * b))
+
+
 def _at_pins(prod, x, y, c):
     """prod with each coefficient times (x - q^c y), evaluated at the
     term's pins before it multiplies the pin-free coefficient."""
@@ -97,8 +105,9 @@ def _at_pins(prod, x, y, c):
 
 class RelationChecker:
     """Evaluates relations on one instance; caches images and logs every
-    rational function handed to the residue expansion (for the series
-    soundness cross-check)."""
+    rational function handed to the residue expansion, with the case that
+    handed it over and the expansion it got, None if the expansion
+    aborted (for the series soundness cross-check)."""
 
     def __init__(self, inst, bb1_convention="taui", corrupt=None,
                  keep_pairs=False):
@@ -112,6 +121,7 @@ class RelationChecker:
         self._xi = {}
         self.gamma_log = []
         self.gamma_cases = []       # the case that logged each gamma
+        self.expansions = []        # each gamma's expansion, or None
         self._case = None
 
     # --- cached images -------------------------------------------------
@@ -151,7 +161,9 @@ class RelationChecker:
     def _expand(self, gamma):
         self.gamma_log.append(gamma)
         self.gamma_cases.append(self._case)
-        return expand_by_residues(gamma)
+        self.expansions.append(None)
+        self.expansions[-1] = expansion = expand_by_residues(gamma)
+        return expansion
 
     # --- RHS gammas ----------------------------------------------------
 
@@ -264,23 +276,28 @@ class RelationChecker:
                            seconds=time.monotonic() - t0)
 
     def check_hb(self, i, j):
-        """Cartan current past a B current: per-pin scalar identity in the
-        free variable u."""
+        """Cartan current past a B current: per pin b of B_j, with
+        c = C(i, j) and c' = C(tau i, j), Xi_i(u) equals Xi_i moved through
+        the shift part times (q^c u - b)(q^c'/u - b) / ((u - q^c b)(1/u -
+        q^c' b)) = q^(c'-c) (1 - q^c u/b)(1 - q^-c' b u) / ((1 - q^-c u/b)
+        (1 - q^c' b u)), compared in factored normal form; a failure's
+        entry holds both sides as scalars."""
         t0 = time.monotonic()
         d = self.inst.diagram
         cij, ctij = d.c(i, j), d.c(d.t(i), j)
-        xi = self.Xi(i)
-        lhs_s = xi.to_scalar()
+        xi, pref = self.Xi(i), _q(ctij - cij)
         failures = []
         for pins, coeff, dmon in self.B(j, "v").items():
-            b = Scalar.from_mono(pins["v"])
-            u = Scalar.var("u")
-            uinv = Scalar.var("u", -1)
-            ratio = ((_q(cij) * u - b) * (_q(ctij) * uinv - b)) \
-                / ((u - _q(cij) * b) * (uinv - _q(ctij) * b))
-            rhs_s = ratio * xi.conjugate(dmon).to_scalar()
-            if not lhs_s.equals(rhs_s):
-                failures.append((pins, dmon, lhs_s, rhs_s))
+            b = pins["v"]
+            ratio = FactorCurrent("u", pref, factors=[
+                ((1, Monomial.q_int(cij) * b.inverse()), 1),
+                ((1, Monomial.q_int(-ctij) * b), 1),
+                ((1, Monomial.q_int(-cij) * b.inverse()), -1),
+                ((1, Monomial.q_int(ctij) * b), -1)])
+            conj = xi.conjugate(dmon)
+            if not xi.equals(ratio * conj):
+                failures.append((pins, dmon, xi.to_scalar(),
+                                 _hb_ratio(b, cij, ctij) * conj.to_scalar()))
         status = "pass" if not failures else "fail"
         return CheckResult("HB", (i, j), status, failures,
                            seconds=time.monotonic() - t0)

@@ -149,7 +149,7 @@ def test_check_series_mismatch_fails_soundness(capsys, monkeypatch):
     # an expansion that does not match its truncated series fails the
     # soundness pass without an abort reason (exit 1 with a report)
     monkeypatch.setattr(cli, "truncated_series_check",
-                        lambda gamma, order: False)
+                        lambda gamma, expansion, order: False)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--format", "structured")
     assert code == 1
@@ -223,6 +223,69 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
     factor_terms = {id(p.terms) for p in scalars._FACTORS.values()}
     assert keys and not strays
     assert sum(id(t) in factor_terms for t in decoded) == len(keys)
+
+
+def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
+    # the series pass checks the expansions that the relation checks
+    # logged, so no gamma is expanded a second time
+    expanded, logs = [], []
+    original = relations.expand_by_residues
+
+    def counted(gamma):
+        expanded.append(gamma)
+        return original(gamma)
+
+    def run(self, kinds=None):
+        logs.append(self)
+        return run_(self, kinds)
+    run_ = RelationChecker.run
+    monkeypatch.setattr(relations, "expand_by_residues", counted)
+    monkeypatch.setattr(delta, "expand_by_residues", counted)
+    monkeypatch.setattr(RelationChecker, "run", run)
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
+                           "--trials", "2", "--format", "structured")
+    assert code == 0 and json.loads(out)["series_soundness"] == "pass"
+    (checker,) = logs
+    assert len(checker.gamma_log) > 1
+    assert expanded == checker.gamma_log
+    assert all(e is not None for e in checker.expansions)
+
+
+def test_check_series_pass_reads_the_logged_expansion(capsys, monkeypatch):
+    # scaling one coefficient of one logged expansion, after the relation
+    # checks used it, fails the soundness pass
+    original = cli._series_soundness
+
+    def scaled(checker, cfg):
+        expansion = checker.expansions[0]
+        (pins, coeff, dmon), *rest = expansion.items()
+        checker.expansions[0] = bad = delta.Distribution.zero()
+        bad.add_term(pins, coeff * Scalar.const(2), dmon)
+        for term in rest:
+            bad.add_term(*term)
+        return original(checker, cfg)
+    monkeypatch.setattr(cli, "_series_soundness", scaled)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["series_soundness"] == "fail"
+    assert "series_soundness_aborted" not in doc
+    assert [r["status"] for r in doc["results"]] == ["pass"]
+
+
+def test_check_empty_relation_list_is_rejected_by_flag_and_config(
+        capsys, tmp_path):
+    # an empty kind list names no check, from the command line as from a
+    # config file, and both exit 2 with one message
+    config = tmp_path / "empty.json"
+    config.write_text(json.dumps({"schema": SCHEMA_ID,
+                                  "catalog": "sA1-v1-t0", "relations": []}))
+    for argv in (("--instance", "sA1-v1-t0", "--relations", ""),
+                 ("--config", str(config))):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 2 and not out
+        assert err == "error: relations must name at least one kind\n"
 
 
 def test_check_unknown_relation_kind(capsys):

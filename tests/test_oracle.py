@@ -87,34 +87,77 @@ def test_randomized_equal_matches_symbolic_verdict():
     assert verdict is True and trials == 20
 
 
-def test_randomized_equal_evaluates_each_factor_once_per_trial(monkeypatch):
-    # one set of power tables per trial: no part is evaluated twice in a
-    # trial, though the two sides share most of their factors
+def _needed(groups):
+    """The parts a group's verdict reads in every trial that reaches it:
+    its denominator parts and the parts of its reduced sides."""
+    out = set()
+    for dens, _, (_, dx, nx), (_, dy, ny) in groups:
+        out |= dens | dx.keys() | nx.keys() | dy.keys() | ny.keys()
+    return out
+
+
+def test_randomized_equal_evaluates_only_the_parts_a_verdict_needs(
+        monkeypatch):
+    # one set of power tables per trial, and no part evaluated twice in a
+    # trial; on this all-equal pair the reduced sides agree in every
+    # trial, so a part that is only ever a shared numerator part is
+    # neither compiled nor evaluated
     inst = catalog_by_name("sA1-v1-t0")
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
+    parts, groups = _plan(lhs, rhs)
+    needed = _needed(groups)
+    assert len(parts) == 17 and len(parts.keys() - needed) == 9
+    key_of = {id(p): key for key, p in parts.items()}
     seen = Counter()
     tables = {}                     # kept alive, so no id is reused
-    compiled = []
-    compile_, part_value = oracle._compile, oracle._part_value
+    compiled = {}
+    kernel, part_value = oracle._kernel, oracle._part_value
 
-    def recorded(parts):
-        compiled.append((parts, compile_(parts)))
-        return compiled[-1][1]
+    def recorded(part, zero):
+        k = kernel(part, zero)
+        compiled[id(k)] = key_of[id(part)]
+        return k
 
-    def counted(kernel, powers):
+    def counted(k, powers):
         tables[id(powers)] = powers
-        seen[id(powers), id(kernel)] += 1
-        return part_value(kernel, powers)
-    monkeypatch.setattr(oracle, "_compile", recorded)
+        seen[id(powers), compiled[id(k)]] += 1
+        return part_value(k, powers)
+    monkeypatch.setattr(oracle, "_kernel", recorded)
     monkeypatch.setattr(oracle, "_part_value", counted)
     assert randomized_equal(lhs, rhs, trials=20, seed=0) == (True, 20)
     assert len(tables) == 20
     assert max(seen.values()) == 1
-    # one kernel per part of both sides, each evaluated in every trial
-    ((parts, (_, _, kernels)),) = compiled
-    assert kernels.keys() == _plan(lhs, rhs)[0].keys() == parts.keys()
-    assert Counter(k for _, k in seen) == \
-        {id(k): 20 for k in kernels.values()}
+    # each part compiled once, on first use
+    assert len(set(compiled.values())) == len(compiled)
+    assert {key for _, key in seen} == set(compiled.values()) == needed
+    assert len(needed) == 8
+
+
+def test_randomized_equal_plans_identical_groups_once():
+    # the two support groups of each side hold the same coefficient, so
+    # the second group's outcome is the first's in every trial
+    shift = DMonomial.unit(1, 1)
+    c = ONE_MINUS_QU / (Scalar.const(2) + Scalar.var("u"))
+    for d in (c, c * Scalar.var("q", 2), c + Scalar.one()):
+        x = Distribution.single({}, c) + Distribution.single({}, c, shift)
+        y = Distribution.single({}, d) + Distribution.single({}, d, shift)
+        assert len(_plan(x, y)[1]) == 1
+        for seed in (0, 3):
+            assert randomized_equal(x, y, trials=20, seed=seed) == \
+                _reference_randomized_equal(x, y, trials=20, seed=seed)
+    # a group that differs from an earlier one only in one side's constant
+    # is planned on its own, and its mismatch is found
+    x = Distribution.single({}, c) + Distribution.single({}, c, shift)
+    y = Distribution.single({}, c) \
+        + Distribution.single({}, c * Scalar.const(2), shift)
+    assert len(_plan(x, y)[1]) == 2
+    assert randomized_equal(x, y, trials=20, seed=0) == (False, 1) == \
+        _reference_randomized_equal(x, y, trials=20, seed=0)
+    # on a shifted pair, groups 3 and 4 repeat groups 1 and 2
+    inst = instance_from_description(SHIFTED["A1-f3-s1"])
+    lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
+    assert len(_groups(lhs).keys() | _groups(rhs).keys()) == 4
+    assert len(_plan(lhs, rhs)[1]) == 2
 
 
 # Records, in a fresh interpreter, every coefficient the oracle compiles
@@ -494,6 +537,55 @@ def test_randomized_equal_matches_reference_when_sides_share_parts(
         + Distribution.single({}, forms[i] * c, shift)
     assert randomized_equal(x, y, trials=4, seed=seed) == \
         _reference_randomized_equal(x, y, 4, seed)
+
+
+# Currents over a few factor keys and prefactors, none of them holding x;
+# the scalar cross-multiplication is the reference for the normal forms.
+Q, W = Monomial.q_int(1), Monomial.w(1, 1)
+FACTOR_KEYS = [(c, M) for c in (1, -1, 2, GR(0, 1), Fraction(1, 2))
+               for M in (Monomial.one(), Q, W, Q * W.inverse(),
+                         Monomial.unit("u"))]
+PREFS = [Scalar.zero(), Scalar.const(GR(1, 1)), Scalar.var("q", -3),
+         Scalar.one() - Scalar.var("q", 2) * Scalar.var("u"),
+         (Scalar.var("u") - Scalar.from_mono(W))
+         / (Scalar.const(2) + Scalar.var("q"))]
+
+
+def _product(scalars):
+    out = Scalar.one()
+    for s in scalars:
+        out = out * s
+    return out
+
+
+prefs = st.lists(st.sampled_from(PREFS), min_size=1, max_size=3).map(
+    _product)
+factor_lists = st.lists(
+    st.tuples(st.sampled_from(FACTOR_KEYS),
+              st.sampled_from((-2, -1, 1, 2))), max_size=4)
+
+
+@settings.get_profile(os.environ.get("IQGKLO_ORACLE_PROFILE", "oracle"))
+@given(prefs, st.integers(-2, 2), factor_lists, st.randoms(),
+       st.sampled_from(FACTOR_KEYS), st.integers(-2, 2))
+def test_factor_current_equals_agrees_with_scalar_equals(
+        pref, power, factors, rnd, key, e):
+    # equal currents built in another factor order and with a cancelling
+    # pair, and unequal ones that differ by one factor, by the power or by
+    # the prefactor: the normal forms decide as the scalars do
+    fc = FactorCurrent("x", pref, power, factors)
+    order = factors + [(key, e), (key, -e)]
+    rnd.shuffle(order)
+    same = FactorCurrent.one("x").times_power(power).scale(pref)
+    for (c, M), k in order:
+        same = same.times_linear(M, c, k)
+    others = [fc.times_linear(key[1], key[0], e or 1), fc.times_power(1),
+              fc.scale(Scalar.const(2)), fc.scale(Scalar.var("q"))]
+    assert fc.equals(same) and same.equals(fc)
+    assert fc.to_scalar().equals(same.to_scalar())
+    for other in others:
+        assert fc.equals(other) is pref.is_zero()
+        assert fc.to_scalar().equals(other.to_scalar()) is pref.is_zero()
 
 
 @pytest.mark.parametrize("a, b, same", [

@@ -237,6 +237,49 @@ def test_wrong_multiplicities_fail_hb_and_deg():
         "DEG[1]": "fail", "HB[1,1]": "pass"}
 
 
+def _reference_hb_failures(checker, i, j):
+    """HB's failures by the scalar cross-multiplication: both sides
+    expanded into scalars in u for every block of B_j."""
+    d = checker.inst.diagram
+    cij, ctij = d.c(i, j), d.c(d.t(i), j)
+    xi = checker.Xi(i)
+    lhs = xi.to_scalar()
+    q = Scalar.q_int
+    u, uinv = Scalar.var("u"), Scalar.var("u", -1)
+    failures = []
+    for pins, _, dmon in checker.B(j, "v").items():
+        b = Scalar.from_mono(pins["v"])
+        ratio = ((q(cij) * u - b) * (q(ctij) * uinv - b)) \
+            / ((u - q(cij) * b) * (uinv - q(ctij) * b))
+        rhs = ratio * xi.conjugate(dmon).to_scalar()
+        if not lhs.equals(rhs):
+            failures.append((pins, dmon, repr(lhs), repr(rhs)))
+    return failures
+
+
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_hb_normal_form_matches_scalar_reference(inst):
+    """HB's verdicts and failure entries, read off the factored normal
+    forms, are those of the scalar cross-multiplication, on the images and
+    on a negative control that multiplies each Xi_i by (1 - w_{i,1} u):
+    a block that shifts w_{i,1} moves that factor, and HB fails there."""
+    failed = 0
+    for corrupt in (False, True):
+        checker = RelationChecker(inst)
+        if corrupt:
+            for i in inst.diagram.nodes():
+                checker._xi[i] = build_Xi(inst, i).times_linear(
+                    Monomial.w(i, 1))
+        for r in checker.run(["HB"]).results:
+            expect = _reference_hb_failures(checker, *r.pair)
+            assert [(pins, dmon, repr(cl), repr(cr))
+                    for pins, dmon, cl, cr in r.failures] == expect
+            assert r.status == ("fail" if expect else "pass")
+            assert not (expect and not corrupt)
+            failed += bool(expect)
+    assert failed
+
+
 def test_corrupt_none_matches_clean():
     clean = RelationChecker(catalog_by_name("sA1-v1-t1")).run(["BB2"])
     assert clean.ok()
