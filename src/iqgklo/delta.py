@@ -11,8 +11,13 @@ Two layers:
 * Distribution -- a finite sum of delta-supported operator terms.  Each
   term is (pins, coeff, dmon): ``pins`` maps spectral variables to their
   monomial targets (the content of the delta factors), ``coeff`` is a
-  Scalar with every pinned variable substituted out, and ``dmon`` is the
-  commuting shift-operator monomial standing rightmost.
+  Scalar, and ``dmon`` is the commuting shift-operator monomial standing
+  rightmost.  Every term is resolved when it is made: each pin target is
+  a point of the torus, free of spectral variables, and the coefficient
+  holds none of its term's pinned variables, so a prefactor in a pinned
+  variable is evaluated at the pin before it goes in.  ``add_term``,
+  ``map_coeff`` and ``rename_spectral`` raise UnpinnedResidual on a term
+  that is not.
 """
 
 from __future__ import annotations
@@ -264,42 +269,17 @@ class FactorCurrent:
 # --- distributions -----------------------------------------------------
 
 
-def resolve_pins(pins):
-    """Substitute pinned variables into one another's targets to a fixpoint.
-
-    Pinned variables are spectral, so when no target holds a spectral
-    variable there is nothing to substitute."""
-    pins = dict(pins)
-    if not any(M.has_spectral() for M in pins.values()):
-        return pins
-    names = sorted(pins)
-    for _ in range(len(pins) + 2):
-        changed = False
-        for v, t in list(pins.items()):
-            for u in names:
-                if u != v and t.has_var(u) and not pins[u].has_var(v) \
-                        and not pins[u].has_var(u):
-                    pins[v] = pins[v].substitute({u: pins[u]})
-                    changed = True
-                    break
-        if not changed:
-            break
-    return pins
-
-
 def _pins_key(pins):
     return tuple(sorted((v, M.key) for v, M in pins.items()))
 
 
-def _pinned(pins, coeff):
-    """coeff with each pinned variable replaced by its target; a
-    coefficient free of spectral variables holds none of them."""
-    if not pins or not coeff.has_spectral():
-        return coeff
-    for v, M in pins.items():
+def _check_coeff(pins, coeff):
+    """Raise UnpinnedResidual if coeff holds one of its term's pinned
+    variables."""
+    for v in pins:
         if coeff.has_var(v):
-            coeff = coeff.substitute({v: M})
-    return coeff
+            raise UnpinnedResidual(
+                f"coefficient holds the pinned variable {v}")
 
 
 class Distribution:
@@ -324,12 +304,17 @@ class Distribution:
         return out
 
     def add_term(self, pins, coeff, dmon):
-        """Add one term; pins are resolved and substituted into coeff."""
-        pins = resolve_pins(pins)
-        self._merge((_pins_key(pins), dmon), pins, _pinned(pins, coeff))
+        """Add one resolved term (see the module docstring)."""
+        for v, M in pins.items():
+            if M.has_spectral():
+                name = next(filter(is_spectral, M.vars()))
+                raise UnpinnedResidual(
+                    f"pin {v} -> {M!r} references spectral {name}")
+        _check_coeff(pins, coeff)
+        self._merge((_pins_key(pins), dmon), pins, coeff)
 
     def _merge(self, key, pins, coeff):
-        """Add one term that is already resolved, under its merge key."""
+        """Add one term that is already checked, under its merge key."""
         old = self.terms.get(key)
         self.terms[key] = (pins, coeff if old is None else old[1] + coeff)
 
@@ -349,8 +334,7 @@ class Distribution:
 
     def _sum(self, other, negate):
         """self + other, or self - other when ``negate``, in one pass over
-        terms that are already resolved, so no pin is resolved or
-        substituted again."""
+        terms that are already resolved, so none is checked again."""
         out = type(self)()
         for key, pins, coeff in self._resolved():
             out._merge(key, pins, coeff)
@@ -371,8 +355,8 @@ class Distribution:
         return out
 
     def scale(self, s):
-        """Left-multiply every coefficient by a pin-free scalar; the
-        products stay pin-free, so nothing is substituted.  Scalars
+        """Left-multiply every coefficient by a scalar that holds no pinned
+        variable; the products stay resolved, so none is checked.  Scalars
         commute, and ``coeff * s`` copies the larger factor dict."""
         out = type(self)()
         out.terms = {key: (pins, coeff * s)
@@ -380,10 +364,13 @@ class Distribution:
         return out
 
     def map_coeff(self, fn):
-        """Replace each coefficient by fn(pins, coeff) (pins substituted after)."""
+        """Replace each coefficient by fn(pins, coeff), which must hold none
+        of the term's pinned variables."""
         out = type(self)()
-        out.terms = {key: (pins, _pinned(pins, fn(pins, coeff)))
-                     for key, pins, coeff in self._resolved()}
+        for key, pins, coeff in self._resolved():
+            coeff = fn(pins, coeff)
+            _check_coeff(pins, coeff)
+            out.terms[key] = (pins, coeff)
         return out
 
     def __mul__(self, other):
@@ -402,17 +389,18 @@ class Distribution:
         return out
 
     def rename_spectral(self, mapping):
-        """Simultaneously rename free spectral variables (a bijection).
-
-        A bijective renaming of resolved terms leaves them resolved, so the
-        renamed terms are merged directly, in order, and no pin is
-        resolved or substituted again."""
+        """Simultaneously rename spectral variables: the pinned ones, and
+        the free ones in the coefficients.  Pin targets hold none, so they
+        stay as they are.  The renamed terms are merged directly, in
+        order; a coefficient renamed onto its term's pinned variable
+        raises."""
         subst = {old: Monomial.unit(new) for old, new in mapping.items()}
         out = type(self)()
         for (_, dmon), pins, coeff in self._resolved():
-            pins = {mapping.get(v, v): M.substitute(subst)
-                    for v, M in pins.items()}
-            out._merge((_pins_key(pins), dmon), pins, coeff.substitute(subst))
+            pins = {mapping.get(v, v): M for v, M in pins.items()}
+            coeff = coeff.substitute(subst)
+            _check_coeff(pins, coeff)
+            out._merge((_pins_key(pins), dmon), pins, coeff)
         return out
 
     def __repr__(self):
@@ -455,16 +443,6 @@ def expand_by_residues(fc):
     return out
 
 
-def check_fully_pinned(dist):
-    """Raise if any pin target still references a spectral variable."""
-    for pins, coeff, dmon in dist.items():
-        for v, M in pins.items():
-            if M.has_spectral():
-                name = next(filter(is_spectral, M.vars()))
-                raise UnpinnedResidual(
-                    f"pin {v} -> {M!r} references spectral {name}")
-
-
 def canonicalize_compare(x, y):
     """Group by (pins, dmon) and compare coefficient sums exactly.
 
@@ -474,8 +452,6 @@ def canonicalize_compare(x, y):
     repr of their decoded pins and dmon, which is distinct per group, so
     the list is what sorting every group first would give.
     """
-    check_fully_pinned(x)
-    check_fully_pinned(y)
     xs = {key: (p, c) for key, p, c in x._resolved()}
     ys = {key: (p, c) for key, p, c in y._resolved()}
     bad = []

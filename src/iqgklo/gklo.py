@@ -51,17 +51,6 @@ def build_ZZ(inst, i, var):
     return build_Z(inst, i, var) * build_Z(inst, ti, var).invert_arg()
 
 
-def build_WWir(inst, i, r, var):
-    """As build_WW(i) but with the r-th linear factor of W_i omitted."""
-    ti = inst.diagram.t(i)
-    fc = build_W(inst, ti, var).invert_arg()
-    fc = fc.scale(w_half_pref(ti, range(1, inst.w_count(i) + 1)))
-    for s in range(1, inst.w_count(i) + 1):
-        if s != r:
-            fc = fc.times_linear_inv_arg(Monomial.w(i, s))
-    return fc
-
-
 def build_kappa(var):
     """(1 - q u)(1 - u/q) / (1 - u)^2."""
     return (FactorCurrent.one(var)
@@ -173,18 +162,20 @@ def build_B_image(inst, i, var="u", corrupt=None):
     else:
         rows = [(own, r) for r in range(1, inst.w_count(i) + 1)] \
             + [(paired, t) for t in range(1, inst.w_count(ti) + 1)]
+    ww = {k: build_WW(inst, k, var) for k in {i, ti}}
     out = Distribution.zero()
     for (k, e, c, num), r in rows:
         pin = Monomial.w(k, r, -e) * Monomial.q_int(-1)
+        wr = Monomial.w(k, r)
+        # WW_k without its factor (1 - w_{k,r}/u), at w_{k,r}
         coeff = c * _eval_prod(num, pin) \
-            / build_WWir(inst, k, r, var).evaluate(Monomial.w(k, r))
+            / ww[k].times_linear_inv_arg(wr, e=-1).evaluate(wr)
         out.add_term({var: pin}, coeff, DMonomial.unit(k, r, e))
     if inst.th(i) and corrupt != "drop_const":
         num = [z] + [build_W(inst, j, var) for j in d.neighbors(i)]
         coeff = Scalar.const(GR_I) * zeta(inst, i) \
             * _eval_prod(num, Monomial.one()) \
-            / ((Scalar.one() + q)
-               * build_WW(inst, i, var).evaluate(Monomial.q_int(1)))
+            / ((Scalar.one() + q) * ww[i].evaluate(Monomial.q_int(1)))
         out.add_term({var: Monomial.one()}, coeff, DMonomial.one())
     return out
 

@@ -87,14 +87,6 @@ def _qmqinv():
     return _q(1) - _q(-1)          # q - q^{-1}
 
 
-def _hb_ratio(b, c, ct):
-    """The ratio of ``check_hb`` at the pin b as a Scalar in u."""
-    b = Scalar.from_mono(b)
-    u, uinv = Scalar.var("u"), Scalar.var("u", -1)
-    return ((_q(c) * u - b) * (_q(ct) * uinv - b)) \
-        / ((u - _q(c) * b) * (uinv - _q(ct) * b))
-
-
 def _at_pins(prod, x, y, c):
     """prod with each coefficient times (x - q^c y), evaluated at the
     term's pins before it multiplies the pin-free coefficient."""
@@ -119,6 +111,7 @@ class RelationChecker:
         self._b = {}
         self._prod = {}
         self._xi = {}
+        self._residues = {}
         self.gamma_log = []
         self.gamma_cases = []       # the case that logged each gamma
         self.expansions = []        # each gamma's expansion, or None
@@ -225,19 +218,34 @@ class RelationChecker:
             return lhs, self._serre2_rhs(i, j)
         return lhs, self._serre3_rhs(i, j)
 
+    def _serre2_residues(self, i):
+        """The residue terms of (u1 - 1/u1) Xi_i(u1), which do not depend on
+        the neighbour j: expanded and logged once per node."""
+        res = self._residues.get(i)
+        if res is None:
+            gamma = times_x_minus_xinv(self.Xi(i, "u1"))
+            res = self._residues[i] = list(self._expand(gamma).items())
+        return res
+
     def _serre2_rhs(self, i, j):
-        """delta(u1 u2)(u1-u2) v/((u1-q v)(u2-q v)) (Cartan diff) B_j(v)."""
-        u1, u2, v = (Scalar.var(x) for x in ("u1", "u2", "v"))
-        pref = v / ((u1 - _q(1) * v) * (u2 - _q(1) * v))
-        gamma = times_x_minus_xinv(self.Xi(i, "u1"))
-        residues = list(self._expand(gamma).items())
+        """delta(u1 u2)(u1-u2) v/((u1-q v)(u2-q v)) (Cartan diff) B_j(v),
+        the prefactor evaluated at each term's pins u1 = a, u2 = 1/a,
+        v = b."""
+        q = _q(1)
         out = Distribution.zero()
         for pinsB, cB, dB in self.B(j, "v").items():
             b = pinsB["v"]
-            for pinsR, R, _ in residues:
+            v = Scalar.from_mono(b)
+            for pinsR, R, _ in self._serre2_residues(i):
                 a = pinsR["u1"]
+                den = (Scalar.from_mono(a) - q * v) \
+                    * (Scalar.from_mono(a.inverse()) - q * v)
+                if den.is_zero():
+                    raise DenominatorVanishes(
+                        f"v/((u1-qv)(u2-qv)) has a pole at u1 = {a!r}, "
+                        f"v = {b!r}")
                 out.add_term({"u1": a, "u2": a.inverse(), "v": b},
-                             pref * R * cB, dB)
+                             v / den * R * cB, dB)
         return out
 
     def _serre3_rhs(self, i, j):
@@ -297,7 +305,7 @@ class RelationChecker:
             conj = xi.conjugate(dmon)
             if not xi.equals(ratio * conj):
                 failures.append((pins, dmon, xi.to_scalar(),
-                                 _hb_ratio(b, cij, ctij) * conj.to_scalar()))
+                                 (ratio * conj).to_scalar()))
         status = "pass" if not failures else "fail"
         return CheckResult("HB", (i, j), status, failures,
                            seconds=time.monotonic() - t0)

@@ -661,9 +661,11 @@ class Poly:
         (re + i*im) / D with D a positive integer: each variable's value is
         cleared to a Gaussian integer over one denominator that covers its
         exponent range, so the term sum is pure integer arithmetic.
-        ``memo`` is as in ``Scalar.eval_numeric``.  This path serves
-        ``eval_numeric``, the reference for the oracle's real-point kernel
-        (see ``oracle``), at any Gaussian point."""
+        ``memo``, private to one ``Scalar.eval_numeric`` call, carries each
+        variable's cleared value, by name, and each power table, by
+        (name, lowest, highest exponent), from part to part.  This path
+        serves ``eval_numeric``, the reference for the oracle's real-point
+        kernel (see ``oracle``), at any Gaussian point."""
         ranges, rows = self.layout()
         tables = []                           # (table, Dv) per variable
         D = 1
@@ -1240,15 +1242,11 @@ class Scalar:
                            _substitute_key(self.m, plan),
                            f"substituting {what} kills the denominator")
 
-    def eval_numeric(self, assignment, memo=None):
+    def eval_numeric(self, assignment):
         """Exact evaluation to a canonical coefficient: each part of
         ``eval_plan`` is cleared once (see ``Poly._eval_cleared``),
-        ``combine_cleared`` combines them, and the value is reduced once.
-        ``memo``, a dict, belongs to one assignment and carries from call
-        to call each variable's cleared value, by name, and each power
-        table, by (name, lowest, highest exponent); without one, a private
-        memo is used."""
-        memo = {} if memo is None else memo
+        ``combine_cleared`` combines them, and the value is reduced once."""
+        memo = {}
         unit, den, num, parts = self.eval_plan()
         values = {key: p._eval_cleared(assignment, memo)
                   for key, p in parts.items()}
@@ -1297,10 +1295,6 @@ class Scalar:
     def has_var(self, var):
         k = _INDEX.get(var)
         return k is not None and (self._occupied() >> (_LIMB * k)) & _MASK != 0
-
-    def has_spectral(self):
-        """Whether some part holds a spectral variable."""
-        return self._occupied() & _SPECTRAL != 0
 
     def den_factors(self):
         """The factors of the denominator, one Poly per distinct factor."""

@@ -12,7 +12,7 @@ from iqgklo.errors import (
 )
 from iqgklo.delta import (
     Distribution, FactorCurrent, bracket_q, canonicalize_compare,
-    expand_by_residues, resolve_pins, symmetrize,
+    expand_by_residues, symmetrize,
 )
 from iqgklo.gklo import build_B_image, build_W, build_Xi
 from iqgklo.satake import build_catalog
@@ -130,17 +130,6 @@ def test_double_pin_raises():
         x * x
 
 
-def test_linked_pin_resolution():
-    pins = resolve_pins({"u": W, "v": Monomial.unit("u", -1)})
-    assert pins["v"] == W.inverse()
-
-
-def test_pin_substitutes_coefficient():
-    coeff = Scalar.var("u") - Scalar.q_int(1)
-    d = Distribution.single({"u": Q2}, coeff)
-    assert d.is_zero()
-
-
 def test_symmetrize():
     a = Monomial.w(1, 1)
     b = Monomial.w(1, 2)
@@ -168,9 +157,41 @@ def test_canonicalize_compare():
     y = x + Distribution.single({"u": W * Q2}, Scalar.one())
     bad = canonicalize_compare(x, y)
     assert len(bad) == 1
-    free = Distribution.single({"v": Monomial.unit("u", -1)}, Scalar.one())
+
+
+# --- terms are resolved when they are made ----------------------------------
+
+
+def test_add_term_raises_on_an_unresolved_term():
+    d = Distribution()
+    # a pin target holding a spectral variable
     with pytest.raises(UnpinnedResidual):
-        canonicalize_compare(free, free)
+        d.add_term({"v": Monomial.unit("u", -1)}, Scalar.one(),
+                   DMonomial.one())
+    # a coefficient holding its term's pinned variable
+    with pytest.raises(UnpinnedResidual):
+        d.add_term({"u": Q2}, Scalar.var("u") - Scalar.q_int(1),
+                   DMonomial.one())
+    assert d.is_zero() and not d.terms
+    # a spectral variable that the term does not pin is free
+    d.add_term({"u": Q2}, Scalar.var("v"), DMonomial.one())
+    assert len(d.terms) == 1
+
+
+def test_map_coeff_raises_on_a_pinned_variable():
+    x = Distribution.single({"u": W}, Scalar.one())
+    with pytest.raises(UnpinnedResidual):
+        x.map_coeff(lambda pins, c: Scalar.var("u") * c)
+
+
+def test_rename_spectral_raises_on_a_pinned_variable():
+    # the free v renamed onto the pinned u
+    x = Distribution.single({"u": W}, Scalar.var("v"))
+    with pytest.raises(UnpinnedResidual):
+        x.rename_spectral({"v": "u"})
+    # a bijection keeps the term resolved
+    (pins, coeff, _), = x.rename_spectral({"u": "v", "v": "u"}).items()
+    assert pins == {"v": W} and coeff.equals(Scalar.var("u"))
 
 
 def _rename_two_phase(x, mapping):
@@ -195,19 +216,20 @@ def _rename_two_phase(x, mapping):
 
 
 def _spectral_mix():
-    """Terms pinning u1 and u2, with u1, u2, u and v left free in the
-    coefficients and in one pin target, and a factored denominator."""
+    """Terms pinning u1 and u2 at points of the torus, with the spectral
+    variables a term leaves unpinned (u1 or u2, u and v) free in its
+    coefficient, and factored denominators."""
     u1, u2, u, v = (Scalar.var(n) for n in ("u1", "u2", "u", "v"))
     q = Scalar.q_int(1)
     # u*v^2 - u^2*v cancels once v is renamed to u
-    coeff = (u1 * u1 - q * u2 * v + Scalar.from_mono(W, GR(1, 2)) * u
-             + u * v * v - u * u * v) \
-        / ((u1 - q * u2) * (Scalar.one() - q * v))
-    x = Distribution.single({"u1": W}, coeff, DMonomial.unit(1, 1))
-    x = x + Distribution.single({"u2": W * Q2}, coeff * u1)
-    x = x + Distribution.single(
-        {"u1": Monomial.unit("u") * Q2, "u2": W.inverse()}, coeff - v)
-    return x + Distribution.single({}, coeff, DMonomial.unit(1, 2))
+    free = (Scalar.from_mono(W, GR(1, 2)) * u + u * v * v - u * u * v) \
+        / (Scalar.one() - q * v)
+    x = Distribution.single({"u1": W}, free * (u2 * u2 - q * v) / (u2 - q * u),
+                            DMonomial.unit(1, 1))
+    x = x + Distribution.single({"u2": W * Q2}, free * u1 / (u1 - q * v))
+    x = x + Distribution.single({"u1": W * Q2, "u2": W.inverse()}, free - v)
+    coeff = (u1 * u1 - q * u2 * v) / ((u1 - q * u2) * (Scalar.one() - q * v))
+    return x + Distribution.single({}, free + coeff, DMonomial.unit(1, 2))
 
 
 @pytest.mark.parametrize("mapping", [
@@ -303,8 +325,10 @@ def _b_products():
                 bu, bv = images[i][0], images[j][1]
                 x, y = bu * bv, bv * bu
                 out.append((x, y))
-                out.append((x.map_coeff(lambda p, c: (u - q2 * v) * c),
-                            y.map_coeff(lambda p, c: (v - q2 * u) * c)))
+                out.append((x.map_coeff(lambda p, c: ((u - q2 * v) * c)
+                                        .substitute(p)),
+                            y.map_coeff(lambda p, c: ((v - q2 * u) * c)
+                                        .substitute(p))))
     return out
 
 
@@ -328,20 +352,15 @@ def test_map_coeff_matches_add_term_path():
     u = Scalar.var("u")
 
     def fn(pins, coeff):
-        # the new coefficient holds the pinned u, which is substituted
-        return (u - Scalar.q_int(1)) * coeff
+        # the prefactor u - q at the pinned u
+        return ((u - Scalar.q_int(1)) * coeff).substitute(pins)
     for x, _ in _b_products():
         _assert_same_terms(x.map_coeff(fn), _reference_map_coeff(x, fn))
 
 
-def test_map_coeff_substitutes_pins_and_keeps_pin_free_coefficients():
+def test_map_coeff_keeps_pin_free_coefficients():
     x = Distribution.single({"u": W}, Scalar.one())
-    u, q = Scalar.var("u"), Scalar.q_int(1)
-    # a new coefficient holding the pinned u gets the pin substituted, as
-    # the multiply-then-substitute references rely on
-    ((_, coeff, _),) = x.map_coeff(lambda pins, c: (u - q) * c).items()
-    assert not coeff.has_var("u")
-    assert coeff.equals(Scalar.from_mono(W) - q)
+    q = Scalar.q_int(1)
     # a pin-free one is kept as it is, also when it holds a free variable
     for free in (Scalar.from_mono(W) + q, Scalar.var("v") - q):
         ((_, coeff, _),) = x.map_coeff(lambda pins, c: free).items()

@@ -6,9 +6,9 @@ from iqgklo.cli import instance_from_description
 from iqgklo.delta import Distribution, canonicalize_compare
 from iqgklo.errors import DegreeMismatch
 from iqgklo.gklo import (
-    _eval_prod, build_B_image, build_kappa, build_W, build_WW, build_WWir,
+    _eval_prod, build_B_image, build_kappa, build_W, build_WW,
     build_Xi, build_Z, build_ZZ, leading_coefficient_K, neighbors_in,
-    neighbors_out, one_minus_q2, zeta,
+    neighbors_out, one_minus_q2, w_half_pref, zeta,
 )
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import GR_I, DMonomial, Monomial, Scalar
@@ -50,6 +50,18 @@ def test_b_image_term_count(inst):
             assert n == inst.w_count(i) + inst.w_count(ti)
 
 
+def _ww_without(inst, i, r):
+    """W_i(u) W_{tau i}(1/u) with the r-th linear factor of W_i left out,
+    built factor by factor."""
+    ti = inst.diagram.t(i)
+    fc = build_W(inst, ti, "u").invert_arg() \
+        .scale(w_half_pref(ti, range(1, inst.w_count(i) + 1)))
+    for s in range(1, inst.w_count(i) + 1):
+        if s != r:
+            fc = fc.times_linear_inv_arg(Monomial.w(i, s))
+    return fc
+
+
 def _reference_fixed_chi(inst, i):
     """The closed block formulas of a fixed node, arguments substituted,
     written apart from the block table that builds the B-image."""
@@ -69,7 +81,7 @@ def _reference_fixed_chi(inst, i):
         a = wr * Monomial.q_int(-1)
         val = (zeta(inst, i) / one_minus_q2()) \
             * build_Z(inst, i, "u").evaluate(a) \
-            / build_WWir(inst, i, r, "u").evaluate(wr)
+            / _ww_without(inst, i, r).evaluate(wr)
         for j in neighbors_in(inst, i):
             val = val * build_WW(inst, j, "u").evaluate(a)
         for j in neighbors_out(inst, i):
@@ -81,7 +93,7 @@ def _reference_fixed_chi(inst, i):
         b = (wr * Monomial.q_int(1)).inverse()
         val = (Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
             * build_Z(inst, i, "u").evaluate(b) \
-            / build_WWir(inst, i, r, "u").evaluate(wr)
+            / _ww_without(inst, i, r).evaluate(wr)
         if inst.th(i):
             val = val * build_kappa("u").evaluate(b.inverse())
         for j in neighbors_out(inst, i):

@@ -621,7 +621,7 @@ def test_evaluate_then_rescale_equals_full_product_per_group():
 
 def test_series_check_single_geometric_pole():
     # x/(x-a) = (1 - a/x)^{-1}: residue expansion is a single delta at a
-    a = Monomial.unit("a", 2)
+    a = Monomial.w(1, 1)
     gamma = FactorCurrent("x").times_linear_inv_arg(a, 1, -1)
     assert truncated_series_check(gamma, order=8)
 

@@ -532,36 +532,7 @@ def test_factored_scalar_matches_reference(sa, sb, sc, target, var, dexps):
                 (a / kill + b / (kill * kill)).substitute(vq)
 
 
-# values of "u" at which a pool factor vanishes, given the other values
-VANISH = {
-    "1 - q u": lambda p: coeff_inverse(p["q"] * p["q"]),
-    "u - w": lambda p: p[w_var(1, 1)] * p[w_var(1, 1)],
-    "1 + I u": lambda p: GR_I,
-}
 small_grs = ref_coeffs.map(lambda c: GR(*c))
-
-
-def _outcome(s, assignment, memo=None):
-    try:
-        return s.eval_numeric(assignment, memo)
-    except DenominatorVanishes:
-        return DenominatorVanishes
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(ref_scalars(), min_size=2, max_size=6),
-       st.fixed_dictionaries({v: small_grs for v in NAMES}),
-       st.sampled_from([None, *VANISH]))
-def test_shared_memo_matches_fresh_evaluation(drawn, assignment, vanish):
-    # the scalars share factors of the pool, and their sums share
-    # cofactors; one memo serves them all at one assignment
-    if vanish is not None:
-        assignment["u"] = VANISH[vanish](assignment)
-    scalars = [s for _, s in drawn]
-    scalars += [a + b for a, b in zip(scalars, scalars[1:])]
-    memo = {}
-    for s in scalars:
-        assert _outcome(s, assignment, memo) == _outcome(s, assignment)
 
 
 def _cleared(s, assignment):
@@ -591,15 +562,11 @@ def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
     s = Scalar.from_mono(mono, GR(*c)) * (a + Scalar.one())
     point = {v: _pair(g) for v, g in assignment.items()}
     na, da = (_ref_value(r, point) for r in ra)
-    memo = {}
     try:
-        for t in (a, s):            # a fills the memo that s reads
-            value = t.eval_numeric(assignment, memo)
+        value = s.eval_numeric(assignment)
     except DenominatorVanishes:
         assert da == (0, 0)
         return
-    # the memo that a filled serves s as a fresh one does
-    assert value == s.eval_numeric(assignment)
     cleared = _cleared(s, assignment)
     nre, nim, dre, dim = cleared
     assert (dre, dim) != (0, 0)
@@ -632,21 +599,6 @@ def test_cleared_value_of_every_part_kind():
     assert _reduced(_cleared(s, assignment)) == want
     assert s.eval_numeric(assignment) == want
     assert _cleared(Scalar.zero(), assignment) == (0, 0, 1, 0)
-
-
-def test_shared_memo_keeps_a_cached_zero_a_pole():
-    # 1 - q u vanishes at u = q^-2; evaluated first as a numerator factor,
-    # it leaves its power tables in the memo, and the scalar that divides
-    # by it must still raise
-    factor = Scalar(_poly(POOL[0]))
-    assignment = {"q": GR(2), "u": GR(Fraction(1, 4))}
-    memo = {}
-    assert factor.eval_numeric(assignment, memo) == 0
-    assert (factor * Scalar.var("u")).eval_numeric(assignment, memo) == 0
-    with pytest.raises(DenominatorVanishes):
-        (Scalar.var("u") / factor).eval_numeric(assignment, memo)
-    with pytest.raises(DenominatorVanishes):
-        (Scalar.one() / (factor * factor)).eval_numeric(assignment, memo)
 
 
 @settings(max_examples=80, deadline=None)
