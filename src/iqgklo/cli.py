@@ -258,11 +258,10 @@ def cmd_check(args):
     if args.relations is not None:
         kinds = _kinds(args.relations.split(",") if args.relations else [])
     t0 = time.monotonic()
-    checker = RelationChecker(inst, bb1_convention=cfg["bb1_convention"],
-                              keep_pairs=True)
-    report = checker.run(kinds)
-    series, series_abort = _series_soundness(checker, cfg)
-    oracle, oracle_abort = _oracle_crosscheck(checker, report, cfg)
+    report = RelationChecker(
+        inst, bb1_convention=cfg["bb1_convention"]).run(kinds)
+    series, series_abort = _series_soundness(report.results, cfg)
+    oracle, oracle_abort = _oracle_crosscheck(report.results, cfg)
     doc = {
         "schema": REPORT_SCHEMA_ID,
         "instance": _describe(inst),
@@ -284,20 +283,19 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def _series_soundness(checker, cfg):
-    """Check every logged residue expansion against its truncated series:
-    (status, abort reason or None).
+def _series_soundness(results, cfg):
+    """Check every residue expansion the results carry against its
+    truncated series: (status, abort reason or None).
 
-    Each gamma is checked with the expansion that its relation check
-    used, as the checker logged it.  The checker logs a gamma before
-    expanding it, so the gamma of a check aborted on a pole or a
-    vanishing denominator stays in the log, without an expansion.  It is
-    expanded here again, that aborts again, and that fails soundness, not
-    the verb; the reason names the case that logged the gamma and the
-    error.
+    The gammas are taken in result order, each result's in the order its
+    case expanded them, and each is checked with the expansion that its
+    case used.  A case aborted on a pole or a vanishing denominator
+    carries its gamma without an expansion.  It is expanded here again,
+    that aborts again, and that fails soundness, not the verb; the reason
+    names the gamma's index in that order, its case and the error.
     """
-    for k, (g, case, expansion) in enumerate(zip(
-            checker.gamma_log, checker.gamma_cases, checker.expansions)):
+    logged = [(g, e, r.name) for r in results for g, e in r.gammas]
+    for k, (g, expansion, case) in enumerate(logged):
         try:
             if not truncated_series_check(g, expansion, cfg["order"]):
                 return "fail", None
@@ -307,24 +305,21 @@ def _series_soundness(checker, cfg):
     return "pass", None
 
 
-def _oracle_crosscheck(checker, report, cfg):
-    """Re-derive each pairwise verdict numerically from the sides the
-    checker kept (``keep_pairs``) and compare: (status, abort reason or
-    None).
+def _oracle_crosscheck(results, cfg):
+    """Re-derive each pairwise verdict numerically from the sides its
+    result carries and compare: (status, abort reason or None).
 
-    A case without kept sides -- aborted on a pole or vanishing
-    denominator, or with no delta-supported right side -- is skipped:
-    its symbolic verdict is already ``fail``.  A case whose trials run
-    out of usable specializations fails the concordance, and the reason
-    names the case and the error.
+    A result without sides is skipped: HH, HB and DEG compare none, and
+    a case aborted on a pole or vanishing denominator, or with no
+    delta-supported right side, is already ``fail``.  A case whose trials
+    run out of usable specializations fails the concordance, and the
+    reason names the case and the error.
     """
-    for r in report.results:
-        sides = checker.pairs.get((r.kind, *r.pair))
-        if sides is None:
+    for r in results:
+        if r.sides is None:
             continue
-        lhs, rhs = sides
         try:
-            verdict, _ = randomized_equal(lhs, rhs, trials=cfg["trials"],
+            verdict, _ = randomized_equal(*r.sides, trials=cfg["trials"],
                                           seed=cfg["seed"])
         except BadSpecialization as e:
             return "fail", f"{r.name}: {type(e).__name__}: {e}"

@@ -16,8 +16,8 @@ Two layers:
   a point of the torus, free of spectral variables, and the coefficient
   holds none of its term's pinned variables, so a prefactor in a pinned
   variable is evaluated at the pin before it goes in.  ``add_term``,
-  ``map_coeff`` and ``rename_spectral`` raise UnpinnedResidual on a term
-  that is not.
+  ``scale``, ``map_coeff`` and ``rename_spectral`` raise UnpinnedResidual
+  on a term that is not.
 """
 
 from __future__ import annotations
@@ -355,12 +355,13 @@ class Distribution:
         return out
 
     def scale(self, s):
-        """Left-multiply every coefficient by a scalar that holds no pinned
-        variable; the products stay resolved, so none is checked.  Scalars
-        commute, and ``coeff * s`` copies the larger factor dict."""
+        """Left-multiply every coefficient by a scalar, which must hold
+        none of the term's pinned variables.  Scalars commute, and
+        ``coeff * s`` copies the larger factor dict."""
         out = type(self)()
-        out.terms = {key: (pins, coeff * s)
-                     for key, pins, coeff in self._resolved()}
+        for key, pins, coeff in self._resolved():
+            _check_coeff(pins, s)
+            out.terms[key] = (pins, coeff * s)
         return out
 
     def map_coeff(self, fn):

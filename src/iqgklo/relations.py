@@ -54,12 +54,17 @@ def classify_serre(diagram, i, j):
 
 @dataclass
 class CheckResult:
+    """One case: its verdict, the (lhs, rhs) it compared (None if it
+    compared none), and each (gamma, expansion) it handed to the residue
+    expansion, the expansion None where that aborted."""
     kind: str
     pair: tuple
-    status: str                  # pass | fail | skipped
+    status: str                  # pass | fail
     failures: list = field(default_factory=list)
     detail: str = ""
     seconds: float = 0.0
+    sides: tuple = field(default=None, repr=False, compare=False)
+    gammas: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def name(self):
@@ -95,27 +100,27 @@ def _at_pins(prod, x, y, c):
         Scalar.from_mono(pins[x]) - qc * Scalar.from_mono(pins[y])) * coeff)
 
 
-class RelationChecker:
-    """Evaluates relations on one instance; caches images and logs every
-    rational function handed to the residue expansion, with the case that
-    handed it over and the expansion it got, None if the expansion
-    aborted (for the series soundness cross-check)."""
+def _unlocalized(kind, pair, detail):
+    """A fail with no support to point at."""
+    return CheckResult(kind, pair, "fail", [((), None, None, None)],
+                       detail=detail)
 
-    def __init__(self, inst, bb1_convention="taui", corrupt=None,
-                 keep_pairs=False):
+
+class RelationChecker:
+    """Evaluates relations on one instance and caches the images.  Each
+    case's result carries the sides it compared and the rational
+    functions it handed to the residue expansion, with their expansions,
+    for the oracle and series soundness cross-checks."""
+
+    def __init__(self, inst, bb1_convention="taui", corrupt=None):
         self.inst = inst
         self.bb1_convention = bb1_convention
         self.corrupt = corrupt
-        self.keep_pairs = keep_pairs
-        self.pairs = {}
         self._b = {}
         self._prod = {}
         self._xi = {}
         self._residues = {}
-        self.gamma_log = []
-        self.gamma_cases = []       # the case that logged each gamma
-        self.expansions = []        # each gamma's expansion, or None
-        self._case = None
+        self._gammas = []           # (gamma, expansion) of the running case
 
     # --- cached images -------------------------------------------------
 
@@ -152,11 +157,11 @@ class RelationChecker:
         return fc if var == "u" else fc.rename_var(var)
 
     def _expand(self, gamma):
-        self.gamma_log.append(gamma)
-        self.gamma_cases.append(self._case)
-        self.expansions.append(None)
-        self.expansions[-1] = expansion = expand_by_residues(gamma)
-        return expansion
+        """The residue expansion of gamma, logged on the running case with
+        gamma, or None in its place if the expansion aborts."""
+        self._gammas.append((gamma, None))
+        self._gammas[-1] = gamma, expand_by_residues(gamma)
+        return self._gammas[-1][1]
 
     # --- RHS gammas ----------------------------------------------------
 
@@ -172,7 +177,6 @@ class RelationChecker:
 
     def eval_pair(self, kind, i, j):
         """(LHS, RHS) distributions for one relation case."""
-        self._case = f"{kind}[{i},{j}]"
         d = self.inst.diagram
         BuBv, BvBu = self.prod(i, j), self.prod(j, i, "v", "u")
         if kind in ("BB1", "BB4"):
@@ -274,14 +278,12 @@ class RelationChecker:
     # --- per-case checks ------------------------------------------------
 
     def check_hh(self):
-        t0 = time.monotonic()
         d = self.inst.diagram
         for i in d.nodes():
             s = self.Xi(i).to_scalar()      # well-formed scalar current
             assert s is not None
         return CheckResult("HH", (), "pass",
-                           detail="Cartan-current images are scalar",
-                           seconds=time.monotonic() - t0)
+                           detail="Cartan-current images are scalar")
 
     def check_hb(self, i, j):
         """Cartan current past a B current: per pin b of B_j, with
@@ -290,7 +292,6 @@ class RelationChecker:
         q^c' b)) = q^(c'-c) (1 - q^c u/b)(1 - q^-c' b u) / ((1 - q^-c u/b)
         (1 - q^c' b u)), compared in factored normal form; a failure's
         entry holds both sides as scalars."""
-        t0 = time.monotonic()
         d = self.inst.diagram
         cij, ctij = d.c(i, j), d.c(d.t(i), j)
         xi, pref = self.Xi(i), _q(ctij - cij)
@@ -307,41 +308,28 @@ class RelationChecker:
                 failures.append((pins, dmon, xi.to_scalar(),
                                  (ratio * conj).to_scalar()))
         status = "pass" if not failures else "fail"
-        return CheckResult("HB", (i, j), status, failures,
-                           seconds=time.monotonic() - t0)
+        return CheckResult("HB", (i, j), status, failures)
 
     def check_deg(self, i):
-        t0 = time.monotonic()
         try:
             coeff = leading_coefficient_K(self.inst, i, self.Xi(i))
         except DegreeMismatch as e:
-            return CheckResult("DEG", (i,), "fail", [((), None, None, None)],
-                               detail=str(e), seconds=time.monotonic() - t0)
+            return _unlocalized("DEG", (i,), str(e))
         return CheckResult("DEG", (i,), "pass",
-                           detail=f"leading coefficient {coeff!r}",
-                           seconds=time.monotonic() - t0)
+                           detail=f"leading coefficient {coeff!r}")
 
     def check_pair(self, kind, i, j):
-        t0 = time.monotonic()
         try:
             lhs, rhs = self.eval_pair(kind, i, j)
         except (NonSimplePole, DenominatorVanishes) as e:
-            return CheckResult(kind, (i, j), "fail",
-                               [((), None, None, None)],
-                               detail=f"aborted: {e}",
-                               seconds=time.monotonic() - t0)
+            return _unlocalized(kind, (i, j), f"aborted: {e}")
         if rhs is None:
-            return CheckResult(
-                kind, (i, j), "fail", [((), None, None, None)],
-                detail="the two Cartan currents differ, so the right side "
-                       "is not delta-supported under this convention",
-                seconds=time.monotonic() - t0)
-        if self.keep_pairs:
-            self.pairs[(kind, i, j)] = (lhs, rhs)
+            return _unlocalized(
+                kind, (i, j), "the two Cartan currents differ, so the right "
+                "side is not delta-supported under this convention")
         bad = canonicalize_compare(lhs, rhs)
-        status = "pass" if not bad else "fail"
-        return CheckResult(kind, (i, j), status, bad,
-                           seconds=time.monotonic() - t0)
+        return CheckResult(kind, (i, j), "pass" if not bad else "fail", bad,
+                           sides=(lhs, rhs))
 
     # --- enumeration ----------------------------------------------------
 
@@ -355,27 +343,33 @@ class RelationChecker:
                 *((k, p) for p in pairs if (k := classify_serre(d, *p)))]
 
     def run(self, kinds=None):
+        """Check each case of the given kinds (all by default), each
+        result timed and given the gammas its case expanded."""
         report = CheckReport(self.inst.name)
         checks = {"HH": self.check_hh, "DEG": self.check_deg,
                   "HB": self.check_hb}
         for kind, nodes in self.cases():
             if kinds is None or kind in kinds:
-                report.results.append(checks[kind](*nodes) if kind in checks
-                                      else self.check_pair(kind, *nodes))
+                t0 = time.monotonic()
+                r = checks[kind](*nodes) if kind in checks \
+                    else self.check_pair(kind, *nodes)
+                r.seconds = time.monotonic() - t0
+                r.gammas, self._gammas = self._gammas, []
+                report.results.append(r)
         return report
 
 
 # --- lemma suites -------------------------------------------------------
 
 
-def _exchange_suite(inst, nodes, kind, sides):
+def _exchange_suite(inst, nodes, kind):
     """The exchange law (W_x - q^c W_y) x y = (q^c W_x - W_y) y x among the
     block operators x of B_i and y of B_j, with c = C(i, j) and W = q times
     the block's pin.  It is checked once for each unordered pair of distinct
     blocks, over i <= j in ``nodes`` that are equal or adjacent, whose shift
     parts touch different coordinates d_{k,r}: swapping x and y negates
     both sides.  Returns CheckResult entries labelled (i, j, dx, dy) by the
-    shift parts; optionally records the operator sides."""
+    shift parts, each with its operator sides."""
     d = inst.diagram
     blocks = {i: [(Scalar.from_mono(Monomial.q_int(1) * pins["u"]),
                    TorusElement.monomial(coeff, dmon), dmon)
@@ -393,28 +387,27 @@ def _exchange_suite(inst, nodes, kind, sides):
                         continue
                     lhs = (x * y).scale(wx - _q(c) * wy)
                     rhs = (y * x).scale(_q(c) * wx - wy)
-                    pair = (i, j, dx, dy)
                     out.append(CheckResult(
-                        kind, pair, "pass" if lhs.equals(rhs) else "fail"))
-                    if sides is not None:
-                        sides.append((pair, lhs, rhs))
+                        kind, (i, j, dx, dy),
+                        "pass" if lhs.equals(rhs) else "fail",
+                        sides=(lhs, rhs)))
     return out
 
 
-def chi_exchange_suite(inst, sides=None):
+def chi_exchange_suite(inst):
     """The exchange laws among the block operators of the fixed nodes."""
     d = inst.diagram
     return _exchange_suite(inst, [i for i in d.nodes() if d.t(i) == i],
-                           "chi-exchange", sides)
+                           "chi-exchange")
 
 
-def merged_chi_suite(inst, sides=None):
+def merged_chi_suite(inst):
     """The exchange laws among the block operators of the nodes of
     adjacent involution pairs."""
     d = inst.diagram
     return _exchange_suite(inst, [i for i in d.nodes()
                                   if d.t(i) != i and d.c(i, d.t(i)) == -1],
-                           "merged-chi", sides)
+                           "merged-chi")
 
 
 # --- standalone identity suite ------------------------------------------

@@ -7,7 +7,7 @@ An orientation is a frozenset of directed edges (i, j) meaning i -> j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -23,8 +23,6 @@ class SatakeDiagram:
     rank: int
     cartan: tuple            # tuple of tuples, 1-based via cartan[i-1][j-1]
     tau: tuple               # tau[i-1] = image of i
-    fixed: frozenset = field(default=frozenset())      # nodes with tau(i)=i
-    reps: frozenset = field(default=frozenset())       # smaller node of each 2-orbit
 
     def c(self, i, j):
         return self.cartan[i - 1][j - 1]
@@ -119,10 +117,7 @@ def validate_diagram(cartan, tau):
             if cartan[tau[i - 1] - 1][tau[j - 1] - 1] != cartan[i - 1][j - 1]:
                 raise TauNotAutomorphism(
                     f"tau does not preserve the pairing of nodes {i},{j}")
-    fixed = frozenset(i for i in range(1, rank + 1) if tau[i - 1] == i)
-    reps = frozenset(i for i in range(1, rank + 1)
-                     if tau[i - 1] != i and i < tau[i - 1])
-    return SatakeDiagram(rank, cartan, tau, fixed, reps)
+    return SatakeDiagram(rank, cartan, tau)
 
 
 def solve_shift(diagram, framing, shift):

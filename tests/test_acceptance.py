@@ -36,44 +36,43 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Full catalog relation sweep with evaluated sides retained."""
+    """Full catalog relation sweep; each result keeps its evaluated sides
+    and logged rational currents."""
     out = {}
     for inst in CATALOG:
         t0 = time.monotonic()
-        checker = RelationChecker(inst, keep_pairs=True)
-        report = checker.run()
-        out[inst.name] = (inst, checker, report, time.monotonic() - t0)
+        report = RelationChecker(inst).run()
+        out[inst.name] = (inst, report, time.monotonic() - t0)
     return out
 
 
 @pytest.fixture(scope="module")
 def lemma_sides():
-    """Both lemma suites on every instance, with operator sides recorded."""
-    results, sides = [], []
+    """Both lemma suites on every instance; each result keeps its operator
+    sides."""
+    results = []
     for inst in CATALOG:
-        results += chi_exchange_suite(inst, sides=sides)
-        results += merged_chi_suite(inst, sides=sides)
-    return results, sides
+        results += chi_exchange_suite(inst) + merged_chi_suite(inst)
+    return results
 
 
 def test_criterion_1_full_relation_verification(sweep):
     bad, total = [], 0.0
-    for name, (_, _, report, secs) in sweep.items():
+    for name, (_, report, secs) in sweep.items():
         total += secs
         for r in report.results:
             if r.status != "pass" or r.failures:
                 bad.append(f"{name}:{r.name}")
-    n = sum(len(rep.results) for _, _, rep, _ in sweep.values())
+    n = sum(len(rep.results) for _, rep, _ in sweep.values())
     _verdict(1, not bad,
              f"{n} relation checks on {len(sweep)} instances, "
              f"{total:.1f}s total" if not bad else f"failed: {bad}")
 
 
 def test_criterion_2_lemma_suites(lemma_sides):
-    results, _ = lemma_sides
-    bad = [r.name for r in results if r.status != "pass"]
+    bad = [r.name for r in lemma_sides if r.status != "pass"]
     _verdict(2, not bad,
-             f"{len(results)} exchange-law cases across the catalog"
+             f"{len(lemma_sides)} exchange-law cases across the catalog"
              if not bad else f"failed: {bad}")
 
 
@@ -128,8 +127,9 @@ def test_criterion_4_degree_extraction():
 def test_criterion_5_residue_expansion_soundness(sweep):
     bad = []
     n = 0
-    for name, (_, checker, _, _) in sweep.items():
-        for k, gamma in enumerate(checker.gamma_log):
+    for name, (_, report, _) in sweep.items():
+        logged = [g for r in report.results for g, _ in r.gammas]
+        for k, gamma in enumerate(logged):
             n += 1
             if not truncated_series_check(gamma, order=SERIES_ORDER):
                 bad.append(f"{name}:gamma{k}")
@@ -146,23 +146,22 @@ def test_criterion_5_residue_expansion_soundness(sweep):
 def test_criterion_6_oracle_concordance(sweep, lemma_sides):
     disagreements = []
     n = 0
-    for name, (_, checker, report, _) in sweep.items():
-        symbolic = {r.kind + str(r.pair): r.status == "pass"
-                    for r in report.results}
-        for (kind, i, j), (lhs, rhs) in checker.pairs.items():
+    for name, (_, report, _) in sweep.items():
+        for r in report.results:
+            if r.sides is None:
+                continue
             n += 1
             verdict, trials = randomized_equal(
-                lhs, rhs, trials=ORACLE_TRIALS, seed=ORACLE_SEED)
+                *r.sides, trials=ORACLE_TRIALS, seed=ORACLE_SEED)
             assert trials >= ORACLE_TRIALS or not verdict
-            if verdict != symbolic[kind + str((i, j))]:
-                disagreements.append(f"{name}:{kind}[{i},{j}]")
-    results, sides = lemma_sides
-    for (pair, lhs, rhs), res in zip(sides, results):
+            if verdict != (r.status == "pass"):
+                disagreements.append(f"{name}:{r.name}")
+    for res in lemma_sides:
         n += 1
-        verdict, _ = randomized_equal(lhs, rhs, trials=ORACLE_TRIALS,
+        verdict, _ = randomized_equal(*res.sides, trials=ORACLE_TRIALS,
                                       seed=ORACLE_SEED)
         if verdict != (res.status == "pass"):
-            disagreements.append(f"lemma:{res.kind}{pair}")
+            disagreements.append(f"lemma:{res.kind}{res.pair}")
     _verdict(6, not disagreements,
              f"{n} randomized cross-checks "
              f"({ORACLE_TRIALS} trials, seed {ORACLE_SEED}), "

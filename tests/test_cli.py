@@ -124,6 +124,32 @@ def test_check_aborted_expansion_fails_series_soundness(capsys, monkeypatch):
     assert bb2["status"] == "fail" and bb2["detail"].startswith("aborted:")
 
 
+def test_check_aborted_expansion_past_the_first_names_its_gamma(
+        capsys, monkeypatch):
+    # the third residue expansion aborts, in its relation check and again
+    # in the series pass: the reason names it by its place among all the
+    # logged gammas and by the case that logged it
+    expanded = []
+
+    def third_aborts(gamma):
+        expanded.append(gamma)
+        if len(expanded) >= 3 and gamma is expanded[2]:
+            raise NonSimplePole("forced double pole")
+        return original(gamma)
+    original = relations.expand_by_residues
+    monkeypatch.setattr(relations, "expand_by_residues", third_aborts)
+    monkeypatch.setattr(delta, "expand_by_residues", third_aborts)
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA3-t1",
+                           "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["series_soundness_aborted"] == \
+        "gamma 2 (from BB1[3,1]): NonSimplePole: forced double pole"
+    assert doc["oracle_concordance"] == "pass"
+    assert [r["check"] for r in doc["results"] if r["status"] != "pass"] \
+        == ["BB1[3,1]"]
+
+
 def test_check_bad_specialization_fails_oracle_concordance(capsys,
                                                            monkeypatch):
     # every variable drawn as 1 puts a zero in a denominator of every
@@ -228,7 +254,7 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
 def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
     # the series pass checks the expansions that the relation checks
     # logged, so no gamma is expanded a second time
-    expanded, logs = [], []
+    expanded, reports = [], []
     original = relations.expand_by_residues
 
     def counted(gamma):
@@ -236,8 +262,8 @@ def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
         return original(gamma)
 
     def run(self, kinds=None):
-        logs.append(self)
-        return run_(self, kinds)
+        reports.append(run_(self, kinds))
+        return reports[-1]
     run_ = RelationChecker.run
     monkeypatch.setattr(relations, "expand_by_residues", counted)
     monkeypatch.setattr(delta, "expand_by_residues", counted)
@@ -245,10 +271,11 @@ def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
                            "--trials", "2", "--format", "structured")
     assert code == 0 and json.loads(out)["series_soundness"] == "pass"
-    (checker,) = logs
-    assert len(checker.gamma_log) > 1
-    assert expanded == checker.gamma_log
-    assert all(e is not None for e in checker.expansions)
+    (report,) = reports
+    logged = [entry for r in report.results for entry in r.gammas]
+    assert len(logged) > 1
+    assert expanded == [g for g, _ in logged]
+    assert all(e is not None for _, e in logged)
 
 
 def test_check_series_pass_reads_the_logged_expansion(capsys, monkeypatch):
@@ -256,14 +283,16 @@ def test_check_series_pass_reads_the_logged_expansion(capsys, monkeypatch):
     # checks used it, fails the soundness pass
     original = cli._series_soundness
 
-    def scaled(checker, cfg):
-        expansion = checker.expansions[0]
+    def scaled(results, cfg):
+        gammas = next(r.gammas for r in results if r.gammas)
+        gamma, expansion = gammas[0]
         (pins, coeff, dmon), *rest = expansion.items()
-        checker.expansions[0] = bad = delta.Distribution.zero()
+        bad = delta.Distribution.zero()
         bad.add_term(pins, coeff * Scalar.const(2), dmon)
         for term in rest:
             bad.add_term(*term)
-        return original(checker, cfg)
+        gammas[0] = gamma, bad
+        return original(results, cfg)
     monkeypatch.setattr(cli, "_series_soundness", scaled)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--format", "structured")

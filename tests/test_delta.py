@@ -184,6 +184,17 @@ def test_map_coeff_raises_on_a_pinned_variable():
         x.map_coeff(lambda pins, c: Scalar.var("u") * c)
 
 
+def test_scale_raises_on_a_pinned_variable():
+    # scaling by the pinned u would leave u in the coefficient, and a
+    # later comparison would read 1*u against the value at the pin
+    x = Distribution.single({"u": W}, Scalar.one())
+    with pytest.raises(UnpinnedResidual):
+        x.scale(Scalar.var("u"))
+    # a spectral variable that the term does not pin is free
+    (_, coeff, _), = x.scale(Scalar.var("v")).items()
+    assert coeff.equals(Scalar.var("v"))
+
+
 def test_rename_spectral_raises_on_a_pinned_variable():
     # the free v renamed onto the pinned u
     x = Distribution.single({"u": W}, Scalar.var("v"))

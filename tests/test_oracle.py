@@ -215,6 +215,12 @@ def _reference_draw(rng, variables):
     return assignment, _random_test_monomial(rng, variables)
 
 
+def _kept_pairs(report):
+    """{(kind, i, j): (lhs, rhs)} over the results that compared sides."""
+    return {(r.kind, *r.pair): r.sides for r in report.results
+            if r.sides is not None}
+
+
 def _variables(x, y):
     out = {"q"}
     for g in (_groups(x), _groups(y)):
@@ -229,9 +235,8 @@ def test_randomized_equal_keeps_the_test_monomial_draws(name, monkeypatch):
     # randomized_equal draws each value already cleared and the test
     # monomial's exponents without building it, so each attempt must leave
     # the random stream where the long way left it, with the same values
-    checker = RelationChecker(catalog_by_name(name), keep_pairs=True)
-    checker.run()
-    lhs, rhs = max(checker.pairs.values(), key=lambda pair: sum(
+    report = RelationChecker(catalog_by_name(name)).run()
+    lhs, rhs = max(_kept_pairs(report).values(), key=lambda pair: sum(
         v.startswith("w:") for v in _variables(*pair)))
     variables = _variables(lhs, rhs)
     assert any(v.startswith("w:") for v in variables)
@@ -444,11 +449,10 @@ def test_randomized_equal_matches_full_product_reference_on_kept_pairs(
         inst, kinds = instance_from_description(SHIFTED[name]), BB_KINDS
     else:
         inst, kinds = catalog_by_name(name), None
-    checker = RelationChecker(inst, corrupt=corrupt, keep_pairs=True)
-    checker.run(kinds)
-    assert checker.pairs
+    pairs = _kept_pairs(RelationChecker(inst, corrupt=corrupt).run(kinds))
+    assert pairs
     verdicts = set()
-    for (case, (lhs, rhs)), seed in product(checker.pairs.items(), (0, 7)):
+    for (case, (lhs, rhs)), seed in product(pairs.items(), (0, 7)):
         got = randomized_equal(lhs, rhs, trials=20, seed=seed)
         assert got == \
             _reference_randomized_equal(lhs, rhs, trials=20, seed=seed), \
@@ -462,10 +466,9 @@ def test_randomized_equal_matches_full_product_reference_on_kept_pairs(
 def test_kept_pairs_reference_covers_false_verdicts():
     # dropping the constant breaks BB2 on the theta = 1 instance, so the
     # comparison above meets a False verdict and not only agreement
-    checker = RelationChecker(catalog_by_name("sA1-v1-t1"),
-                              corrupt="drop_const", keep_pairs=True)
-    checker.run()
-    lhs, rhs = checker.pairs[("BB2", 1, 1)]
+    report = RelationChecker(catalog_by_name("sA1-v1-t1"),
+                             corrupt="drop_const").run()
+    lhs, rhs = _kept_pairs(report)[("BB2", 1, 1)]
     assert randomized_equal(lhs, rhs, trials=20, seed=0) == (False, 1)
 
 

@@ -11,6 +11,7 @@ from iqgklo.cli import instance_from_description
 from iqgklo.delta import (
     Distribution, _pins_key, canonicalize_compare, expand_by_residues,
 )
+from iqgklo.errors import NonSimplePole
 from iqgklo.gklo import build_B_image, build_Xi, leading_coefficient_K
 from iqgklo.satake import (
     build_catalog, catalog_by_name, make_instance, validate_diagram,
@@ -119,14 +120,53 @@ def test_serre2_on_split_rank2():
 def test_serre2_gamma_logged_once_per_node(name):
     """(u1 - 1/u1) Xi_i(u1) does not depend on the neighbour j, so node 2's
     two Serre2 cases share one logged gamma and one expansion."""
-    checker = RelationChecker(catalog_by_name(name))
-    rep = checker.run(["Serre2"])
+    rep = RelationChecker(catalog_by_name(name)).run(["Serre2"])
     assert [r.name for r in rep.results] == ["Serre2[2,1]", "Serre2[2,3]"]
     assert rep.ok()
-    assert checker.gamma_cases == ["Serre2[2,1]"]
-    full = RelationChecker(catalog_by_name(name))
-    full.run()
-    assert len(full.gamma_log) == 4
+    assert [len(r.gammas) for r in rep.results] == [1, 0]
+    full = RelationChecker(catalog_by_name(name)).run()
+    assert sum(len(r.gammas) for r in full.results) == 4
+
+
+def test_results_carry_their_sides_and_gammas(monkeypatch):
+    """Over the catalog under both BB1 conventions, with the third residue
+    expansion of each run aborted: a result carries sides exactly when it
+    compared them, and those are the sides of its verdict; the results'
+    gammas, in order, are the expansions the run made, each with its
+    expansion, or None at the one that aborted."""
+    expanded = []
+
+    def third_aborts(gamma):
+        expanded.append(gamma)
+        if len(expanded) == 3:
+            raise NonSimplePole("forced double pole")
+        return expand_by_residues(gamma)
+    monkeypatch.setattr(relations, "expand_by_residues", third_aborts)
+    seen = set()
+    for inst in CATALOG:
+        for convention in ("taui", "i"):
+            expanded.clear()
+            results = RelationChecker(inst, convention).run().results
+            for r in results:
+                if r.kind in ("HH", "HB", "DEG"):
+                    label = "not pairwise"
+                elif r.detail.startswith("aborted: "):
+                    label = "aborted"
+                elif r.detail.endswith("not delta-supported under this "
+                                       "convention"):
+                    label = "no right side"
+                else:
+                    label = "compared"
+                seen.add(label)
+                assert (r.sides is not None) == (label == "compared"), \
+                    (inst.name, convention, r.name)
+                if r.sides is not None:
+                    assert canonicalize_compare(*r.sides) == r.failures
+            logged = [entry for r in results for entry in r.gammas]
+            assert [g for g, _ in logged] == expanded
+            assert [e is None for _, e in logged] == \
+                [k == 2 for k in range(len(expanded))]
+    assert seen == {"not pairwise", "aborted", "no right side", "compared"}
 
 
 def test_serre2_prefactor_pole_aborts_the_check():
@@ -180,10 +220,8 @@ def _block(inst, i, dmon):
 def test_exchange_suites_swapped_law_negates_both_sides(inst):
     """The suites check one order of each block pair: with x and y
     swapped, each side of the law is the negated other side."""
-    sides = []
-    chi_exchange_suite(inst, sides)
-    merged_chi_suite(inst, sides)
-    for (i, j, dx, dy), lhs, rhs in sides:
+    for r in chi_exchange_suite(inst) + merged_chi_suite(inst):
+        (i, j, dx, dy), (lhs, rhs) = r.pair, r.sides
         (wx, x), (wy, y) = _block(inst, i, dx), _block(inst, j, dy)
         qc = Scalar.q_int(inst.diagram.c(i, j))
         assert canonicalize_compare((y * x).scale(wy - qc * wx), -rhs) == []
