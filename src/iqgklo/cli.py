@@ -1,7 +1,8 @@
 """Batch front end: instance ingestion, verification orchestration,
 machine-readable reporting.
 
-Config files are JSON with schema id "iqgklo-config/1":
+Config files are JSON objects with schema id "iqgklo-config/1", these keys
+only, and one of "catalog" and "instance":
 
     {
       "schema": "iqgklo-config/1",
@@ -63,13 +64,21 @@ def _ints(values, what):
     return tuple(_int(v, f"{what} entry") for v in _list(values, what))
 
 
-def _kinds(kinds):
-    if not _list(kinds, "relations"):
-        raise ValidationError("relations must name at least one kind")
-    bad = {str(k) for k in kinds if k not in ALL_KINDS}
-    if bad:
-        raise ValidationError(f"unknown relation kinds {sorted(bad)}")
-    return kinds
+def _check_options(cfg):
+    """Raise ValidationError on an option value that is out of range."""
+    kinds = cfg["relations"]
+    if kinds is not None:
+        if not _list(kinds, "relations"):
+            raise ValidationError("relations must name at least one kind")
+        bad = {str(k) for k in kinds if k not in ALL_KINDS}
+        if bad:
+            raise ValidationError(f"unknown relation kinds {sorted(bad)}")
+    for key in ("trials", "seed", "order"):
+        _int(cfg[key], key)
+    if cfg["order"] < 0 or cfg["trials"] < 1:
+        raise ValidationError("order must be >= 0 and trials >= 1")
+    if cfg["bb1_convention"] not in ("taui", "i"):
+        raise ValidationError("bb1_convention must be 'taui' or 'i'")
 
 
 def _tau_from_cycles(rank, cycles):
@@ -126,17 +135,16 @@ def load_config(path=None, text=None):
         raise ParseError("config must be a JSON object")
     if doc.get("schema") != SCHEMA_ID:
         raise ParseError(f"config schema must be {SCHEMA_ID!r}")
-    if "catalog" in doc:
-        inst = catalog_by_name(doc["catalog"])
-    elif "instance" in doc:
-        inst = instance_from_description(doc["instance"])
-    else:
-        raise ParseError("config needs a 'catalog' name or inline 'instance'")
+    unknown = sorted(doc.keys() - {"schema", "catalog", "instance", *DEFAULTS})
+    if unknown:
+        raise ParseError(f"unknown config keys {unknown}")
+    if ("catalog" in doc) == ("instance" in doc):
+        raise ParseError("config needs either a 'catalog' name or an inline "
+                         "'instance', not both")
+    inst = catalog_by_name(doc["catalog"]) if "catalog" in doc \
+        else instance_from_description(doc["instance"])
     cfg = {key: doc.get(key, val) for key, val in DEFAULTS.items()}
-    if cfg["relations"] is not None:
-        _kinds(cfg["relations"])
-    for key in ("trials", "seed", "order"):
-        _int(cfg[key], key)
+    _check_options(cfg)
     return dict(cfg, instance=inst)
 
 
@@ -245,21 +253,15 @@ def cmd_image(args):
 
 def cmd_check(args):
     cfg = _resolve_instance(args)
-    for key in ("trials", "seed", "order", "bb1_convention"):
+    for key in ("relations", "trials", "seed", "order", "bb1_convention"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if cfg["order"] < 0 or cfg["trials"] < 1:
-        raise ValidationError("order must be >= 0 and trials >= 1")
-    if cfg["bb1_convention"] not in ("taui", "i"):
-        raise ValidationError("bb1_convention must be 'taui' or 'i'")
+    _check_options(cfg)
     inst = cfg["instance"]
-    kinds = cfg["relations"]
-    if args.relations is not None:
-        kinds = _kinds(args.relations.split(",") if args.relations else [])
     t0 = time.monotonic()
     report = RelationChecker(
-        inst, bb1_convention=cfg["bb1_convention"]).run(kinds)
+        inst, bb1_convention=cfg["bb1_convention"]).run(cfg["relations"])
     series, series_abort = _series_soundness(report.results, cfg)
     oracle, oracle_abort = _oracle_crosscheck(report.results, cfg)
     doc = {
@@ -361,7 +363,8 @@ def build_parser():
     verb("image", cmd_image, "print generator images").add_argument(
         "generator", nargs="?", help="e.g. B1 or Theta2 (default: all)")
     sp = verb("check", cmd_check, "verify defining relations")
-    sp.add_argument("--relations", help="comma-separated relation kinds")
+    sp.add_argument("--relations", type=lambda s: s.split(",") if s else [],
+                    help="comma-separated relation kinds")
     sp.add_argument("--trials", type=int, help="oracle trials (>= 1)")
     sp.add_argument("--seed", type=int, help="oracle seed")
     sp.add_argument("--order", type=int, help="series window (>= 0)")

@@ -12,12 +12,12 @@ Two layers:
   term is (pins, coeff, dmon): ``pins`` maps spectral variables to their
   monomial targets (the content of the delta factors), ``coeff`` is a
   Scalar, and ``dmon`` is the commuting shift-operator monomial standing
-  rightmost.  Every term is resolved when it is made: each pin target is
-  a point of the torus, free of spectral variables, and the coefficient
-  holds none of its term's pinned variables, so a prefactor in a pinned
+  rightmost.  Every term is a point of the torus: its pin targets and
+  coefficient are free of spectral variables, so a prefactor in a pinned
   variable is evaluated at the pin before it goes in.  ``add_term``,
-  ``scale``, ``map_coeff`` and ``rename_spectral`` raise UnpinnedResidual
-  on a term that is not.
+  ``scale`` and ``map_coeff``, where terms enter, raise UnpinnedResidual
+  otherwise; sums, negation, products and ``rename_spectral`` keep the
+  invariant, so they do not check it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .scalars import (
     DMonomial, Monomial, Poly, SCALAR_ONE, Scalar, add_into, coeff_inverse,
-    coeff_pow, is_spectral, times_powers,
+    coeff_pow, times_powers,
 )
 
 
@@ -273,15 +273,6 @@ def _pins_key(pins):
     return tuple(sorted((v, M.key) for v, M in pins.items()))
 
 
-def _check_coeff(pins, coeff):
-    """Raise UnpinnedResidual if coeff holds one of its term's pinned
-    variables."""
-    for v in pins:
-        if coeff.has_var(v):
-            raise UnpinnedResidual(
-                f"coefficient holds the pinned variable {v}")
-
-
 class Distribution:
     """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon).
 
@@ -304,13 +295,13 @@ class Distribution:
         return out
 
     def add_term(self, pins, coeff, dmon):
-        """Add one resolved term (see the module docstring)."""
+        """Add one term from outside, checked (see the module docstring)."""
         for v, M in pins.items():
             if M.has_spectral():
-                name = next(filter(is_spectral, M.vars()))
-                raise UnpinnedResidual(
-                    f"pin {v} -> {M!r} references spectral {name}")
-        _check_coeff(pins, coeff)
+                raise UnpinnedResidual(f"pin {v} -> {M!r} holds a spectral "
+                                       "variable")
+        if coeff.has_spectral():
+            raise UnpinnedResidual("coefficient holds a spectral variable")
         self._merge((_pins_key(pins), dmon), pins, coeff)
 
     def _merge(self, key, pins, coeff):
@@ -355,26 +346,30 @@ class Distribution:
         return out
 
     def scale(self, s):
-        """Left-multiply every coefficient by a scalar, which must hold
-        none of the term's pinned variables.  Scalars commute, and
-        ``coeff * s`` copies the larger factor dict."""
+        """Left-multiply every coefficient by a scalar, which must be free
+        of spectral variables.  Scalars commute, and ``coeff * s`` copies
+        the larger factor dict."""
+        if s.has_spectral():
+            raise UnpinnedResidual("scalar holds a spectral variable")
         out = type(self)()
         for key, pins, coeff in self._resolved():
-            _check_coeff(pins, s)
             out.terms[key] = (pins, coeff * s)
         return out
 
     def map_coeff(self, fn):
-        """Replace each coefficient by fn(pins, coeff), which must hold none
-        of the term's pinned variables."""
+        """Replace each coefficient by fn(pins, coeff), which must be free
+        of spectral variables."""
         out = type(self)()
         for key, pins, coeff in self._resolved():
             coeff = fn(pins, coeff)
-            _check_coeff(pins, coeff)
+            if coeff.has_spectral():
+                raise UnpinnedResidual("coefficient holds a spectral variable")
             out.terms[key] = (pins, coeff)
         return out
 
     def __mul__(self, other):
+        """Term by term; a torus point moved through a shift part, and a
+        product of torus scalars, are torus points, so none is checked."""
         out = type(self)()
         right = list(other.items())
         for pins1, c1, d1 in self.items():
@@ -386,22 +381,22 @@ class Distribution:
                 pins = dict(pins1)
                 for v, M in pins2.items():
                     pins[v] = M.conjugate(d1)
-                out.add_term(pins, c1 * c2.conjugate(d1), d1 * d2)
+                out._merge((_pins_key(pins), d1 * d2), pins,
+                           c1 * c2.conjugate(d1))
         return out
 
     def rename_spectral(self, mapping):
-        """Simultaneously rename spectral variables: the pinned ones, and
-        the free ones in the coefficients.  Pin targets hold none, so they
-        stay as they are.  The renamed terms are merged directly, in
-        order; a coefficient renamed onto its term's pinned variable
-        raises."""
-        subst = {old: Monomial.unit(new) for old, new in mapping.items()}
+        """Simultaneously rename pinned spectral variables.  Pin targets
+        and coefficients hold none, so they stay as they are, and the
+        renamed terms are merged directly, in order.  Raises DoublePin
+        when two pins of one term land on one name; two terms that land
+        on one key merge."""
         out = type(self)()
         for (_, dmon), pins, coeff in self._resolved():
-            pins = {mapping.get(v, v): M for v, M in pins.items()}
-            coeff = coeff.substitute(subst)
-            _check_coeff(pins, coeff)
-            out._merge((_pins_key(pins), dmon), pins, coeff)
+            renamed = {mapping.get(v, v): M for v, M in pins.items()}
+            if len(renamed) < len(pins):
+                raise DoublePin(f"two pins of {sorted(pins)} renamed to one")
+            out._merge((_pins_key(renamed), dmon), renamed, coeff)
         return out
 
     def __repr__(self):

@@ -4,7 +4,8 @@ Builds, per validated instance: the factored building-block currents, the
 Cartan-current image Xi_i(u) (a pure rational function), the B-current
 image (a delta-supported Distribution over the quantum torus, whose terms
 are the block operators, one per pin), and the degree/leading-term
-extraction for the K-generators.
+extraction for the K-generators, all in the spectral variable u: an image in
+another variable is a renaming.
 """
 
 from __future__ import annotations
@@ -24,44 +25,44 @@ def w_half_pref(i, rng):
     return Scalar.from_mono(m)
 
 
-def build_W(inst, i, var):
+def build_W(inst, i):
     """W_i = prod_r w_{tau i,r}^{-1/2} (1 - w_{i,r}/u)."""
     ti = inst.diagram.t(i)
-    fc = FactorCurrent(var, pref=w_half_pref(ti, range(1, inst.w_count(i) + 1)))
+    fc = FactorCurrent("u", pref=w_half_pref(ti, range(1, inst.w_count(i) + 1)))
     for r in range(1, inst.w_count(i) + 1):
         fc = fc.times_linear_inv_arg(Monomial.w(i, r))
     return fc
 
 
-def build_Z(inst, i, var):
-    fc = FactorCurrent.one(var)
+def build_Z(inst, i):
+    fc = FactorCurrent.one("u")
     for s in range(1, inst.z_count(i) + 1):
         fc = fc.times_linear_inv_arg(Monomial.unit(z_var(i, s), 1))
     return fc
 
 
-def build_WW(inst, i, var):
+def build_WW(inst, i):
     """The involution-symmetric combination W_i(u) W_{tau i}(1/u)."""
     ti = inst.diagram.t(i)
-    return build_W(inst, i, var) * build_W(inst, ti, var).invert_arg()
+    return build_W(inst, i) * build_W(inst, ti).invert_arg()
 
 
-def build_ZZ(inst, i, var):
+def build_ZZ(inst, i):
     ti = inst.diagram.t(i)
-    return build_Z(inst, i, var) * build_Z(inst, ti, var).invert_arg()
+    return build_Z(inst, i) * build_Z(inst, ti).invert_arg()
 
 
-def build_kappa(var):
+def build_kappa():
     """(1 - q u)(1 - u/q) / (1 - u)^2."""
-    return (FactorCurrent.one(var)
+    return (FactorCurrent.one("u")
             .times_linear(Monomial.q_int(1))
             .times_linear(Monomial.q_int(-1))
             .times_linear(Monomial.one(), e=-2))
 
 
-def wp_factor(var, wp):
+def wp_factor(wp):
     """(u q^wp - (u q^wp)^{-1}) / (u - u^{-1}) in factored form."""
-    fc = FactorCurrent.one(var)
+    fc = FactorCurrent.one("u")
     if wp == 0:
         return fc
     h = int(2 * wp)          # q^wp = Q^h with h = 2*wp an integer
@@ -90,22 +91,22 @@ def neighbors_out(inst, i):
     return sorted(k for (j, k) in inst.orientation if j == i)
 
 
-def build_Xi(inst, i, var="u", corrupt=None):
-    """The Cartan-current image: a factored rational function of one variable."""
+def build_Xi(inst, i, corrupt=None):
+    """The Cartan-current image: a factored rational function of u."""
     d = inst.diagram
     ti = d.t(i)
     wp = inst.wp[i]
     if corrupt == "flip_wp":
         wp = -wp
-    fc = FactorCurrent.one(var).scale(zeta(inst, i) * zeta(inst, ti))
-    fc = fc * wp_factor(var, wp)
+    fc = FactorCurrent.one("u").scale(zeta(inst, i) * zeta(inst, ti))
+    fc = fc * wp_factor(wp)
     if inst.th(i) and corrupt != "drop_kappa":
-        fc = fc * build_kappa(var)
-    fc = fc * build_ZZ(inst, i, var)
-    ww = build_WW(inst, i, var)
+        fc = fc * build_kappa()
+    fc = fc * build_ZZ(inst, i)
+    ww = build_WW(inst, i)
     fc = fc / (ww.scale_arg(Monomial.q_int(1)) * ww.scale_arg(Monomial.q_int(-1)))
     for j in d.neighbors(i):
-        fc = fc * build_WW(inst, j, var)
+        fc = fc * build_WW(inst, j)
     return fc
 
 
@@ -120,7 +121,7 @@ def one_minus_q2():
     return Scalar.one() - Scalar.q_int(2)
 
 
-def build_B_image(inst, i, var="u", corrupt=None):
+def build_B_image(inst, i, corrupt=None):
     """The B-current image of node i as a delta-supported Distribution:
     one block operator (coefficient times shift part) per pin.
 
@@ -139,19 +140,19 @@ def build_B_image(inst, i, var="u", corrupt=None):
     ti = d.t(i)
     fixed = ti == i
     nin, nout = neighbors_in(inst, i), neighbors_out(inst, i)
-    z = build_Z(inst, i, var)
+    z = build_Z(inst, i)
     pref = zeta(inst, i) / one_minus_q2()
     q = Scalar.q_int(1)
-    plus = [z] + [build_WW(inst, j, var) for j in nin]
+    plus = [z] + [build_WW(inst, j) for j in nin]
     if fixed:
-        fixed_out = [build_W(inst, j, var).invert_arg()
+        fixed_out = [build_W(inst, j).invert_arg()
                      for j in nout if d.t(j) == j]
         plus += fixed_out
-        minus = [z] + [build_kappa(var)] * inst.th(i) \
-            + [build_WW(inst, j, var).invert_arg()
+        minus = [z] + [build_kappa()] * inst.th(i) \
+            + [build_WW(inst, j).invert_arg()
                for j in nout if d.t(j) != j] + fixed_out
     else:
-        minus = [z] + [build_WW(inst, d.t(j), var).invert_arg()
+        minus = [z] + [build_WW(inst, d.t(j)).invert_arg()
                        for j in nin]
     # (node k, shift exponent, prefactor, currents) of the blocks of w_k
     own = (i, -1, Scalar.q_half(int(2 * abs(inst.wp[i]))) * pref, plus)
@@ -162,7 +163,7 @@ def build_B_image(inst, i, var="u", corrupt=None):
     else:
         rows = [(own, r) for r in range(1, inst.w_count(i) + 1)] \
             + [(paired, t) for t in range(1, inst.w_count(ti) + 1)]
-    ww = {k: build_WW(inst, k, var) for k in {i, ti}}
+    ww = {k: build_WW(inst, k) for k in {i, ti}}
     out = Distribution.zero()
     for (k, e, c, num), r in rows:
         pin = Monomial.w(k, r, -e) * Monomial.q_int(-1)
@@ -170,13 +171,13 @@ def build_B_image(inst, i, var="u", corrupt=None):
         # WW_k without its factor (1 - w_{k,r}/u), at w_{k,r}
         coeff = c * _eval_prod(num, pin) \
             / ww[k].times_linear_inv_arg(wr, e=-1).evaluate(wr)
-        out.add_term({var: pin}, coeff, DMonomial.unit(k, r, e))
+        out.add_term({"u": pin}, coeff, DMonomial.unit(k, r, e))
     if inst.th(i) and corrupt != "drop_const":
-        num = [z] + [build_W(inst, j, var) for j in d.neighbors(i)]
+        num = [z] + [build_W(inst, j) for j in d.neighbors(i)]
         coeff = Scalar.const(GR_I) * zeta(inst, i) \
             * _eval_prod(num, Monomial.one()) \
             / ((Scalar.one() + q) * ww[i].evaluate(Monomial.q_int(1)))
-        out.add_term({var: Monomial.one()}, coeff, DMonomial.one())
+        out.add_term({"u": Monomial.one()}, coeff, DMonomial.one())
     return out
 
 

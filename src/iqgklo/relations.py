@@ -94,7 +94,7 @@ def _qmqinv():
 
 def _at_pins(prod, x, y, c):
     """prod with each coefficient times (x - q^c y), evaluated at the
-    term's pins before it multiplies the pin-free coefficient."""
+    term's pins before it multiplies the torus coefficient."""
     qc = _q(c)
     return prod.map_coeff(lambda pins, coeff: (
         Scalar.from_mono(pins[x]) - qc * Scalar.from_mono(pins[y])) * coeff)
@@ -141,7 +141,7 @@ class RelationChecker:
 
     def prod(self, i, j, x="u", y="v"):
         """B_i(x) B_j(y).  Each ordered product is built once, in (u, v);
-        its coefficients are pin-free, so any other pair of names is a
+        its coefficients are torus scalars, so any other pair of names is a
         renaming of the pins."""
         p = self._prod.get((i, j))
         if p is None:
@@ -151,8 +151,7 @@ class RelationChecker:
 
     def Xi(self, i, var="u"):
         if i not in self._xi:
-            self._xi[i] = build_Xi(self.inst, i, var="u",
-                                   corrupt=self.corrupt)
+            self._xi[i] = build_Xi(self.inst, i, corrupt=self.corrupt)
         fc = self._xi[i]
         return fc if var == "u" else fc.rename_var(var)
 
@@ -418,7 +417,7 @@ def _sv(name, e=1):
 
 
 def _identity_kappa():
-    k = build_kappa("u")
+    k = build_kappa()
     return k.invert_arg().equals(k)
 
 
@@ -563,8 +562,8 @@ def _adjacent_pairs():
 def residue_symmetry_holds(inst, i, j):
     """Residues of the paired Cartan currents match under pin inversion."""
     scale = Scalar.one() / (_q(2) - Scalar.one())
-    gi = times_x_minus_xinv(build_Xi(inst, i, var="u")).scale(scale)
-    gj = times_x_minus_xinv(build_Xi(inst, j, var="v")).scale(scale)
+    gi = times_x_minus_xinv(build_Xi(inst, i)).scale(scale)
+    gj = times_x_minus_xinv(build_Xi(inst, j).rename_var("v")).scale(scale)
     ri = {pins["u"]: c for pins, c, _ in expand_by_residues(gi).items()}
     rj = {pins["v"]: c for pins, c, _ in expand_by_residues(gj).items()}
     if set(a.inverse() for a in ri) != set(rj):
@@ -582,11 +581,11 @@ def _identity_residue_termwise():
     (u-1/u)Xi_i(u)/(q^2-1) at its own pin, covering every pole exactly
     once."""
     for inst, i, j in _adjacent_pairs():
-        Bu = build_B_image(inst, i, var="u")
-        Bv = build_B_image(inst, j, var="v")
+        Bu = build_B_image(inst, i)
+        Bv = build_B_image(inst, j).rename_spectral({"u": "v"})
         p1 = _at_pins(Bu * Bv, "u", "v", -1)
         p2 = _at_pins(Bv * Bu, "v", "u", -1)
-        gamma = times_x_minus_xinv(build_Xi(inst, i, var="u")).scale(
+        gamma = times_x_minus_xinv(build_Xi(inst, i)).scale(
             Scalar.one() / (_q(2) - Scalar.one()))
         res = {pins["u"]: c for pins, c, _ in
                expand_by_residues(gamma).items()}

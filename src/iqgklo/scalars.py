@@ -338,9 +338,6 @@ class Monomial:
     def inverse(self):
         return _mono(-self.key)
 
-    def vars(self):
-        return [v for v, _ in self.exps]
-
     def has_var(self, var):
         k = _INDEX.get(var)
         return k is not None and _limb(self.key, k) != 0
@@ -1295,6 +1292,11 @@ class Scalar:
     def has_var(self, var):
         k = _INDEX.get(var)
         return k is not None and (self._occupied() >> (_LIMB * k)) & _MASK != 0
+
+    def has_spectral(self):
+        """Whether some part holds a spectral variable; none can while no
+        spectral name is registered, and then no occupancy is computed."""
+        return _SPECTRAL != 0 and self._occupied() & _SPECTRAL != 0
 
     def den_factors(self):
         """The factors of the denominator, one Poly per distinct factor."""

@@ -495,18 +495,48 @@ def test_check_rejects_vacuous_gate_flags(capsys, flags):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("verb", ["check", "validate"])
 @pytest.mark.parametrize("key, value", [
     ("order", -1), ("trials", 0), ("trials", -3), ("bb1_convention", "x"),
     ("relations", []),
 ])
-def test_check_rejects_vacuous_gate_config(capsys, tmp_path, key, value):
+def test_check_rejects_vacuous_gate_config(capsys, tmp_path, key, value,
+                                           verb):
+    # validate applies the ranges that check applies
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": SCHEMA_ID,
                                     "catalog": "sA1-v1-t0",
                                     "relations": ["HB"], key: value}))
-    code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+def test_config_rejects_unknown_keys(capsys, tmp_path, verb):
+    # a misspelt "seed" would otherwise run silently with seed 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": SCHEMA_ID,
+                                    "catalog": "sA1-v1-t0", "seeed": 4,
+                                    "relations": ["HB"], "extra": 1}))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert "['extra', 'seeed']" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+def test_config_rejects_catalog_and_instance_together(capsys, tmp_path,
+                                                      verb):
+    # the catalog name would otherwise win over the inline instance
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "schema": SCHEMA_ID, "catalog": "sA1-v1-t0", "relations": ["HB"],
+        "instance": {"type": "A", "rank": 1, "framing": [4],
+                     "shift": [0]}}))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert "'catalog' name or an inline 'instance', not both" in err
 
 
 @pytest.mark.parametrize("argv", [

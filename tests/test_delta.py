@@ -17,12 +17,13 @@ from iqgklo.delta import (
 from iqgklo.gklo import build_B_image, build_W, build_Xi
 from iqgklo.satake import build_catalog
 from iqgklo.scalars import (
-    GR, POLY_ONE, DMonomial, Monomial, Poly, Scalar, coeff_pow,
+    GR, POLY_ONE, DMonomial, Monomial, Poly, Scalar, coeff_pow, z_var,
 )
 
 
 W = Monomial.w(1, 1)          # a whole coordinate
 Q2 = Monomial.q_int(1)        # q
+Z = Scalar.var(z_var(1, 1))   # a torus scalar that no shift part moves
 
 
 def kappa(var):
@@ -159,7 +160,7 @@ def test_canonicalize_compare():
     assert len(bad) == 1
 
 
-# --- terms are resolved when they are made ----------------------------------
+# --- every term is a point of the torus ------------------------------------
 
 
 def test_add_term_raises_on_an_unresolved_term():
@@ -172,9 +173,12 @@ def test_add_term_raises_on_an_unresolved_term():
     with pytest.raises(UnpinnedResidual):
         d.add_term({"u": Q2}, Scalar.var("u") - Scalar.q_int(1),
                    DMonomial.one())
+    # a coefficient holding a spectral variable the term does not pin
+    with pytest.raises(UnpinnedResidual):
+        d.add_term({"u": Q2}, Scalar.var("v"), DMonomial.one())
     assert d.is_zero() and not d.terms
-    # a spectral variable that the term does not pin is free
-    d.add_term({"u": Q2}, Scalar.var("v"), DMonomial.one())
+    # a torus coefficient goes in
+    d.add_term({"u": Q2}, Z, DMonomial.one())
     assert len(d.terms) == 1
 
 
@@ -190,19 +194,40 @@ def test_scale_raises_on_a_pinned_variable():
     x = Distribution.single({"u": W}, Scalar.one())
     with pytest.raises(UnpinnedResidual):
         x.scale(Scalar.var("u"))
-    # a spectral variable that the term does not pin is free
-    (_, coeff, _), = x.scale(Scalar.var("v")).items()
-    assert coeff.equals(Scalar.var("v"))
+    # so does a spectral variable that the term does not pin
+    with pytest.raises(UnpinnedResidual):
+        x.scale(Scalar.var("v"))
+    # a torus scalar scales
+    (_, coeff, _), = x.scale(Z).items()
+    assert coeff.equals(Z)
 
 
 def test_rename_spectral_raises_on_a_pinned_variable():
-    # the free v renamed onto the pinned u
-    x = Distribution.single({"u": W}, Scalar.var("v"))
+    # a free v cannot enter a term, so no renaming can meet one
     with pytest.raises(UnpinnedResidual):
+        Distribution.single({"u": W}, Scalar.var("v"))
+    # renaming a pin onto another pin of its term raises
+    x = Distribution.single({"u": W, "v": W * Q2}, Z)
+    with pytest.raises(DoublePin):
         x.rename_spectral({"v": "u"})
-    # a bijection keeps the term resolved
+    # a bijection keeps the term as it is, pins swapped
+    (_, before, _), = x.items()
     (pins, coeff, _), = x.rename_spectral({"u": "v", "v": "u"}).items()
-    assert pins == {"v": W} and coeff.equals(Scalar.var("u"))
+    assert pins == {"v": W, "u": W * Q2} and coeff is before
+
+
+def test_rename_spectral_raises_when_two_pins_meet():
+    x = Distribution.single({"u": W ** 2, "v": Q2 ** 2}, Scalar.one())
+    with pytest.raises(DoublePin):
+        x.rename_spectral({"v": "u"})
+
+
+def test_rename_spectral_merges_two_terms_onto_one_name():
+    x = Distribution.single({"u": W}, Scalar.one()) \
+        + Distribution.single({"v": W}, Scalar.one())
+    (pins, coeff, dmon), = x.rename_spectral({"v": "u"}).items()
+    assert pins == {"u": W} and dmon.is_one()
+    assert coeff.equals(Scalar.const(2))
 
 
 def _rename_two_phase(x, mapping):
@@ -227,26 +252,27 @@ def _rename_two_phase(x, mapping):
 
 
 def _spectral_mix():
-    """Terms pinning u1 and u2 at points of the torus, with the spectral
-    variables a term leaves unpinned (u1 or u2, u and v) free in its
-    coefficient, and factored denominators."""
-    u1, u2, u, v = (Scalar.var(n) for n in ("u1", "u2", "u", "v"))
-    q = Scalar.q_int(1)
-    # u*v^2 - u^2*v cancels once v is renamed to u
-    free = (Scalar.from_mono(W, GR(1, 2)) * u + u * v * v - u * u * v) \
-        / (Scalar.one() - q * v)
-    x = Distribution.single({"u1": W}, free * (u2 * u2 - q * v) / (u2 - q * u),
-                            DMonomial.unit(1, 1))
-    x = x + Distribution.single({"u2": W * Q2}, free * u1 / (u1 - q * v))
-    x = x + Distribution.single({"u1": W * Q2, "u2": W.inverse()}, free - v)
-    coeff = (u1 * u1 - q * u2 * v) / ((u1 - q * u2) * (Scalar.one() - q * v))
+    """Terms pinning u1, u2, u and v at points of the torus, with torus
+    coefficients over factored denominators."""
+    w2, z2 = (Scalar.var(n) for n in ("w:1:2", z_var(1, 2)))
+    q, w = Scalar.q_int(1), Scalar.from_mono(W)
+    free = (Scalar.from_mono(W, GR(1, 2)) * Z + Z * w2 * w2 - Z * Z * w2) \
+        / (Scalar.one() - q * w2)
+    x = Distribution.single({"u1": W}, free * (z2 * z2 - q * w2)
+                            / (z2 - q * Z), DMonomial.unit(1, 1))
+    x = x + Distribution.single({"u2": W * Q2}, free * w / (w - q * w2))
+    x = x + Distribution.single({"u1": W * Q2, "u2": W.inverse()}, free - w2)
+    # u and v pin the same point, so renaming v to u merges two terms
+    x = x + Distribution.single({"u": W * Q2}, free * z2)
+    x = x + Distribution.single({"v": W * Q2}, free - z2)
+    coeff = (w * w - q * z2 * w2) / ((w - q * z2) * (Scalar.one() - q * w2))
     return x + Distribution.single({}, free + coeff, DMonomial.unit(1, 2))
 
 
 @pytest.mark.parametrize("mapping", [
     {"u1": "u2", "u2": "u1"},
     {"u1": "u2", "u2": "u", "u": "u1"},
-    {"v": "u"},                     # onto a name the coefficients hold
+    {"v": "u"},                     # onto a name another term pins
 ])
 def test_rename_matches_two_phase_reference(mapping):
     x = _spectral_mix()
@@ -329,8 +355,8 @@ def _b_products():
     out = []
     for inst in build_catalog():
         nodes = inst.diagram.nodes()
-        images = {i: (build_B_image(inst, i), build_B_image(inst, i, var="v"))
-                  for i in nodes}
+        images = {i: (b, b.rename_spectral({"u": "v"}))
+                  for i in nodes for b in [build_B_image(inst, i)]}
         for i in nodes:
             for j in nodes:
                 bu, bv = images[i][0], images[j][1]
@@ -372,10 +398,14 @@ def test_map_coeff_matches_add_term_path():
 def test_map_coeff_keeps_pin_free_coefficients():
     x = Distribution.single({"u": W}, Scalar.one())
     q = Scalar.q_int(1)
-    # a pin-free one is kept as it is, also when it holds a free variable
-    for free in (Scalar.from_mono(W) + q, Scalar.var("v") - q):
+    # a torus coefficient is kept as it is
+    for free in (Scalar.from_mono(W) + q, Z - q):
         ((_, coeff, _),) = x.map_coeff(lambda pins, c: free).items()
         assert coeff is free
+    # one that holds a spectral variable, pinned or not, raises
+    for spectral in (Scalar.var("v") - q, Scalar.var("u") - q):
+        with pytest.raises(UnpinnedResidual):
+            x.map_coeff(lambda pins, c: spectral)
 
 
 def _reference_evaluate(fc, a):
@@ -410,8 +440,8 @@ def _currents_and_points():
                 for p, _, _ in build_B_image(inst, i).items()
                 for M in p.values()}
         for i in nodes:
-            for fc in (build_Xi(inst, i), build_W(inst, i, "u"),
-                       build_W(inst, i, "u").invert_arg()):
+            for fc in (build_Xi(inst, i), build_W(inst, i),
+                       build_W(inst, i).invert_arg()):
                 roots = {M.inverse() for c, M in fc.factors if c == 1}
                 yield fc, [Monomial.unit("u"), *pins, *roots]
 

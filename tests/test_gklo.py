@@ -33,10 +33,10 @@ def test_xi_inversion_symmetry(inst):
 def test_block_inversion_symmetry(inst):
     for i in inst.diagram.nodes():
         ti = inst.diagram.t(i)
-        assert build_WW(inst, i, "u").invert_arg().equals(
-            build_WW(inst, ti, "u"))
-        assert build_ZZ(inst, i, "u").invert_arg().equals(
-            build_ZZ(inst, ti, "u"))
+        assert build_WW(inst, i).invert_arg().equals(
+            build_WW(inst, ti))
+        assert build_ZZ(inst, i).invert_arg().equals(
+            build_ZZ(inst, ti))
 
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
@@ -54,7 +54,7 @@ def _ww_without(inst, i, r):
     """W_i(u) W_{tau i}(1/u) with the r-th linear factor of W_i left out,
     built factor by factor."""
     ti = inst.diagram.t(i)
-    fc = build_W(inst, ti, "u").invert_arg() \
+    fc = build_W(inst, ti).invert_arg() \
         .scale(w_half_pref(ti, range(1, inst.w_count(i) + 1)))
     for s in range(1, inst.w_count(i) + 1):
         if s != r:
@@ -68,39 +68,39 @@ def _reference_fixed_chi(inst, i):
     d = inst.diagram
     out = {}
     if inst.th(i):
-        num = [build_Z(inst, i, "u")]
-        num += [build_W(inst, j, "u") for j in d.neighbors(i)]
+        num = [build_Z(inst, i)]
+        num += [build_W(inst, j) for j in d.neighbors(i)]
         c0 = Scalar.const(GR_I) * zeta(inst, i) \
             * _eval_prod(num, Monomial.one()) \
             / ((Scalar.one() + Scalar.q_int(1))
-               * build_WW(inst, i, "u").evaluate(Monomial.q_int(1)))
+               * build_WW(inst, i).evaluate(Monomial.q_int(1)))
         out[("+", 0)] = (Monomial.one(), TorusElement.monomial(
             c0, DMonomial.one()))
     for r in range(1, inst.w_count(i) + 1):
         wr = Monomial.w(i, r)
         a = wr * Monomial.q_int(-1)
         val = (zeta(inst, i) / one_minus_q2()) \
-            * build_Z(inst, i, "u").evaluate(a) \
+            * build_Z(inst, i).evaluate(a) \
             / _ww_without(inst, i, r).evaluate(wr)
         for j in neighbors_in(inst, i):
-            val = val * build_WW(inst, j, "u").evaluate(a)
+            val = val * build_WW(inst, j).evaluate(a)
         for j in neighbors_out(inst, i):
             if d.t(j) == j:
-                val = val * build_W(inst, j, "u").evaluate(a.inverse())
+                val = val * build_W(inst, j).evaluate(a.inverse())
         out[("+", r)] = (a, TorusElement.monomial(val,
                                                   DMonomial.unit(i, r, -1)))
 
         b = (wr * Monomial.q_int(1)).inverse()
         val = (Scalar.q_int(1) * zeta(inst, i) / one_minus_q2()) \
-            * build_Z(inst, i, "u").evaluate(b) \
+            * build_Z(inst, i).evaluate(b) \
             / _ww_without(inst, i, r).evaluate(wr)
         if inst.th(i):
-            val = val * build_kappa("u").evaluate(b.inverse())
+            val = val * build_kappa().evaluate(b.inverse())
         for j in neighbors_out(inst, i):
             if d.t(j) == j:
-                val = val * build_W(inst, j, "u").evaluate(b.inverse())
+                val = val * build_W(inst, j).evaluate(b.inverse())
             else:
-                val = val * build_WW(inst, j, "u").evaluate(b.inverse())
+                val = val * build_WW(inst, j).evaluate(b.inverse())
         out[("-", r)] = (b, TorusElement.monomial(val, DMonomial.unit(i, r)))
     return out
 

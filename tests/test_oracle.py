@@ -23,7 +23,7 @@ from iqgklo.oracle import (
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import (
-    GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into,
+    GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into, z_var,
 )
 from iqgklo.torus import TorusElement
 from test_gklo import SHIFTED
@@ -137,7 +137,7 @@ def test_randomized_equal_plans_identical_groups_once():
     # the two support groups of each side hold the same coefficient, so
     # the second group's outcome is the first's in every trial
     shift = DMonomial.unit(1, 1)
-    c = ONE_MINUS_QU / (Scalar.const(2) + Scalar.var("u"))
+    c = ONE_MINUS_QT / (Scalar.const(2) + Scalar.var(T))
     for d in (c, c * Scalar.var("q", 2), c + Scalar.one()):
         x = Distribution.single({}, c) + Distribution.single({}, c, shift)
         y = Distribution.single({}, d) + Distribution.single({}, d, shift)
@@ -485,21 +485,24 @@ def _scripted(monkeypatch, assignments):
     return lambda: (next(draws), Monomial.one())
 
 
-# 1 - q u vanishes at the first assignment and not at the second
-ONE_MINUS_QU = Scalar.one() - Scalar.var("q", 2) * Scalar.var("u")
-VANISH_THEN_NOT = [{"q": GR(2), "u": GR(Fraction(1, 4))},
-                   {"q": GR(3), "u": GR(5)}]
+# a torus variable that the shift d_{1,1} leaves alone; a coefficient of a
+# distribution holds no spectral variable
+T = z_var(1, 1)
+# 1 - q t vanishes at the first assignment and not at the second
+ONE_MINUS_QT = Scalar.one() - Scalar.var("q", 2) * Scalar.var(T)
+VANISH_THEN_NOT = [{"q": GR(2), T: GR(Fraction(1, 4))},
+                   {"q": GR(3), T: GR(5)}]
 
 
 def test_vanishing_shared_numerator_part_leaves_the_group_equal(
         monkeypatch):
-    # both sides hold 1 - q u in their numerators; where it vanishes, both
+    # both sides hold 1 - q t in their numerators; where it vanishes, both
     # sides are 0, so the group is equal in that trial, and the mismatch
-    # of 1 + u and 2 + u shows only in the second
+    # of 1 + t and 2 + t shows only in the second
     x = Distribution.single(
-        {}, ONE_MINUS_QU * (Scalar.one() + Scalar.var("u")))
+        {}, ONE_MINUS_QT * (Scalar.one() + Scalar.var(T)))
     y = Distribution.single(
-        {}, ONE_MINUS_QU * (Scalar.const(2) + Scalar.var("u")))
+        {}, ONE_MINUS_QT * (Scalar.const(2) + Scalar.var(T)))
     ((_, shared, _, _),) = _plan(x, y)[1]
     assert shared
     draw = _scripted(monkeypatch, VANISH_THEN_NOT)
@@ -508,13 +511,13 @@ def test_vanishing_shared_numerator_part_leaves_the_group_equal(
 
 
 def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
-    # both sides divide by 1 - q u, which cancels from the comparison; the
-    # numerators 1 and 2 - q u agree where it vanishes, so only the retry
+    # both sides divide by 1 - q t, which cancels from the comparison; the
+    # numerators 1 and 2 - q t agree where it vanishes, so only the retry
     # keeps that attempt from counting as an equal trial
-    x = Distribution.single({}, Scalar.one() / ONE_MINUS_QU)
+    x = Distribution.single({}, Scalar.one() / ONE_MINUS_QT)
     y = Distribution.single(
-        {}, (Scalar.const(2) - Scalar.var("q", 2) * Scalar.var("u"))
-        / ONE_MINUS_QU)
+        {}, (Scalar.const(2) - Scalar.var("q", 2) * Scalar.var(T))
+        / ONE_MINUS_QT)
     ((dens, _, (_, dx, _), (_, dy, _)),) = _plan(x, y)[1]
     assert dens and not dx and not dy
     draw = _scripted(monkeypatch, VANISH_THEN_NOT)
@@ -528,8 +531,10 @@ def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
 def test_randomized_equal_matches_reference_when_sides_share_parts(
         drawn, i, j, seed):
     # coefficients over the pool of test_scalars, whose sides share
-    # factors (c, d) and sums (a + b), equal or not, in two groups
-    a, b, c, d = (s for _, s in drawn)
+    # factors (c, d) and sums (a + b), equal or not, in two groups; the
+    # pool's spectral u is renamed to a torus variable
+    t = {"u": Monomial.unit(T)}
+    a, b, c, d = (s.substitute(t) for _, s in drawn)
     assume(not c.is_zero() and not d.is_zero())
     s = a + b
     forms = [s * c, a * c + b * c, s * d, s / c, a / c + b / c, s * c / d]
@@ -636,13 +641,13 @@ def test_series_check_laurent_polynomial_trivial():
 
 def test_series_check_split_rank1_current():
     inst = catalog_by_name("sA1-v1-t0")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
     assert truncated_series_check(gamma, order=8)
 
 
 def test_series_check_rejects_scaled_expansion():
     inst = catalog_by_name("sA1-v1-t0")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
     bad = expand_by_residues(gamma).map_coeff(
         lambda pins, c: c * Scalar.q_int(1))
     assert not truncated_series_check(gamma, expansion=bad, order=8)
@@ -652,7 +657,7 @@ def test_series_check_reads_the_whole_window(monkeypatch):
     # an expansion at infinity that is wrong only at the window's edge
     # coefficient must fail, though every central coefficient is right
     inst = catalog_by_name("sA1-v1-t0")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
     original = FactorCurrent.series_raw
 
     def wrong_at_edge(self, side, order, low=None):
@@ -667,7 +672,7 @@ def test_series_check_reads_the_whole_window(monkeypatch):
 
 def test_series_check_rejects_dropped_pin():
     inst = catalog_by_name("sA1-v1-t0")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
     full = list(expand_by_residues(gamma).items())
     partial = Distribution.zero()
     for pins, coeff, dmon in full[:-1]:
@@ -679,7 +684,7 @@ def test_series_check_rejects_dropped_pin():
 def catalog_gammas():
     """The residue-expanded Cartan current of every node of every
     multiplicity-1 catalog instance."""
-    return {f"{inst.name}:{i}": times_x_minus_xinv(build_Xi(inst, i, var="u"))
+    return {f"{inst.name}:{i}": times_x_minus_xinv(build_Xi(inst, i))
             for inst in build_catalog() if max(inst.mult) == 1
             for i in inst.diagram.nodes()}
 
@@ -794,8 +799,7 @@ def test_leave_one_out_matches_expanding_each_product(catalog_gammas,
         seen.append((rho, m, value))
         return value
     monkeypatch.setattr(oracle, "_leave_one_out", recorded)
-    narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1,
-                                         var="u"))
+    narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1))
     narrow_exp = expand_by_residues(narrow)
     cases = [(gamma, expand_by_residues(gamma), order)
              for gamma in [*catalog_gammas.values(), narrow]
@@ -818,7 +822,7 @@ def test_series_check_narrow_windows_at_multiplicity_two():
     # sA1-v2-t1's gamma has 9 pins, so every window up to order 4 holds
     # fewer than p + 1 coefficients and is read by step (b) alone
     inst = catalog_by_name("sA1-v2-t1")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1, var="u"))
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
     expansion = expand_by_residues(gamma)
     assert len(list(expansion.items())) == 9
     for order in range(9):

@@ -10,6 +10,7 @@ from iqgklo import gklo, relations
 from iqgklo.cli import instance_from_description
 from iqgklo.delta import (
     Distribution, _pins_key, canonicalize_compare, expand_by_residues,
+    symmetrize,
 )
 from iqgklo.errors import NonSimplePole
 from iqgklo.gklo import build_B_image, build_Xi, leading_coefficient_K
@@ -59,17 +60,48 @@ def test_classify_serre_cases():
     assert classify_serre(qs3, 1, 2) == "Serre1"
 
 
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_every_term_is_a_torus_point(inst, corrupt):
+    """Products, renamings, sums and negations do not check their terms:
+    on every side the checker and the lemma suites compare, and on the
+    products, sums, negations and symmetrizations of the B images, each
+    term's pins and coefficient hold no spectral variable."""
+    checker = RelationChecker(inst, corrupt=corrupt)
+    results = checker.run().results \
+        + chi_exchange_suite(inst) + merged_chi_suite(inst)
+    dists = [side for r in results if r.sides for side in r.sides]
+    nodes = inst.diagram.nodes()
+    for i in nodes:
+        b = checker.B(i, "u")
+        dists += [b, -b, b + checker.B(i, "v"),
+                  symmetrize(b * checker.B(i, "v"), "u", "v")]
+        for j in nodes:
+            p = checker.prod(i, j)
+            q = checker.prod(j, i, "v", "u")
+            dists += [p, q, p + q, p - q, -p,
+                      symmetrize(checker.prod(i, j, "u1", "u2"), "u1", "u2")]
+    terms = [term for d in dists for term in d.terms.values()]
+    assert len(terms) > len(dists)
+    for pins, coeff in terms:
+        assert not any(M.has_spectral() for M in pins.values())
+        assert not coeff.has_spectral()
+
+
 @pytest.mark.parametrize("corrupt", [None, "drop_const"])
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
 def test_renamed_b_image_matches_built_image(inst, corrupt):
     """The checker builds each node's B image once, in u, and renames it;
-    every renamed image is the one built in that variable, term by term
-    and in the same order."""
+    every renamed image is the built one with each term added again under
+    the new pin name, term by term and in the same order."""
     checker = RelationChecker(inst, corrupt=corrupt)
     for i in inst.diagram.nodes():
         for var in ("u", "v", "u1", "u2"):
             got = checker.B(i, var)
-            want = build_B_image(inst, i, var=var, corrupt=corrupt)
+            want = Distribution()
+            for pins, coeff, dmon in build_B_image(
+                    inst, i, corrupt=corrupt).items():
+                want.add_term({var: pins["u"]}, coeff, dmon)
             assert list(got.terms) == list(want.terms)
             for (pins, coeff, dmon), (wpins, wcoeff, wdmon) in zip(
                     got.items(), want.items(), strict=True):
@@ -173,7 +205,7 @@ def test_serre2_prefactor_pole_aborts_the_check():
     """A pin b of B_j(v) at which v/((u1-qv)(u2-qv)) has a pole, b = a/q
     for a residue pin a, ends the case as an aborted fail."""
     inst = catalog_by_name("sA2-v11-t00")
-    gamma = gklo.times_x_minus_xinv(build_Xi(inst, 1, var="u1"))
+    gamma = gklo.times_x_minus_xinv(build_Xi(inst, 1).rename_var("u1"))
     (pins, _, _), *_ = expand_by_residues(gamma).items()
     checker = RelationChecker(inst)
     checker._b[(2, "v")] = Distribution.single(

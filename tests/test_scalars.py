@@ -69,6 +69,21 @@ def test_ratio_collapses_to_power():
     assert (num / den).equals(Scalar.q_int(-1))
 
 
+def test_has_spectral_reads_every_part():
+    w, u = Monomial.w(1, 1), Monomial.unit("u")
+    torus = one_minus(w * Monomial.q_int(1)) / one_minus(w)
+    assert not torus.has_spectral() and not Scalar.zero().has_spectral()
+    # in the unit monomial, the cofactor, and a denominator factor
+    for s in (torus * Scalar.from_mono(u), torus * Scalar(Poly.mono(u)
+                                                          + Poly.mono(w)),
+              torus / one_minus(u * w)):
+        assert s.has_spectral()
+    # a spectral name registered after a torus scalar's occupancy is cached
+    assert not torus.has_spectral()
+    fresh = Scalar.var("u~has-spectral")
+    assert fresh.has_spectral() and not torus.has_spectral()
+
+
 def test_monomial_substitute():
     m = Monomial.unit("u", 2) * Monomial.q_int(1)
     t = Monomial.w(1, 1) * Monomial.q_int(-1)
