@@ -83,7 +83,7 @@ def _check_options(cfg):
 
 def _tau_from_cycles(rank, cycles):
     tau = list(range(1, rank + 1))
-    for cyc in _list(cycles or [], "tau"):
+    for cyc in _list([] if cycles is None else cycles, "tau"):
         if not isinstance(cyc, list) or len(cyc) != 2 or cyc[0] == cyc[1]:
             raise ValidationError(f"involution cycle {cyc} must be a 2-cycle")
         a, b = _ints(cyc, "involution cycle")
@@ -96,6 +96,10 @@ def _tau_from_cycles(rank, cycles):
 def instance_from_description(desc):
     if not isinstance(desc, dict):
         raise ValidationError("an inline instance must be a JSON object")
+    unknown = sorted(desc.keys() - {"type", "rank", "tau", "framing", "shift",
+                                    "theta", "orientation", "name"})
+    if unknown:
+        raise ValidationError(f"unknown instance keys {unknown}")
     if desc.get("type", "A") != "A":
         raise ValidationError("only type A diagrams are supported")
     missing = [k for k in ("rank", "framing", "shift") if k not in desc]
@@ -215,11 +219,11 @@ def cmd_catalog(args):
 
 
 def _resolve_instance(args):
+    if bool(args.config) == bool(args.instance):
+        raise ParseError("give one of --instance NAME and --config FILE")
     if args.config:
         return load_config(args.config)
-    if args.instance:
-        return dict(DEFAULTS, instance=catalog_by_name(args.instance))
-    raise ParseError("give --instance NAME or --config FILE")
+    return dict(DEFAULTS, instance=catalog_by_name(args.instance))
 
 
 def cmd_validate(args):

@@ -110,7 +110,9 @@ class RelationChecker:
     """Evaluates relations on one instance and caches the images.  Each
     case's result carries the sides it compared and the rational
     functions it handed to the residue expansion, with their expansions,
-    for the oracle and series soundness cross-checks."""
+    for the oracle and series soundness cross-checks.  A node's Cartan
+    gamma is logged on the first case that expands it, and again on each
+    later case only while the expansion aborts."""
 
     def __init__(self, inst, bb1_convention="taui", corrupt=None):
         self.inst = inst
@@ -164,71 +166,63 @@ class RelationChecker:
 
     # --- RHS gammas ----------------------------------------------------
 
-    def _pair_pin_rhs(self, gamma, uvar, vvar):
-        """Residue-expand gamma(u) and pin v to the inverse target."""
+    def _residue_terms(self, i):
+        """The residue terms (pin, coeff) of node i's gamma, Xi_i(u) on a
+        BB1 node and (u - 1/u) Xi_i(u) on every other, expanded and logged
+        once per node: each right side on Xi_i scales them."""
+        if i not in self._residues:
+            d, gamma = self.inst.diagram, self.Xi(i)
+            if classify_bb(d, i, d.t(i)) != "BB1":
+                gamma = times_x_minus_xinv(gamma)
+            self._residues[i] = [(pins["u"], coeff) for pins, coeff, _
+                                 in self._expand(gamma).items()]
+        return self._residues[i]
+
+    def _pair_pin_rhs(self, i, s):
+        """s times node i's residue terms, with v pinned to 1/u."""
         out = Distribution.zero()
-        for pins, coeff, _ in self._expand(gamma).items():
-            a = pins[uvar]
-            out.add_term({uvar: a, vvar: a.inverse()}, coeff, DMonomial.one())
+        for a, coeff in self._residue_terms(i):
+            out.add_term({"u": a, "v": a.inverse()}, s * coeff,
+                         DMonomial.one())
         return out
 
     # --- relation evaluation -------------------------------------------
 
     def eval_pair(self, kind, i, j):
         """(LHS, RHS) distributions for one relation case."""
+        if kind == "Serre1":
+            return self._serre_lhs(i, j), Distribution.zero()
+        if kind == "Serre2":
+            return self._serre_lhs(i, j), self._serre2_rhs(i, j)
+        if kind == "Serre3":
+            return self._serre_lhs(i, j), self._serre3_rhs(i, j)
         d = self.inst.diagram
         BuBv, BvBu = self.prod(i, j), self.prod(j, i, "v", "u")
         if kind in ("BB1", "BB4"):
             lhs = BuBv - BvBu
-            if kind == "BB4":
-                return lhs, Distribution.zero()
-            if self.bb1_convention == "i" and \
-                    not self.Xi(i).equals(self.Xi(d.t(i))):
-                return lhs, None
-            # the normalizing constant 1/(q^2-1) is the unique choice
-            # consistent with the adjacent-pair exchange relation; the
-            # commonly quoted 1/(q-q^{-1}) is off by q uniformly across
-            # all support points (verified empirically on both catalog
-            # instances carrying this relation)
-            rhs = self._pair_pin_rhs(
-                self.Xi(i).scale(Scalar.one() / (_q(2) - Scalar.one())),
-                "u", "v")
-            return lhs, rhs
-        if kind in ("BB2", "BB3", "BB5"):
+        elif kind in ("BB2", "BB3", "BB5"):
             # c = C(i, j): 2 on BB2 (j = i), -1 on BB3 (j = tau i)
             c = d.c(i, j)
             lhs = _at_pins(BuBv, "u", "v", c) + _at_pins(BvBu, "v", "u", c)
-            if kind == "BB5":
-                return lhs, Distribution.zero()
-            den = _q(-1) - _q(1) if kind == "BB2" else _q(2) - Scalar.one()
-            gamma = times_x_minus_xinv(self.Xi(i)).scale(Scalar.one() / den)
-            return lhs, self._pair_pin_rhs(gamma, "u", "v")
-        if kind in SERRE_KINDS:
-            return self._eval_serre(kind, i, j)
-        raise ValueError(f"unknown kind {kind!r}")
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        if kind in ("BB4", "BB5"):
+            return lhs, Distribution.zero()
+        if kind == "BB1" and self.bb1_convention == "i" and \
+                not self.Xi(i).equals(self.Xi(d.t(i))):
+            return lhs, None
+        # 1/(q^-1 - q) on BB2, 1/(q^2 - 1) on BB1 and BB3.  On BB1 it is the
+        # unique constant consistent with the adjacent-pair exchange
+        # relation; the commonly quoted 1/(q - q^-1) is off by q at every
+        # support point of both catalog instances carrying the relation.
+        den = _q(-1) - _q(1) if kind == "BB2" else _q(2) - Scalar.one()
+        return lhs, self._pair_pin_rhs(i, Scalar.one() / den)
 
     def _serre_lhs(self, i, j):
         inner = self.prod(i, j, "u2", "v") \
             - self.prod(j, i, "v", "u2").scale(_q(1))
         outer = bracket_q(self.B(i, "u1"), inner, _q(-1))
         return symmetrize(outer, "u1", "u2")
-
-    def _eval_serre(self, kind, i, j):
-        lhs = self._serre_lhs(i, j)
-        if kind == "Serre1":
-            return lhs, Distribution.zero()
-        if kind == "Serre2":
-            return lhs, self._serre2_rhs(i, j)
-        return lhs, self._serre3_rhs(i, j)
-
-    def _serre2_residues(self, i):
-        """The residue terms of (u1 - 1/u1) Xi_i(u1), which do not depend on
-        the neighbour j: expanded and logged once per node."""
-        res = self._residues.get(i)
-        if res is None:
-            gamma = times_x_minus_xinv(self.Xi(i, "u1"))
-            res = self._residues[i] = list(self._expand(gamma).items())
-        return res
 
     def _serre2_rhs(self, i, j):
         """delta(u1 u2)(u1-u2) v/((u1-q v)(u2-q v)) (Cartan diff) B_j(v),
@@ -239,8 +233,7 @@ class RelationChecker:
         for pinsB, cB, dB in self.B(j, "v").items():
             b = pinsB["v"]
             v = Scalar.from_mono(b)
-            for pinsR, R, _ in self._serre2_residues(i):
-                a = pinsR["u1"]
+            for a, R in self._residue_terms(i):
                 den = (Scalar.from_mono(a) - q * v) \
                     * (Scalar.from_mono(a.inverse()) - q * v)
                 if den.is_zero():

@@ -551,3 +551,44 @@ def test_oracle_options_belong_to_check_only(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+def test_inline_instance_rejects_unknown_keys(capsys, tmp_path, verb):
+    # a misspelt "theta" would otherwise validate with theta 0; "name"
+    # is an instance key, so it is not named
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_inline(thetaa=[1], extra=0, name="x")))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert "unknown instance keys ['extra', 'thetaa']" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+@pytest.mark.parametrize("tau, code", [
+    ({}, 2), (0, 2), ("", 2), (False, 2), (None, 0), ([], 0),
+])
+def test_only_a_null_or_list_tau_is_read(capsys, tmp_path, verb, tau, code):
+    # null and the empty cycle list are the identity; a falsy non-list is
+    # an input error, not "no involution"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_inline(tau=tau)))
+    got, out, err = run_cli(capsys, verb, "--config", str(cfg_path),
+                            "--format", "structured")
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: tau must be a list")
+    else:
+        assert json.loads(out)["instance"]["involution_cycles"] == []
+
+
+@pytest.mark.parametrize("verb", ["check", "validate", "image"])
+def test_config_and_instance_flags_together_are_rejected(capsys, tmp_path,
+                                                         verb):
+    # the config would otherwise win over the catalog name
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": SCHEMA_ID, "catalog": "qsA4"}))
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path),
+                             "--instance", "sA1-v1-t0")
+    assert code == 2 and out == ""
+    assert "give one of --instance NAME and --config FILE" in err

@@ -148,16 +148,86 @@ def test_serre2_on_split_rank2():
     assert {r.kind for r in rep.results} == {"Serre2", "BB5"}
 
 
-@pytest.mark.parametrize("name", ["qsA3-t0", "qsA3-t1"])
-def test_serre2_gamma_logged_once_per_node(name):
-    """(u1 - 1/u1) Xi_i(u1) does not depend on the neighbour j, so node 2's
-    two Serre2 cases share one logged gamma and one expansion."""
-    rep = RelationChecker(catalog_by_name(name)).run(["Serre2"])
-    assert [r.name for r in rep.results] == ["Serre2[2,1]", "Serre2[2,3]"]
+@pytest.mark.parametrize("name,count", [
+    ("sA2-v11-t00", 2), ("sA2-v11-t10", 2), ("qsA3-t0", 3), ("qsA3-t1", 3),
+])
+def test_cartan_gamma_logged_once_per_node(name, count, monkeypatch):
+    """Every BB1, BB2, BB3 and Serre2 right side on node i scales one
+    residue expansion of node i's gamma, Xi_i(u) on a BB1 node and
+    (u - 1/u) Xi_i(u) on every other: a full run expands and logs one
+    gamma per node, and a Serre2-only run logs it on the node's first
+    Serre2 case."""
+    expanded = []
+
+    def counted(gamma):
+        expanded.append(gamma)
+        return expand_by_residues(gamma)
+    monkeypatch.setattr(relations, "expand_by_residues", counted)
+    inst = catalog_by_name(name)
+    d = inst.diagram
+    full = RelationChecker(inst).run()
+    assert full.ok()
+    logged = [g for r in full.results for g, _ in r.gammas]
+    assert len(logged) == count and expanded == logged
+    for i, gamma in zip(d.nodes(), logged, strict=True):
+        xi = build_Xi(inst, i)
+        assert gamma.equals(xi if classify_bb(d, i, d.t(i)) == "BB1"
+                            else gklo.times_x_minus_xinv(xi))
+    expanded.clear()
+    rep = RelationChecker(inst).run(["Serre2"])
     assert rep.ok()
-    assert [len(r.gammas) for r in rep.results] == [1, 0]
-    full = RelationChecker(catalog_by_name(name)).run()
-    assert sum(len(r.gammas) for r in full.results) == 4
+    first = {}
+    for r in rep.results:
+        first.setdefault(r.pair[0], r.name)
+    assert [len(r.gammas) for r in rep.results] == \
+        [int(r.name in first.values()) for r in rep.results]
+    assert len(expanded) == len(first) > 0
+
+
+def test_aborted_cartan_gamma_is_logged_by_every_case_that_tried_it(
+        monkeypatch):
+    """An expansion that aborts is not kept: each case that needs the
+    node's gamma tries it again and logs it without an expansion."""
+    def aborts(gamma):
+        raise NonSimplePole("forced double pole")
+    monkeypatch.setattr(relations, "expand_by_residues", aborts)
+    rep = RelationChecker(catalog_by_name("sA2-v11-t00")).run()
+    tried = {r.name: [e for _, e in r.gammas] for r in rep.results
+             if r.gammas}
+    assert tried == {name: [None] for name in (
+        "BB2[1,1]", "BB2[2,2]", "Serre2[1,2]", "Serre2[2,1]")}
+    assert all(r.detail.startswith("aborted: ") for r in rep.failed())
+    assert {r.name for r in rep.failed()} == set(tried)
+
+
+@pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)
+def test_bb_right_sides_match_their_scaled_gamma(inst):
+    """Each BB1, BB2 and BB3 right side is, term by term, the residue
+    expansion of its own scaled gamma with v pinned to 1/u: Xi_i(u) over
+    q^2 - 1 on BB1, and (u - 1/u) Xi_i(u) over q^-1 - q on BB2 and over
+    q^2 - 1 on BB3."""
+    one, q = Scalar.one(), Scalar.q_int
+    scaled = {
+        "BB1": lambda xi: xi.scale(one / (q(2) - one)),
+        "BB2": lambda xi: gklo.times_x_minus_xinv(xi).scale(
+            one / (q(-1) - q(1))),
+        "BB3": lambda xi: gklo.times_x_minus_xinv(xi).scale(
+            one / (q(2) - one)),
+    }
+    results = RelationChecker(inst).run(list(scaled)).results
+    assert results
+    for r in results:
+        want = Distribution()
+        gamma = scaled[r.kind](build_Xi(inst, r.pair[0]))
+        for pins, coeff, dmon in expand_by_residues(gamma).items():
+            want.add_term({"u": pins["u"], "v": pins["u"].inverse()},
+                          coeff, dmon)
+        got = r.sides[1]
+        assert list(got.terms) == list(want.terms)
+        for (pins, coeff, _), (wpins, wcoeff, _) in zip(
+                got.items(), want.items(), strict=True):
+            assert pins == wpins
+            assert coeff.equals(wcoeff) and repr(coeff) == repr(wcoeff)
 
 
 def test_results_carry_their_sides_and_gammas(monkeypatch):
