@@ -120,21 +120,29 @@ def instance_from_description(desc):
     if edges is not None:
         edges = [_ints(e, "orientation edge")
                  for e in _list(edges, "orientation")]
-    return make_instance(desc.get("name", f"inline-A{rank}"), diagram,
-                         framing, shift,
+    name = desc.get("name", f"inline-A{rank}")
+    if not isinstance(name, str) or not name:
+        raise ValidationError(f"name must be a non-empty string, got {name!r}")
+    return make_instance(name, diagram, framing, shift,
                          None if theta is None else _ints(theta, "theta"),
                          edges)
 
 
 def load_config(path=None, text=None):
     try:
-        raw = text if text is not None else open(path).read()
+        if text is None:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except OSError as e:
         raise ParseError(f"cannot read config: {e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"config is not UTF-8 text: {e}")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(text)
     except ValueError as e:
         raise ParseError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ParseError("config is nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object")
     if doc.get("schema") != SCHEMA_ID:

@@ -2,11 +2,12 @@
 
 Two layers:
 
-* FactorCurrent -- a rational function of one spectral variable kept in
-  fully factored form  pref * x^power * prod (1 - c*M*x)^e,  where each c
-  is a Gaussian-rational unit and each M a Laurent monomial free of x.
+* FactorCurrent -- a rational function of the spectral variable u kept in
+  fully factored form  pref * u^power * prod (1 - c*M*u)^e,  where each c
+  is a Gaussian-rational unit and each M a Laurent monomial free of u.
   Factored form gives structural access to poles, zeros, leading terms
-  and residues.
+  and residues; its residue expansion is a list of (pin, amplitude)
+  pairs, since f(u) delta(a/u) = f(a) delta(a/u).
 
 * Distribution -- a finite sum of delta-supported operator terms.  Each
   term is (pins, coeff, dmon): ``pins`` maps spectral variables to their
@@ -33,11 +34,10 @@ from .scalars import (
 )
 
 
-def _current(var, pref, power, factors):
+def _current(pref, power, factors):
     """A FactorCurrent over a normalized factor dict (each key once, no
     zero exponent or coefficient), which it takes over as it is."""
     fc = object.__new__(FactorCurrent)
-    fc.var = var
     fc.pref = pref
     fc.power = power
     fc.factors = factors
@@ -45,7 +45,7 @@ def _current(var, pref, power, factors):
 
 
 class FactorCurrent:
-    """pref * x^power * prod over ((c, M), e) of (1 - c*M*x)^e.
+    """pref * u^power * prod over ((c, M), e) of (1 - c*M*u)^e.
 
     The constructor normalizes the factors it is given: equal keys are
     merged in order of first appearance, and zero exponents and zero
@@ -53,17 +53,16 @@ class FactorCurrent:
     from a normalized dict and keeps it normalized, with the items and the
     order that the constructor would give.
 
-    This is a normal form of a rational function of x (``equals``) while
-    the prefactor and every M are free of x and every key is canonical: c
+    This is a normal form of a rational function of u (``equals``) while
+    the prefactor and every M are free of u and every key is canonical: c
     a nonzero coefficient in its canonical form (see ``GR``), M a packed
-    Monomial.  Then the factors are irreducibles of K[x, 1/x], K the field
+    Monomial.  Then the factors are irreducibles of K[u, 1/u], K the field
     of the other variables, with constant term 1, so distinct keys are
-    non-associate, and the units of K[x, 1/x] are the pref * x^power."""
+    non-associate, and the units of K[u, 1/u] are the pref * u^power."""
 
-    __slots__ = ("var", "pref", "power", "factors")
+    __slots__ = ("pref", "power", "factors")
 
-    def __init__(self, var, pref=SCALAR_ONE, power=0, factors=None):
-        self.var = var
+    def __init__(self, pref=SCALAR_ONE, power=0, factors=None):
         self.pref = pref
         self.power = power
         self.factors = {}
@@ -76,15 +75,10 @@ class FactorCurrent:
                 self.factors[key] = self.factors.get(key, 0) + e
             self.factors = {k: e for k, e in self.factors.items() if e != 0}
 
-    @classmethod
-    def one(cls, var):
-        return cls(var)
-
     def copy_with(self, pref=None, power=None, factors=None):
         """A copy with the given parts replaced; ``factors`` must be a
         normalized dict."""
         return _current(
-            self.var,
             self.pref if pref is None else pref,
             self.power if power is None else power,
             dict(self.factors) if factors is None else factors)
@@ -92,7 +86,7 @@ class FactorCurrent:
     # --- builders -----------------------------------------------------
 
     def times_linear(self, M, c=1, e=1):
-        """Multiply by (1 - c*M*x)^e: a new factor goes last, a factor
+        """Multiply by (1 - c*M*u)^e: a new factor goes last, a factor
         already present takes the summed exponent in its place and leaves
         when that sum is 0."""
         f = dict(self.factors)
@@ -106,7 +100,7 @@ class FactorCurrent:
         return self.copy_with(factors=f)
 
     def times_linear_inv_arg(self, M, c=1, e=1):
-        """Multiply by (1 - c*M/x)^e = [-c*M/x * (1 - c^{-1}M^{-1}x)]^e."""
+        """Multiply by (1 - c*M/u)^e = [-c*M/u * (1 - c^{-1}M^{-1}u)]^e."""
         pref = times_powers(self.pref, [({M.key: -c}, e)])
         return self.copy_with(pref=pref, power=self.power - e) \
                    .times_linear(M.inverse(), coeff_inverse(c), e)
@@ -118,13 +112,12 @@ class FactorCurrent:
         return self.copy_with(pref=self.pref * s)
 
     def __mul__(self, other):
-        assert self.var == other.var
-        return FactorCurrent(self.var, self.pref * other.pref,
+        return FactorCurrent(self.pref * other.pref,
                              self.power + other.power,
                              [*self.factors.items(), *other.factors.items()])
 
     def inverse(self):
-        return _current(self.var, self.pref.inverse(), -self.power,
+        return _current(self.pref.inverse(), -self.power,
                         {k: -e for k, e in self.factors.items()})
 
     def __truediv__(self, other):
@@ -133,35 +126,32 @@ class FactorCurrent:
     # --- argument changes ---------------------------------------------
 
     def scale_arg(self, M, c=1):
-        """Substitute x -> c*M*x (c nonzero), which maps distinct factors
+        """Substitute u -> c*M*u (c nonzero), which maps distinct factors
         to distinct factors."""
         pref = self.pref * Scalar.from_mono(M ** self.power,
                                             coeff_pow(c, self.power))
-        return _current(self.var, pref, self.power,
+        return _current(pref, self.power,
                         {(ct * c, Mt * M): e
                          for (ct, Mt), e in self.factors.items()})
 
     def invert_arg(self):
-        """Substitute x -> 1/x."""
-        out = FactorCurrent(self.var, self.pref, -self.power, {})
-        for (c, M), e in self.factors.items():
-            out = out.times_linear_inv_arg(M, c, e)
-        return out
-
-    def rename_var(self, newvar):
-        return _current(newvar, self.pref, self.power, dict(self.factors))
+        """Substitute u -> 1/u: each (1 - c*M/u)^e is (-c*M)^e u^-e
+        (1 - c^{-1}M^{-1}u)^e, and inversion keeps distinct keys distinct."""
+        deg, pref = self.leading_at_infinity()
+        return _current(pref, -deg, {(coeff_inverse(c), M.inverse()): e
+                                     for (c, M), e in self.factors.items()})
 
     def conjugate(self, dmon):
         """Move a shift-operator monomial through from the left; distinct
         monomials stay distinct (see ``Poly.conjugate``)."""
-        return _current(self.var, self.pref.conjugate(dmon), self.power,
+        return _current(self.pref.conjugate(dmon), self.power,
                         {(c, M.conjugate(dmon)): e
                          for (c, M), e in self.factors.items()})
 
     # --- evaluation ----------------------------------------------------
 
     def evaluate(self, a):
-        """The Scalar value at x = a (a Monomial, possibly spectral).
+        """The Scalar value at u = a (a Monomial, possibly spectral).
 
         Each linear factor 1 - c*M*a goes into the prefactor once, with its
         signed exponent (``times_powers``).  The first factor that vanishes
@@ -181,7 +171,7 @@ class FactorCurrent:
         return times_powers(self.pref, powers)
 
     def to_scalar(self):
-        return self.evaluate(Monomial.unit(self.var))
+        return self.evaluate(Monomial.unit("u"))
 
     def drop_factor(self, key):
         f = dict(self.factors)
@@ -194,21 +184,21 @@ class FactorCurrent:
         return self.power + sum(self.factors.values())
 
     def leading_at_infinity(self):
-        """(degree, coefficient) of the top term of the expansion at x=infinity."""
+        """(degree, coefficient) of the top term at u = infinity."""
         coeff = times_powers(self.pref, [({M.key: -c}, e) for (c, M), e
                                          in self.factors.items()])
         return self.degree_at_infinity(), coeff
 
     def series_raw(self, side, order, low=None):
         """Truncated Laurent expansion on [low, order], low defaulting to
-        -order, as (pref, {x-exponent: Poly}), the scalar prefactor left
+        -order, as (pref, {u-exponent: Poly}), the scalar prefactor left
         unmultiplied.
 
         Each factor is expanded by the binomial series of (1 - t)^e: on side
-        "zero" in t = c*M*x, on side "infinity" in t = 1/(c*M*x), after
-        writing (1 - c*M*x)^e = (-c*M*x)^e * (1 - t)^e.  So the expansion at
-        zero starts at x^power and the one at infinity at the top degree
-        x^(power + sum e), and from there every factor moves exponents only
+        "zero" in t = c*M*u, on side "infinity" in t = 1/(c*M*u), after
+        writing (1 - c*M*u)^e = (-c*M*u)^e * (1 - t)^e.  So the expansion at
+        zero starts at u^power and the one at infinity at the top degree
+        u^(power + sum e), and from there every factor moves exponents only
         up (zero) or only down (infinity): an exponent past the window on
         that side is dropped as soon as it appears.  The expansion is
         convolved over the packed terms of denominator-free Polys.  An
@@ -247,22 +237,22 @@ class FactorCurrent:
                            if low <= n <= order and p}
 
     def equals(self, other):
-        """Equality as rational functions of x: by unique factorization
+        """Equality as rational functions of u: by unique factorization
         (see the class docstring), two nonzero currents are equal exactly
         when their powers, factor dicts and prefactors are."""
         for fc in (self, other):
-            assert not fc.pref.has_var(fc.var) and not any(
-                M.has_var(fc.var) for _, M in fc.factors), fc
+            assert not fc.pref.has_var("u") and not any(
+                M.has_var("u") for _, M in fc.factors), fc
         if self.pref.is_zero() or other.pref.is_zero():
             return self.pref.is_zero() and other.pref.is_zero()
-        return (self.var == other.var and self.power == other.power
+        return (self.power == other.power
                 and self.factors == other.factors
                 and self.pref.equals(other.pref))
 
     def __repr__(self):
-        fs = " * ".join(f"(1-{c}*{M!r}*{self.var})^{e}"
+        fs = " * ".join(f"(1-{c}*{M!r}*u)^{e}"
                         for (c, M), e in self.factors.items())
-        return f"[{self.pref!r} * {self.var}^{self.power}" + \
+        return f"[{self.pref!r} * u^{self.power}" + \
                (f" * {fs}]" if fs else "]")
 
 
@@ -417,25 +407,27 @@ def symmetrize(x, var1, var2):
 
 
 def expand_by_residues(fc):
-    """Difference of the expansions at infinity and at zero as a delta sum.
+    """Difference of the expansions at infinity and at zero as a list of
+    (pin, amplitude) pairs in factor order, the sum of amplitude *
+    delta(pin/u), zero amplitudes left out.
 
     Every finite nonzero pole must be simple and located at an honest
-    monomial point (factor (1 - M*x)^-1); the term pinned there carries
+    monomial point (factor (1 - M*u)^-1); the term pinned there carries
     minus the value of the remaining factors.
     """
-    out = Distribution()
-    for (c, M), e in list(fc.factors.items()):
+    out = []
+    for (c, M), e in fc.factors.items():
         if e >= 0:
             continue
         if e != -1:
-            raise NonSimplePole(f"factor (1-{c}*{M!r}*{fc.var}) has "
-                                f"exponent {e}")
+            raise NonSimplePole(f"factor (1-{c}*{M!r}*u) has exponent {e}")
         if c != 1:
-            raise NonSimplePole(f"pole of (1-{c}*{M!r}*{fc.var}) is not at "
-                                "a monomial point")
+            raise NonSimplePole(f"pole of (1-{c}*{M!r}*u) is not at a "
+                                "monomial point")
         a = M.inverse()
-        h = fc.drop_factor((c, M))
-        out.add_term({fc.var: a}, -h.evaluate(a), DMonomial.one())
+        amp = -fc.drop_factor((c, M)).evaluate(a)
+        if not amp.is_zero():
+            out.append((a, amp))
     return out
 
 

@@ -4,8 +4,8 @@ Builds, per validated instance: the factored building-block currents, the
 Cartan-current image Xi_i(u) (a pure rational function), the B-current
 image (a delta-supported Distribution over the quantum torus, whose terms
 are the block operators, one per pin), and the degree/leading-term
-extraction for the K-generators, all in the spectral variable u: an image in
-another variable is a renaming.
+extraction for the K-generators, all in the spectral variable u: a B image
+in another variable is a renaming of its pins.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ def w_half_pref(i, rng):
 def build_W(inst, i):
     """W_i = prod_r w_{tau i,r}^{-1/2} (1 - w_{i,r}/u)."""
     ti = inst.diagram.t(i)
-    fc = FactorCurrent("u", pref=w_half_pref(ti, range(1, inst.w_count(i) + 1)))
+    fc = FactorCurrent(pref=w_half_pref(ti, range(1, inst.w_count(i) + 1)))
     for r in range(1, inst.w_count(i) + 1):
         fc = fc.times_linear_inv_arg(Monomial.w(i, r))
     return fc
 
 
 def build_Z(inst, i):
-    fc = FactorCurrent.one("u")
+    fc = FactorCurrent()
     for s in range(1, inst.z_count(i) + 1):
         fc = fc.times_linear_inv_arg(Monomial.unit(z_var(i, s), 1))
     return fc
@@ -54,7 +54,7 @@ def build_ZZ(inst, i):
 
 def build_kappa():
     """(1 - q u)(1 - u/q) / (1 - u)^2."""
-    return (FactorCurrent.one("u")
+    return (FactorCurrent()
             .times_linear(Monomial.q_int(1))
             .times_linear(Monomial.q_int(-1))
             .times_linear(Monomial.one(), e=-2))
@@ -62,7 +62,7 @@ def build_kappa():
 
 def wp_factor(wp):
     """(u q^wp - (u q^wp)^{-1}) / (u - u^{-1}) in factored form."""
-    fc = FactorCurrent.one("u")
+    fc = FactorCurrent()
     if wp == 0:
         return fc
     h = int(2 * wp)          # q^wp = Q^h with h = 2*wp an integer
@@ -75,7 +75,7 @@ def wp_factor(wp):
 
 
 def times_x_minus_xinv(fc):
-    """Multiply a FactorCurrent by (x - 1/x)."""
+    """Multiply a FactorCurrent by (u - 1/u)."""
     return (fc.times_power(1)
             .times_linear_inv_arg(Monomial.one())
             .times_linear_inv_arg(Monomial.one(), c=-1))
@@ -98,7 +98,7 @@ def build_Xi(inst, i, corrupt=None):
     wp = inst.wp[i]
     if corrupt == "flip_wp":
         wp = -wp
-    fc = FactorCurrent.one("u").scale(zeta(inst, i) * zeta(inst, ti))
+    fc = FactorCurrent().scale(zeta(inst, i) * zeta(inst, ti))
     fc = fc * wp_factor(wp)
     if inst.th(i) and corrupt != "drop_kappa":
         fc = fc * build_kappa()

@@ -289,7 +289,10 @@ def truncated_series_check(gamma, expansion=None, order=8):
 
     The difference L of the expansions of gamma at infinity and at zero
     must equal, coefficient by coefficient on x^n for |n| <= order, the
-    sum of the delta contributions coeff * a^(-n).
+    sum of the delta contributions coeff * a^(-n) over the expansion's
+    (pin a, coeff) pairs, gamma's own when none is given.  An expansion
+    lists each pin once, as ``expand_by_residues`` does; one that repeats
+    a pin fails.
 
     The coefficientwise comparison is carried out in an equivalent split
     form.  With p distinct pins a_k, both sides satisfy the monic order-p
@@ -334,12 +337,11 @@ def truncated_series_check(gamma, expansion=None, order=8):
     check reads at least the coefficients with |n| <= order.
     """
     from .delta import expand_by_residues
-    if expansion is None:
-        expansion = expand_by_residues(gamma)
-    terms = [(pins[gamma.var], coeff)
-             for pins, coeff, _ in expansion.items()]
+    terms = expand_by_residues(gamma) if expansion is None else expansion
     p = len(terms)
     roots = [a.inverse() for a, _ in terms]
+    if len(set(roots)) < p:
+        return False    # a repeated pin: step (b) would read 0 = 0 for it
     q_gamma = gamma
     for rho in roots:
         q_gamma = q_gamma.times_linear(rho)

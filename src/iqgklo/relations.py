@@ -56,7 +56,8 @@ def classify_serre(diagram, i, j):
 class CheckResult:
     """One case: its verdict, the (lhs, rhs) it compared (None if it
     compared none), and each (gamma, expansion) it handed to the residue
-    expansion, the expansion None where that aborted."""
+    expansion, the expansion its (pin, amplitude) list, or None where that
+    aborted."""
     kind: str
     pair: tuple
     status: str                  # pass | fail
@@ -126,20 +127,13 @@ class RelationChecker:
 
     # --- cached images -------------------------------------------------
 
-    def B(self, i, var):
-        """The B-current image of node i in the spectral variable ``var``.
-
-        The image is built once per node, in u.  Its coefficients are
-        values at monomial points, so they never hold u, and any other
-        name is a renaming of the pins."""
-        key = (i, var)
-        if key not in self._b:
-            if var == "u":
-                self._b[key] = build_B_image(self.inst, i,
-                                             corrupt=self.corrupt)
-            else:
-                self._b[key] = self.B(i, "u").rename_spectral({"u": var})
-        return self._b[key]
+    def B(self, i):
+        """The B-current image of node i, in u, built once per node.  Its
+        coefficients are values at monomial points, so they never hold u,
+        and any other name is a renaming of the pins."""
+        if i not in self._b:
+            self._b[i] = build_B_image(self.inst, i, corrupt=self.corrupt)
+        return self._b[i]
 
     def prod(self, i, j, x="u", y="v"):
         """B_i(x) B_j(y).  Each ordered product is built once, in (u, v);
@@ -147,15 +141,16 @@ class RelationChecker:
         renaming of the pins."""
         p = self._prod.get((i, j))
         if p is None:
-            p = self._prod[(i, j)] = self.B(i, "u") * self.B(j, "v")
+            p = self._prod[(i, j)] = \
+                self.B(i) * self.B(j).rename_spectral({"u": "v"})
         return p if (x, y) == ("u", "v") \
             else p.rename_spectral({"u": x, "v": y})
 
-    def Xi(self, i, var="u"):
+    def Xi(self, i):
+        """The Cartan-current image of node i, built once per node."""
         if i not in self._xi:
             self._xi[i] = build_Xi(self.inst, i, corrupt=self.corrupt)
-        fc = self._xi[i]
-        return fc if var == "u" else fc.rename_var(var)
+        return self._xi[i]
 
     def _expand(self, gamma):
         """The residue expansion of gamma, logged on the running case with
@@ -167,15 +162,14 @@ class RelationChecker:
     # --- RHS gammas ----------------------------------------------------
 
     def _residue_terms(self, i):
-        """The residue terms (pin, coeff) of node i's gamma, Xi_i(u) on a
-        BB1 node and (u - 1/u) Xi_i(u) on every other, expanded and logged
-        once per node: each right side on Xi_i scales them."""
+        """The residue expansion of node i's gamma, Xi_i(u) on a BB1 node
+        and (u - 1/u) Xi_i(u) on every other, expanded and logged once per
+        node: each right side on Xi_i scales its terms."""
         if i not in self._residues:
             d, gamma = self.inst.diagram, self.Xi(i)
             if classify_bb(d, i, d.t(i)) != "BB1":
                 gamma = times_x_minus_xinv(gamma)
-            self._residues[i] = [(pins["u"], coeff) for pins, coeff, _
-                                 in self._expand(gamma).items()]
+            self._residues[i] = self._expand(gamma)
         return self._residues[i]
 
     def _pair_pin_rhs(self, i, s):
@@ -221,7 +215,8 @@ class RelationChecker:
     def _serre_lhs(self, i, j):
         inner = self.prod(i, j, "u2", "v") \
             - self.prod(j, i, "v", "u2").scale(_q(1))
-        outer = bracket_q(self.B(i, "u1"), inner, _q(-1))
+        outer = bracket_q(self.B(i).rename_spectral({"u": "u1"}), inner,
+                          _q(-1))
         return symmetrize(outer, "u1", "u2")
 
     def _serre2_rhs(self, i, j):
@@ -230,8 +225,8 @@ class RelationChecker:
         v = b."""
         q = _q(1)
         out = Distribution.zero()
-        for pinsB, cB, dB in self.B(j, "v").items():
-            b = pinsB["v"]
+        for pinsB, cB, dB in self.B(j).items():
+            b = pinsB["u"]
             v = Scalar.from_mono(b)
             for a, R in self._residue_terms(i):
                 den = (Scalar.from_mono(a) - q * v) \
@@ -247,22 +242,20 @@ class RelationChecker:
     def _serre3_rhs(self, i, j):
         """Sym delta(u2 v)(1+q^2)(u2-v)v/((q u1-v)(v-q^2/u1)) (diff) B_i(u1);
         the whole prefactor is folded into the residue expansion at the
-        pinned u1."""
+        pinned u1, the gamma a current in u that stands for u2."""
         xi = times_x_minus_xinv(
-            self.Xi(i, "u2").scale(Scalar.one() + _q(2))).times_power(-1)
+            self.Xi(i).scale(Scalar.one() + _q(2))).times_power(-1)
         out = Distribution.zero()
-        for pinsB, cB, dB in self.B(i, "u1").items():
-            a = pinsB["u1"]
+        for pinsB, cB, dB in self.B(i).items():
+            a = pinsB["u"]
             qa = Monomial.q_int(1) * a
-            den1 = FactorCurrent("u2", pref=Scalar.from_mono(qa)) \
+            den1 = FactorCurrent(pref=Scalar.from_mono(qa)) \
                 .times_linear_inv_arg(qa.inverse())
             den2 = FactorCurrent(
-                "u2",
                 pref=Scalar.from_mono(Monomial.q_int(2) * a.inverse(), -1)) \
                 .times_linear_inv_arg(Monomial.q_int(-2) * a)
             gamma = xi / (den1 * den2)
-            for pinsR, R, _ in self._expand(gamma).items():
-                b = pinsR["u2"]
+            for b, R in self._expand(gamma):
                 out.add_term({"u1": a, "u2": b, "v": b.inverse()},
                              R * cB, dB)
         return symmetrize(out, "u1", "u2")
@@ -283,21 +276,22 @@ class RelationChecker:
         the shift part times (q^c u - b)(q^c'/u - b) / ((u - q^c b)(1/u -
         q^c' b)) = q^(c'-c) (1 - q^c u/b)(1 - q^-c' b u) / ((1 - q^-c u/b)
         (1 - q^c' b u)), compared in factored normal form; a failure's
-        entry holds both sides as scalars."""
+        entry holds its support as the pin of v and both sides as
+        scalars."""
         d = self.inst.diagram
         cij, ctij = d.c(i, j), d.c(d.t(i), j)
         xi, pref = self.Xi(i), _q(ctij - cij)
         failures = []
-        for pins, coeff, dmon in self.B(j, "v").items():
-            b = pins["v"]
-            ratio = FactorCurrent("u", pref, factors=[
+        for pins, _, dmon in self.B(j).items():
+            b = pins["u"]
+            ratio = FactorCurrent(pref, factors=[
                 ((1, Monomial.q_int(cij) * b.inverse()), 1),
                 ((1, Monomial.q_int(-ctij) * b), 1),
                 ((1, Monomial.q_int(-cij) * b.inverse()), -1),
                 ((1, Monomial.q_int(ctij) * b), -1)])
             conj = xi.conjugate(dmon)
             if not xi.equals(ratio * conj):
-                failures.append((pins, dmon, xi.to_scalar(),
+                failures.append(({"v": b}, dmon, xi.to_scalar(),
                                  (ratio * conj).to_scalar()))
         status = "pass" if not failures else "fail"
         return CheckResult("HB", (i, j), status, failures)
@@ -556,9 +550,8 @@ def residue_symmetry_holds(inst, i, j):
     """Residues of the paired Cartan currents match under pin inversion."""
     scale = Scalar.one() / (_q(2) - Scalar.one())
     gi = times_x_minus_xinv(build_Xi(inst, i)).scale(scale)
-    gj = times_x_minus_xinv(build_Xi(inst, j).rename_var("v")).scale(scale)
-    ri = {pins["u"]: c for pins, c, _ in expand_by_residues(gi).items()}
-    rj = {pins["v"]: c for pins, c, _ in expand_by_residues(gj).items()}
+    gj = times_x_minus_xinv(build_Xi(inst, j)).scale(scale)
+    ri, rj = dict(expand_by_residues(gi)), dict(expand_by_residues(gj))
     if set(a.inverse() for a in ri) != set(rj):
         return False
     return all(ri[a].equals(rj[a.inverse()]) for a in ri)
@@ -580,8 +573,7 @@ def _identity_residue_termwise():
         p2 = _at_pins(Bv * Bu, "v", "u", -1)
         gamma = times_x_minus_xinv(build_Xi(inst, i)).scale(
             Scalar.one() / (_q(2) - Scalar.one()))
-        res = {pins["u"]: c for pins, c, _ in
-               expand_by_residues(gamma).items()}
+        res = dict(expand_by_residues(gamma))
         seen = set()
         for prod, uvar, ovar in ((p1, "u", "v"), (p2, "u", "v")):
             for pins, coeff, dmon in prod.items():

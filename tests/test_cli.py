@@ -285,13 +285,8 @@ def test_check_series_pass_reads_the_logged_expansion(capsys, monkeypatch):
 
     def scaled(results, cfg):
         gammas = next(r.gammas for r in results if r.gammas)
-        gamma, expansion = gammas[0]
-        (pins, coeff, dmon), *rest = expansion.items()
-        bad = delta.Distribution.zero()
-        bad.add_term(pins, coeff * Scalar.const(2), dmon)
-        for term in rest:
-            bad.add_term(*term)
-        gammas[0] = gamma, bad
+        gamma, ((a, coeff), *rest) = gammas[0]
+        gammas[0] = gamma, [(a, coeff * Scalar.const(2)), *rest]
         return original(results, cfg)
     monkeypatch.setattr(cli, "_series_soundness", scaled)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
@@ -592,3 +587,28 @@ def test_config_and_instance_flags_together_are_rejected(capsys, tmp_path,
                              "--instance", "sA1-v1-t0")
     assert code == 2 and out == ""
     assert "give one of --instance NAME and --config FILE" in err
+
+
+def _bad_name(name):
+    return json.dumps(_inline(name=name)).encode()
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+@pytest.mark.parametrize("raw, message", [
+    (b'\xff\xfe{"schema": "iqgklo-config/1", "catalog": "qsA4"}',
+     "config is not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "config is nested too deeply"),
+    *((_bad_name(name), "name must be a non-empty string")
+      for name in (5, {"a": 1}, "", None, ["x"])),
+], ids=["not-utf8", "deeply-nested", "name-int", "name-object", "name-empty",
+        "name-null", "name-list"])
+def test_config_input_error_names_its_cause(capsys, tmp_path, verb, raw,
+                                            message):
+    # neither a decode error nor a recursion error may escape as a crash
+    # (exit 1, which means a relation failed), and a name that is not a
+    # string must not reach the report
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(raw)
+    code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")

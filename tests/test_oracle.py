@@ -342,7 +342,7 @@ def _reference_series_check(gamma, expansion, order):
     step the recurrence prod_k (S - a_k^{-1}) across the expanded window
     and apply its leave-one-out forms at n0."""
     pref, L = _reference_window(gamma, order)
-    terms = [(pins[gamma.var], coeff) for pins, coeff, _ in expansion.items()]
+    terms = list(expansion)
     p = len(terms)
 
     def direct_equal(n):
@@ -547,15 +547,15 @@ def test_randomized_equal_matches_reference_when_sides_share_parts(
         _reference_randomized_equal(x, y, 4, seed)
 
 
-# Currents over a few factor keys and prefactors, none of them holding x;
+# Currents over a few factor keys and prefactors, none of them holding u;
 # the scalar cross-multiplication is the reference for the normal forms.
 Q, W = Monomial.q_int(1), Monomial.w(1, 1)
 FACTOR_KEYS = [(c, M) for c in (1, -1, 2, GR(0, 1), Fraction(1, 2))
                for M in (Monomial.one(), Q, W, Q * W.inverse(),
-                         Monomial.unit("u"))]
+                         Monomial.unit("v"))]
 PREFS = [Scalar.zero(), Scalar.const(GR(1, 1)), Scalar.var("q", -3),
-         Scalar.one() - Scalar.var("q", 2) * Scalar.var("u"),
-         (Scalar.var("u") - Scalar.from_mono(W))
+         Scalar.one() - Scalar.var("q", 2) * Scalar.var("v"),
+         (Scalar.var("v") - Scalar.from_mono(W))
          / (Scalar.const(2) + Scalar.var("q"))]
 
 
@@ -581,10 +581,10 @@ def test_factor_current_equals_agrees_with_scalar_equals(
     # equal currents built in another factor order and with a cancelling
     # pair, and unequal ones that differ by one factor, by the power or by
     # the prefactor: the normal forms decide as the scalars do
-    fc = FactorCurrent("x", pref, power, factors)
+    fc = FactorCurrent(pref, power, factors)
     order = factors + [(key, e), (key, -e)]
     rnd.shuffle(order)
-    same = FactorCurrent.one("x").times_power(power).scale(pref)
+    same = FactorCurrent().times_power(power).scale(pref)
     for (c, M), k in order:
         same = same.times_linear(M, c, k)
     others = [fc.times_linear(key[1], key[0], e or 1), fc.times_power(1),
@@ -628,14 +628,14 @@ def test_evaluate_then_rescale_equals_full_product_per_group():
 
 
 def test_series_check_single_geometric_pole():
-    # x/(x-a) = (1 - a/x)^{-1}: residue expansion is a single delta at a
+    # u/(u-a) = (1 - a/u)^{-1}: residue expansion is a single delta at a
     a = Monomial.w(1, 1)
-    gamma = FactorCurrent("x").times_linear_inv_arg(a, 1, -1)
+    gamma = FactorCurrent().times_linear_inv_arg(a, 1, -1)
     assert truncated_series_check(gamma, order=8)
 
 
 def test_series_check_laurent_polynomial_trivial():
-    gamma = FactorCurrent("x", pref=Scalar.var("x", 3))
+    gamma = FactorCurrent(power=3)
     assert truncated_series_check(gamma, order=4)
 
 
@@ -648,8 +648,7 @@ def test_series_check_split_rank1_current():
 def test_series_check_rejects_scaled_expansion():
     inst = catalog_by_name("sA1-v1-t0")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
-    bad = expand_by_residues(gamma).map_coeff(
-        lambda pins, c: c * Scalar.q_int(1))
+    bad = [(a, c * Scalar.q_int(1)) for a, c in expand_by_residues(gamma)]
     assert not truncated_series_check(gamma, expansion=bad, order=8)
 
 
@@ -673,11 +672,20 @@ def test_series_check_reads_the_whole_window(monkeypatch):
 def test_series_check_rejects_dropped_pin():
     inst = catalog_by_name("sA1-v1-t0")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
-    full = list(expand_by_residues(gamma).items())
-    partial = Distribution.zero()
-    for pins, coeff, dmon in full[:-1]:
-        partial.add_term(pins, coeff, dmon)
+    partial = expand_by_residues(gamma)[:-1]
     assert not truncated_series_check(gamma, expansion=partial, order=8)
+
+
+def test_series_check_rejects_a_repeated_pin():
+    # two amplitudes at one pin whose sum is wrong: each leave-one-out
+    # product vanishes at the repeated root, so without the distinct-pin
+    # requirement step (b) would read 0 = 0 and pass
+    inst = catalog_by_name("sA1-v1-t0")
+    gamma = times_x_minus_xinv(build_Xi(inst, 1))
+    (a, coeff), *rest = expand_by_residues(gamma)
+    split = [(a, coeff * Scalar.const(5)), (a, coeff * Scalar.const(7)),
+             *rest]
+    assert not truncated_series_check(gamma, expansion=split, order=8)
 
 
 @pytest.fixture(scope="module")
@@ -690,27 +698,27 @@ def catalog_gammas():
 
 
 def _with_terms(terms):
-    out = Distribution.zero()
-    for pins, coeff, dmon in terms:
-        out.add_term(pins, coeff, dmon)
-    return out
+    """An expansion from (pin, amplitude) pairs: amplitudes at one pin
+    summed in the place of its first, zero sums left out."""
+    out = {}
+    for a, coeff in terms:
+        out[a] = out[a] + coeff if a in out else coeff
+    return [(a, c) for a, c in out.items() if not c.is_zero()]
 
 
 def _corrupted(gamma, expansion):
     """Wrong expansions of gamma: scaled amplitudes, each pin dropped, each
     pin moved by q, an extra pin, one negated amplitude and no pin."""
-    items = list(expansion.items())
     q = Monomial.q_int(1)
-    yield expansion.map_coeff(lambda pins, c: c * Scalar.q_int(1))
-    for k, (pins, coeff, dmon) in enumerate(items):
-        yield _with_terms(items[:k] + items[k + 1:])
-        moved = ({gamma.var: pins[gamma.var] * q}, coeff, dmon)
-        yield _with_terms(items[:k] + [moved] + items[k + 1:])
-    pins, coeff, dmon = items[0]
-    yield _with_terms(items + [({gamma.var: pins[gamma.var] * q ** 3},
-                                coeff, dmon)])
-    yield _with_terms([(pins, -coeff, dmon)] + items[1:])
-    yield Distribution.zero()
+    yield [(a, c * Scalar.q_int(1)) for a, c in expansion]
+    for k, (a, coeff) in enumerate(expansion):
+        yield _with_terms(expansion[:k] + expansion[k + 1:])
+        yield _with_terms(expansion[:k] + [(a * q, coeff)]
+                          + expansion[k + 1:])
+    a, coeff = expansion[0]
+    yield _with_terms(expansion + [(a * q ** 3, coeff)])
+    yield _with_terms([(a, -coeff)] + expansion[1:])
+    yield []
 
 
 def test_series_check_matches_full_window_reference(catalog_gammas):
@@ -733,9 +741,9 @@ def test_series_check_matches_full_window_reference(catalog_gammas):
 
 
 def _q_gamma(gamma, expansion):
-    """Q*gamma, Q = prod_k (1 - rho_k x) over the roots rho_k = a_k^(-1)
+    """Q*gamma, Q = prod_k (1 - rho_k u) over the roots rho_k = a_k^(-1)
     of the expansion's pins, and the roots."""
-    roots = [pins[gamma.var].inverse() for pins, _, _ in expansion.items()]
+    roots = [a.inverse() for a, _ in expansion]
     q_gamma = gamma
     for rho in roots:
         q_gamma = q_gamma.times_linear(rho)
@@ -824,7 +832,7 @@ def test_series_check_narrow_windows_at_multiplicity_two():
     inst = catalog_by_name("sA1-v2-t1")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
     expansion = expand_by_residues(gamma)
-    assert len(list(expansion.items())) == 9
+    assert len(expansion) == 9
     for order in range(9):
         assert truncated_series_check(gamma, expansion, order)
     bad = list(_corrupted(gamma, expansion))
