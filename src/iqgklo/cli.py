@@ -181,26 +181,29 @@ def _emit(doc, fmt, out=None):
         json.dump(doc, out, indent=2, default=str)
         out.write("\n")
         return
-    _emit_text(doc, out)
+    out.writelines(f"{line}\n" for line in _text_lines(doc))
 
 
-def _emit_text(doc, out, indent=0):
-    pad = "  " * indent
+def _text_lines(doc):
+    """The text format of a report, unindented: ``key: value``, or the
+    key alone over its nested value indented by two; each item of a list
+    after "- ", the other lines of a nested item indented under its
+    first; an empty list or object as [] or {}."""
     if isinstance(doc, dict):
         for k, v in doc.items():
-            if isinstance(v, (dict, list)):
-                out.write(f"{pad}{k}:\n")
-                _emit_text(v, out, indent + 1)
+            if isinstance(v, (dict, list)) and v:
+                yield f"{k}:"
+                yield from (f"  {line}" for line in _text_lines(v))
             else:
-                out.write(f"{pad}{k}: {v}\n")
-    elif isinstance(doc, list):
-        for v in doc:
-            if isinstance(v, (dict, list)):
-                _emit_text(v, out, indent)
-            else:
-                out.write(f"{pad}- {v}\n")
+                yield f"{k}: {v}"
     else:
-        out.write(f"{pad}{doc}\n")
+        for v in doc:
+            if isinstance(v, (dict, list)) and v:
+                lines = _text_lines(v)
+                yield f"- {next(lines)}"
+                yield from (f"  {line}" for line in lines)
+            else:
+                yield f"- {v}"
 
 
 def _result_entry(r):

@@ -23,9 +23,7 @@ import random
 from math import gcd, lcm, prod
 
 from .errors import BadSpecialization
-from .scalars import (
-    GR, SCALAR_ZERO, Poly, Scalar, add_into, combine_cleared,
-)
+from .scalars import GR, SCALAR_ZERO, Poly, Scalar, add_into
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
 MAX_HEIGHT = 64     # bound on the numerator and denominator of a draw
@@ -83,6 +81,35 @@ def _groups(dist):
             for p, c, d in dist.items()}
 
 
+def _cleared(c):
+    """The constant c as (s, cre, cim), the value (cre + i*cim) / s: a
+    Gaussian integer over the least positive integer s that clears it."""
+    re, im = (c.re, c.im) if isinstance(c, GR) else (c, 0)
+    s = lcm(re.denominator, im.denominator)
+    return s, int(re * s), int(im * s)
+
+
+def combine_cleared(unit, den, num, values):
+    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), the
+    value (nre + i*nim) / (dre + i*dim), not reduced: ``unit`` is a cleared
+    constant (s, cre, cim) (see ``_cleared``), and ``den`` and ``num`` map
+    part keys to multiplicities, each part's value (re, im, D), the value
+    (re + i*im) / D, being ``values[key]``."""
+    dre, nre, nim = unit
+    dim = 0
+    for key, e in den.items():
+        re, im, D = values[key]
+        for _ in range(e):
+            dre, dim = dre * re - dim * im, dre * im + dim * re
+            nre, nim = nre * D, nim * D
+    for key, e in num.items():
+        re, im, D = values[key]
+        for _ in range(e):
+            nre, nim = nre * re - nim * im, nre * im + nim * re
+            dre, dim = dre * D, dim * D
+    return nre, nim, dre, dim
+
+
 def _same_value(a, b):
     """Whether two unreduced values (nre, nim, dre, dim) of
     ``combine_cleared`` are equal: n/d == n'/d' exactly when n*d' == n'*d
@@ -98,10 +125,11 @@ def _plan(x, y):
     ``eval_plan`` by key, and per support group, x's first and then those
     only y has, (dens, shared, vx, vy): the parts of either side's
     denominator, the numerator parts both sides hold, and each side as
-    (unit, den, num) with what both hold in their numerators, or both in
-    their denominators, cancelled to the lower multiplicity.  A group
-    equal in all four to an earlier one is left out: in every trial that
-    reaches it, the earlier group has passed, and so would it."""
+    (unit, den, num), its constant cleared (``_cleared``), with what both
+    hold in their numerators, or both in their denominators, cancelled to
+    the lower multiplicity.  A group equal in all four to an earlier one
+    is left out: in every trial that reaches it, the earlier group has
+    passed, and so would it."""
     gx, gy = _groups(x), _groups(y)
     parts, groups, seen = {}, [], set()
     for key in [*gx, *(key for key in gy if key not in gx)]:
@@ -111,7 +139,8 @@ def _plan(x, y):
         parts.update(py)
         sd, sn = dx & dy, nx & ny
         dens, shared = frozenset(dx.keys() | dy.keys()), frozenset(sn)
-        vx, vy = (ux, dx - sd, nx - sn), (uy, dy - sd, ny - sn)
+        vx = (_cleared(ux), dx - sd, nx - sn)
+        vy = (_cleared(uy), dy - sd, ny - sn)
         sig = dens, shared, *((u, frozenset(d.items()), frozenset(n.items()))
                               for u, d, n in (vx, vy))
         if sig not in seen:

@@ -47,9 +47,7 @@ def classify_serre(diagram, i, j):
         return None
     if i == ti:
         return "Serre2"
-    if j != ti:
-        return "Serre1"
-    return None
+    return "Serre1"
 
 
 @dataclass

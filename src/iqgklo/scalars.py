@@ -54,7 +54,7 @@ import struct
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import or_
 
 from .errors import DenominatorVanishes, DivisionByZero
@@ -458,48 +458,6 @@ class DMonomial:
 _D_ONE = _dmono(0)
 
 
-def _cleared_point(v, a):
-    """The nonzero value ``a`` of ``v`` as (s, gre, gim, norm): a Gaussian
-    integer gre + i*gim over the integer s, and its norm."""
-    if not a:
-        raise DivisionByZero(f"evaluation maps {v} to 0")
-    are, aim = (a.re, a.im) if isinstance(a, GR) else (a, 0)
-    s = 1
-    for comp in (are, aim):
-        if isinstance(comp, Fraction):
-            s = s * comp.denominator // gcd(s, comp.denominator)
-    # an int is its own numerator over 1, so both kinds clear alike
-    gre = are.numerator * (s // are.denominator)
-    gim = aim.numerator * (s // aim.denominator)
-    return s, gre, gim, gre * gre + gim * gim
-
-
-def _power_table(point, lo, hi):
-    """(table, Dv) for the cleared value ``point`` of a variable (see
-    ``_cleared_point``) and the exponent range lo..hi: Dv is the common
-    denominator of its powers, and table[e] the Gaussian integer
-    numerator of its e-th power over Dv, for every e in the range.  It
-    serves ``Poly._eval_cleared``, and so ``Scalar.eval_numeric``, the
-    reference; the oracle powers its real points on its own tables."""
-    s, gre, gim, norm = point
-    hp, ln = max(hi, 0), max(-lo, 0)
-    tab = {}
-    pr, pi = 1, 0                     # (gre + i gim)^e
-    for e in range(hi + 1):
-        if e >= lo:
-            mult = s ** (hp - e) * norm ** ln
-            tab[e] = (pr * mult, pi * mult)
-        pr, pi = pr * gre - pi * gim, pr * gim + pi * gre
-    pr, pi = 1, 0                     # conj^k for e = -k
-    for j in range(1, ln + 1):
-        pr, pi = pr * gre + pi * gim, pi * gre - pr * gim
-        e = -j
-        if e <= hi:
-            mult = s ** (hp - e) * norm ** (ln + e)
-            tab[e] = (pr * mult, pi * mult)
-    return tab, s ** hp * norm ** ln
-
-
 def _occupied_names(occ):
     """The names of the nonzero limbs of an occupancy mask."""
     out = set()
@@ -652,51 +610,6 @@ class Poly:
         except AttributeError:
             self._layout = _eval_layout(self.terms)
             return self._layout
-
-    def _eval_cleared(self, assignment, memo):
-        """Exact evaluation of a nonzero Poly as (re, im, D), the value
-        (re + i*im) / D with D a positive integer: each variable's value is
-        cleared to a Gaussian integer over one denominator that covers its
-        exponent range, so the term sum is pure integer arithmetic.
-        ``memo``, private to one ``Scalar.eval_numeric`` call, carries each
-        variable's cleared value, by name, and each power table, by
-        (name, lowest, highest exponent), from part to part.  This path
-        serves ``eval_numeric``, the reference for the oracle's real-point
-        kernel (see ``oracle``), at any Gaussian point."""
-        ranges, rows = self.layout()
-        tables = []                           # (table, Dv) per variable
-        D = 1
-        for span in ranges:
-            table = memo.get(span)
-            if table is None:
-                v = span[0]
-                point = memo.get(v)
-                if point is None:
-                    point = memo[v] = _cleared_point(v, assignment[v])
-                table = memo[span] = _power_table(point, span[1], span[2])
-            tables.append(table)
-            D *= table[1]
-        tre = tim = 0
-        for exps, c in zip(rows, self.terms.values()):
-            pr, pi = 1, 0
-            rem = D
-            for e, (tab, Dv) in zip(exps, tables):
-                if e:
-                    tr, ti = tab[e]
-                    pr, pi = pr * tr - pi * ti, pr * ti + pi * tr
-                    rem //= Dv
-            if rem != 1:
-                pr *= rem
-                pi *= rem
-            if isinstance(c, GR):
-                cre, cim = c.re, c.im
-                tre += cre * pr - cim * pi
-                tim += cre * pi + cim * pr
-            else:
-                tre += c * pr
-                if pi:
-                    tim += c * pi
-        return tre, tim, D
 
     def _occupied(self):
         """The OR of every key lifted by the bias and xored back: a limb is
@@ -923,25 +836,19 @@ def times_powers(s, powers):
     return _scalar(c, m, s.num, f)
 
 
-def combine_cleared(unit, den, num, values):
-    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), the
-    value (nre + i*nim) / (dre + i*dim), not reduced: ``unit`` is a cleared
-    constant (s, cre, cim), the value (cre + i*cim) / s, and ``den`` and
-    ``num`` map part keys to multiplicities, each part's value (re, im, D),
-    the value (re + i*im) / D, being ``values[key]``."""
-    dre, nre, nim = unit
-    dim = 0
-    for key, e in den.items():
-        re, im, D = values[key]
-        for _ in range(e):
-            dre, dim = dre * re - dim * im, dre * im + dim * re
-            nre, nim = nre * D, nim * D
-    for key, e in num.items():
-        re, im, D = values[key]
-        for _ in range(e):
-            nre, nim = nre * re - nim * im, nre * im + nim * re
-            dre, dim = dre * D, dim * D
-    return nre, nim, dre, dim
+def _term_sum(p, power):
+    """The sum of the nonzero Poly p's terms, each its coefficient times
+    power(v, e) per variable v of its decoded key (``Poly.layout``) with
+    exponent e != 0."""
+    ranges, rows = p.layout()
+    names = [v for v, _, _ in ranges]
+    total = 0
+    for c, exps in zip(p.terms.values(), rows):
+        for v, e in zip(names, exps):
+            if e:
+                c = c * power(v, e)
+        total = total + c
+    return total
 
 
 def _scalar(c, m, num, f):
@@ -1240,35 +1147,46 @@ class Scalar:
                            f"substituting {what} kills the denominator")
 
     def eval_numeric(self, assignment):
-        """Exact evaluation to a canonical coefficient: each part of
-        ``eval_plan`` is cleared once (see ``Poly._eval_cleared``),
-        ``combine_cleared`` combines them, and the value is reduced once."""
-        memo = {}
-        unit, den, num, parts = self.eval_plan()
-        values = {key: p._eval_cleared(assignment, memo)
-                  for key, p in parts.items()}
-        if any(not (values[key][0] or values[key][1]) for key in den):
+        """The exact value where each variable takes its value in
+        ``assignment``, as a canonical coefficient: c times the unit
+        monomial, the cofactor and each factor to its exponent, each of
+        these parts summed term by term (``_term_sum``).  It calls
+        neither ``eval_plan`` nor the oracle, whose kernel it checks; the
+        two share only the decoded keys.  A variable the scalar holds that
+        is 0 raises DivisionByZero, then a denominator factor that is 0
+        raises DenominatorVanishes."""
+        if not self.c:
+            return 0
+        powers = {}
+
+        def power(v, e):
+            if (v, e) not in powers:
+                if not assignment[v]:
+                    raise DivisionByZero(f"evaluation maps {v} to 0")
+                powers[v, e] = coeff_pow(assignment[v], e)
+            return powers[v, e]
+        parts = [(_term_sum(p, power), e) for p, e in (
+            (Poly({self.m: self.c}, _clean=False), 1), (self.num, 1),
+            *self.f.values())]
+        num = prod(coeff_pow(v, e) for v, e in parts if e > 0)
+        den = prod(coeff_pow(v, -e) for v, e in parts if e < 0)
+        if not den:
             raise DenominatorVanishes(
                 "denominator vanishes at this assignment")
-        nre, nim, dre, dim = combine_cleared(unit, den, num, values)
-        norm = dre * dre + dim * dim
-        re, im = nre * dre + nim * dim, nim * dre - nre * dim
-        return _gaussian(_as_num(Fraction(re, norm)) if re else 0,
-                         _as_num(Fraction(im, norm)) if im else 0)
+        return _canon(num * coeff_inverse(den))
 
     def eval_plan(self):
-        """(unit, den, num, parts): the constant cleared once, (s, cre, cim)
-        (see ``combine_cleared``; 0 over 1 for the zero scalar, which has no
-        part), the multiplicities of the denominator factors and of the
-        numerator parts (the numerator factors, the cofactor, the unit
-        monomial) as Counters over part keys, and each key's Poly.  A key
-        determines its part: a factor's key (four ints for a binomial, the
-        term set for any other factor), the cofactor's term set, the unit
-        monomial's packed key.  The kinds never collide, so a part that
-        several scalars share has one key."""
+        """(c, den, num, parts): the constant, the multiplicities of the
+        denominator factors and of the numerator parts (the numerator
+        factors, the cofactor, the unit monomial) as Counters over part
+        keys, and each key's Poly; the zero scalar has c = 0 and no part.
+        A key determines its part: a factor's key (four ints for a
+        binomial, the term set for any other factor), the cofactor's term
+        set, the unit monomial's packed key.  The kinds never collide, so
+        a part that several scalars share has one key."""
         den, num, parts = Counter(), Counter(), {}
         if not self.c:
-            return (1, 0, 0), den, num, parts
+            return 0, den, num, parts
         for key, (p, e) in self.f.items():
             if e < 0:
                 den[key] = -e
@@ -1284,7 +1202,7 @@ class Scalar:
                 _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
             num[self.m] += 1
             parts[self.m] = _FACTORS[self.m]
-        return _cleared_point("the unit", self.c)[:3], den, num, parts
+        return self.c, den, num, parts
 
     def variables(self):
         return _occupied_names(self._occupied())

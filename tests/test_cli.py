@@ -6,7 +6,10 @@ from iqgklo.cli import (
     SCHEMA_ID, instance_from_description, load_config, main,
 )
 from iqgklo import cli, delta, oracle, relations, scalars
-from iqgklo.errors import NonSimplePole, ParseError, ValidationError
+from iqgklo.errors import (
+    IncompatibleOrientation, NonSimplePole, NotDominant, ParseError,
+    TauNotInvolution, ValidationError,
+)
 from iqgklo.relations import RelationChecker
 from iqgklo.scalars import Scalar
 
@@ -29,6 +32,51 @@ def test_validate_instance_text(capsys):
     code, out, _ = run_cli(capsys, "validate", "--instance", "qsA4")
     assert code == 0
     assert "valid: True" in out
+
+
+def test_check_text_marks_each_record(capsys):
+    # each result starts with "- " and its other keys sit under it, so
+    # two records of one list do not run together
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA4",
+                           "--relations", "BB3")
+    assert code == 0
+    lines = out.splitlines()
+    for pair in ("2,3", "3,2"):
+        at = lines.index(f"  - check: BB3[{pair}]")
+        assert lines[at + 1] == "    status: pass"
+        assert lines[at + 2].startswith("    seconds: ")
+    at = lines.index("  involution_cycles:")
+    assert lines[at + 1:at + 3] == ["    - (1, 4)", "    - (2, 3)"]
+
+
+def test_catalog_text_marks_each_instance(capsys):
+    code, out, _ = run_cli(capsys, "catalog")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["schema: iqgklo-report/1", "catalog:",
+                         "  - name: sA1-v1-t0"]
+    assert sum(line.startswith("  - name: ") for line in lines) == 10
+    # a split instance has no involution cycle: an empty list, not a key
+    # over nothing
+    assert lines[4] == "    involution_cycles: []"
+
+
+def test_text_nests_records_in_records():
+    doc = {"results": [
+        {"check": "BB2[1,1]", "discrepancies": [
+            {"support": {"u": "w1"}, "lhs": "1"}, {"support": {}}]},
+        {"check": "HB"}], "seed": 0}
+    assert list(cli._text_lines(doc)) == [
+        "results:",
+        "  - check: BB2[1,1]",
+        "    discrepancies:",
+        "      - support:",
+        "          u: w1",
+        "        lhs: 1",
+        "      - support: {}",
+        "  - check: HB",
+        "seed: 0",
+    ]
 
 
 def test_validate_unknown_instance(capsys):
@@ -612,3 +660,33 @@ def test_config_input_error_names_its_cause(capsys, tmp_path, verb, raw,
     code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    (_inline(rank=3, tau=[[1, 5]], framing=[1, 1, 1], shift=[0, 0, 0]),
+     ValidationError, "involution cycle [1, 5] leaves 1..3"),
+    ({"schema": SCHEMA_ID, "instance": 5},
+     ValidationError, "an inline instance must be a JSON object"),
+    (None, ParseError, "cannot read config"),
+    (_inline(rank=3, tau=[[1, 2], [2, 3]], framing=[1, 1, 1],
+             shift=[0, 0, 0]),
+     TauNotInvolution, "tau is not a permutation"),
+    (_inline(framing=[-1]), NotDominant, "framing pairings (-1,)"),
+    (_inline(rank=2, framing=[1, 1], shift=[0, 0],
+             orientation=[[1, 2], [2, 1]]),
+     IncompatibleOrientation, "oriented twice"),
+    (_inline(rank=2, framing=[1, 1], shift=[0, 0], theta=[2, 0]),
+     ValidationError, "marking at node 1 must be 0 or 1"),
+], ids=["cycle-leaves-nodes", "instance-not-object", "missing-file",
+        "cycles-overlap", "framing-negative", "edge-oriented-twice",
+        "theta-not-0-or-1"])
+def test_config_validation_names_its_cause(capsys, tmp_path, doc, error,
+                                           message):
+    cfg_path = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(error):
+        load_config(str(cfg_path))
+    code, out, err = run_cli(capsys, "check", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

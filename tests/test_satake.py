@@ -50,6 +50,30 @@ def test_rejects_bad_diagrams():
         validate_diagram(cartan_A(3), (2, 1, 3))
 
 
+def _tree(rank, edges):
+    """The Cartan matrix of the simply-laced graph with these 1-based
+    edges."""
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        c[i - 1][j - 1] = c[j - 1][i - 1] = -1
+    return c
+
+
+@pytest.mark.parametrize("cartan, message", [
+    ([[2, -1], [-1, 3]], "diagonal entry at node 2 is 3"),
+    ([[2, -1], [0, 2]], "matrix not symmetric"),
+    ([[2, 0], [0, 2]], "diagram is disconnected"),
+    (_tree(6, [(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)]),
+     "more than one branch node"),
+    (_tree(7, [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)]),
+     r"arm lengths \[2, 2, 2\] are not of type D or E"),
+], ids=["diagonal", "asymmetric", "disconnected", "two-branch-nodes",
+        "arm-lengths"])
+def test_validate_diagram_rejects_each_non_ade_shape(cartan, message):
+    with pytest.raises(NotADE, match=message):
+        validate_diagram(cartan, None)
+
+
 def test_d4_and_bad_branch():
     d4 = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
     validate_diagram(d4, None)

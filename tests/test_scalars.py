@@ -2,17 +2,18 @@
 
 import importlib.util
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
+from iqgklo.oracle import _cleared as _cleared_unit, combine_cleared
 from iqgklo.scalars import (
     _BINOMIALS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar,
     _binomial, _canon, _index, _key_min, _limb_rows, _mono, _normal_binomial,
     _q_shift, _settle, _shift_taps, _substitute_key, _substitution,
-    coeff_inverse, combine_cleared, divide_binomial, unpack_poly, w_var,
+    coeff_inverse, divide_binomial, unpack_poly, w_var,
 )
 
 
@@ -551,13 +552,17 @@ small_grs = ref_coeffs.map(lambda c: GR(*c))
 
 
 def _cleared(s, assignment):
-    """The unreduced value (nre, nim, dre, dim) of s: ``combine_cleared``
-    over the parts of its ``eval_plan``."""
-    unit, den, num, parts = s.eval_plan()
-    memo = {}
-    return combine_cleared(unit, den, num,
-                           {key: p._eval_cleared(assignment, memo)
-                            for key, p in parts.items()})
+    """The unreduced value (nre, nim, dre, dim) of s: the oracle's
+    ``combine_cleared`` over the parts of its ``eval_plan``, each part's
+    value taken from ``eval_numeric`` and written as a Gaussian integer
+    over the least positive integer that clears it."""
+    c, den, num, parts = s.eval_plan()
+    values = {}
+    for key, p in parts.items():
+        re, im = map(Fraction, _pair(Scalar(p).eval_numeric(assignment)))
+        d = lcm(re.denominator, im.denominator)
+        values[key] = (int(re * d), int(im * d), d)
+    return combine_cleared(_cleared_unit(c), den, num, values)
 
 
 def _reduced(cleared):
@@ -613,6 +618,8 @@ def test_cleared_value_of_every_part_kind():
                             * (1 + GR_I * uv) * (1 + GR_I * uv)))
     assert _reduced(_cleared(s, assignment)) == want
     assert s.eval_numeric(assignment) == want
+    # the zero scalar has the raw constant 0 and no part
+    assert Scalar.zero().eval_plan() == (0, {}, {}, {})
     assert _cleared(Scalar.zero(), assignment) == (0, 0, 1, 0)
 
 
