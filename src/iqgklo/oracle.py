@@ -14,7 +14,8 @@ Two instruments:
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its truncated Laurent
-  expansions at infinity and at zero, order by order.
+  expansions at infinity and at zero, order by order, through the
+  current's polar part and its numerator's values at the pins.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from math import gcd, lcm, prod
 
 from .errors import BadSpecialization
-from .scalars import GR, SCALAR_ZERO, Poly, Scalar, add_into
+from .scalars import GR, SCALAR_ONE, SCALAR_ZERO, Poly, Scalar, add_into
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
 MAX_HEIGHT = 64     # bound on the numerator and denominator of a draw
@@ -323,6 +324,56 @@ def truncated_series_check(gamma, expansion=None, order=8):
     lists each pin once, as ``expand_by_residues`` does; one that repeats
     a pin fails.
 
+    Gamma is split as N * R.  The polar part R = prod (1 - c*M*x)^e over
+    gamma's factors with e < 0 holds every pole, and its pins are
+    distinct, as its factors' keys are; the numerator N = pref * x^power *
+    (the factors with e > 0) is a Laurent polynomial of degrees
+    [N.power, N.degree_at_infinity()].  Both expansions are ring
+    homomorphisms, so L[N*R]_n = sum_j N_j L[R]_(n-j), and since
+    sum_j N_j a^(j-n) = a^(-n) N(a) (the delta-function property f(x)
+    delta(a/x) = f(a) delta(a/x)), the claim holds on |n| <= order when
+
+    * every logged pin is a pin a_k of R's expansion, each once, and each
+      logged amplitude (0 at a pin of R that the expansion leaves out)
+      equals N(a_k) times R's amplitude there, compared as factored
+      scalars, so the factors they share cancel; and
+    * R's expansion is right on the window widened by W = max(|N.power|,
+      |N.degree_at_infinity()|), which ``_window_check`` certifies on
+      order + W.
+
+    So an expansion passes only if it is gamma's own, but for pins where
+    gamma's amplitude is 0, and gamma's numerator is never expanded.
+    N(a_k) is ``FactorCurrent.evaluate``, the function that
+    ``expand_by_residues`` uses too, so the check trusts ``evaluate`` on
+    N's factors; ``test_evaluate_matches_the_summed_expansion`` in
+    ``tests/test_delta.py`` compares it with N's expansion summed at the
+    point.  A pole that is not simple, or not at a monomial point, raises
+    ``NonSimplePole`` as ``expand_by_residues(gamma)`` would, expansion
+    given or not: R holds every pole factor, in gamma's order.
+    """
+    from .delta import expand_by_residues
+    terms = expand_by_residues(gamma) if expansion is None else expansion
+    polar = gamma.copy_with(SCALAR_ONE, 0, {key: e for key, e
+                                            in gamma.factors.items() if e < 0})
+    numer = gamma.copy_with(factors={key: e for key, e
+                                     in gamma.factors.items() if e > 0})
+    residues = expand_by_residues(polar)
+    logged = dict(terms)
+    if len(logged) < len(terms) or \
+            not logged.keys() <= {a for a, _ in residues}:
+        return False    # a repeated pin, or one where gamma has no pole
+    for a, amp in residues:
+        if not logged.get(a, SCALAR_ZERO).equals(numer.evaluate(a) * amp):
+            return False
+    width = max(abs(numer.power), abs(numer.degree_at_infinity()))
+    return _window_check(polar, residues, order + width)
+
+
+def _window_check(gamma, terms, order):
+    """Whether the residue expansion ``terms`` of gamma, distinct pins
+    with their amplitudes, reproduces the difference L of gamma's
+    expansions at infinity and at zero on every x^n with |n| <= order.
+
     The coefficientwise comparison is carried out in an equivalent split
     form.  With p distinct pins a_k, both sides satisfy the monic order-p
     recurrence whose characteristic roots are the rho_k = a_k^(-1) (for
@@ -365,12 +416,8 @@ def truncated_series_check(gamma, expansion=None, order=8):
     [-order, p - 1 - order], which contains the window.  In every case the
     check reads at least the coefficients with |n| <= order.
     """
-    from .delta import expand_by_residues
-    terms = expand_by_residues(gamma) if expansion is None else expansion
     p = len(terms)
     roots = [a.inverse() for a, _ in terms]
-    if len(set(roots)) < p:
-        return False    # a repeated pin: step (b) would read 0 = 0 for it
     q_gamma = gamma
     for rho in roots:
         q_gamma = q_gamma.times_linear(rho)

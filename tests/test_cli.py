@@ -301,7 +301,8 @@ def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
 
 def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
     # the series pass checks the expansions that the relation checks
-    # logged, so no gamma is expanded a second time
+    # logged, so no gamma is expanded a second time; it expands each
+    # gamma's polar part R instead, a different current
     expanded, reports = [], []
     original = relations.expand_by_residues
 
@@ -322,7 +323,14 @@ def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):
     (report,) = reports
     logged = [entry for r in report.results for entry in r.gammas]
     assert len(logged) > 1
-    assert expanded == [g for g, _ in logged]
+    gammas = [g for g, _ in logged]
+    assert expanded[:len(gammas)] == gammas
+    polar = expanded[len(gammas):]
+    assert [r.factors for r in polar] == [
+        {key: e for key, e in g.factors.items() if e < 0} for g in gammas]
+    for r, g in zip(polar, gammas):
+        assert r.power == 0 and r.pref.equals(Scalar.one())
+        assert any(e > 0 for e in g.factors.values())
     assert all(e is not None for _, e in logged)
 
 

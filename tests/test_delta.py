@@ -581,3 +581,32 @@ def test_invert_arg_matches_the_stepwise_fold(chain):
     assert _state(got) == _state(want)
     assert _factored(got.pref) == _factored(want.pref)
     assert repr(got) == repr(want)
+
+
+def _summed_expansion(fc, a):
+    """A Laurent polynomial current's value at u = a read off its
+    expansion at zero, which is finite: the sum of pref * c_n * a^n over
+    the coefficients c_n of u^n, n from its power to its top degree."""
+    pref, coeffs = fc.series_raw("zero", fc.degree_at_infinity(), fc.power)
+    out = Scalar.zero()
+    for n, c in coeffs.items():
+        out = out + Scalar(c) * Scalar.from_mono(a ** n)
+    return pref * out
+
+
+POINTS = st.sampled_from([Monomial.one(), W, W.inverse(), Q2, Q2.inverse(),
+                          W * Q2, Monomial.w(2, 1), Monomial.unit("u")])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([Scalar.one(), Scalar.const(-3), Scalar.q_int(1),
+                        Scalar.var("v") + Scalar.one()]),
+       st.integers(-2, 2),
+       st.lists(st.tuples(CHAIN_COEFFS, CHAIN_MONOS, st.integers(1, 3)),
+                max_size=4),
+       POINTS)
+def test_evaluate_matches_the_summed_expansion(pref, power, factors, a):
+    # the series check trusts evaluate for gamma's numerator N, a Laurent
+    # polynomial: its value at a point must be its expansion summed there
+    fc = FactorCurrent(pref, power, [((c, M), e) for c, M, e in factors])
+    assert fc.evaluate(a).equals(_summed_expansion(fc, a))

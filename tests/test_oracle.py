@@ -652,21 +652,44 @@ def test_series_check_rejects_scaled_expansion():
     assert not truncated_series_check(gamma, expansion=bad, order=8)
 
 
+def _split(gamma):
+    """(R, N): gamma's polar part, its factors of negative exponent, and
+    its numerator, the prefactor, the power and the other factors."""
+    return (FactorCurrent(factors={key: e for key, e in gamma.factors.items()
+                                   if e < 0}),
+            FactorCurrent(gamma.pref, gamma.power,
+                          {key: e for key, e in gamma.factors.items()
+                           if e > 0}))
+
+
 def test_series_check_reads_the_whole_window(monkeypatch):
-    # an expansion at infinity that is wrong only at the window's edge
-    # coefficient must fail, though every central coefficient is right
+    # the check certifies gamma on |n| <= 8 by reading its polar part R on
+    # the window widened by W: an expansion at infinity of R's product
+    # that is wrong only at the widened edge 8 + W must fail, though every
+    # coefficient inside is right, and one wrong a step past the edge
+    # must pass
     inst = catalog_by_name("sA1-v1-t0")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
+    _, numer = _split(gamma)
+    width = max(abs(numer.power), abs(numer.degree_at_infinity()))
+    assert width > 0
     original = FactorCurrent.series_raw
 
-    def wrong_at_edge(self, side, order, low=None):
-        pref, coeffs = original(self, side, order, low)
-        if side == "infinity" and order >= 8:
-            coeffs = {**coeffs, 8: coeffs.get(8, Poly.zero()) + Poly.const(1)}
-        return pref, coeffs
-    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at_edge)
+    def wrong_at(edge):
+        def patched(self, side, order, low=None):
+            # only R's product is expanded, never gamma with its numerator
+            assert all(e < 0 for e in self.factors.values())
+            pref, coeffs = original(self, side, order, low)
+            if side == "infinity" and \
+                    (-order if low is None else low) <= edge <= order:
+                coeffs = {**coeffs,
+                          edge: coeffs.get(edge, Poly.zero()) + Poly.const(1)}
+            return pref, coeffs
+        return patched
+    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at(8 + width))
     assert not truncated_series_check(gamma, order=8)
-    assert truncated_series_check(gamma, order=7)
+    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at(9 + width))
+    assert truncated_series_check(gamma, order=8)
 
 
 def test_series_check_rejects_dropped_pin():
@@ -740,6 +763,109 @@ def test_series_check_matches_full_window_reference(catalog_gammas):
     assert verdicts == {True, False}
 
 
+def _two_step_reference(gamma, expansion, order):
+    """The two-step window check run on the whole gamma, the reference
+    for the series check on its polar part: (a) the two expansions of
+    Q*gamma agree on [p - order, order], and (b) each pin's leave-one-out
+    value at one central offset gives its amplitude.  The value is read
+    by the oracle's ``_leave_one_out``, which
+    ``test_leave_one_out_matches_expanding_each_product`` pins."""
+    terms = list(expansion)
+    p = len(terms)
+    roots = [a.inverse() for a, _ in terms]
+    if len(set(roots)) < p:
+        return False
+    q_gamma = gamma
+    for rho in roots:
+        q_gamma = q_gamma.times_linear(rho)
+    n0 = max(-order, min(-(p // 2), order - p + 1))
+    m = n0 + p - 1
+    pref, A = q_gamma.series_raw(
+        "infinity", max(order, q_gamma.degree_at_infinity()), p - order)
+    _, Z = q_gamma.series_raw("zero", max(order, m), q_gamma.power)
+    zero = Poly.zero()
+    if any(A.get(n, zero).terms != Z.get(n, zero).terms
+           for n in range(p - order, order + 1)):
+        return False
+    for k, (a, coeff) in enumerate(terms):
+        value = oracle._leave_one_out(A, Z, m, roots[k])
+        expect = coeff * Scalar.from_mono(a ** (-n0))
+        for l, rho in enumerate(roots):
+            if l != k:
+                expect = expect * (Scalar.from_mono(roots[k]) -
+                                   Scalar.from_mono(rho))
+        if not (pref * Scalar(value)).equals(expect):
+            return False
+    return True
+
+
+def _corrupted_by_numerator(gamma, expansion):
+    """A wrong expansion of gamma that is off by a factor of its numerator
+    N at one pin only, the first where N(a) is not 1: the amplitude there
+    is R's, not N(a) times R's."""
+    polar, numer = _split(gamma)
+    residues = dict(expand_by_residues(polar))
+    for k, (a, _) in enumerate(expansion):
+        if not numer.evaluate(a).equals(Scalar.one()):
+            return [*expansion[:k], (a, residues[a]), *expansion[k + 1:]]
+    raise AssertionError("N is 1 at every pin")
+
+
+@pytest.fixture(scope="module")
+def logged_gammas():
+    """Every distinct gamma, with its expansion, that the relation checks
+    of the catalog log, but sA1-v2-*'s, with no image corruption and
+    under each."""
+    out = {}
+    for inst in build_catalog():
+        if inst.name.startswith("sA1-v2-"):
+            continue
+        for corrupt in (None, "flip_wp", "drop_kappa", "drop_const"):
+            report = RelationChecker(inst, corrupt=corrupt).run()
+            for gamma, expansion in (g for r in report.results
+                                     for g in r.gammas):
+                out.setdefault(repr(gamma), (gamma, expansion))
+    return list(out.values())
+
+
+def test_series_check_on_the_polar_part_matches_the_whole_gamma_check(
+        logged_gammas):
+    # the corpus: each logged gamma with its true expansion, each wrong one
+    # of _corrupted and one off by a factor of N at one pin, at orders
+    # 0-8; the check on R over the widened window must give the verdict of
+    # the two-step check on the whole gamma on every case
+    assert len(logged_gammas) > 20
+    verdicts = Counter()
+    for gamma, expansion in logged_gammas:
+        bad_n = _corrupted_by_numerator(gamma, expansion)
+        for exp in [expansion, *_corrupted(gamma, expansion), bad_n]:
+            for order in range(9):
+                verdict = truncated_series_check(gamma, exp, order)
+                assert verdict == _two_step_reference(gamma, exp, order), \
+                    (gamma, exp, order)
+                assert not (verdict and exp is bad_n)
+                verdicts[verdict] += 1
+    assert verdicts[True] >= 9 * len(logged_gammas) and verdicts[False]
+
+
+def test_series_check_rejects_an_amplitude_where_the_numerator_vanishes():
+    # with pref 0, N vanishes at every pin of R, so gamma's own expansion
+    # is empty and passes (the whole-gamma check, whose step (a) leaves
+    # the prefactor out, fails it); an amplitude at one of R's pins must
+    # fail, on R and on the whole gamma alike
+    gamma = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v1-t0"), 1))
+    zero = gamma.scale(Scalar.zero())
+    polar, numer = _split(zero)
+    residues = expand_by_residues(polar)
+    assert expand_by_residues(zero) == [] and len(residues) == 4
+    for a, amp in residues:
+        assert numer.evaluate(a).is_zero()
+        for order in range(9):
+            assert truncated_series_check(zero, [], order)
+            assert not truncated_series_check(zero, [(a, amp)], order)
+            assert not _two_step_reference(zero, [(a, amp)], order)
+
+
 def _q_gamma(gamma, expansion):
     """Q*gamma, Q = prod_k (1 - rho_k u) over the roots rho_k = a_k^(-1)
     of the expansion's pins, and the roots."""
@@ -796,9 +922,11 @@ def _reference_leave_one_out(q_gamma, rho, m):
 
 def test_leave_one_out_matches_expanding_each_product(catalog_gammas,
                                                       monkeypatch):
-    # step (b) reads each Q_k*gamma off the two expansions of Q*gamma; its
-    # value must be the one that expanding Q_k*gamma itself gives, also on
-    # narrow windows (sA1-v2-t1, 9 pins) and for wrong expansions there
+    # step (b) reads each Q_k*R off the two expansions of Q*R, R gamma's
+    # polar part and Q its pins' polynomial; its value must be the one
+    # that expanding Q_k*R itself gives.  The window check reads any
+    # current so: on the whole gamma, also on narrow windows (sA1-v2-t1,
+    # 9 pins) and for wrong expansions there, against Q*gamma
     seen = []
     original = oracle._leave_one_out
 
@@ -809,33 +937,41 @@ def test_leave_one_out_matches_expanding_each_product(catalog_gammas,
     monkeypatch.setattr(oracle, "_leave_one_out", recorded)
     narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1))
     narrow_exp = expand_by_residues(narrow)
-    cases = [(gamma, expand_by_residues(gamma), order)
-             for gamma in [*catalog_gammas.values(), narrow]
-             for order in range(9)]
-    cases += [(narrow, bad, order) for bad in _corrupted(narrow, narrow_exp)
+    cases = []
+    for gamma in [*catalog_gammas.values(), narrow]:
+        polar, _ = _split(gamma)
+        q_polar, _ = _q_gamma(polar, expand_by_residues(polar))
+        cases += [(truncated_series_check, gamma, expand_by_residues(gamma),
+                   order, q_polar) for order in range(9)]
+    cases += [(oracle._window_check, narrow, exp, order,
+               _q_gamma(narrow, exp)[0])
+              for exp in [narrow_exp, *_corrupted(narrow, narrow_exp)]
               for order in range(5)]
     reads = 0
-    for gamma, expansion, order in cases:
+    for check, gamma, expansion, order, q_current in cases:
         seen.clear()
-        truncated_series_check(gamma, expansion, order)
-        q_gamma, _ = _q_gamma(gamma, expansion)
+        check(gamma, expansion, order)
         for rho, m, value in seen:
             assert value.terms == \
-                _reference_leave_one_out(q_gamma, rho, m).terms
+                _reference_leave_one_out(q_current, rho, m).terms
         reads += len(seen)
     assert reads > len(cases)
 
 
 def test_series_check_narrow_windows_at_multiplicity_two():
-    # sA1-v2-t1's gamma has 9 pins, so every window up to order 4 holds
-    # fewer than p + 1 coefficients and is read by step (b) alone
+    # sA1-v2-t1's gamma has 9 pins, so on the whole gamma every window up
+    # to order 4 holds fewer than p + 1 coefficients and is read by step
+    # (b) alone; the series check, which reads R on the window widened by
+    # W, gives the same verdicts
     inst = catalog_by_name("sA1-v2-t1")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
     expansion = expand_by_residues(gamma)
     assert len(expansion) == 9
     for order in range(9):
         assert truncated_series_check(gamma, expansion, order)
+        assert oracle._window_check(gamma, expansion, order)
     bad = list(_corrupted(gamma, expansion))
     assert len(bad) == 22
     for exp in bad:
         assert not truncated_series_check(gamma, exp, 0)
+        assert not oracle._window_check(gamma, exp, 0)

@@ -106,7 +106,7 @@ def small_ops():
         lambda ps: sum((op(c, d) for c, d in ps), TorusElement.zero()))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_ops(), small_ops(), small_ops())
 def test_associativity_and_distributivity(a, b, c):
     assert ((a * b) * c).equals(a * (b * c))
