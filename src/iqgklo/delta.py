@@ -203,6 +203,10 @@ class FactorCurrent:
         that side is dropped as soon as it appears.  The expansion is
         convolved over the packed terms of denominator-free Polys.  An
         empty window (low > order) returns no coefficient at once.
+
+        No code of the package calls it.  It stays because the tests read
+        expansions off it as the references for ``evaluate`` and for the
+        series check, and the benchmark's tracer patches it by name.
         """
         low = -order if low is None else low
         if low > order:
@@ -406,14 +410,13 @@ def symmetrize(x, var1, var2):
     return x + x.rename_spectral({var1: var2, var2: var1})
 
 
-def expand_by_residues(fc):
-    """Difference of the expansions at infinity and at zero as a list of
-    (pin, amplitude) pairs in factor order, the sum of amplitude *
-    delta(pin/u), zero amplitudes left out.
+def simple_poles(fc):
+    """The keys (1, M) of fc's pole factors (1 - M*u)^-1 in factor order,
+    the pin of each being M^-1.
 
     Every finite nonzero pole must be simple and located at an honest
-    monomial point (factor (1 - M*u)^-1); the term pinned there carries
-    minus the value of the remaining factors.
+    monomial point; the first pole factor in factor order that is not
+    raises NonSimplePole.
     """
     out = []
     for (c, M), e in fc.factors.items():
@@ -424,8 +427,22 @@ def expand_by_residues(fc):
         if c != 1:
             raise NonSimplePole(f"pole of (1-{c}*{M!r}*u) is not at a "
                                 "monomial point")
-        a = M.inverse()
-        amp = -fc.drop_factor((c, M)).evaluate(a)
+        out.append((c, M))
+    return out
+
+
+def expand_by_residues(fc):
+    """Difference of the expansions at infinity and at zero as a list of
+    (pin, amplitude) pairs in factor order, the sum of amplitude *
+    delta(pin/u), zero amplitudes left out.
+
+    The poles are fc's ``simple_poles``; the term pinned at each carries
+    minus the value of the remaining factors.
+    """
+    out = []
+    for key in simple_poles(fc):
+        a = key[1].inverse()
+        amp = -fc.drop_factor(key).evaluate(a)
         if not amp.is_zero():
             out.append((a, amp))
     return out

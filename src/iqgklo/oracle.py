@@ -13,9 +13,12 @@ Two instruments:
   simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
-  rational current reproduces the difference of its truncated Laurent
-  expansions at infinity and at zero, order by order, through the
-  current's polar part and its numerator's values at the pins.
+  rational current reproduces the difference of its Laurent expansions
+  at infinity and at zero, in closed form: each amplitude must be the
+  numerator's value at the pin times the polar part's partial-fraction
+  coefficient there, compared as factored scalars.  This is exact on
+  every coefficient, so the verdict does not depend on ``order``, the
+  window the check certifies at least; no series is expanded.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from math import gcd, lcm, prod
 
 from .errors import BadSpecialization
-from .scalars import GR, SCALAR_ONE, SCALAR_ZERO, Poly, Scalar, add_into
+from .scalars import GR, SCALAR_ZERO, Scalar
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
 MAX_HEIGHT = 64     # bound on the numerator and denominator of a draw
@@ -299,153 +302,70 @@ def randomized_equal(x, y, trials=20, seed=0):
     return True, done
 
 
-def _leave_one_out(A, Z, m, rho):
-    """The coefficient of x^m in the difference of the expansions at
-    infinity and at zero of F / (1 - rho*x), read off F's expansions A at
-    infinity and Z at zero:  -sum_{n>m} rho^(m-n) A_n - sum_{n<=m}
-    rho^(m-n) Z_n, each term one shifted copy of A_n's or Z_n's terms."""
-    value = {}
-    for n, c in A.items():
-        if n > m:
-            add_into(value, c.terms, (m - n) * rho.key, -1)
-    for n, c in Z.items():
-        if n <= m:
-            add_into(value, c.terms, (m - n) * rho.key, -1)
-    return Poly(value, _clean=False)
-
-
 def truncated_series_check(gamma, expansion=None, order=8):
-    """Verify the residue expansion against truncated two-sided series.
+    """Verify a residue expansion of gamma against the difference L of
+    gamma's Laurent expansions at infinity and at zero.
 
-    The difference L of the expansions of gamma at infinity and at zero
-    must equal, coefficient by coefficient on x^n for |n| <= order, the
-    sum of the delta contributions coeff * a^(-n) over the expansion's
-    (pin a, coeff) pairs, gamma's own when none is given.  An expansion
-    lists each pin once, as ``expand_by_residues`` does; one that repeats
-    a pin fails.
+    L must equal the sum of the delta contributions coeff * delta(a/u) over
+    the expansion's (pin a, coeff) pairs, gamma's own when none is given,
+    on every coefficient: the check is exact, so ``order``, the window
+    |n| <= order that it certifies at least, changes no verdict.  An
+    expansion lists each pin once, as ``expand_by_residues`` does; one
+    that repeats a pin fails.
 
-    Gamma is split as N * R.  The polar part R = prod (1 - c*M*x)^e over
-    gamma's factors with e < 0 holds every pole, and its pins are
-    distinct, as its factors' keys are; the numerator N = pref * x^power *
-    (the factors with e > 0) is a Laurent polynomial of degrees
-    [N.power, N.degree_at_infinity()].  Both expansions are ring
-    homomorphisms, so L[N*R]_n = sum_j N_j L[R]_(n-j), and since
-    sum_j N_j a^(j-n) = a^(-n) N(a) (the delta-function property f(x)
-    delta(a/x) = f(a) delta(a/x)), the claim holds on |n| <= order when
+    Gamma is split as N * R.  The polar part R = prod_k (1 - rho_k u)^-1
+    is gamma's factors of negative exponent, which must be simple poles
+    at monomial points (``simple_poles``, so a pole that is not raises
+    ``NonSimplePole`` as ``expand_by_residues(gamma)`` would, expansion
+    given or not); the p roots rho_k are distinct, as the factors' keys
+    are, and the pins are a_k = rho_k^-1.  The numerator N = pref * u^power
+    * (the factors of positive exponent) is a Laurent polynomial.  By
+    partial fractions,
 
-    * every logged pin is a pin a_k of R's expansion, each once, and each
-      logged amplitude (0 at a pin of R that the expansion leaves out)
-      equals N(a_k) times R's amplitude there, compared as factored
-      scalars, so the factors they share cancel; and
-    * R's expansion is right on the window widened by W = max(|N.power|,
-      |N.degree_at_infinity()|), which ``_window_check`` certifies on
-      order + W.
+      R = sum_k c_k / (1 - rho_k u),
+      c_k = prod_{l != k} (1 - rho_l/rho_k)^-1
+          = rho_k^(p-1) / prod_{l != k} (rho_k - rho_l).
 
-    So an expansion passes only if it is gamma's own, but for pins where
-    gamma's amplitude is 0, and gamma's numerator is never expanded.
+    1/(1 - rho u) expands as sum_{j>=0} rho^j u^j at zero and as
+    -sum_{j>=1} rho^-j u^-j at infinity, so the difference of its two
+    expansions is -sum_n rho^n u^n = -delta(a/u).  Both expansions are
+    ring homomorphisms, so L[N*R] = N * L[R], and f(u) delta(a/u) =
+    f(a) delta(a/u) for the Laurent polynomial f = N gives
+
+      L[N*R] = -sum_k N(a_k) c_k delta(a_k/u)
+
+    on every coefficient.  The deltas at distinct pins are linearly
+    independent, so the expansion is right exactly when every logged pin
+    is one of the a_k, each once, and each logged amplitude (0 at an a_k
+    that the expansion leaves out) times prod_{l != k} (rho_k - rho_l),
+    which is not 0, equals -N(a_k) rho_k^(p-1), compared as factored
+    scalars.  Nothing but gamma is expanded, and gamma only when no
+    expansion is given.
+
     N(a_k) is ``FactorCurrent.evaluate``, the function that
     ``expand_by_residues`` uses too, so the check trusts ``evaluate`` on
-    N's factors; ``test_evaluate_matches_the_summed_expansion`` in
+    N's factors, which have no pole;
+    ``test_evaluate_matches_the_summed_expansion`` in
     ``tests/test_delta.py`` compares it with N's expansion summed at the
-    point.  A pole that is not simple, or not at a monomial point, raises
-    ``NonSimplePole`` as ``expand_by_residues(gamma)`` would, expansion
-    given or not: R holds every pole factor, in gamma's order.
+    point.  R's amplitudes come from the closed form above,
+    not from ``evaluate``.
     """
-    from .delta import expand_by_residues
+    from .delta import expand_by_residues, simple_poles
     terms = expand_by_residues(gamma) if expansion is None else expansion
-    polar = gamma.copy_with(SCALAR_ONE, 0, {key: e for key, e
-                                            in gamma.factors.items() if e < 0})
+    roots = [M for _, M in simple_poles(gamma)]
+    pins = [rho.inverse() for rho in roots]
+    logged = dict(terms)
+    if len(logged) < len(terms) or not logged.keys() <= set(pins):
+        return False    # a repeated pin, or one where gamma has no pole
     numer = gamma.copy_with(factors={key: e for key, e
                                      in gamma.factors.items() if e > 0})
-    residues = expand_by_residues(polar)
-    logged = dict(terms)
-    if len(logged) < len(terms) or \
-            not logged.keys() <= {a for a, _ in residues}:
-        return False    # a repeated pin, or one where gamma has no pole
-    for a, amp in residues:
-        if not logged.get(a, SCALAR_ZERO).equals(numer.evaluate(a) * amp):
-            return False
-    width = max(abs(numer.power), abs(numer.degree_at_infinity()))
-    return _window_check(polar, residues, order + width)
-
-
-def _window_check(gamma, terms, order):
-    """Whether the residue expansion ``terms`` of gamma, distinct pins
-    with their amplitudes, reproduces the difference L of gamma's
-    expansions at infinity and at zero on every x^n with |n| <= order.
-
-    The coefficientwise comparison is carried out in an equivalent split
-    form.  With p distinct pins a_k, both sides satisfy the monic order-p
-    recurrence whose characteristic roots are the rho_k = a_k^(-1) (for
-    the delta side identically; leading and trailing coefficients are unit
-    monomials, so solutions are pinned by any p consecutive values).
-    Hence, when the window holds p + 1 coefficients or more, equality over
-    it is equivalent to (a) the series side satisfying the recurrence at
-    every offset that fits the window, and (b) direct equality on p
-    consecutive central coefficients.
-
-    Both steps multiply gamma by a polynomial in x before expanding it.
-    With Q = prod_k (1 - rho_k x) and Q_k = Q / (1 - rho_k x), the
-    recurrence applied at offset n is the coefficient of x^(n+p) in Q*L,
-    and its leave-one-out form at n0 is the coefficient of x^m,
-    m = n0 + p - 1, in Q_k*L.  Multiplying by a Laurent polynomial commutes
-    with both expansions, so (a) holds iff the two expansions of Q*gamma,
-    A at infinity and Z at zero, agree on [p - order, order].  Q*gamma is
-    expanded once per side, and step (b) reads every Q_k*gamma off A and
-    Z: the expansions are ring homomorphisms, and 1/(1 - rho x) expands as
-    sum_{j>=0} rho^j x^j at zero and as -sum_{j>=1} rho^(-j) x^(-j) at
-    infinity, so
-
-      [x^m] (Q_k*gamma)_inf - [x^m] (Q_k*gamma)_0
-          = -sum_{n>m} rho_k^(m-n) A_n - sum_{n<=m} rho_k^(m-n) Z_n.
-
-    A ends at Q*gamma's top degree and Z starts at its power, so both sums
-    are finite, and A and Z are each truncated to the exponents the two
-    steps read.  When the expansion is right, Q*gamma has no pole, so
-    neither side expands the large edge coefficients of gamma's own
-    window.
-
-    Both steps run on every window, also on the two kinds where the
-    recurrence has no room.  With no pin (p = 0), step (a) reads
-    [-order, order] and requires it to be zero, and step (b) is empty.
-    When 2*order + 1 <= p, step (a)'s range [p - order, order] is empty and
-    n0 = -order.  The Q_k have distinct roots, so they are a basis of the
-    polynomials of degree below p, and step (b)'s p reads are p independent
-    linear forms in the coefficients n0 .. n0 + p - 1 of L.  So step (b)
-    alone holds exactly when the expansion is right on
-    [-order, p - 1 - order], which contains the window.  In every case the
-    check reads at least the coefficients with |n| <= order.
-    """
-    p = len(terms)
-    roots = [a.inverse() for a, _ in terms]
-    q_gamma = gamma
-    for rho in roots:
-        q_gamma = q_gamma.times_linear(rho)
-    n0 = max(-order, min(-(p // 2), order - p + 1))
-    m = n0 + p - 1
-    # n0 >= -order, so A's window [p - order, top] holds step (b)'s
-    # exponents n > m as well as step (a)'s range
-    pref, A = q_gamma.series_raw(
-        "infinity", max(order, q_gamma.degree_at_infinity()), p - order)
-    _, Z = q_gamma.series_raw("zero", max(order, m), q_gamma.power)
-    zero = Poly.zero()
-
-    # (a) the recurrence prod_k (S - rho_k), S the index shift, annihilates
-    # the window
-    if any(A.get(n, zero).terms != Z.get(n, zero).terms
-           for n in range(p - order, order + 1)):
-        return False
-    # (b) for each pin, the leave-one-out operator prod_{l != k}(S - rho_l)
-    # kills every other component, so its value at one central offset pins
-    # the k-th delta amplitude:
-    #   [x^m] Q_k*L = coeff_k * a_k^(-n0) * prod_{l != k}(rho_k - rho_l)
-    for k, (a, coeff) in enumerate(terms):
-        value = _leave_one_out(A, Z, m, roots[k])
-        expect = coeff * Scalar.from_mono(a ** (-n0))
-        for l, rho in enumerate(roots):
+    units = [Scalar.from_mono(rho) for rho in roots]
+    for k, (a, rho) in enumerate(zip(pins, roots)):
+        lhs = logged.get(a, SCALAR_ZERO)
+        for l, sigma in enumerate(units):
             if l != k:
-                expect = expect * (Scalar.from_mono(roots[k]) -
-                                   Scalar.from_mono(rho))
-        if not (pref * Scalar(value)).equals(expect):
+                lhs = lhs * (units[k] - sigma)
+        rhs = -numer.evaluate(a) * Scalar.from_mono(rho ** (len(roots) - 1))
+        if not lhs.equals(rhs):
             return False
     return True

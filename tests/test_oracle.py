@@ -13,8 +13,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo import oracle
 from iqgklo.cli import instance_from_description
-from iqgklo.delta import Distribution, FactorCurrent, expand_by_residues
-from iqgklo.errors import DenominatorVanishes, DivisionByZero
+from iqgklo.delta import (
+    Distribution, FactorCurrent, expand_by_residues, simple_poles,
+)
+from iqgklo.errors import (
+    DenominatorVanishes, DivisionByZero, NonSimplePole,
+)
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
     _groups, _plan, _same_value, act, randomized_equal,
@@ -662,36 +666,6 @@ def _split(gamma):
                            if e > 0}))
 
 
-def test_series_check_reads_the_whole_window(monkeypatch):
-    # the check certifies gamma on |n| <= 8 by reading its polar part R on
-    # the window widened by W: an expansion at infinity of R's product
-    # that is wrong only at the widened edge 8 + W must fail, though every
-    # coefficient inside is right, and one wrong a step past the edge
-    # must pass
-    inst = catalog_by_name("sA1-v1-t0")
-    gamma = times_x_minus_xinv(build_Xi(inst, 1))
-    _, numer = _split(gamma)
-    width = max(abs(numer.power), abs(numer.degree_at_infinity()))
-    assert width > 0
-    original = FactorCurrent.series_raw
-
-    def wrong_at(edge):
-        def patched(self, side, order, low=None):
-            # only R's product is expanded, never gamma with its numerator
-            assert all(e < 0 for e in self.factors.values())
-            pref, coeffs = original(self, side, order, low)
-            if side == "infinity" and \
-                    (-order if low is None else low) <= edge <= order:
-                coeffs = {**coeffs,
-                          edge: coeffs.get(edge, Poly.zero()) + Poly.const(1)}
-            return pref, coeffs
-        return patched
-    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at(8 + width))
-    assert not truncated_series_check(gamma, order=8)
-    monkeypatch.setattr(FactorCurrent, "series_raw", wrong_at(9 + width))
-    assert truncated_series_check(gamma, order=8)
-
-
 def test_series_check_rejects_dropped_pin():
     inst = catalog_by_name("sA1-v1-t0")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
@@ -763,12 +737,27 @@ def test_series_check_matches_full_window_reference(catalog_gammas):
     assert verdicts == {True, False}
 
 
+def _leave_one_out(A, Z, m, rho):
+    """The coefficient of x^m in the difference of the expansions at
+    infinity and at zero of F / (1 - rho*x), read off F's expansions A at
+    infinity and Z at zero:  -sum_{n>m} rho^(m-n) A_n - sum_{n<=m}
+    rho^(m-n) Z_n, each term one shifted copy of A_n's or Z_n's terms."""
+    value = {}
+    for n, c in A.items():
+        if n > m:
+            add_into(value, c.terms, (m - n) * rho.key, -1)
+    for n, c in Z.items():
+        if n <= m:
+            add_into(value, c.terms, (m - n) * rho.key, -1)
+    return Poly(value, _clean=False)
+
+
 def _two_step_reference(gamma, expansion, order):
     """The two-step window check run on the whole gamma, the reference
-    for the series check on its polar part: (a) the two expansions of
+    for the closed-form series check: (a) the two expansions of
     Q*gamma agree on [p - order, order], and (b) each pin's leave-one-out
     value at one central offset gives its amplitude.  The value is read
-    by the oracle's ``_leave_one_out``, which
+    by ``_leave_one_out``, which
     ``test_leave_one_out_matches_expanding_each_product`` pins."""
     terms = list(expansion)
     p = len(terms)
@@ -788,7 +777,7 @@ def _two_step_reference(gamma, expansion, order):
            for n in range(p - order, order + 1)):
         return False
     for k, (a, coeff) in enumerate(terms):
-        value = oracle._leave_one_out(A, Z, m, roots[k])
+        value = _leave_one_out(A, Z, m, roots[k])
         expect = coeff * Scalar.from_mono(a ** (-n0))
         for l, rho in enumerate(roots):
             if l != k:
@@ -832,8 +821,8 @@ def test_series_check_on_the_polar_part_matches_the_whole_gamma_check(
         logged_gammas):
     # the corpus: each logged gamma with its true expansion, each wrong one
     # of _corrupted and one off by a factor of N at one pin, at orders
-    # 0-8; the check on R over the widened window must give the verdict of
-    # the two-step check on the whole gamma on every case
+    # 0-8; the closed-form check on R's partial fractions must give the
+    # verdict of the two-step check on the whole gamma on every case
     assert len(logged_gammas) > 20
     verdicts = Counter()
     for gamma, expansion in logged_gammas:
@@ -877,8 +866,8 @@ def _q_gamma(gamma, expansion):
 
 
 def _check_windows(q_gamma, p, order):
-    """The windows (side, low, high) the series check expands Q*gamma
-    over."""
+    """The windows (side, low, high) the two-step reference expands
+    Q*gamma over."""
     n0 = max(-order, min(-(p // 2), order - p + 1))
     m = n0 + p - 1
     return [("infinity", p - order,
@@ -888,7 +877,8 @@ def _check_windows(q_gamma, p, order):
 
 def test_series_raw_window_is_consistent(catalog_gammas):
     # every narrower window must agree with the wide one, among them the
-    # two windows of Q*gamma that the series check reads at each order
+    # two windows of Q*gamma that the two-step reference reads at each
+    # order
     for gamma in catalog_gammas.values():
         q_gamma, roots = _q_gamma(gamma, expand_by_residues(gamma))
         currents = [gamma, q_gamma,
@@ -922,56 +912,133 @@ def _reference_leave_one_out(q_gamma, rho, m):
 
 def test_leave_one_out_matches_expanding_each_product(catalog_gammas,
                                                       monkeypatch):
-    # step (b) reads each Q_k*R off the two expansions of Q*R, R gamma's
-    # polar part and Q its pins' polynomial; its value must be the one
-    # that expanding Q_k*R itself gives.  The window check reads any
-    # current so: on the whole gamma, also on narrow windows (sA1-v2-t1,
-    # 9 pins) and for wrong expansions there, against Q*gamma
+    # the two-step reference reads each Q_k*gamma off the two expansions
+    # of Q*gamma, Q the pins' polynomial; its value must be the one that
+    # expanding Q_k*gamma itself gives, on every catalog gamma with its
+    # expansion, also on narrow windows (sA1-v2-t1, 9 pins) and for wrong
+    # expansions there
     seen = []
-    original = oracle._leave_one_out
+    original = _leave_one_out
 
     def recorded(A, Z, m, rho):
         value = original(A, Z, m, rho)
         seen.append((rho, m, value))
         return value
-    monkeypatch.setattr(oracle, "_leave_one_out", recorded)
+    monkeypatch.setitem(globals(), "_leave_one_out", recorded)
     narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1))
     narrow_exp = expand_by_residues(narrow)
-    cases = []
-    for gamma in [*catalog_gammas.values(), narrow]:
-        polar, _ = _split(gamma)
-        q_polar, _ = _q_gamma(polar, expand_by_residues(polar))
-        cases += [(truncated_series_check, gamma, expand_by_residues(gamma),
-                   order, q_polar) for order in range(9)]
-    cases += [(oracle._window_check, narrow, exp, order,
-               _q_gamma(narrow, exp)[0])
+    cases = [(gamma, expand_by_residues(gamma), order)
+             for gamma in [*catalog_gammas.values(), narrow]
+             for order in range(9)]
+    cases += [(narrow, exp, order)
               for exp in [narrow_exp, *_corrupted(narrow, narrow_exp)]
               for order in range(5)]
     reads = 0
-    for check, gamma, expansion, order, q_current in cases:
+    for gamma, expansion, order in cases:
         seen.clear()
-        check(gamma, expansion, order)
+        _two_step_reference(gamma, expansion, order)
+        q_gamma, _ = _q_gamma(gamma, expansion)
         for rho, m, value in seen:
             assert value.terms == \
-                _reference_leave_one_out(q_current, rho, m).terms
+                _reference_leave_one_out(q_gamma, rho, m).terms
         reads += len(seen)
     assert reads > len(cases)
 
 
 def test_series_check_narrow_windows_at_multiplicity_two():
     # sA1-v2-t1's gamma has 9 pins, so on the whole gamma every window up
-    # to order 4 holds fewer than p + 1 coefficients and is read by step
-    # (b) alone; the series check, which reads R on the window widened by
-    # W, gives the same verdicts
+    # to order 4 holds fewer than p + 1 coefficients and is read by the
+    # two-step reference's step (b) alone; the series check gives the
+    # same verdicts
     inst = catalog_by_name("sA1-v2-t1")
     gamma = times_x_minus_xinv(build_Xi(inst, 1))
     expansion = expand_by_residues(gamma)
     assert len(expansion) == 9
     for order in range(9):
         assert truncated_series_check(gamma, expansion, order)
-        assert oracle._window_check(gamma, expansion, order)
+        assert _two_step_reference(gamma, expansion, order)
     bad = list(_corrupted(gamma, expansion))
     assert len(bad) == 22
     for exp in bad:
         assert not truncated_series_check(gamma, exp, 0)
-        assert not oracle._window_check(gamma, exp, 0)
+        assert not _two_step_reference(gamma, exp, 0)
+
+
+def test_series_check_rejects_the_expansion_with_one_pole_removed(
+        catalog_gammas):
+    # the residue expansion of gamma * (1 - rho_l u), gamma without its
+    # pole at a_l, has at every other pin a_k gamma's amplitude with the
+    # partial-fraction factor (1 - rho_l/rho_k)^-1 dropped; it is right
+    # for a current with one pole fewer, so a check that took its
+    # partial fractions over the logged pins, not over gamma's, would
+    # pass it.  As gamma's expansion it must fail, with a_l left out and
+    # with gamma's own amplitude there
+    narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1))
+    cases = 0
+    for gamma in [*catalog_gammas.values(), narrow]:
+        expansion = expand_by_residues(gamma)
+        poles = simple_poles(gamma)
+        assert len(expansion) == len(poles) >= 2
+        for key, (a, amp) in zip(poles, expansion):
+            removed = expand_by_residues(gamma.times_linear(key[1]))
+            assert len(removed) == len(poles) - 1
+            for exp in (removed, [*removed, (a, amp)]):
+                for order in (0, 8):
+                    assert not truncated_series_check(gamma, exp, order)
+                cases += 1
+    assert cases > 2 * len(catalog_gammas)
+
+
+def test_series_check_does_not_trust_evaluate_on_the_polar_part(
+        catalog_gammas, monkeypatch):
+    # an ``evaluate`` that leaves out one pole factor of the current it
+    # evaluates makes every amplitude of ``expand_by_residues`` wrong at
+    # two poles or more, while N, which has no pole, evaluates right; the
+    # series check, which takes R's amplitudes from their closed form,
+    # must fail gamma's own expansion
+    original = FactorCurrent.evaluate
+
+    def one_pole_left_out(self, a):
+        poles = [key for key, e in self.factors.items() if e < 0]
+        return original(self.drop_factor(poles[-1]) if poles else self, a)
+    narrow = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v2-t1"), 1))
+    gammas = [*catalog_gammas.values(), narrow]
+    right = [expand_by_residues(gamma) for gamma in gammas]
+    monkeypatch.setattr(FactorCurrent, "evaluate", one_pole_left_out)
+    for gamma, expansion in zip(gammas, right):
+        wrong = expand_by_residues(gamma)
+        assert [a for a, _ in wrong] == [a for a, _ in expansion]
+        assert not any(x.equals(y) for (_, x), (_, y) in zip(wrong, expansion))
+        assert not truncated_series_check(gamma)
+        assert not truncated_series_check(gamma, wrong)
+        assert truncated_series_check(gamma, expansion)
+
+
+def test_series_check_aborts_as_the_expansion_does():
+    # a pole that is not simple, or not at a monomial point, raises
+    # NonSimplePole with expand_by_residues's text, for the first such
+    # factor in factor order, with an expansion given or not
+    w, v = Monomial.w(1, 1), Monomial.w(1, 2)
+    good = FactorCurrent().times_linear(Monomial.q_int(1), e=-1)
+    double = good.times_linear(w, e=-2).times_linear(v, GR(-1), -1)
+    shifted = good.times_linear(v, GR(-1), -1).times_linear(w, e=-2)
+    for gamma, text in ((double, "has exponent -2"),
+                        (shifted, "is not at a monomial point")):
+        with pytest.raises(NonSimplePole) as expected:
+            expand_by_residues(gamma)
+        assert text in str(expected.value)
+        for expansion in (None, [], expand_by_residues(good)):
+            with pytest.raises(NonSimplePole) as raised:
+                truncated_series_check(gamma, expansion)
+            assert str(raised.value) == str(expected.value)
+
+
+def test_series_check_takes_any_order():
+    # the check is exact on every coefficient and expands no series, so a
+    # window of 2 * 10^12 + 1 coefficients costs what order 8 does
+    gamma = times_x_minus_xinv(build_Xi(catalog_by_name("sA1-v1-t0"), 1))
+    expansion = expand_by_residues(gamma)
+    assert truncated_series_check(gamma, order=10 ** 12)
+    assert truncated_series_check(gamma, expansion, order=10 ** 12)
+    for bad in _corrupted(gamma, expansion):
+        assert not truncated_series_check(gamma, bad, order=10 ** 12)
