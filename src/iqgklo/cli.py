@@ -8,7 +8,7 @@ only, and one of "catalog" and "instance":
       "schema": "iqgklo-config/1",
       "catalog": "qsA2-v11",            # or "instance": {...} inline
       "relations": ["BB3", "Serre3"],   # optional kind filter
-      "trials": 20, "seed": 0, "order": 8,
+      "trials": 20, "seed": 0,
       "bb1_convention": "taui"
     }
 
@@ -43,8 +43,8 @@ from .satake import (
 )
 
 SCHEMA_ID = "iqgklo-config/1"
-REPORT_SCHEMA_ID = "iqgklo-report/1"
-DEFAULTS = {"relations": None, "trials": 20, "seed": 0, "order": 8,
+REPORT_SCHEMA_ID = "iqgklo-report/2"
+DEFAULTS = {"relations": None, "trials": 20, "seed": 0,
             "bb1_convention": "taui"}
 
 
@@ -65,7 +65,8 @@ def _ints(values, what):
 
 
 def _check_options(cfg):
-    """Raise ValidationError on an option value that is out of range."""
+    """Raise ValidationError on an option value that is out of range, or
+    on a requested relation kind that has no case on the instance."""
     kinds = cfg["relations"]
     if kinds is not None:
         if not _list(kinds, "relations"):
@@ -73,10 +74,15 @@ def _check_options(cfg):
         bad = {str(k) for k in kinds if k not in ALL_KINDS}
         if bad:
             raise ValidationError(f"unknown relation kinds {sorted(bad)}")
-    for key in ("trials", "seed", "order"):
+        inst = cfg["instance"]
+        empty = set(kinds) - {k for k, _ in RelationChecker(inst).cases()}
+        if empty:
+            raise ValidationError(f"relation kinds {sorted(empty)} have no "
+                                  f"case on {inst.name}")
+    for key in ("trials", "seed"):
         _int(cfg[key], key)
-    if cfg["order"] < 0 or cfg["trials"] < 1:
-        raise ValidationError("order must be >= 0 and trials >= 1")
+    if cfg["trials"] < 1:
+        raise ValidationError("trials must be >= 1")
     if cfg["bb1_convention"] not in ("taui", "i"):
         raise ValidationError("bb1_convention must be 'taui' or 'i'")
 
@@ -156,8 +162,9 @@ def load_config(path=None, text=None):
     inst = catalog_by_name(doc["catalog"]) if "catalog" in doc \
         else instance_from_description(doc["instance"])
     cfg = {key: doc.get(key, val) for key, val in DEFAULTS.items()}
+    cfg["instance"] = inst
     _check_options(cfg)
-    return dict(cfg, instance=inst)
+    return cfg
 
 
 def _describe(inst):
@@ -268,7 +275,7 @@ def cmd_image(args):
 
 def cmd_check(args):
     cfg = _resolve_instance(args)
-    for key in ("relations", "trials", "seed", "order", "bb1_convention"):
+    for key in ("relations", "trials", "seed", "bb1_convention"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
@@ -277,7 +284,7 @@ def cmd_check(args):
     t0 = time.monotonic()
     report = RelationChecker(
         inst, bb1_convention=cfg["bb1_convention"]).run(cfg["relations"])
-    series, series_abort = _series_soundness(report.results, cfg)
+    series, series_abort = _series_soundness(report.results)
     oracle, oracle_abort = _oracle_crosscheck(report.results, cfg)
     doc = {
         "schema": REPORT_SCHEMA_ID,
@@ -285,7 +292,6 @@ def cmd_check(args):
         "bb1_convention": cfg["bb1_convention"],
         "seed": cfg["seed"],
         "trials": cfg["trials"],
-        "series_order": cfg["order"],
         "results": [_result_entry(r) for r in report.results],
         "series_soundness": series,
     }
@@ -300,9 +306,9 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def _series_soundness(results, cfg):
+def _series_soundness(results):
     """Check every residue expansion the results carry against its
-    truncated series: (status, abort reason or None).
+    gamma's Laurent expansions: (status, abort reason or None).
 
     The gammas are taken in result order, each result's in the order its
     case expanded them, and each is checked with the expansion that its
@@ -314,7 +320,7 @@ def _series_soundness(results, cfg):
     logged = [(g, e, r.name) for r in results for g, e in r.gammas]
     for k, (g, expansion, case) in enumerate(logged):
         try:
-            if not truncated_series_check(g, expansion, cfg["order"]):
+            if not truncated_series_check(g, expansion):
                 return "fail", None
         except (NonSimplePole, DenominatorVanishes) as e:
             return "fail", (f"gamma {k} (from {case}): "
@@ -382,7 +388,6 @@ def build_parser():
                     help="comma-separated relation kinds")
     sp.add_argument("--trials", type=int, help="oracle trials (>= 1)")
     sp.add_argument("--seed", type=int, help="oracle seed")
-    sp.add_argument("--order", type=int, help="series window (>= 0)")
     sp.add_argument("--bb1-convention", choices=("taui", "i"))
     verb("identities", cmd_identities, "run the identity suite",
          instance=False)

@@ -308,10 +308,10 @@ def truncated_series_check(gamma, expansion=None, order=8):
 
     L must equal the sum of the delta contributions coeff * delta(a/u) over
     the expansion's (pin a, coeff) pairs, gamma's own when none is given,
-    on every coefficient: the check is exact, so ``order``, the window
-    |n| <= order that it certifies at least, changes no verdict.  An
-    expansion lists each pin once, as ``expand_by_residues`` does; one
-    that repeats a pin fails.
+    on every coefficient: the check is exact, so ``order`` is ignored, and
+    only the benchmark's series workload still passes it.  An expansion
+    lists each pin once, as ``expand_by_residues`` does; one that repeats
+    a pin fails.
 
     Gamma is split as N * R.  The polar part R = prod_k (1 - rho_k u)^-1
     is gamma's factors of negative exponent, which must be simple poles

@@ -53,7 +53,7 @@ def test_catalog_text_marks_each_instance(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
     lines = out.splitlines()
-    assert lines[:3] == ["schema: iqgklo-report/1", "catalog:",
+    assert lines[:3] == ["schema: iqgklo-report/2", "catalog:",
                          "  - name: sA1-v1-t0"]
     assert sum(line.startswith("  - name: ") for line in lines) == 10
     # a split instance has no involution cycle: an empty list, not a key
@@ -223,7 +223,7 @@ def test_check_series_mismatch_fails_soundness(capsys, monkeypatch):
     # an expansion that does not match its truncated series fails the
     # soundness pass without an abort reason (exit 1 with a report)
     monkeypatch.setattr(cli, "truncated_series_check",
-                        lambda gamma, expansion, order: False)
+                        lambda gamma, expansion: False)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--format", "structured")
     assert code == 1
@@ -332,11 +332,11 @@ def test_check_series_pass_reads_the_logged_expansion(capsys, monkeypatch):
     # checks used it, fails the soundness pass
     original = cli._series_soundness
 
-    def scaled(results, cfg):
+    def scaled(results):
         gammas = next(r.gammas for r in results if r.gammas)
         gamma, ((a, coeff), *rest) = gammas[0]
         gammas[0] = gamma, [(a, coeff * Scalar.const(2)), *rest]
-        return original(results, cfg)
+        return original(results)
     monkeypatch.setattr(cli, "_series_soundness", scaled)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--format", "structured")
@@ -366,6 +366,30 @@ def test_check_unknown_relation_kind(capsys):
                            "--relations", "BOGUS")
     assert code == 2
     assert "unknown relation kinds" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "validate"])
+@pytest.mark.parametrize("name, kinds, empty", [
+    ("sA1-v1-t0", ["BB3"], "['BB3']"),
+    ("sA2-v11-t00", ["Serre3"], "['Serre3']"),
+    ("sA2-v11-t10", ["BB1"], "['BB1']"),
+    ("sA1-v1-t0", ["HB", "BB3"], "['BB3']"),
+], ids=["BB3-on-A1", "Serre3-on-split-A2", "BB1-on-split-A2", "HB-and-BB3"])
+def test_kind_without_a_case_is_rejected(capsys, tmp_path, verb, name, kinds,
+                                         empty):
+    # a kind that selects no case would run no check of it, and the
+    # report would still read pass
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": SCHEMA_ID, "catalog": name,
+                                    "relations": kinds}))
+    runs = [("--config", str(cfg_path))]
+    if verb == "check":
+        runs.append(("--instance", name, "--relations", ",".join(kinds)))
+    for argv in runs:
+        code, out, err = run_cli(capsys, verb, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: relation kinds {empty} have no case on " \
+                      f"{name}\n"
 
 
 def test_identities_verb(capsys):
@@ -400,28 +424,27 @@ def test_load_config_inline_instance(tmp_path):
         "schema": SCHEMA_ID,
         "instance": {"type": "A", "rank": 2, "tau": [[1, 2]],
                      "framing": [1, 1], "shift": [0, 0]},
-        "relations": ["BB3"], "trials": 5, "seed": 7, "order": 4,
+        "relations": ["BB3"], "trials": 5, "seed": 7,
     }))
     cfg = load_config(str(cfg_path))
     inst = cfg["instance"]
     assert inst.diagram.rank == 2 and inst.diagram.t(1) == 2
     assert inst.mult == (1, 1)       # recomputed, never read from input
-    assert cfg["trials"] == 5 and cfg["seed"] == 7 and cfg["order"] == 4
+    assert cfg["trials"] == 5 and cfg["seed"] == 7
 
 
 def test_config_flag_precedence(capsys, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "schema": SCHEMA_ID, "catalog": "sA1-v1-t0",
-        "relations": ["BB2"], "trials": 4, "seed": 9, "order": 3,
+        "relations": ["BB2"], "trials": 4, "seed": 9,
     }))
     code, out, _ = run_cli(capsys, "check", "--config", str(cfg_path),
-                           "--order", "5", "--format", "structured")
+                           "--trials", "6", "--format", "structured")
     assert code == 0
     doc = json.loads(out)
     # config values survive; explicit flags win
-    assert doc["trials"] == 4 and doc["seed"] == 9
-    assert doc["series_order"] == 5
+    assert doc["trials"] == 6 and doc["seed"] == 9
 
 
 def test_load_config_rejects_bad_schema():
@@ -530,7 +553,7 @@ def test_tau_asymmetric_framing_with_equal_multiplicities_passes(
 
 
 @pytest.mark.parametrize("flags", [
-    ("--order", "-1"), ("--trials", "0"), ("--trials", "-3"),
+    ("--trials", "0"), ("--trials", "-3"),
 ])
 def test_check_rejects_vacuous_gate_flags(capsys, flags):
     code, out, err = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
@@ -562,11 +585,12 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, verb):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": SCHEMA_ID,
                                     "catalog": "sA1-v1-t0", "seeed": 4,
-                                    "relations": ["HB"], "extra": 1}))
+                                    "relations": ["HB"], "extra": 1,
+                                    "order": 8}))
     code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith("error:")
-    assert "['extra', 'seeed']" in err
+    assert "['extra', 'order', 'seeed']" in err
 
 
 @pytest.mark.parametrize("verb", ["check", "validate"])
@@ -589,6 +613,7 @@ def test_config_rejects_catalog_and_instance_together(capsys, tmp_path,
     ("image", "B1", "--instance", "sA1-v1-t0", "--seed", "3"),
     ("image", "B1", "--instance", "sA1-v1-t0", "--order", "3"),
     ("identities", "--order", "3"),
+    ("check", "--instance", "sA1-v1-t0", "--order", "3"),
 ])
 def test_oracle_options_belong_to_check_only(capsys, argv):
     with pytest.raises(SystemExit) as exc:
