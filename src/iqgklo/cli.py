@@ -8,8 +8,7 @@ only, and one of "catalog" and "instance":
       "schema": "iqgklo-config/1",
       "catalog": "qsA2-v11",            # or "instance": {...} inline
       "relations": ["BB3", "Serre3"],   # optional kind filter
-      "trials": 20, "seed": 0,
-      "bb1_convention": "taui"
+      "trials": 20, "seed": 0
     }
 
 An inline instance gives the Cartan matrix by type letter + rank, the
@@ -43,9 +42,8 @@ from .satake import (
 )
 
 SCHEMA_ID = "iqgklo-config/1"
-REPORT_SCHEMA_ID = "iqgklo-report/2"
-DEFAULTS = {"relations": None, "trials": 20, "seed": 0,
-            "bb1_convention": "taui"}
+REPORT_SCHEMA_ID = "iqgklo-report/3"
+DEFAULTS = {"relations": None, "trials": 20, "seed": 0}
 
 
 def _list(value, what):
@@ -83,8 +81,6 @@ def _check_options(cfg):
         _int(cfg[key], key)
     if cfg["trials"] < 1:
         raise ValidationError("trials must be >= 1")
-    if cfg["bb1_convention"] not in ("taui", "i"):
-        raise ValidationError("bb1_convention must be 'taui' or 'i'")
 
 
 def _tau_from_cycles(rank, cycles):
@@ -163,7 +159,6 @@ def load_config(path=None, text=None):
         else instance_from_description(doc["instance"])
     cfg = {key: doc.get(key, val) for key, val in DEFAULTS.items()}
     cfg["instance"] = inst
-    _check_options(cfg)
     return cfg
 
 
@@ -237,11 +232,20 @@ def cmd_catalog(args):
 
 
 def _resolve_instance(args):
+    """The verb's options: its flags laid over the config, or over the
+    defaults, and the merged values checked once.  Only ``check`` takes
+    option flags, so ``validate`` and ``image`` check a config's values
+    as given."""
     if bool(args.config) == bool(args.instance):
         raise ParseError("give one of --instance NAME and --config FILE")
-    if args.config:
-        return load_config(args.config)
-    return dict(DEFAULTS, instance=catalog_by_name(args.instance))
+    cfg = load_config(args.config) if args.config \
+        else dict(DEFAULTS, instance=catalog_by_name(args.instance))
+    for key in DEFAULTS:
+        val = getattr(args, key, None)
+        if val is not None:
+            cfg[key] = val
+    _check_options(cfg)
+    return cfg
 
 
 def cmd_validate(args):
@@ -275,21 +279,14 @@ def cmd_image(args):
 
 def cmd_check(args):
     cfg = _resolve_instance(args)
-    for key in ("relations", "trials", "seed", "bb1_convention"):
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-    _check_options(cfg)
     inst = cfg["instance"]
     t0 = time.monotonic()
-    report = RelationChecker(
-        inst, bb1_convention=cfg["bb1_convention"]).run(cfg["relations"])
+    report = RelationChecker(inst).run(cfg["relations"])
     series, series_abort = _series_soundness(report.results)
     oracle, oracle_abort = _oracle_crosscheck(report.results, cfg)
     doc = {
         "schema": REPORT_SCHEMA_ID,
         "instance": _describe(inst),
-        "bb1_convention": cfg["bb1_convention"],
         "seed": cfg["seed"],
         "trials": cfg["trials"],
         "results": [_result_entry(r) for r in report.results],
@@ -333,10 +330,9 @@ def _oracle_crosscheck(results, cfg):
     result carries and compare: (status, abort reason or None).
 
     A result without sides is skipped: HH, HB and DEG compare none, and
-    a case aborted on a pole or vanishing denominator, or with no
-    delta-supported right side, is already ``fail``.  A case whose trials
-    run out of usable specializations fails the concordance, and the
-    reason names the case and the error.
+    a case aborted on a pole or vanishing denominator is already
+    ``fail``.  A case whose trials run out of usable specializations
+    fails the concordance, and the reason names the case and the error.
     """
     for r in results:
         if r.sides is None:
@@ -388,7 +384,6 @@ def build_parser():
                     help="comma-separated relation kinds")
     sp.add_argument("--trials", type=int, help="oracle trials (>= 1)")
     sp.add_argument("--seed", type=int, help="oracle seed")
-    sp.add_argument("--bb1-convention", choices=("taui", "i"))
     verb("identities", cmd_identities, "run the identity suite",
          instance=False)
     return p

@@ -53,7 +53,7 @@ def test_catalog_text_marks_each_instance(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
     lines = out.splitlines()
-    assert lines[:3] == ["schema: iqgklo-report/2", "catalog:",
+    assert lines[:3] == ["schema: iqgklo-report/3", "catalog:",
                          "  - name: sA1-v1-t0"]
     assert sum(line.startswith("  - name: ") for line in lines) == 10
     # a split instance has no involution cycle: an empty list, not a key
@@ -123,14 +123,21 @@ def test_check_pass_and_report_shape(capsys):
     assert all(r["status"] == "pass" for r in doc["results"])
 
 
-def test_check_failure_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "check", "--instance", "qsA3-t0",
-                           "--relations", "BB1",
-                           "--bb1-convention", "i",
-                           "--format", "structured")
+def test_check_failure_exit_code(capsys, monkeypatch):
+    # a corrupted Cartan current gives a localized fail: exit 1, and the
+    # failed case's discrepancies point at a support
+    original = relations.build_Xi
+
+    def flipped(inst, i, corrupt=None):
+        return original(inst, i, corrupt="flip_wp")
+    monkeypatch.setattr(relations, "build_Xi", flipped)
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
+                           "--relations", "BB3", "--format", "structured")
     assert code == 1
     doc = json.loads(out)
-    assert any(r["status"] == "fail" for r in doc["results"])
+    failed = [r for r in doc["results"] if r["status"] == "fail"]
+    assert failed
+    assert all(d["support"] for r in failed for d in r["discrepancies"])
 
 
 def test_check_aborted_relation_reports_failure(capsys, monkeypatch):
@@ -447,6 +454,28 @@ def test_config_flag_precedence(capsys, tmp_path):
     assert doc["trials"] == 6 and doc["seed"] == 9
 
 
+def test_flags_are_checked_after_they_replace_the_config(capsys, tmp_path):
+    # an out-of-range config value, or a kind filter with no case on the
+    # instance, is no error once a flag replaces it
+    no_trials = tmp_path / "no-trials.json"
+    no_trials.write_text(json.dumps({"schema": SCHEMA_ID,
+                                     "catalog": "sA1-v1-t0", "trials": 0}))
+    code, out, _ = run_cli(capsys, "check", "--config", str(no_trials),
+                           "--trials", "5", "--format", "structured")
+    assert code == 0 and json.loads(out)["trials"] == 5
+    no_case = tmp_path / "no-case.json"
+    no_case.write_text(json.dumps({"schema": SCHEMA_ID,
+                                   "catalog": "sA1-v1-t0",
+                                   "relations": ["BB3"]}))
+    code, _, _ = run_cli(capsys, "check", "--config", str(no_case),
+                         "--relations", "BB2")
+    assert code == 0
+    # validate takes no option flags: it checks the config as given
+    code, out, err = run_cli(capsys, "validate", "--config", str(no_trials))
+    assert code == 2 and out == ""
+    assert "trials must be >= 1" in err
+
+
 def test_load_config_rejects_bad_schema():
     with pytest.raises(ParseError):
         load_config(text=json.dumps({"schema": "other/9"}))
@@ -564,6 +593,7 @@ def test_check_rejects_vacuous_gate_flags(capsys, flags):
 
 @pytest.mark.parametrize("verb", ["check", "validate"])
 @pytest.mark.parametrize("key, value", [
+    # order and bb1_convention are unknown keys
     ("order", -1), ("trials", 0), ("trials", -3), ("bb1_convention", "x"),
     ("relations", []),
 ])
@@ -586,11 +616,11 @@ def test_config_rejects_unknown_keys(capsys, tmp_path, verb):
     cfg_path.write_text(json.dumps({"schema": SCHEMA_ID,
                                     "catalog": "sA1-v1-t0", "seeed": 4,
                                     "relations": ["HB"], "extra": 1,
-                                    "order": 8}))
+                                    "order": 8, "bb1_convention": "taui"}))
     code, out, err = run_cli(capsys, verb, "--config", str(cfg_path))
     assert code == 2 and out == ""
     assert err.startswith("error:")
-    assert "['extra', 'order', 'seeed']" in err
+    assert "['bb1_convention', 'extra', 'order', 'seeed']" in err
 
 
 @pytest.mark.parametrize("verb", ["check", "validate"])
@@ -609,7 +639,7 @@ def test_config_rejects_catalog_and_instance_together(capsys, tmp_path,
 
 @pytest.mark.parametrize("argv", [
     ("validate", "--instance", "qsA4", "--trials", "5"),
-    ("validate", "--instance", "qsA4", "--bb1-convention", "i"),
+    ("check", "--instance", "qsA4", "--bb1-convention", "i"),
     ("image", "B1", "--instance", "sA1-v1-t0", "--seed", "3"),
     ("image", "B1", "--instance", "sA1-v1-t0", "--order", "3"),
     ("identities", "--order", "3"),

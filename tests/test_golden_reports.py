@@ -39,9 +39,6 @@ def _text(doc):
 
 @pytest.mark.parametrize("golden, argv, code", [
     ("check-qsA2-v11.json", ["--instance", "qsA2-v11"], 0),
-    ("check-qsA3-t0-BB1-i.json",
-     ["--instance", "qsA3-t0", "--relations", "BB1",
-      "--bb1-convention", "i"], 1),
 ])
 def test_check_report_matches_golden(capsys, golden, argv, code):
     assert main(["check", *argv, "--format", "structured"]) == code

@@ -237,11 +237,11 @@ def test_bb_right_sides_match_their_scaled_gamma(inst):
 
 
 def test_results_carry_their_sides_and_gammas(monkeypatch):
-    """Over the catalog under both BB1 conventions, with the third residue
-    expansion of each run aborted: a result carries sides exactly when it
-    compared them, and those are the sides of its verdict; the results'
-    gammas, in order, are the expansions the run made, each with its
-    expansion, or None at the one that aborted."""
+    """Over the catalog, with the third residue expansion of each run
+    aborted: a result carries sides exactly when it compared them, and
+    those are the sides of its verdict; the results' gammas, in order,
+    are the expansions the run made, each with its expansion, or None at
+    the one that aborted."""
     expanded = []
 
     def third_aborts(gamma):
@@ -252,29 +252,41 @@ def test_results_carry_their_sides_and_gammas(monkeypatch):
     monkeypatch.setattr(relations, "expand_by_residues", third_aborts)
     seen = set()
     for inst in CATALOG:
-        for convention in ("taui", "i"):
-            expanded.clear()
-            results = RelationChecker(inst, convention).run().results
-            for r in results:
-                if r.kind in ("HH", "HB", "DEG"):
-                    label = "not pairwise"
-                elif r.detail.startswith("aborted: "):
-                    label = "aborted"
-                elif r.detail.endswith("not delta-supported under this "
-                                       "convention"):
-                    label = "no right side"
-                else:
-                    label = "compared"
-                seen.add(label)
-                assert (r.sides is not None) == (label == "compared"), \
-                    (inst.name, convention, r.name)
-                if r.sides is not None:
-                    assert canonicalize_compare(*r.sides) == r.failures
-            logged = [entry for r in results for entry in r.gammas]
-            assert [g for g, _ in logged] == expanded
-            assert [e is None for _, e in logged] == \
-                [k == 2 for k in range(len(expanded))]
-    assert seen == {"not pairwise", "aborted", "no right side", "compared"}
+        expanded.clear()
+        results = RelationChecker(inst).run().results
+        for r in results:
+            if r.kind in ("HH", "HB", "DEG"):
+                label = "not pairwise"
+            elif r.detail.startswith("aborted: "):
+                label = "aborted"
+            else:
+                label = "compared"
+            seen.add(label)
+            assert (r.sides is not None) == (label == "compared"), \
+                (inst.name, r.name)
+            if r.sides is not None:
+                assert canonicalize_compare(*r.sides) == r.failures
+        logged = [entry for r in results for entry in r.gammas]
+        assert [g for g, _ in logged] == expanded
+        assert [e is None for _, e in logged] == \
+            [k == 2 for k in range(len(expanded))]
+    assert seen == {"not pairwise", "aborted", "compared"}
+
+
+def test_bb1_compares_sides_where_the_currents_differ():
+    """On qsA3-t0, tau swaps nodes 1 and 3 and their Cartan currents
+    differ; every BB1 case still compares its two sides, and passes."""
+    checker = RelationChecker(catalog_by_name("qsA3-t0"))
+    assert not checker.Xi(1).equals(checker.Xi(3))
+    rep = checker.run(["BB1"])
+    assert rep.results and rep.ok()
+    assert all(r.sides is not None for r in rep.results)
+
+
+def test_corrupt_is_keyword_only():
+    # a stray positional argument must not run silently as a corruption
+    with pytest.raises(TypeError):
+        RelationChecker(catalog_by_name("qsA3-t0"), "taui")
 
 
 def test_serre2_prefactor_pole_aborts_the_check():
@@ -289,14 +301,6 @@ def test_serre2_prefactor_pole_aborts_the_check():
     r = checker.check_pair("Serre2", 1, 2)
     assert r.status == "fail"
     assert r.detail.startswith("aborted: v/((u1-qv)(u2-qv)) has a pole")
-
-
-def test_bb1_conventions():
-    inst = catalog_by_name("qsA3-t0")
-    assert RelationChecker(inst, "taui").run(["BB1"]).ok()
-    rep = RelationChecker(inst, "i").run(["BB1"])
-    assert not rep.ok()
-    assert all("Cartan currents differ" in r.detail for r in rep.failed())
 
 
 @pytest.mark.parametrize("name,count", [
