@@ -40,9 +40,10 @@ from .relations import (
 from .satake import (
     build_catalog, cartan_A, catalog_by_name, make_instance, validate_diagram,
 )
+from .torus import admissible
 
 SCHEMA_ID = "iqgklo-config/1"
-REPORT_SCHEMA_ID = "iqgklo-report/3"
+REPORT_SCHEMA_ID = "iqgklo-report/4"
 DEFAULTS = {"relations": None, "trials": 20, "seed": 0}
 
 
@@ -281,7 +282,8 @@ def cmd_check(args):
     cfg = _resolve_instance(args)
     inst = cfg["instance"]
     t0 = time.monotonic()
-    report = RelationChecker(inst).run(cfg["relations"])
+    checker = RelationChecker(inst)
+    report = checker.run(cfg["relations"])
     series, series_abort = _series_soundness(report.results)
     oracle, oracle_abort = _oracle_crosscheck(report.results, cfg)
     doc = {
@@ -297,10 +299,36 @@ def cmd_check(args):
     doc["oracle_concordance"] = oracle
     if oracle_abort:
         doc["oracle_concordance_aborted"] = oracle_abort
+    admissibility, violation = _admissibility(checker)
+    doc["admissibility"] = admissibility
+    if violation:
+        doc["admissibility_violation"] = violation
     doc["seconds"] = round(time.monotonic() - t0, 3)
     _emit(doc, args.format)
-    ok = report.ok() and series == "pass" and oracle == "pass"
+    ok = (report.ok() and series == "pass" and oracle == "pass"
+          and admissibility == "pass")
     return 0 if ok else 1
+
+
+def _admissibility(checker):
+    """Whether every coefficient of every node's B image lies in the
+    localized algebra: (status, violation or None).
+
+    The images are the checker's cached ones.  Factors are interned, one
+    Poly per key, so each distinct denominator factor is tested once.
+    The violation names the first factor outside the set, its node and
+    its term's pin.
+    """
+    seen = set()
+    for i in checker.inst.diagram.nodes():
+        for pins, coeff, _ in checker.B(i).items():
+            for factor in coeff.den_factors():
+                if id(factor) not in seen:
+                    seen.add(id(factor))
+                    if not admissible(factor):
+                        return "fail", {"node": i, "pin": repr(pins["u"]),
+                                        "factor": repr(factor)}
+    return "pass", None
 
 
 def _series_soundness(results):

@@ -458,18 +458,6 @@ class DMonomial:
 _D_ONE = _dmono(0)
 
 
-def _occupied_names(occ):
-    """The names of the nonzero limbs of an occupancy mask."""
-    out = set()
-    k = 0
-    while occ:
-        if occ & _MASK:
-            out.add(_NAMES[k])
-        occ >>= _LIMB
-        k += 1
-    return out
-
-
 def _eval_layout(terms):
     """The evaluation layout of a nonzero term dict: (name, lowest, highest
     exponent) per variable whose exponents are not all 0, and each term's
@@ -623,9 +611,6 @@ class Poly:
             self._occ = reduce(or_, map(bias.__xor__,
                                         map(bias.__add__, self.terms)), 0)
             return self._occ
-
-    def variables(self):
-        return _occupied_names(self._occupied())
 
     def has_var(self, var):
         """Whether some term has a nonzero exponent of ``var``."""
@@ -1203,9 +1188,6 @@ class Scalar:
             num[self.m] += 1
             parts[self.m] = _FACTORS[self.m]
         return self.c, den, num, parts
-
-    def variables(self):
-        return _occupied_names(self._occupied())
 
     def has_var(self, var):
         k = _INDEX.get(var)

@@ -7,15 +7,17 @@ Q^2 = q) and everything else commuting.  An operator is a pin-free
 coefficient on the left, multiplied and compared as every distribution is.
 The d-monomials (``DMonomial``) and the rule that moves one past a
 coefficient live in ``scalars``, next to the keys they share.
-``check_admissible`` checks that a coefficient's denominator lies in the
-localized algebra.
+``admissible`` tests whether a denominator factor lies in the localized
+algebra's multiplicative set, and ``check_admissible`` checks every
+factor of a coefficient; the ``check`` verb runs the test on the B
+images.
 """
 
 from __future__ import annotations
 
 from .delta import Distribution, canonicalize_compare
 from .errors import LocalizationViolation
-from .scalars import Monomial, Poly, divide_binomial
+from .scalars import unpack_poly
 
 
 class TorusElement(Distribution):
@@ -38,55 +40,41 @@ class TorusElement(Distribution):
 MAX_QHALF = 12      # the largest |h| of q^(h/2) in an admissible binomial
 
 
-def _admissible_candidates(wvars):
-    """Binomial generators of the allowed denominator multiplicative set.
+def admissible(factor):
+    """Whether the denominator factor ``factor`` lies in the allowed
+    multiplicative set.
 
-    Forms, for whole powers a = w_{i,r}, b = w_{j,s}:
-    a - q^(h/2) b,  a - q^(h/2) b^{-1},  a - q^(h/2) a^{-1},  1 - q^(h/2) a.
+    A factor free of every w does.  The set is generated by the
+    binomials, for whole powers a = w_{i,r}, b = w_{j,s} and |h| <=
+    MAX_QHALF,
+    a - q^(h/2) b,  a - q^(h/2) b^{-1},  a - q^(h/2) a^{-1},  1 - q^(h/2) a,
+    so a factor holding a w lies in it exactly when it is a binomial
+    whose second term is -q^(h/2) times its first times w half-exponents
+    of +-2 on one or two variables, or +-4 on one, and nothing else.  A
+    scalar keeps each binomial of its denominator as a factor of its
+    own, so a factor of more terms that holds a w is rejected, never
+    split.
     """
-    shapes = []
-    for va in wvars:
-        a = Monomial.unit(va, 2)
-        shapes.append((a, a.inverse()))
-        shapes.append((Monomial.one(), a))
-        for vb in wvars:
-            if vb == va:
-                continue
-            b = Monomial.unit(vb, 2)
-            shapes.append((a, b))
-            shapes.append((a, b.inverse()))
-    out = []
-    for m1, m2 in shapes:
-        for h in range(-MAX_QHALF, MAX_QHALF + 1):
-            out.append(Poly.mono(m1) - Poly.mono(m2 * Monomial.q_half(h)))
-    return out
+    terms = unpack_poly(factor)
+    if not any(v.startswith("w:") for m in terms for v, _ in m.exps):
+        return True
+    if len(terms) != 2:
+        return False
+    (m1, c1), (m2, c2) = terms.items()
+    ws = []
+    for v, e in (m2 * m1.inverse()).exps:
+        if v.startswith("w:"):
+            ws.append(abs(e))
+        elif v != "q" or abs(e) > MAX_QHALF:
+            return False
+    return not c1 + c2 and sorted(ws) in ([2], [4], [2, 2])
 
 
 def check_admissible(coeff):
-    """Verify that every denominator factor of the Scalar ``coeff`` factors
-    over the allowed set.
-
-    Each denominator factor, up to a unit monomial, must be a product of
-    binomials of the catalogued shapes; each candidate is divided out
-    exactly (``divide_binomial``) for as long as one divides.  Raises
-    LocalizationViolation with the irreducible remainder otherwise.
-    """
-    for rem in coeff.den_factors():
-        wvars = sorted(v for v in rem.variables() if v.startswith("w:"))
-        cands = _admissible_candidates(wvars)
-        progress = True
-        while len(rem.terms) > 1 and progress:
-            progress = False
-            for b in cands:
-                quo = divide_binomial(rem, b)
-                if quo is not None:
-                    rem = quo
-                    progress = True
-                    break
-        if len(rem.terms) > 1 and any(v.startswith("w:")
-                                      for v in rem.variables()):
-            rem = rem.mul_mono(rem.content_monomial().inverse())
+    """Raise LocalizationViolation unless every denominator factor of the
+    Scalar ``coeff`` is ``admissible``."""
+    for factor in coeff.den_factors():
+        if not admissible(factor):
             raise LocalizationViolation(
-                f"denominator factor {rem!r} is not in the allowed "
+                f"denominator factor {factor!r} is not in the allowed "
                 "multiplicative set")
-    return True

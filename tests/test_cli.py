@@ -11,7 +11,8 @@ from iqgklo.errors import (
     TauNotInvolution, ValidationError,
 )
 from iqgklo.relations import RelationChecker
-from iqgklo.scalars import Scalar
+from iqgklo.satake import build_catalog
+from iqgklo.scalars import Monomial, Poly, Scalar
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +54,7 @@ def test_catalog_text_marks_each_instance(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
     lines = out.splitlines()
-    assert lines[:3] == ["schema: iqgklo-report/3", "catalog:",
+    assert lines[:3] == ["schema: iqgklo-report/4", "catalog:",
                          "  - name: sA1-v1-t0"]
     assert sum(line.startswith("  - name: ") for line in lines) == 10
     # a split instance has no involution cycle: an empty list, not a key
@@ -121,6 +122,62 @@ def test_check_pass_and_report_shape(capsys):
     assert doc["oracle_concordance"] == "pass"
     assert {r["check"] for r in doc["results"]} == {"BB2[1,1]", "HB[1,1]"}
     assert all(r["status"] == "pass" for r in doc["results"])
+
+
+@pytest.mark.parametrize("name", [inst.name for inst in build_catalog()])
+def test_check_reports_admissibility(capsys, name):
+    code, out, _ = run_cli(capsys, "check", "--instance", name,
+                           "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["admissibility"] == "pass"
+    assert "admissibility_violation" not in doc
+    assert list(doc)[-3:] == ["oracle_concordance", "admissibility",
+                              "seconds"]
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_check_inadmissible_coefficient_fails(capsys, monkeypatch, fmt):
+    # one coefficient of B_1 over w_{1,1} - w_{2,1} - 1, which no relation
+    # of the HB kind reads: admissibility alone fails the check
+    den = (Poly.mono(Monomial.w(1, 1)) - Poly.mono(Monomial.w(2, 1))
+           - Poly.const(1))
+    bad = Scalar(Poly.const(1), den)
+    [factor] = bad.den_factors()
+    original = relations.build_B_image
+    first = []
+
+    def build_B_image(inst, i, corrupt=None):
+        image = original(inst, i, corrupt=corrupt)
+        if i != 1:
+            return image
+
+        def spoil(pins, coeff):
+            if first:
+                return coeff
+            first.append(pins["u"])
+            return coeff * bad
+        return image.map_coeff(spoil)
+    monkeypatch.setattr(relations, "build_B_image", build_B_image)
+    code, out, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
+                           "--relations", "HB", "--format", fmt)
+    assert code == 1
+    violation = {"node": 1, "pin": repr(first[0]), "factor": repr(factor)}
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert all(r["status"] == "pass" for r in doc["results"])
+        assert doc["series_soundness"] == "pass"
+        assert doc["oracle_concordance"] == "pass"
+        assert doc["admissibility"] == "fail"
+        assert doc["admissibility_violation"] == violation
+        assert list(doc)[-3:] == ["admissibility", "admissibility_violation",
+                                  "seconds"]
+    else:
+        lines = out.splitlines()
+        at = lines.index("admissibility: fail")
+        assert lines[at + 1:at + 5] == [
+            "admissibility_violation:",
+            *(f"  {k}: {v}" for k, v in violation.items())]
 
 
 def test_check_failure_exit_code(capsys, monkeypatch):

@@ -226,10 +226,13 @@ def _kept_pairs(report):
 
 
 def _variables(x, y):
+    """"q" and every variable that a part of a coefficient holds, read off
+    the parts' evaluation layouts."""
     out = {"q"}
     for g in (_groups(x), _groups(y)):
         for c in g.values():
-            out |= c.variables()
+            for p in c.eval_plan()[3].values():
+                out |= {v for v, _, _ in p.layout()[0]}
     return out
 
 

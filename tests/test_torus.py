@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from iqgklo.cli import instance_from_description
 from iqgklo.errors import LocalizationViolation
-from iqgklo.scalars import GR, DMonomial, Monomial, Poly, Scalar, w_var
-from iqgklo.torus import TorusElement, check_admissible
+from iqgklo.gklo import build_B_image
+from iqgklo.satake import build_catalog
+from iqgklo.scalars import (
+    GR, GR_I, DMonomial, Monomial, Poly, Scalar, divide_binomial, w_var,
+)
+from iqgklo.torus import MAX_QHALF, TorusElement, check_admissible
+
+from test_gklo import SHIFTED
 
 
 def w(i, r, m=1):
@@ -131,10 +138,29 @@ def test_admissible_cross_node_inverse_pair():
     check_admissible(Scalar(Poly.const(1), den))
 
 
-def test_admissible_product_of_factors():
+def _product_of_factors():
     d1 = Poly.const(1) - Poly.mono(Monomial.w(1, 1) * Monomial.q_int(1))
     d2 = Poly.mono(Monomial.w(1, 1)) - Poly.mono(Monomial.w(1, 1, -1) * Monomial.q_int(2))
-    check_admissible(Scalar(Poly.const(1), d1 * d2))
+    return d1, d2
+
+
+def test_admissible_product_of_factors():
+    # the form the engine keeps: one factor per binomial
+    d1, d2 = _product_of_factors()
+    coeff = Scalar(Poly.const(1), d1) * Scalar(Poly.const(1), d2)
+    assert len(coeff.den_factors()) == 2
+    check_admissible(coeff)
+
+
+def test_expanded_product_of_factors_is_rejected():
+    # a factor of more than two terms that holds a w is never split
+    d1, d2 = _product_of_factors()
+    coeff = Scalar(Poly.const(1), d1 * d2)
+    [factor] = coeff.den_factors()
+    assert len(factor.terms) == 4
+    with pytest.raises(LocalizationViolation) as e:
+        check_admissible(coeff)
+    assert repr(factor) in str(e.value)
 
 
 def test_inadmissible_denominator():
@@ -142,3 +168,127 @@ def test_inadmissible_denominator():
            - Poly.const(1))
     with pytest.raises(LocalizationViolation):
         check_admissible(Scalar(Poly.const(1), den))
+
+
+# --- the closed form against the trial-division search it replaced ----
+
+
+def _names(p):
+    return {v for v, _, _ in p.layout()[0]}
+
+
+def _admissible_candidates(wvars):
+    """Binomial generators of the allowed denominator multiplicative set.
+
+    Forms, for whole powers a = w_{i,r}, b = w_{j,s}:
+    a - q^(h/2) b,  a - q^(h/2) b^{-1},  a - q^(h/2) a^{-1},  1 - q^(h/2) a.
+    """
+    shapes = []
+    for va in wvars:
+        a = Monomial.unit(va, 2)
+        shapes.append((a, a.inverse()))
+        shapes.append((Monomial.one(), a))
+        for vb in wvars:
+            if vb == va:
+                continue
+            b = Monomial.unit(vb, 2)
+            shapes.append((a, b))
+            shapes.append((a, b.inverse()))
+    out = []
+    for m1, m2 in shapes:
+        for h in range(-MAX_QHALF, MAX_QHALF + 1):
+            out.append(Poly.mono(m1) - Poly.mono(m2 * Monomial.q_half(h)))
+    return out
+
+
+def _search_admissible(coeff):
+    """The reference: each denominator factor, up to a unit monomial, must
+    be a product of binomials of the catalogued shapes; each candidate is
+    divided out exactly for as long as one divides."""
+    for rem in coeff.den_factors():
+        wvars = sorted(v for v in _names(rem) if v.startswith("w:"))
+        cands = _admissible_candidates(wvars)
+        progress = True
+        while len(rem.terms) > 1 and progress:
+            progress = False
+            for b in cands:
+                quo = divide_binomial(rem, b)
+                if quo is not None:
+                    rem = quo
+                    progress = True
+                    break
+        if len(rem.terms) > 1 and any(v.startswith("w:")
+                                      for v in _names(rem)):
+            rem = rem.mul_mono(rem.content_monomial().inverse())
+            raise LocalizationViolation(
+                f"denominator factor {rem!r} is not in the allowed "
+                "multiplicative set")
+    return True
+
+
+def _rejects(check, coeff):
+    try:
+        check(coeff)
+    except LocalizationViolation:
+        return True
+    return False
+
+
+HALF_EXPS = (1, -1, 2, -2, 4, -4)
+COEFFS = (1, -1, 2, -2, GR_I, GR(1, 1))
+
+
+@st.composite
+def binomials(draw):
+    """1/(c1 X^m1 + c2 X^m2) over q, two or three w, one z and one zeta,
+    with X^m2 = X^m1 * X^d: X^d holds q^(h/2) with |h| <= 16, mostly 0
+    or +-2 as the half-exponent of each w, and mostly 0 as that of z and
+    zeta, and c2 is often -c1, so that both verdicts occur often."""
+    wvars = [w_var(1, 1), w_var(1, 2), w_var(2, 1)][:draw(st.sampled_from(
+        (2, 3)))]
+    others = ("z:1:1", "zt:1")
+    any_exp = st.sampled_from((0, *HALF_EXPS))
+    m1 = Monomial([("q", draw(st.integers(-16, 16))),
+                   *((v, draw(any_exp)) for v in (*wvars, *others))])
+    w_exp = st.sampled_from((0,) * 6 + (2, -2) * 3 + HALF_EXPS)
+    other_exp = st.sampled_from((0,) * 30 + HALF_EXPS)
+    d = Monomial([("q", draw(st.integers(-16, 16))),
+                  *((v, draw(w_exp)) for v in wvars),
+                  *((v, draw(other_exp)) for v in others)])
+    assume(not d.is_one())
+    c1 = draw(st.sampled_from(COEFFS))
+    c2 = draw(st.one_of(st.just(-c1), st.sampled_from(COEFFS)))
+    den = Poly.mono(m1, c1) + Poly.mono(m1 * d, c2)
+    return Scalar(Poly.const(1), den)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(binomials())
+def test_closed_form_agrees_with_the_search_on_binomials(coeff):
+    assert _rejects(check_admissible, coeff) == \
+        _rejects(_search_admissible, coeff)
+
+
+@pytest.mark.parametrize("h", [-MAX_QHALF - 1, -MAX_QHALF, MAX_QHALF,
+                               MAX_QHALF + 1])
+def test_closed_form_agrees_with_the_search_at_the_q_bound(h):
+    a, b = Monomial.w(1, 1), Monomial.w(2, 1)
+    for m1, m2 in ((a, b), (a, b.inverse()), (a, a.inverse()),
+                   (Monomial.one(), a)):
+        coeff = Scalar(Poly.const(1), Poly.mono(m1) - Poly.mono(
+            m2 * Monomial.q_half(h)))
+        assert _rejects(check_admissible, coeff) == \
+            _rejects(_search_admissible, coeff) == (abs(h) > MAX_QHALF)
+
+
+def test_closed_form_agrees_with_the_search_on_the_images():
+    insts = [*build_catalog(),
+             *map(instance_from_description, SHIFTED.values())]
+    seen = 0
+    for inst in insts:
+        for i in inst.diagram.nodes():
+            for _, coeff, _ in build_B_image(inst, i).items():
+                assert not _rejects(check_admissible, coeff)
+                assert not _rejects(_search_admissible, coeff)
+                seen += 1
+    assert seen == 67
