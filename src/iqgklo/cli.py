@@ -87,9 +87,11 @@ def _check_options(cfg):
 def _tau_from_cycles(rank, cycles):
     tau = list(range(1, rank + 1))
     for cyc in _list([] if cycles is None else cycles, "tau"):
+        if isinstance(cyc, list):
+            _ints(cyc, "involution cycle")
         if not isinstance(cyc, list) or len(cyc) != 2 or cyc[0] == cyc[1]:
             raise ValidationError(f"involution cycle {cyc} must be a 2-cycle")
-        a, b = _ints(cyc, "involution cycle")
+        a, b = cyc
         if not (1 <= a <= rank and 1 <= b <= rank):
             raise ValidationError(f"involution cycle {cyc} leaves 1..{rank}")
         tau[a - 1], tau[b - 1] = b, a

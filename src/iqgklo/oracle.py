@@ -80,9 +80,10 @@ def _random_points(rng, names, n_test_exps):
 
 
 def _groups(dist):
-    """Each support group's coefficient, keyed by its pins and shift."""
-    return {(tuple(sorted((v, M.exps) for v, M in p.items())), d): c
-            for p, c, d in dist.items()}
+    """Each support group's nonzero coefficient, keyed by the
+    distribution's own merge key of its pins and shift, under which
+    ``Distribution`` has already summed the group's terms."""
+    return {key: c for key, (_, c) in dist.terms.items() if not c.is_zero()}
 
 
 def _cleared(c):

@@ -344,8 +344,10 @@ def _exchange_suite(inst, nodes, kind):
     the block's pin.  It is checked once for each unordered pair of distinct
     blocks, over i <= j in ``nodes`` that are equal or adjacent, whose shift
     parts touch different coordinates d_{k,r}: swapping x and y negates
-    both sides.  Returns CheckResult entries labelled (i, j, dx, dy) by the
-    shift parts, each with its operator sides."""
+    both sides.  The law is homogeneous in W, so its verdicts cannot see a
+    factor common to every block's coordinate.  Returns CheckResult entries
+    labelled (i, j, dx, dy) by the shift parts, each with its operator
+    sides."""
     d = inst.diagram
     blocks = {i: [(Scalar.from_mono(Monomial.q_int(1) * pins["u"]),
                    TorusElement.monomial(coeff, dmon), dmon)

@@ -36,16 +36,19 @@ coefficients compare and hash equal whatever their history.  The helpers
 
 A ``Scalar`` is kept factored: a unit (a Gaussian rational times a
 monomial) times a multiset of primitive factors with signed exponents,
-over one expanded cofactor.  The denominators of this engine are
-products of binomials, so a product or quotient only adds exponents, a
-sum expands just the factors its two sides do not share and then
-divides each binomial denominator factor out of the new cofactor
-wherever it divides exactly (``divide_binomial``, linear time), and
-equality cancels the shared factors before it cross-multiplies.  No
-polynomial GCD is ever computed: a common factor that is not a binomial
-of the denominator is never found, so equality never relies on reduced
-forms.  A substitution rebuilds only the parts whose variables it
-changes, and returns the scalar itself when there are none.
+over one expanded cofactor.  A scalar holds each factor's key and
+exponent only; the factor's ``Poly`` lives once, in the factor table,
+and the order of a scalar's factors is not part of its value.  The
+denominators of this engine are products of binomials, so a product or
+quotient only adds exponents, a sum expands just the factors its two
+sides do not share and then divides each binomial denominator factor
+out of the new cofactor wherever it divides exactly
+(``divide_binomial``, linear time), and equality cancels the shared
+factors before it cross-multiplies.  No polynomial GCD is ever
+computed: a common factor that is not a binomial of the denominator is
+never found, so equality never relies on reduced forms.  A substitution
+rebuilds only the parts whose variables it changes, and returns the
+scalar itself when there are none.
 """
 
 from __future__ import annotations
@@ -692,8 +695,9 @@ def divide_binomial(p, b):
 
 # --- factored scalars ------------------------------------------------------
 
-_FACTORS = {}           # factor key -> the one Poly of that factor, and
-                        # unit monomial key -> its one-term Poly
+_FACTORS = {}           # factor key -> the one Poly of that factor, its
+                        # only home (scalars hold keys), and unit
+                        # monomial key -> its one-term Poly
 _BINOMIALS = {}         # raw (k1, c1, k2, c2) -> what _binomial returns
 
 
@@ -710,10 +714,10 @@ def _second_leads(delta):
 
 def _binomial(k1, c1, k2, c2):
     """c1 X^k1 + c2 X^k2 (distinct keys, nonzero coefficients) as
-    (unit, g, factor key, factor) with the binomial = unit * X^g * factor
-    (see ``_normal_binomial``).  Memoized on the raw terms: the same raw
-    binomials recur throughout a check, and each is normalized once per
-    process.
+    (unit, g, factor key) with the binomial = unit * X^g * factor, the
+    factor in the factor table under its key (see ``_normal_binomial``).
+    Memoized on the raw terms: the same raw binomials recur throughout a
+    check, and each is normalized once per process.
     """
     raw = (k1, c1, k2, c2)
     out = _BINOMIALS.get(raw)
@@ -728,8 +732,8 @@ def _normal_binomial(k1, c1, k2, c2):
     The factor is primitive: its content monomial is 1, its leading term
     comes first (the constant term, else the term holding the
     name-smallest variable), and its coefficients are coprime integers
-    with a positive leading one, or 1 and a Gaussian ratio.  It is the
-    one Poly that the factor table holds for its key.
+    with a positive leading one, or 1 and a Gaussian ratio.  It enters
+    the factor table, as the one Poly of its key, unless the key is there.
     """
     g = _key_min(k1, k2)
     k1 -= g
@@ -752,72 +756,59 @@ def _normal_binomial(k1, c1, k2, c2):
             unit = _canon(c1 * Fraction(1, ratio.denominator))
             c1, c2 = ratio.denominator, ratio.numerator
     key = (k1, c1, k2, c2)
-    factor = _FACTORS.get(key)
-    if factor is None:
-        factor = _FACTORS[key] = Poly({k1: c1, k2: c2}, _clean=False)
-    return unit, g, key, factor
+    if key not in _FACTORS:
+        _FACTORS[key] = Poly({k1: c1, k2: c2}, _clean=False)
+    return unit, g, key
 
 
-def _put(f, key, poly, e):
-    """Multiply the factor dict ``f`` (key -> (factor, exponent)) by
-    poly^e in place."""
-    old = f.get(key)
-    if old is not None:
-        e += old[1]
-        if not e:
-            del f[key]
-            return
-    f[key] = (poly, e)
+def _put(f, key, e):
+    """Multiply the factor dict ``f`` (key -> exponent) by the factor of
+    ``key`` raised to e != 0, in place."""
+    e += f.get(key, 0)
+    if e:
+        f[key] = e
+    else:
+        del f[key]
 
 
-def _absorb(poly, e, c, m, f):
-    """The unit (c, m) times the nonzero Poly ``poly`` raised to e, with
-    the factor in the dict ``f``; returns the new unit."""
-    terms = poly.terms
+def _absorb(terms, e, c, m, f):
+    """The unit (c, m) times the nonzero term dict ``terms`` raised to
+    e != 0, the factor in the factor table and its exponent in the dict
+    ``f``; returns the new unit.  Only a factor of three or more terms is
+    built as a Poly."""
     if len(terms) == 1:
         ((k, a),) = terms.items()
         return c * coeff_pow(a, e), m + e * k
     if len(terms) == 2:
         (k1, a1), (k2, a2) = terms.items()
-        unit, g, key, factor = _binomial(k1, a1, k2, a2)
-        _put(f, key, factor, e)
+        unit, g, key = _binomial(k1, a1, k2, a2)
+        _put(f, key, e)
         return c * coeff_pow(unit, e), m + e * g
+    poly = Poly(terms, _clean=False)
     g = poly.content_monomial().key
     if g:
         poly = poly.mul_mono(_mono(-g))
     key = frozenset(poly.terms.items())
-    _put(f, key, _FACTORS.setdefault(key, poly), e)
+    _FACTORS.setdefault(key, poly)
+    _put(f, key, e)
     return c, m + e * g
 
 
 def times_powers(s, powers):
     """The scalar s times the product of t^e over the (terms, e) pairs,
-    each ``terms`` the term dict of a nonzero monomial or binomial.
+    each ``terms`` a nonzero term dict.
 
-    Each binomial goes into one factor dict with its signed exponent, so
-    t^e costs one step, not |e| products.  A factor whose exponent passes
-    through 0 moves to the end of the dict, as |e| single products would
-    move it, so the result is the scalar those products give, factor
-    order included.
+    Each factor goes into one factor dict with its signed exponent
+    (``_absorb``), so t^e costs one step, not |e| products.  Factor order
+    is not part of a scalar, so a factor whose exponent passes through 0
+    may sit anywhere in the dict.
     """
     if not s.c:
         return SCALAR_ZERO
     c, m, f = s.c, s.m, dict(s.f)
     for terms, e in powers:
-        if not e:
-            continue
-        if len(terms) == 1:
-            ((k, a),) = terms.items()
-            c, m = c * coeff_pow(a, e), m + e * k
-            continue
-        (k1, a1), (k2, a2) = terms.items()
-        unit, g, key, factor = _binomial(k1, a1, k2, a2)
-        c, m = c * coeff_pow(unit, e), m + e * g
-        old = f.get(key)
-        if old is not None and old[1] * (old[1] + e) < 0:
-            del f[key]
-            e += old[1]
-        _put(f, key, factor, e)
+        if e:
+            c, m = _absorb(terms, e, c, m, f)
     return _scalar(c, m, s.num, f)
 
 
@@ -853,14 +844,16 @@ def _settle(c, m, num, f):
         return SCALAR_ZERO
     if len(num.terms) > 2:
         return _scalar(c, m, num, f)
-    c, m = _absorb(num, 1, c, m, f)
+    c, m = _absorb(num.terms, 1, c, m, f)
     return _scalar(c, m, POLY_ONE, f)
 
 
 def _expand(num, powers):
-    """num times the product of the (factor, exponent) pairs."""
+    """num times the product of the factors of the (factor key, exponent)
+    pairs."""
     out = None
-    for p, e in powers:
+    for key, e in powers:
+        p = _FACTORS[key]
         for _ in range(e):
             out = p if out is None else out * p
     if out is None:
@@ -871,24 +864,17 @@ def _expand(num, powers):
 def _split(fa, fb):
     """Cancel the common part of two factor dicts: the shared factors
     (each to its lower exponent, absent ones reading 0) and the
-    (factor, exponent) lists each side has left to expand."""
+    (factor key, exponent) lists each side has left to expand."""
     shared, pa, pb = {}, [], []
-    for key, (p, ea) in fa.items():
-        eb = fb[key][1] if key in fb else 0
+    for key in fa | fb:
+        ea, eb = fa.get(key, 0), fb.get(key, 0)
         e = min(ea, eb)
         if e:
-            shared[key] = (p, e)
+            shared[key] = e
         if ea > e:
-            pa.append((p, ea - e))
+            pa.append((key, ea - e))
         if eb > e:
-            pb.append((p, eb - e))
-    for key, (p, eb) in fb.items():
-        if key not in fa:
-            if eb < 0:
-                shared[key] = (p, eb)
-                pa.append((p, -eb))
-            else:
-                pb.append((p, eb))
+            pb.append((key, eb - e))
     return shared, pa, pb
 
 
@@ -899,17 +885,18 @@ class Scalar:
 
     with c a nonzero Gaussian rational (0 only for the zero scalar), m a
     packed monomial key, ``num`` an expanded cofactor (``POLY_ONE`` or at
-    least three terms) and ``f`` a dict from factor key to (factor,
-    nonzero exponent).  A binomial factor is primitive (see
-    ``_binomial``) and keyed by its two terms; any other factor has
-    content 1 and is keyed by its term set.  Exponents are signed, so a
-    factor sits in the numerator or in the denominator and a product
-    cancels by adding exponents.  Factors are normalized when they are
-    made, and one table, ``_FACTORS``, holds one ``Poly`` per factor key:
-    ``_binomial`` and ``_absorb`` hand out its object, so equal factors
-    are one object, shared by every scalar that holds them, and each
-    factor's occupancy mask and evaluation layout are computed once.  The
-    table only grows, as does ``_BINOMIALS`` (see ``_binomial``).
+    least three terms) and ``f`` a dict from factor key to its nonzero
+    exponent.  A binomial factor is primitive (see ``_binomial``) and
+    keyed by its two terms; any other factor has content 1 and is keyed
+    by its term set.  Exponents are signed, so a factor sits in the
+    numerator or in the denominator and a product cancels by adding
+    exponents.  A scalar holds exponents only: the factor table,
+    ``_FACTORS``, is each factor's one home, one ``Poly`` per key, which
+    ``_binomial`` and ``_absorb`` put there when they first normalize the
+    factor.  Every scalar that holds a factor reads that one object, so
+    each factor's occupancy mask and evaluation layout are computed once.
+    The order of the keys in ``f`` is not part of a scalar.  The table
+    only grows, as does ``_BINOMIALS`` (see ``_binomial``).
     """
 
     __slots__ = ("c", "m", "num", "f", "_occ")
@@ -920,7 +907,7 @@ class Scalar:
         if den is not None:
             if den.is_zero():
                 raise DivisionByZero("zero denominator")
-            c, m = _absorb(den, -1, c, m, f)
+            c, m = _absorb(den.terms, -1, c, m, f)
         s = _settle(c, m, num, f)
         self.c, self.m, self.num, self.f = s.c, s.m, s.num, s.f
 
@@ -975,8 +962,8 @@ class Scalar:
             return self
         if not self.f and not other.f and self.num is POLY_ONE \
                 and other.num is POLY_ONE and self.m != other.m:
-            unit, g, key, factor = _binomial(self.m, ca, other.m, cb)
-            return _scalar(unit, g, POLY_ONE, {key: (factor, 1)})
+            unit, g, key = _binomial(self.m, ca, other.m, cb)
+            return _scalar(unit, g, POLY_ONE, {key: 1})
         f, pa, pb = _split(self.f, other.f)
         a, b = _expand(self.num, pa), _expand(other.num, pb)
         m = _key_min(self.m, other.m)
@@ -996,18 +983,16 @@ class Scalar:
             p = a + b.scale(_canon(cb * coeff_inverse(ca)))
         if not p.terms:
             return SCALAR_ZERO
-        for key, (factor, e) in list(f.items()):
+        for key, e in list(f.items()):
             if e < 0 and type(key) is tuple:
+                factor = _FACTORS[key]
                 while e < 0 and len(p.terms) > 2:
                     quo = divide_binomial(p, factor)
                     if quo is None:
                         break
                     p = quo
                     e += 1
-                if e:
-                    f[key] = (factor, e)
-                else:
-                    del f[key]
+                    _put(f, key, 1)
         return _settle(ca, m, p, f)
 
     def __sub__(self, other):
@@ -1027,8 +1012,8 @@ class Scalar:
             f = fb
         else:
             f = dict(fa)
-            for key, (p, e) in fb.items():
-                _put(f, key, p, e)
+            for key, e in fb.items():
+                _put(f, key, e)
         na, nb = self.num, other.num
         m = self.m + other.m
         if nb is POLY_ONE:
@@ -1043,10 +1028,10 @@ class Scalar:
     def inverse(self):
         if not self.c:
             raise DivisionByZero("division by zero scalar")
-        f = {key: (p, -e) for key, (p, e) in self.f.items()}
+        f = {key: -e for key, e in self.f.items()}
         c, m = coeff_inverse(self.c), -self.m
         if self.num is not POLY_ONE:
-            c, m = _absorb(self.num, -1, c, m, f)
+            c, m = _absorb(self.num.terms, -1, c, m, f)
         return _scalar(c, m, POLY_ONE, f)
 
     # --- comparisons ---
@@ -1079,8 +1064,8 @@ class Scalar:
             bias = _BIAS[-1]
             occ = (self.m + bias) ^ bias
             occ |= self.num._occupied()
-            for p, _ in self.f.values():
-                occ |= p._occupied()
+            for key in self.f:
+                occ |= _FACTORS[key]._occupied()
             self._occ = occ
             return occ
 
@@ -1092,9 +1077,10 @@ class Scalar:
             num = fn(num)
         f = {}
         zero = not num.terms
-        for key, (p, e) in self.f.items():
+        for key, e in self.f.items():
+            p = _FACTORS[key]
             if not p._occupied() & mask:
-                _put(f, key, p, e)
+                _put(f, key, e)
                 continue
             p = fn(p)
             if not p.terms:
@@ -1102,7 +1088,7 @@ class Scalar:
                     raise DenominatorVanishes(vanishes)
                 zero = True
             else:
-                c, m = _absorb(p, e, c, m, f)
+                c, m = _absorb(p.terms, e, c, m, f)
         if zero:
             return SCALAR_ZERO
         return _settle(c, m, num, f)
@@ -1152,7 +1138,7 @@ class Scalar:
             return powers[v, e]
         parts = [(_term_sum(p, power), e) for p, e in (
             (Poly({self.m: self.c}, _clean=False), 1), (self.num, 1),
-            *self.f.values())]
+            *((_FACTORS[key], e) for key, e in self.f.items()))]
         num = prod(coeff_pow(v, e) for v, e in parts if e > 0)
         den = prod(coeff_pow(v, -e) for v, e in parts if e < 0)
         if not den:
@@ -1172,12 +1158,12 @@ class Scalar:
         den, num, parts = Counter(), Counter(), {}
         if not self.c:
             return 0, den, num, parts
-        for key, (p, e) in self.f.items():
+        for key, e in self.f.items():
             if e < 0:
                 den[key] = -e
             else:
                 num[key] = e
-            parts[key] = p
+            parts[key] = _FACTORS[key]
         if self.num is not POLY_ONE:
             key = frozenset(self.num.terms.items())
             num[key] += 1
@@ -1199,8 +1185,9 @@ class Scalar:
         return _SPECTRAL != 0 and self._occupied() & _SPECTRAL != 0
 
     def den_factors(self):
-        """The factors of the denominator, one Poly per distinct factor."""
-        return [p for p, e in self.f.values() if e < 0]
+        """The factors of the denominator, one Poly per distinct factor:
+        the factor table's object of each key."""
+        return [_FACTORS[key] for key, e in self.f.items() if e < 0]
 
     def fraction(self):
         """(numerator, denominator) as expanded Polys: the unit monomial's
@@ -1214,8 +1201,8 @@ class Scalar:
                 num = num.mul_mono(_mono(-g))
                 m += g
         neg = _key_min(m, 0)
-        num = _expand(num, [(p, e) for p, e in self.f.values() if e > 0])
-        den = _expand(POLY_ONE, [(p, -e) for p, e in self.f.values() if e < 0])
+        _, up, down = _split(self.f, {})    # against no factor: e > 0, e < 0
+        num, den = _expand(num, up), _expand(POLY_ONE, down)
         return (num.mul_mono(_mono(m - neg)).scale(self.c),
                 den.mul_mono(_mono(-neg)))
 

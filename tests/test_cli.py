@@ -330,11 +330,45 @@ def test_check_builds_each_pair_once(capsys, monkeypatch):
     assert sorted(f"{k}[{i},{j}]" for k, i, j in calls) == sorted(pairwise)
 
 
+@pytest.mark.parametrize("name", ["qsA4", "sA1-v1-t1"])
+def test_check_scalars_hold_exponents_of_table_factors(capsys, monkeypatch,
+                                                       name):
+    # every scalar a full check builds maps factor keys to nonzero int
+    # exponents, each key's one Poly sits in the factor table under the
+    # terms it names, and den_factors returns those table objects
+    table, made, bad = scalars._FACTORS, [], []
+    build = scalars._scalar
+
+    def checked(c, m, num, f):
+        s = build(c, m, num, f)
+        made.append(len(f))
+        for key, e in f.items():
+            p = table[key]
+            terms = (dict([key[:2], key[2:]]) if type(key) is tuple
+                     else dict(key))
+            if type(e) is not int or not e or p.terms != terms:
+                bad.append((key, e))
+        dens = s.den_factors()
+        want = [table[key] for key, e in f.items() if e < 0]
+        if len(dens) != len(want) or any(a is not b
+                                         for a, b in zip(dens, want)):
+            bad.append(s)
+        return s
+    monkeypatch.setattr(scalars, "_scalar", checked)
+    code, _, _ = run_cli(capsys, "check", "--instance", name,
+                         "--format", "structured")
+    assert code == 0
+    assert not bad and max(made) > 1
+
+
 def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
     # every factor key is one object, so its evaluation layout is decoded
     # once per check, however many scalars and trials share it; a fresh
     # factor table, and a fresh raw-binomial table in front of it, keep
-    # factors and layouts that other tests made out of the count
+    # factors and layouts that other tests made out of the count.  Every
+    # scalar must be built after the swap: a scalar holds factor keys
+    # only and reads each factor's Poly from the table, so one built
+    # before it would find none of its factors there
     monkeypatch.setattr(scalars, "_FACTORS", {})
     monkeypatch.setattr(scalars, "_BINOMIALS", {})
     decoded, keys, strays = [], set(), []
@@ -778,6 +812,8 @@ def test_config_input_error_names_its_cause(capsys, tmp_path, verb, raw,
 @pytest.mark.parametrize("doc, error, message", [
     (_inline(rank=3, tau=[[1, 5]], framing=[1, 1, 1], shift=[0, 0, 0]),
      ValidationError, "involution cycle [1, 5] leaves 1..3"),
+    (_inline(rank=2, tau=[[True, 1]], framing=[1, 1], shift=[0, 0]),
+     ValidationError, "involution cycle entry must be an integer, got True"),
     ({"schema": SCHEMA_ID, "instance": 5},
      ValidationError, "an inline instance must be a JSON object"),
     (None, ParseError, "cannot read config"),
@@ -790,9 +826,9 @@ def test_config_input_error_names_its_cause(capsys, tmp_path, verb, raw,
      IncompatibleOrientation, "oriented twice"),
     (_inline(rank=2, framing=[1, 1], shift=[0, 0], theta=[2, 0]),
      ValidationError, "marking at node 1 must be 0 or 1"),
-], ids=["cycle-leaves-nodes", "instance-not-object", "missing-file",
-        "cycles-overlap", "framing-negative", "edge-oriented-twice",
-        "theta-not-0-or-1"])
+], ids=["cycle-leaves-nodes", "cycle-entry-bool", "instance-not-object",
+        "missing-file", "cycles-overlap", "framing-negative",
+        "edge-oriented-twice", "theta-not-0-or-1"])
 def test_config_validation_names_its_cause(capsys, tmp_path, doc, error,
                                            message):
     cfg_path = tmp_path / "cfg.json"

@@ -27,7 +27,7 @@ from iqgklo.oracle import (
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import (
-    GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into, z_var,
+    _FACTORS, GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into, z_var,
 )
 from iqgklo.torus import TorusElement
 from test_gklo import SHIFTED
@@ -416,8 +416,8 @@ def _reference_pairs():
 def _has_gaussian(dist):
     return any(isinstance(x, GR) for _, c, _ in dist.items()
                for x in [c.c, *c.num.terms.values(),
-                         *(y for p, _ in c.f.values()
-                           for y in p.terms.values())])
+                         *(y for key in c.f
+                           for y in _FACTORS[key].terms.values())])
 
 
 def test_reference_pairs_cover_gaussian_coefficients():

@@ -323,9 +323,14 @@ def test_merged_chi_suite(name, count):
 
 
 def _block(inst, i, dmon):
-    """(q * pin, operator) of the term of B_i whose shift part is dmon."""
-    pin, op = _term(inst, i, dmon)
-    return Scalar.from_mono(Monomial.q_int(1) * pin), op
+    """(W, operator) of the term of B_i whose shift part is dmon, the
+    coordinate W read off the shift part, not off the pin: w_{k,r}^(-e)
+    for d_{k,r}^e, and q for the shift-free marked block."""
+    _, op = _term(inst, i, dmon)
+    if dmon.is_one():
+        return Scalar.q_int(1), op
+    (((k, r), e),) = dmon.exps
+    return Scalar.from_mono(Monomial.w(k, r, -e)), op
 
 
 @pytest.mark.parametrize("inst", CATALOG, ids=lambda c: c.name)

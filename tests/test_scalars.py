@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
 from iqgklo.oracle import _cleared as _cleared_unit, combine_cleared
 from iqgklo.scalars import (
-    _BINOMIALS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial, Poly, Scalar,
-    _binomial, _canon, _index, _key_min, _limb_rows, _mono, _normal_binomial,
-    _q_shift, _settle, _shift_taps, _substitute_key, _substitution,
-    coeff_inverse, divide_binomial, unpack_poly, w_var,
+    _BINOMIALS, _FACTORS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial,
+    Poly, Scalar, _binomial, _canon, _index, _key_min, _limb_rows, _mono,
+    _normal_binomial, _q_shift, _settle, _shift_taps, _substitute_key,
+    _substitution, coeff_inverse, divide_binomial, unpack_poly, w_var,
 )
 
 
@@ -57,10 +57,11 @@ def test_equal_binomials_share_one_factor():
         return Poly.const(1) - Poly.mono(qu)
     a = Scalar(one_minus_qu())
     b = Scalar(Poly.const(1), one_minus_qu().scale(GR(0, 3)))
-    ((fa, ea),) = a.f.values()
-    ((fb, eb),) = b.f.values()
+    ((ka, ea),) = a.f.items()
+    ((kb, eb),) = b.f.items()
     assert (ea, eb) == (1, -1)
-    assert fa is fb
+    (fb,) = b.den_factors()
+    assert ka == kb and _FACTORS[ka] is fb
 
 
 def test_ratio_collapses_to_power():
@@ -608,7 +609,7 @@ def test_cleared_value_of_every_part_kind():
          * cofactor * (u - w * w)
          / (Scalar.one() - q * q * u) / (gauss * gauss))
     assert isinstance(s.c, GR) and s.m and len(s.num.terms) == 3
-    assert sorted(e for _, e in s.f.values()) == [-2, -1, 1]
+    assert sorted(s.f.values()) == [-2, -1, 1]
     assignment = {"q": GR(2, 1), "u": GR(Fraction(-1, 3)),
                   w_var(1, 1): GR(Fraction(1, 2), Fraction(3, 5))}
     qv, uv, wv = assignment["q"], assignment["u"], assignment[w_var(1, 1)]
@@ -681,8 +682,8 @@ def test_monomial_sum_matches_general_path(ma, ca, mb, cb, tie):
     assert got.c == want.c and got.m == want.m
     assert got.num is POLY_ONE and want.num is POLY_ONE
     assert list(got.f) == list(want.f) and len(got.f) == 1
-    (key, (factor, e)), = got.f.items()
-    assert factor is want.f[key][0] and e == want.f[key][1] == 1
+    (key, e), = got.f.items()
+    assert key in _FACTORS and e == want.f[key] == 1
     assert repr(got) == repr(want)
 
 
@@ -705,10 +706,10 @@ def test_binomial_memo_hit_is_a_fresh_normalization(c1, c2):
         assert _BINOMIALS[raw] is first
         hit, fresh = _binomial(*raw), _normal_binomial(*raw)
         assert hit is first
-        unit, g, key, factor = fresh
-        assert hit[:3] == (unit, g, key)
+        unit, g, key = fresh
+        assert hit == (unit, g, key)
         assert type(hit[0]) is type(unit)
-        assert hit[3] is factor
+        assert _FACTORS[key] == Poly({key[0]: key[1], key[2]: key[3]})
 
 
 BOUND = (1 << 31) - 1          # the largest |exponent| a limb holds
