@@ -53,11 +53,7 @@ class DenominatorVanishes(IQGKLOError):
     pass
 
 
-# --- torus / delta calculus ---
-
-class LocalizationViolation(IQGKLOError):
-    pass
-
+# --- delta calculus ---
 
 class DoublePin(IQGKLOError):
     pass

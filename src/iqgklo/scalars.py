@@ -35,18 +35,18 @@ coefficients compare and hash equal whatever their history.  The helpers
 ``coeff_inverse`` and ``coeff_pow`` invert and raise either kind exactly.
 
 A ``Scalar`` is kept factored: a unit (a Gaussian rational times a
-monomial) times a multiset of primitive factors with signed exponents,
-over one expanded cofactor.  A scalar holds each factor's key and
-exponent only; the factor's ``Poly`` lives once, in the factor table,
-and the order of a scalar's factors is not part of its value.  The
-denominators of this engine are products of binomials, so a product or
-quotient only adds exponents, a sum expands just the factors its two
-sides do not share and then divides each binomial denominator factor
-out of the new cofactor wherever it divides exactly
-(``divide_binomial``, linear time), and equality cancels the shared
-factors before it cross-multiplies.  No polynomial GCD is ever
-computed: a common factor that is not a binomial of the denominator is
-never found, so equality never relies on reduced forms.  A substitution
+monomial) times a multiset of interned factors with signed exponents.
+A scalar holds each factor's key and exponent only; the factor's
+``Poly`` lives once, in the factor table, and the order of a scalar's
+factors is not part of its value.  The denominators of this engine are
+products of binomials, so a product or quotient only adds exponents, a
+sum expands just the factors its two sides do not share, divides each
+binomial denominator factor out of the result wherever it divides
+exactly (``divide_binomial``, linear time) and interns what is left as
+one more factor, and equality cancels the shared factors before it
+cross-multiplies.  No polynomial GCD is ever computed: a common factor
+that is not a binomial of the denominator is never found, so equality
+never relies on reduced forms.  A substitution
 rebuilds only the parts whose variables it changes, and returns the
 scalar itself when there are none.
 """
@@ -775,7 +775,9 @@ def _absorb(terms, e, c, m, f):
     """The unit (c, m) times the nonzero term dict ``terms`` raised to
     e != 0, the factor in the factor table and its exponent in the dict
     ``f``; returns the new unit.  Only a factor of three or more terms is
-    built as a Poly."""
+    built as a Poly: its content monomial goes to the unit, and the rest
+    is keyed by its term set.  This is the one way such a polynomial
+    enters a scalar."""
     if len(terms) == 1:
         ((k, a),) = terms.items()
         return c * coeff_pow(a, e), m + e * k
@@ -809,7 +811,7 @@ def times_powers(s, powers):
     for terms, e in powers:
         if e:
             c, m = _absorb(terms, e, c, m, f)
-    return _scalar(c, m, s.num, f)
+    return _scalar(c, m, f)
 
 
 def _term_sum(p, power):
@@ -827,38 +829,22 @@ def _term_sum(p, power):
     return total
 
 
-def _scalar(c, m, num, f):
+def _scalar(c, m, f):
     s = object.__new__(Scalar)
     s.c = c
     s.m = m
-    s.num = num
     s.f = f
     return s
 
 
-def _settle(c, m, num, f):
-    """The scalar c * X^m * num * (factors f), with a cofactor of at most
-    two terms moved into the unit or the factors; ``f`` must be a fresh
-    dict, since it may be updated in place."""
-    if not c or not num.terms:
-        return SCALAR_ZERO
-    if len(num.terms) > 2:
-        return _scalar(c, m, num, f)
-    c, m = _absorb(num.terms, 1, c, m, f)
-    return _scalar(c, m, POLY_ONE, f)
-
-
-def _expand(num, powers):
-    """num times the product of the factors of the (factor key, exponent)
-    pairs."""
-    out = None
+def _expand(powers):
+    """The product of the factors of the (factor key, exponent) pairs."""
+    out = POLY_ONE
     for key, e in powers:
         p = _FACTORS[key]
         for _ in range(e):
-            out = p if out is None else out * p
-    if out is None:
-        return num
-    return out if num is POLY_ONE else num * out
+            out = p if out is POLY_ONE else out * p
+    return out
 
 
 def _split(fa, fb):
@@ -881,25 +867,26 @@ def _split(fa, fb):
 class Scalar:
     """An element of the fraction field in factored form:
 
-        c * X^m * num * prod over f of factor^e
+        c * X^m * prod over f of factor^e
 
     with c a nonzero Gaussian rational (0 only for the zero scalar), m a
-    packed monomial key, ``num`` an expanded cofactor (``POLY_ONE`` or at
-    least three terms) and ``f`` a dict from factor key to its nonzero
-    exponent.  A binomial factor is primitive (see ``_binomial``) and
-    keyed by its two terms; any other factor has content 1 and is keyed
-    by its term set.  Exponents are signed, so a factor sits in the
-    numerator or in the denominator and a product cancels by adding
-    exponents.  A scalar holds exponents only: the factor table,
-    ``_FACTORS``, is each factor's one home, one ``Poly`` per key, which
-    ``_binomial`` and ``_absorb`` put there when they first normalize the
-    factor.  Every scalar that holds a factor reads that one object, so
-    each factor's occupancy mask and evaluation layout are computed once.
-    The order of the keys in ``f`` is not part of a scalar.  The table
-    only grows, as does ``_BINOMIALS`` (see ``_binomial``).
+    packed monomial key and ``f`` a dict from factor key to its nonzero
+    exponent: a unit times a factor multiset, with no other part.  A
+    binomial factor is primitive (see ``_binomial``) and keyed by its two
+    terms; any other factor has content 1 and is keyed by its term set,
+    and ``_absorb`` is the one way it enters a scalar.  Exponents are
+    signed, so a factor sits in the numerator or in the denominator and
+    a product cancels by adding exponents.  A scalar holds exponents
+    only: the factor table, ``_FACTORS``, is each factor's one home, one
+    ``Poly`` per key, which ``_binomial`` and ``_absorb`` put there when
+    they first normalize the factor.  Every scalar that holds a factor
+    reads that one object, so each factor's occupancy mask and
+    evaluation layout are computed once.  The order of the keys in ``f``
+    is not part of a scalar.  The table only grows, as does
+    ``_BINOMIALS`` (see ``_binomial``).
     """
 
-    __slots__ = ("c", "m", "num", "f", "_occ")
+    __slots__ = ("c", "m", "f", "_occ")
 
     def __init__(self, num, den=None):
         f = {}
@@ -908,8 +895,11 @@ class Scalar:
             if den.is_zero():
                 raise DivisionByZero("zero denominator")
             c, m = _absorb(den.terms, -1, c, m, f)
-        s = _settle(c, m, num, f)
-        self.c, self.m, self.num, self.f = s.c, s.m, s.num, s.f
+        if num.terms:
+            c, m = _absorb(num.terms, 1, c, m, f)
+        else:
+            c, m, f = 0, 0, {}
+        self.c, self.m, self.f = c, m, f
 
     # --- constructors ---
 
@@ -925,11 +915,11 @@ class Scalar:
     def const(cls, c):
         if not isinstance(c, GR):
             c = _as_num(c)
-        return _scalar(c, 0, POLY_ONE, {}) if c else SCALAR_ZERO
+        return _scalar(c, 0, {}) if c else SCALAR_ZERO
 
     @classmethod
     def from_mono(cls, m, c=1):
-        return _scalar(c, m.key, POLY_ONE, {}) if c else SCALAR_ZERO
+        return _scalar(c, m.key, {}) if c else SCALAR_ZERO
 
     @classmethod
     def q_half(cls, h):
@@ -951,21 +941,21 @@ class Scalar:
     # --- arithmetic ---
 
     def __add__(self, other):
-        """Expand only the factors the two sides do not share, then cancel
-        each binomial denominator factor that divides the new cofactor.
-        Two bare monomials with different keys make one binomial at once:
-        the unit, key and factor that the general path settles on."""
+        """Expand only the factors the two sides do not share, cancel each
+        binomial denominator factor that divides the sum, and absorb what
+        is left as one more factor (``_absorb``).  Two bare monomials with
+        different keys make one binomial at once: the unit, key and factor
+        that the general path ends on."""
         ca, cb = self.c, other.c
         if not ca:
             return other
         if not cb:
             return self
-        if not self.f and not other.f and self.num is POLY_ONE \
-                and other.num is POLY_ONE and self.m != other.m:
+        if not self.f and not other.f and self.m != other.m:
             unit, g, key = _binomial(self.m, ca, other.m, cb)
-            return _scalar(unit, g, POLY_ONE, {key: 1})
+            return _scalar(unit, g, {key: 1})
         f, pa, pb = _split(self.f, other.f)
-        a, b = _expand(self.num, pa), _expand(other.num, pb)
+        a, b = _expand(pa), _expand(pb)
         m = _key_min(self.m, other.m)
         if self.m != m:
             a = a.mul_mono(_mono(self.m - m))
@@ -993,13 +983,14 @@ class Scalar:
                     p = quo
                     e += 1
                     _put(f, key, 1)
-        return _settle(ca, m, p, f)
+        ca, m = _absorb(p.terms, 1, ca, m, f)
+        return _scalar(ca, m, f)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _scalar(-self.c, self.m, self.num, self.f) if self.c else self
+        return _scalar(-self.c, self.m, self.f) if self.c else self
 
     def __mul__(self, other):
         c = self.c * other.c
@@ -1014,13 +1005,7 @@ class Scalar:
             f = dict(fa)
             for key, e in fb.items():
                 _put(f, key, e)
-        na, nb = self.num, other.num
-        m = self.m + other.m
-        if nb is POLY_ONE:
-            return _scalar(c, m, na, f)
-        if na is POLY_ONE:
-            return _scalar(c, m, nb, f)
-        return _settle(c, m, na * nb, dict(f))
+        return _scalar(c, self.m + other.m, f)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -1028,11 +1013,8 @@ class Scalar:
     def inverse(self):
         if not self.c:
             raise DivisionByZero("division by zero scalar")
-        f = {key: -e for key, e in self.f.items()}
-        c, m = coeff_inverse(self.c), -self.m
-        if self.num is not POLY_ONE:
-            c, m = _absorb(self.num.terms, -1, c, m, f)
-        return _scalar(c, m, POLY_ONE, f)
+        return _scalar(coeff_inverse(self.c), -self.m,
+                       {key: -e for key, e in self.f.items()})
 
     # --- comparisons ---
 
@@ -1045,7 +1027,7 @@ class Scalar:
         if not ca or not cb:
             return not ca and not cb
         _, pa, pb = _split(self.f, other.f)
-        a, b = _expand(self.num, pa), _expand(other.num, pb)
+        a, b = _expand(pa), _expand(pb)
         if len(a.terms) != len(b.terms):
             return False
         if self.m != other.m:
@@ -1063,7 +1045,6 @@ class Scalar:
         except AttributeError:
             bias = _BIAS[-1]
             occ = (self.m + bias) ^ bias
-            occ |= self.num._occupied()
             for key in self.f:
                 occ |= _FACTORS[key]._occupied()
             self._occ = occ
@@ -1072,11 +1053,8 @@ class Scalar:
     def _remap(self, mask, fn, c, m, vanishes):
         """This scalar with fn applied to each part that uses a limb of
         ``mask``, over the already mapped unit (c, m)."""
-        num = self.num
-        if num._occupied() & mask:
-            num = fn(num)
         f = {}
-        zero = not num.terms
+        zero = False
         for key, e in self.f.items():
             p = _FACTORS[key]
             if not p._occupied() & mask:
@@ -1089,9 +1067,7 @@ class Scalar:
                 zero = True
             else:
                 c, m = _absorb(p.terms, e, c, m, f)
-        if zero:
-            return SCALAR_ZERO
-        return _settle(c, m, num, f)
+        return SCALAR_ZERO if zero else _scalar(c, m, f)
 
     def conjugate(self, dmon):
         taps = _shift_taps(dmon.key)
@@ -1120,11 +1096,11 @@ class Scalar:
     def eval_numeric(self, assignment):
         """The exact value where each variable takes its value in
         ``assignment``, as a canonical coefficient: c times the unit
-        monomial, the cofactor and each factor to its exponent, each of
-        these parts summed term by term (``_term_sum``).  It calls
-        neither ``eval_plan`` nor the oracle, whose kernel it checks; the
-        two share only the decoded keys.  A variable the scalar holds that
-        is 0 raises DivisionByZero, then a denominator factor that is 0
+        monomial and each factor to its exponent, each of these parts
+        summed term by term (``_term_sum``).  It calls neither
+        ``eval_plan`` nor the oracle, whose kernel it checks; the two
+        share only the decoded keys.  A variable the scalar holds that is
+        0 raises DivisionByZero, then a denominator factor that is 0
         raises DenominatorVanishes."""
         if not self.c:
             return 0
@@ -1137,7 +1113,7 @@ class Scalar:
                 powers[v, e] = coeff_pow(assignment[v], e)
             return powers[v, e]
         parts = [(_term_sum(p, power), e) for p, e in (
-            (Poly({self.m: self.c}, _clean=False), 1), (self.num, 1),
+            (Poly({self.m: self.c}, _clean=False), 1),
             *((_FACTORS[key], e) for key, e in self.f.items()))]
         num = prod(coeff_pow(v, e) for v, e in parts if e > 0)
         den = prod(coeff_pow(v, -e) for v, e in parts if e < 0)
@@ -1149,12 +1125,12 @@ class Scalar:
     def eval_plan(self):
         """(c, den, num, parts): the constant, the multiplicities of the
         denominator factors and of the numerator parts (the numerator
-        factors, the cofactor, the unit monomial) as Counters over part
-        keys, and each key's Poly; the zero scalar has c = 0 and no part.
-        A key determines its part: a factor's key (four ints for a
-        binomial, the term set for any other factor), the cofactor's term
-        set, the unit monomial's packed key.  The kinds never collide, so
-        a part that several scalars share has one key."""
+        factors and the unit monomial) as Counters over part keys, and
+        each key's Poly; the zero scalar has c = 0 and no part.  A key
+        determines its part: a factor's key (four ints for a binomial,
+        the term set for any other factor) or the unit monomial's packed
+        key.  The kinds never collide, so a part that several scalars
+        share has one key."""
         den, num, parts = Counter(), Counter(), {}
         if not self.c:
             return 0, den, num, parts
@@ -1164,10 +1140,6 @@ class Scalar:
             else:
                 num[key] = e
             parts[key] = _FACTORS[key]
-        if self.num is not POLY_ONE:
-            key = frozenset(self.num.terms.items())
-            num[key] += 1
-            parts[key] = self.num
         if self.m:
             if self.m not in _FACTORS:
                 _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
@@ -1193,17 +1165,10 @@ class Scalar:
         """(numerator, denominator) as expanded Polys: the unit monomial's
         negative exponents go to the denominator, the rest and the
         constant to the numerator."""
-        m = self.m
-        num = self.num
-        if num is not POLY_ONE:
-            g = num.content_monomial().key
-            if g:
-                num = num.mul_mono(_mono(-g))
-                m += g
-        neg = _key_min(m, 0)
+        neg = _key_min(self.m, 0)
         _, up, down = _split(self.f, {})    # against no factor: e > 0, e < 0
-        num, den = _expand(num, up), _expand(POLY_ONE, down)
-        return (num.mul_mono(_mono(m - neg)).scale(self.c),
+        num, den = _expand(up), _expand(down)
+        return (num.mul_mono(_mono(self.m - neg)).scale(self.c),
                 den.mul_mono(_mono(-neg)))
 
     def __repr__(self):
@@ -1215,5 +1180,5 @@ class Scalar:
         return f"({num!r})/({den!r})"
 
 
-SCALAR_ZERO = _scalar(0, 0, POLY_ONE, {})
-SCALAR_ONE = _scalar(1, 0, POLY_ONE, {})
+SCALAR_ZERO = _scalar(0, 0, {})
+SCALAR_ONE = _scalar(1, 0, {})

@@ -8,15 +8,13 @@ coefficient on the left, multiplied and compared as every distribution is.
 The d-monomials (``DMonomial``) and the rule that moves one past a
 coefficient live in ``scalars``, next to the keys they share.
 ``admissible`` tests whether a denominator factor lies in the localized
-algebra's multiplicative set, and ``check_admissible`` checks every
-factor of a coefficient; the ``check`` verb runs the test on the B
-images.
+algebra's multiplicative set; the ``check`` verb runs it on every
+denominator factor of the B images.
 """
 
 from __future__ import annotations
 
 from .delta import Distribution, canonicalize_compare
-from .errors import LocalizationViolation
 from .scalars import unpack_poly
 
 
@@ -68,13 +66,3 @@ def admissible(factor):
         elif v != "q" or abs(e) > MAX_QHALF:
             return False
     return not c1 + c2 and sorted(ws) in ([2], [4], [2, 2])
-
-
-def check_admissible(coeff):
-    """Raise LocalizationViolation unless every denominator factor of the
-    Scalar ``coeff`` is ``admissible``."""
-    for factor in coeff.den_factors():
-        if not admissible(factor):
-            raise LocalizationViolation(
-                f"denominator factor {factor!r} is not in the allowed "
-                "multiplicative set")

@@ -339,8 +339,8 @@ def test_check_scalars_hold_exponents_of_table_factors(capsys, monkeypatch,
     table, made, bad = scalars._FACTORS, [], []
     build = scalars._scalar
 
-    def checked(c, m, num, f):
-        s = build(c, m, num, f)
+    def checked(c, m, f):
+        s = build(c, m, f)
         made.append(len(f))
         for key, e in f.items():
             p = table[key]

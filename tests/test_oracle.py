@@ -415,9 +415,8 @@ def _reference_pairs():
 
 def _has_gaussian(dist):
     return any(isinstance(x, GR) for _, c, _ in dist.items()
-               for x in [c.c, *c.num.terms.values(),
-                         *(y for key in c.f
-                           for y in _FACTORS[key].terms.values())])
+               for x in [c.c, *(y for key in c.f
+                                for y in _FACTORS[key].terms.values())])
 
 
 def test_reference_pairs_cover_gaussian_coefficients():

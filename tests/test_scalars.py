@@ -12,8 +12,9 @@ from iqgklo.oracle import _cleared as _cleared_unit, combine_cleared
 from iqgklo.scalars import (
     _BINOMIALS, _FACTORS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial,
     Poly, Scalar, _binomial, _canon, _index, _key_min, _limb_rows, _mono,
-    _normal_binomial, _q_shift, _settle, _shift_taps, _substitute_key,
-    _substitution, coeff_inverse, divide_binomial, unpack_poly, w_var,
+    _absorb, _normal_binomial, _q_shift, _scalar, _shift_taps,
+    _substitute_key, _substitution, coeff_inverse, divide_binomial,
+    unpack_poly, w_var,
 )
 
 
@@ -75,7 +76,7 @@ def test_has_spectral_reads_every_part():
     w, u = Monomial.w(1, 1), Monomial.unit("u")
     torus = one_minus(w * Monomial.q_int(1)) / one_minus(w)
     assert not torus.has_spectral() and not Scalar.zero().has_spectral()
-    # in the unit monomial, the cofactor, and a denominator factor
+    # in the unit monomial, a numerator factor, and a denominator factor
     for s in (torus * Scalar.from_mono(u), torus * Scalar(Poly.mono(u)
                                                           + Poly.mono(w)),
               torus / one_minus(u * w)):
@@ -577,7 +578,8 @@ def _reduced(cleared):
        st.fixed_dictionaries({v: small_grs for v in NAMES}))
 def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
     # a constant, often Gaussian, and a unit monomial times a + 1, which
-    # holds a cofactor and the denominator factors of a
+    # holds the numerator factors of the sum and the denominator factors
+    # of a
     ra, a = sa
     mono = Monomial(_ref_mono(m))
     s = Scalar.from_mono(mono, GR(*c)) * (a + Scalar.one())
@@ -601,15 +603,17 @@ def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
 
 def test_cleared_value_of_every_part_kind():
     # a Gaussian constant, a unit monomial with a negative exponent, a
-    # cofactor, a numerator factor and two denominator factors, one squared
+    # numerator factor of three terms, a binomial numerator factor and two
+    # denominator factors, one squared
     q, u, w = (Scalar.var(v) for v in ("q", "u", w_var(1, 1)))
     cofactor = Scalar.one() + u + q * q
     gauss = Scalar.one() + Scalar.const(GR_I) * u
     s = (Scalar.from_mono(Monomial((("q", 3), ("u", -2))), GR(2, -3))
          * cofactor * (u - w * w)
          / (Scalar.one() - q * q * u) / (gauss * gauss))
-    assert isinstance(s.c, GR) and s.m and len(s.num.terms) == 3
-    assert sorted(s.f.values()) == [-2, -1, 1]
+    assert isinstance(s.c, GR) and s.m and len(s.f) == 4
+    assert sorted(s.f.values()) == [-2, -1, 1, 1]
+    assert sorted(len(_FACTORS[key].terms) for key in s.f) == [2, 2, 2, 3]
     assignment = {"q": GR(2, 1), "u": GR(Fraction(-1, 3)),
                   w_var(1, 1): GR(Fraction(1, 2), Fraction(3, 5))}
     qv, uv, wv = assignment["q"], assignment["u"], assignment[w_var(1, 1)]
@@ -646,7 +650,7 @@ def test_divide_binomial(m1, c1, m2, c2, g, m3, c3):
 def _general_monomial_sum(a, b):
     """a + b for bare monomials with different keys, along the general
     path of Scalar.__add__: both shifted to the lower key, the
-    coefficients combined, and the binomial settled."""
+    coefficients combined, and the binomial absorbed."""
     m = _key_min(a.m, b.m)
     x, y = POLY_ONE.mul_mono(_mono(a.m - m)), POLY_ONE.mul_mono(_mono(b.m - m))
     ca, cb = a.c, b.c
@@ -659,7 +663,9 @@ def _general_monomial_sum(a, b):
         p, ca = x.scale(ca // g) + y.scale(cb // g), g
     else:
         p = x + y.scale(_canon(cb * coeff_inverse(ca)))
-    return _settle(ca, m, p, {})
+    f = {}
+    ca, m = _absorb(p.terms, 1, ca, m, f)
+    return _scalar(ca, m, f)
 
 
 # int, Fraction and Gaussian coefficients, each in canonical form
@@ -680,11 +686,35 @@ def test_monomial_sum_matches_general_path(ma, ca, mb, cb, tie):
     assume(a.m != b.m)
     got, want = a + b, _general_monomial_sum(a, b)
     assert got.c == want.c and got.m == want.m
-    assert got.num is POLY_ONE and want.num is POLY_ONE
-    assert list(got.f) == list(want.f) and len(got.f) == 1
+    assert got.f == want.f and len(got.f) == 1
     (key, e), = got.f.items()
     assert key in _FACTORS and e == want.f[key] == 1
     assert repr(got) == repr(want)
+
+
+def test_a_sum_of_three_terms_is_one_table_factor(monkeypatch):
+    # a polynomial of three or more terms enters a scalar only as a
+    # content-free table factor with exponent 1, so a product adds
+    # exponents and an equality cancels it, neither expanding it
+    q, u = Scalar.var("q"), Scalar.var("u")
+    s = q * u + q * q + Scalar.const(3) * q * u * u
+    (key, e), = s.f.items()
+    assert e == 1 and len(_FACTORS[key].terms) == 3
+    assert _FACTORS[key].content_monomial().is_one() and s.m == q.m
+    assert s.equals(Scalar(Poly({(q * u).m: 1, (q * q).m: 1,
+                                 (q * u * u).m: 3})))
+    assert s.inverse().f == {key: -1}
+    x, y = one_minus(Monomial.unit("u")), one_minus(Monomial.q_int(1))
+    a, b = s * x, y / s
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda p, r: products.append(1) or mul(p, r))
+    ab = a * b
+    assert ab.f == {**x.f, **y.f}
+    assert (s * x).equals(x * s) and not a.equals(s * y)
+    assert ab.equals(x * y)
+    assert not products
 
 
 
