@@ -34,9 +34,7 @@ from .errors import (
 )
 from .gklo import build_B_image, build_Xi
 from .oracle import randomized_equal, truncated_series_check
-from .relations import (
-    ALL_KINDS, RelationChecker, identity_suite,
-)
+from .relations import ALL_KINDS, RelationChecker
 from .satake import (
     build_catalog, cartan_A, catalog_by_name, make_instance, validate_diagram,
 )
@@ -378,6 +376,7 @@ def _oracle_crosscheck(results, cfg):
 
 
 def cmd_identities(args):
+    from .identities import identity_suite     # loaded only for this verb
     results = identity_suite()
     doc = {"schema": REPORT_SCHEMA_ID,
            "results": [_result_entry(r) for r in results]}

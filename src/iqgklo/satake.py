@@ -7,8 +7,8 @@ An orientation is a frozenset of directed edges (i, j) meaning i -> j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AdjacentThetas, AsymmetricMultiplicity, IncompatibleOrientation,
@@ -18,8 +18,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(NamedTuple):
     rank: int
     cartan: tuple            # tuple of tuples, 1-based via cartan[i-1][j-1]
     tau: tuple               # tau[i-1] = image of i
@@ -225,8 +224,7 @@ def assign_wp(diagram, orientation):
     return wp
 
 
-@dataclass(frozen=True)
-class ShiftInstance:
+class ShiftInstance(NamedTuple):
     name: str
     diagram: SatakeDiagram
     framing: tuple           # per-node pairings of the dominant coweight

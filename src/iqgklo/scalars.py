@@ -943,15 +943,19 @@ class Scalar:
     def __add__(self, other):
         """Expand only the factors the two sides do not share, cancel each
         binomial denominator factor that divides the sum, and absorb what
-        is left as one more factor (``_absorb``).  Two bare monomials with
-        different keys make one binomial at once: the unit, key and factor
-        that the general path ends on."""
+        is left as one more factor (``_absorb``).  Two sides with the same
+        monomial and factors add their constants, and two bare monomials
+        with different keys make one binomial at once: the unit, key and
+        factor that the general path ends on."""
         ca, cb = self.c, other.c
         if not ca:
             return other
         if not cb:
             return self
-        if not self.f and not other.f and self.m != other.m:
+        if self.m == other.m and self.f == other.f:
+            c = _canon(ca + cb)
+            return _scalar(c, self.m, self.f) if c else SCALAR_ZERO
+        if not self.f and not other.f:
             unit, g, key = _binomial(self.m, ca, other.m, cb)
             return _scalar(unit, g, {key: 1})
         f, pa, pb = _split(self.f, other.f)
@@ -1020,12 +1024,15 @@ class Scalar:
 
     def equals(self, other):
         """Field equality: the shared factors cancel, and what is left is
-        compared by cross-multiplication."""
+        compared by cross-multiplication; two sides with the same monomial
+        and factors compare their constants."""
         if self is other:
             return True
         ca, cb = self.c, other.c
         if not ca or not cb:
             return not ca and not cb
+        if self.m == other.m and self.f == other.f:
+            return ca == cb
         _, pa, pb = _split(self.f, other.f)
         a, b = _expand(pa), _expand(pb)
         if len(a.terms) != len(b.terms):

@@ -6,7 +6,6 @@ is done once in a module fixture and shared by the criteria that consume
 its by-products (logged rational currents, evaluated relation sides).
 """
 
-import dataclasses
 import time
 
 import pytest
@@ -15,10 +14,12 @@ from iqgklo.errors import DegreeMismatch
 from iqgklo.gklo import (
     build_kappa, build_WW, build_Xi, build_ZZ, leading_coefficient_K,
 )
+from iqgklo.identities import (
+    _adjacent_pairs, identity_suite, residue_symmetry_holds,
+)
 from iqgklo.oracle import randomized_equal, truncated_series_check
 from iqgklo.relations import (
-    RelationChecker, _adjacent_pairs, chi_exchange_suite, identity_suite,
-    merged_chi_suite, residue_symmetry_holds,
+    RelationChecker, chi_exchange_suite, merged_chi_suite,
 )
 from iqgklo.satake import build_catalog, catalog_by_name
 
@@ -107,8 +108,8 @@ def test_criterion_4_degree_extraction():
                 bad.append(f"{inst.name}:deg{i}")
         # the degree shift from a corrupted multiplicity at node 1 shows
         # up at node 1's involution image and neighbors, so scan all nodes
-        corrupted = dataclasses.replace(
-            inst, mult=(inst.mult[0] + 1,) + inst.mult[1:])
+        corrupted = inst._replace(
+            mult=(inst.mult[0] + 1,) + inst.mult[1:])
         checks += 1
         try:
             for i in corrupted.diagram.nodes():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from iqgklo.cli import instance_from_description
@@ -275,7 +273,7 @@ def test_leading_degree_matches_shift():
 
 def test_leading_degree_mismatch_detected():
     inst = catalog_by_name("sA1-v1-t0")
-    bad = dataclasses.replace(inst, mult=(2,))
+    bad = inst._replace(mult=(2,))
     with pytest.raises(DegreeMismatch):
         leading_coefficient_K(bad, 1)
 

@@ -1,10 +1,9 @@
-import dataclasses
-
 import pytest
 
+from iqgklo.identities import identity_suite
 from iqgklo.relations import (
-    ALL_KINDS, BB_KINDS, RelationChecker, chi_exchange_suite, classify_bb,
-    classify_serre, identity_suite, merged_chi_suite,
+    ALL_KINDS, BB_KINDS, CheckReport, CheckResult, RelationChecker,
+    chi_exchange_suite, classify_bb, classify_serre, merged_chi_suite,
 )
 from iqgklo import gklo, relations
 from iqgklo.cli import instance_from_description
@@ -273,6 +272,24 @@ def test_results_carry_their_sides_and_gammas(monkeypatch):
     assert seen == {"not pairwise", "aborted", "compared"}
 
 
+def test_results_and_reports_own_their_lists():
+    # each result and report starts from lists of its own, and a result
+    # binds every keyword that the checker and the suites pass
+    a, b = CheckResult("HH", (), "pass"), CheckResult("HH", (), "pass")
+    a.failures.append(((), None, None, None))
+    a.gammas.append((None, None))
+    assert b.failures == [] and b.gammas == []
+    assert (b.detail, b.seconds, b.sides) == ("", 0.0, None)
+    r = CheckResult("BB2", (1, 1), "fail", failures=[((), None, None, None)],
+                    detail="aborted: x", seconds=0.25, sides=("l", "r"))
+    assert (r.name, r.failures, r.detail, r.seconds, r.sides, r.gammas) == (
+        "BB2[1,1]", [((), None, None, None)], "aborted: x", 0.25, ("l", "r"),
+        [])
+    x, y = CheckReport("x"), CheckReport("y")
+    x.results.extend([a, r])
+    assert y.results == [] and x.failed() == [r] and not x.ok() and y.ok()
+
+
 def test_bb1_compares_sides_where_the_currents_differ():
     """On qsA3-t0, tau swaps nodes 1 and 3 and their Cartan currents
     differ; every BB1 case still compares its two sides, and passes."""
@@ -405,7 +422,7 @@ def test_wrong_multiplicities_fail_hb_and_deg():
     """Multiplicities that the coweights do not give break the Cartan
     currents: HB fails on every pair, each failure at a v pin, and DEG
     fails on the nodes whose top degree moved."""
-    inst = dataclasses.replace(catalog_by_name("qsA2-v11"), mult=(1, 0))
+    inst = catalog_by_name("qsA2-v11")._replace(mult=(1, 0))
     rep = RelationChecker(inst).run(["HB", "DEG"])
     assert {r.name: r.status for r in rep.results} == {
         "DEG[1]": "fail", "DEG[2]": "fail", "HB[1,1]": "fail",
@@ -416,7 +433,7 @@ def test_wrong_multiplicities_fail_hb_and_deg():
             assert all(set(pins) == {"v"} for pins, *_ in r.failures)
         else:
             assert r.detail.startswith("top degree")
-    inst = dataclasses.replace(catalog_by_name("sA1-v1-t0"), mult=(2,))
+    inst = catalog_by_name("sA1-v1-t0")._replace(mult=(2,))
     rep = RelationChecker(inst).run(["HB", "DEG"])
     assert {r.name: r.status for r in rep.results} == {
         "DEG[1]": "fail", "HB[1,1]": "pass"}

@@ -8,8 +8,9 @@ from iqgklo.errors import (
     TauNotInvolution, ThetaOutsideFixedSet, ValidationError,
 )
 from iqgklo.satake import (
-    assign_wp, build_catalog, cartan_A, catalog_by_name, default_orientation,
-    make_instance, solve_shift, validate_diagram, validate_theta,
+    SatakeDiagram, ShiftInstance, assign_wp, build_catalog, cartan_A,
+    catalog_by_name, default_orientation, make_instance, solve_shift,
+    validate_diagram, validate_theta,
 )
 
 
@@ -176,3 +177,20 @@ def test_tau_asymmetric_multiplicities_rejected():
     # the framing may differ on a pair when the multiplicities agree
     assert make_instance("qsA2-v11", d, (1, 0), (0, -1)).mult == (1, 1)
 
+
+def test_diagram_and_instance_are_immutable_values():
+    # same fields in the same order, built positionally; no field can be
+    # set and no attribute added
+    inst = catalog_by_name("qsA3-t1")
+    assert SatakeDiagram._fields == ("rank", "cartan", "tau")
+    assert ShiftInstance._fields == ("name", "diagram", "framing", "shift",
+                                     "mult", "theta", "orientation", "wp")
+    assert ShiftInstance(*inst) == inst
+    assert SatakeDiagram(*inst.diagram) == inst.diagram
+    for obj, field in ((inst.diagram, "rank"), (inst, "mult")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+    assert inst._replace(mult=(2, 2, 2)).mult == (2, 2, 2)
+    assert inst.mult == (1, 1, 1)

@@ -692,6 +692,43 @@ def test_monomial_sum_matches_general_path(ma, ca, mb, cb, tie):
     assert repr(got) == repr(want)
 
 
+def _is_canonical(c):
+    """Whether c is a canonical coefficient: a plain int, a Fraction that
+    is not integral, or a GR with canonical parts and a nonzero imaginary
+    part."""
+    if isinstance(c, GR):
+        return bool(c.im) and _is_canonical(c.re) and _is_canonical(c.im)
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(ref_scalars(), mono_coeffs, mono_coeffs,
+       st.sampled_from(("free", "equal", "opposite")),
+       st.fixed_dictionaries({v: small_grs for v in NAMES}))
+def test_sum_and_equality_of_shared_parts_match_values(sa, ca, cb, tie,
+                                                       assignment):
+    # two constant multiples of one scalar share its monomial and factor
+    # dict, so their sum and their equality read the constants alone
+    if tie != "free":
+        cb = ca if tie == "equal" else -ca
+    _, s = sa
+    a, b = Scalar.const(ca) * s, Scalar.const(cb) * s
+    assert a.m == b.m and a.f == b.f
+    try:
+        value = s.eval_numeric(assignment)
+    except (DenominatorVanishes, DivisionByZero):
+        value = 0
+    assume(value != 0)
+    va, vb = a.eval_numeric(assignment), b.eval_numeric(assignment)
+    total = a + b
+    assert total.eval_numeric(assignment) == _canon(va + vb)
+    assert total.is_zero() == (tie == "opposite")
+    if not total.is_zero():
+        assert (total.m, total.f) == (a.m, a.f) and _is_canonical(total.c)
+    assert a.equals(b) == b.equals(a) == (va == vb)
+    assert a.equals(b) == (tie == "equal" or ca == cb)
+
+
 def test_a_sum_of_three_terms_is_one_table_factor(monkeypatch):
     # a polynomial of three or more terms enters a scalar only as a
     # content-free table factor with exponent 1, so a product adds
