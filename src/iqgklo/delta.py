@@ -29,7 +29,7 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    DMonomial, Monomial, Poly, SCALAR_ONE, Scalar, add_into, coeff_inverse,
+    DMonomial, Monomial, SCALAR_ONE, Scalar, _poly, add_into, coeff_inverse,
     coeff_pow, times_powers,
 )
 
@@ -237,7 +237,7 @@ class FactorCurrent:
                         continue
                     add_into(nxt.setdefault(k, {}), p, mexp * M.key, cc)
             cur = nxt
-        return self.pref, {n: Poly(p, _clean=False) for n, p in cur.items()
+        return self.pref, {n: _poly(p) for n, p in cur.items()
                            if low <= n <= order and p}
 
     def equals(self, other):
@@ -268,7 +268,8 @@ def _pins_key(pins):
 
 
 class Distribution:
-    """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon).
+    """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon), no
+    coefficient 0: a merge that cancels deletes its term.
 
     Every result has the receiver's type, so a subclass (the pin-free
     ``torus.TorusElement``) is closed under the algebra."""
@@ -299,31 +300,30 @@ class Distribution:
         self._merge((_pins_key(pins), dmon), pins, coeff)
 
     def _merge(self, key, pins, coeff):
-        """Add one term that is already checked, under its merge key."""
+        """Add one term that is already checked, under its merge key; a sum
+        that cancels is deleted, so no zero coefficient is kept."""
         old = self.terms.get(key)
-        self.terms[key] = (pins, coeff if old is None else old[1] + coeff)
-
-    def _resolved(self):
-        """(merge key, pins, coeff) per term, zero coefficients skipped."""
-        for key, (pins, coeff) in self.terms.items():
-            if not coeff.is_zero():
-                yield key, pins, coeff
+        if old is not None:
+            coeff = old[1] + coeff
+        if not coeff.is_zero():
+            self.terms[key] = (pins, coeff)
+        elif old is not None:
+            del self.terms[key]
 
     def items(self):
-        """Yield (pins, coeff, dmon) with zero coefficients skipped."""
-        for (_, dmon), pins, coeff in self._resolved():
+        """Yield (pins, coeff, dmon) per term."""
+        for (_, dmon), (pins, coeff) in self.terms.items():
             yield pins, coeff, dmon
 
     def is_zero(self):
-        return all(c.is_zero() for _, c in self.terms.values())
+        return not self.terms
 
     def _sum(self, other, negate):
         """self + other, or self - other when ``negate``, in one pass over
-        terms that are already resolved, so none is checked again."""
+        terms that are already checked, so none is checked again."""
         out = type(self)()
-        for key, pins, coeff in self._resolved():
-            out._merge(key, pins, coeff)
-        for key, pins, coeff in other._resolved():
+        out.terms = dict(self.terms)
+        for key, (pins, coeff) in other.terms.items():
             out._merge(key, pins, -coeff if negate else coeff)
         return out
 
@@ -336,29 +336,32 @@ class Distribution:
     def __neg__(self):
         out = type(self)()
         out.terms = {key: (pins, -coeff)
-                     for key, pins, coeff in self._resolved()}
+                     for key, (pins, coeff) in self.terms.items()}
         return out
 
     def scale(self, s):
         """Left-multiply every coefficient by a scalar, which must be free
         of spectral variables.  Scalars commute, and ``coeff * s`` copies
-        the larger factor dict."""
+        the larger factor dict; scaling by 0 leaves no term."""
         if s.has_spectral():
             raise UnpinnedResidual("scalar holds a spectral variable")
         out = type(self)()
-        for key, pins, coeff in self._resolved():
-            out.terms[key] = (pins, coeff * s)
+        if not s.is_zero():
+            out.terms = {key: (pins, coeff * s)
+                         for key, (pins, coeff) in self.terms.items()}
         return out
 
     def map_coeff(self, fn):
         """Replace each coefficient by fn(pins, coeff), which must be free
-        of spectral variables."""
+        of spectral variables; a term whose new coefficient is 0 is
+        dropped."""
         out = type(self)()
-        for key, pins, coeff in self._resolved():
+        for key, (pins, coeff) in self.terms.items():
             coeff = fn(pins, coeff)
             if coeff.has_spectral():
                 raise UnpinnedResidual("coefficient holds a spectral variable")
-            out.terms[key] = (pins, coeff)
+            if not coeff.is_zero():
+                out.terms[key] = (pins, coeff)
         return out
 
     def __mul__(self, other):
@@ -386,7 +389,7 @@ class Distribution:
         when two pins of one term land on one name; two terms that land
         on one key merge."""
         out = type(self)()
-        for (_, dmon), pins, coeff in self._resolved():
+        for (_, dmon), (pins, coeff) in self.terms.items():
             renamed = {mapping.get(v, v): M for v, M in pins.items()}
             if len(renamed) < len(pins):
                 raise DoublePin(f"two pins of {sorted(pins)} renamed to one")
@@ -457,8 +460,7 @@ def canonicalize_compare(x, y):
     repr of their decoded pins and dmon, which is distinct per group, so
     the list is what sorting every group first would give.
     """
-    xs = {key: (p, c) for key, p, c in x._resolved()}
-    ys = {key: (p, c) for key, p, c in y._resolved()}
+    xs, ys = x.terms, y.terms
     bad = []
     for key, (p, _) in {**ys, **xs}.items():
         cx = xs[key][1] if key in xs else Scalar.zero()

@@ -3,13 +3,14 @@
 Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
-  group by support group, at random real rational values g/s of all base
-  variables, in integers only: each trial powers every variable once over
-  the union of its exponent spans, and each distinct part of the
-  coefficients is decoded into integer rows on first use and evaluated at
-  most once per trial, only where a verdict needs it.  The parts that both
-  sides of a group share are cancelled, exactly, so each (verdict, trials)
-  pair is that of evaluating every coefficient whole.  It shares no
+  group by support group, at random points of the prime field F_P,
+  P = 2**30 - 35: each trial draws every base variable as a nonzero
+  residue, powers it once over its exponent span, and each distinct part
+  of the coefficients is decoded into residue rows on first use and
+  evaluated at most once per trial, only where a verdict needs it.  Every
+  value is one residue mod P.  The parts that both sides of a group share
+  are cancelled, exactly, so each (verdict, trials) pair is that of
+  evaluating every coefficient whole and reducing it mod P.  It shares no
   simplification code with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
@@ -24,14 +25,17 @@ Two instruments:
 from __future__ import annotations
 
 import random
-from math import gcd, lcm, prod
+from math import prod
 
 from .errors import BadSpecialization
 from .scalars import GR, SCALAR_ZERO, Scalar
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
-MAX_HEIGHT = 64     # bound on the numerator and denominator of a draw
-_HEIGHT_BITS = MAX_HEIGHT.bit_length()
+# The field of the randomized check: P is prime and P % 4 == 1, so -1 has a
+# square root I mod P (2 is not a square mod P, so 2^((P-1)/4) is one) and
+# a + b*i maps to a + I*b.  P < 2^30 keeps every residue one CPython digit.
+P = 2**30 - 35
+I = pow(2, (P - 1) // 4, P)
 
 
 def act(term, f):
@@ -45,84 +49,45 @@ def act(term, f):
     return coeff * Scalar.from_mono(f).conjugate(dmon)
 
 
-def _random_points(rng, names, n_test_exps):
-    """One attempt's draws: for each name in order, a random rational n/d,
-    0 < |n|, d <= MAX_HEIGHT, as (s, g), the integer g over the positive
-    integer s in lowest terms; then the test monomial's exponents in
-    [-3, 3], drawn and dropped.
+def residue(c):
+    """The coefficient c, a rational or a Gaussian rational a + b*i, mod P:
+    a + I*b, each rational through the inverse of its denominator.  No
+    coefficient of the engine has a denominator divisible by P."""
+    re, im = (c.re, c.im) if isinstance(c, GR) else (c, 0)
+    return (re.numerator * pow(re.denominator, -1, P)
+            + I * im.numerator * pow(im.denominator, -1, P)) % P
 
-    Every value is read off ``rng.getrandbits`` by the rejection loop of
-    CPython's ``randrange``: 7 bits until below 64 for |n| - 1, 2 bits
-    until below 2 for the sign (1 picks -1), likewise 7 bits for d - 1,
-    and 3 bits until below 7 for each exponent plus 3.  So the values,
-    and the state the generator is left in, are those of
-    ``randint(1, 64) * choice((1, -1))``, ``randint(1, 64)`` and
-    ``randint(-3, 3)``."""
+
+def _random_points(rng, n):
+    """One attempt's draws: n residues, each uniform in 1 .. P-1, read off
+    ``rng.getrandbits(30)`` by rejecting 0 and every value from P up."""
     bits = rng.getrandbits
     points = []
-    for _ in names:
-        n = bits(_HEIGHT_BITS)
-        while n >= MAX_HEIGHT:
-            n = bits(_HEIGHT_BITS)
-        sign = bits(2)
-        while sign >= 2:
-            sign = bits(2)
-        d = bits(_HEIGHT_BITS)
-        while d >= MAX_HEIGHT:
-            d = bits(_HEIGHT_BITS)
-        n, d = (-n - 1 if sign else n + 1), d + 1
-        g = gcd(n, d)
-        points.append((d // g, n // g))
-    for _ in range(n_test_exps):
-        while bits(3) >= 7:
-            pass
+    while len(points) < n:
+        r = bits(30)
+        if 0 < r < P:
+            points.append(r)
     return points
 
 
 def _groups(dist):
-    """Each support group's nonzero coefficient, keyed by the
-    distribution's own merge key of its pins and shift, under which
-    ``Distribution`` has already summed the group's terms."""
-    return {key: c for key, (_, c) in dist.terms.items() if not c.is_zero()}
+    """Each support group's coefficient, keyed by the distribution's own
+    merge key of its pins and shift, under which ``Distribution`` has
+    already summed the group's terms and dropped a sum that cancels."""
+    return {key: c for key, (_, c) in dist.terms.items()}
 
 
-def _cleared(c):
-    """The constant c as (s, cre, cim), the value (cre + i*cim) / s: a
-    Gaussian integer over the least positive integer s that clears it."""
-    re, im = (c.re, c.im) if isinstance(c, GR) else (c, 0)
-    s = lcm(re.denominator, im.denominator)
-    return s, int(re * s), int(im * s)
-
-
-def combine_cleared(unit, den, num, values):
-    """The value unit * prod(num) / prod(den) as (nre, nim, dre, dim), the
-    value (nre + i*nim) / (dre + i*dim), not reduced: ``unit`` is a cleared
-    constant (s, cre, cim) (see ``_cleared``), and ``den`` and ``num`` map
-    part keys to multiplicities, each part's value (re, im, D), the value
-    (re + i*im) / D, being ``values[key]``."""
-    dre, nre, nim = unit
-    dim = 0
-    for key, e in den.items():
-        re, im, D = values[key]
-        for _ in range(e):
-            dre, dim = dre * re - dim * im, dre * im + dim * re
-            nre, nim = nre * D, nim * D
+def _side_value(unit, den, num, values):
+    """One side (unit, den, num) of a group as (n, d), the value n/d mod
+    P: ``unit`` is its constant's residue, and ``den`` and ``num`` map part
+    keys to multiplicities, each part's residue being ``values[key]``."""
+    n = unit
     for key, e in num.items():
-        re, im, D = values[key]
-        for _ in range(e):
-            nre, nim = nre * re - nim * im, nre * im + nim * re
-            dre, dim = dre * D, dim * D
-    return nre, nim, dre, dim
-
-
-def _same_value(a, b):
-    """Whether two unreduced values (nre, nim, dre, dim) of
-    ``combine_cleared`` are equal: n/d == n'/d' exactly when n*d' == n'*d
-    in the Gaussian integers."""
-    nre, nim, dre, dim = a
-    mre, mim, ere, eim = b
-    return (nre * ere - nim * eim == mre * dre - mim * dim
-            and nre * eim + nim * ere == mre * dim + mim * dre)
+        n = n * pow(values[key], e, P) % P
+    d = 1
+    for key, e in den.items():
+        d = d * pow(values[key], e, P) % P
+    return n, d
 
 
 def _plan(x, y):
@@ -130,11 +95,11 @@ def _plan(x, y):
     ``eval_plan`` by key, and per support group, x's first and then those
     only y has, (dens, shared, vx, vy): the parts of either side's
     denominator, the numerator parts both sides hold, and each side as
-    (unit, den, num), its constant cleared (``_cleared``), with what both
-    hold in their numerators, or both in their denominators, cancelled to
-    the lower multiplicity.  A group equal in all four to an earlier one
-    is left out: in every trial that reaches it, the earlier group has
-    passed, and so would it."""
+    (unit, den, num), its constant's residue, with what both hold in their
+    numerators, or both in their denominators, cancelled to the lower
+    multiplicity.  A group equal in all four to an earlier one is left
+    out: in every trial that reaches it, the earlier group has passed, and
+    so would it."""
     gx, gy = _groups(x), _groups(y)
     parts, groups, seen = {}, [], set()
     for key in [*gx, *(key for key in gy if key not in gx)]:
@@ -144,8 +109,8 @@ def _plan(x, y):
         parts.update(py)
         sd, sn = dx & dy, nx & ny
         dens, shared = frozenset(dx.keys() | dy.keys()), frozenset(sn)
-        vx = (_cleared(ux), dx - sd, nx - sn)
-        vy = (_cleared(uy), dy - sd, ny - sn)
+        vx = (residue(ux), dx - sd, nx - sn)
+        vy = (residue(uy), dy - sd, ny - sn)
         sig = dens, shared, *((u, frozenset(d.items()), frozenset(n.items()))
                               for u, d, n in (vx, vy))
         if sig not in seen:
@@ -155,19 +120,19 @@ def _plan(x, y):
 
 
 def _compile(parts):
-    """(names, spans, zero): the pair's variables in name order, "q"
-    always among them, each variable's span (lo, hi), the union of its
-    exponent ranges over all parts widened to hold 0, and the index of
-    each variable's 0th power in the trial's power tables, which lie end
-    to end in one flat list (see ``_power_tables``).  The exponent ranges
-    are read off each part's cached layout (``Poly.layout``)."""
-    spans = {"q": (0, 0)}
+    """(names, spans, zero): the pair's variables in name order, each
+    variable's span (lo, hi), the union of its exponent ranges over all
+    parts, and the index of each variable's 0th power in the trial's power
+    tables, which lie end to end in one flat list (see ``_power_tables``),
+    so the e-th power is at zero[v] + e.  The exponent ranges are read off
+    each part's cached layout (``Poly.layout``)."""
+    spans = {}
     for p in parts.values():
         for v, lo, hi in p.layout()[0]:
-            a, b = spans.get(v, (0, 0))
+            a, b = spans.get(v, (lo, hi))
             spans[v] = min(a, lo), max(b, hi)
     names = sorted(spans)
-    zero, end = {}, 0                   # the index of each v^0
+    zero, end = {}, 0
     for v in names:
         lo, hi = spans[v]
         zero[v] = end - lo
@@ -176,19 +141,13 @@ def _compile(parts):
 
 
 def _kernel(part, zero):
-    """One part's kernel (L, den_at, rows) on the power tables that
-    ``zero`` indexes: L clears the denominators of the part's
-    coefficients, den_at indexes the 0th power of each variable the part
-    holds, and rows holds (re, im, powers) per term, the coefficient times
-    L and the index of each of those variables' powers."""
+    """One part's rows on the power tables that ``zero`` indexes: per
+    term, its coefficient's residue and the index of the power of each
+    variable the part holds."""
     ranges, rows = part.layout()
-    coeffs = [(c.re, c.im) if isinstance(c, GR) else (c, 0)
-              for c in part.terms.values()]
-    L = lcm(*(x.denominator for c in coeffs for x in c))
     at = [zero[v] for v, _, _ in ranges]
-    return L, at, [(int(re * L), int(im * L),
-                     [i + e for i, e in zip(at, exps)])
-                    for (re, im), exps in zip(coeffs, rows)]
+    return [(residue(c), [i + e for i, e in zip(at, exps)])
+            for c, exps in zip(part.terms.values(), rows)]
 
 
 class _OnDemand(dict):
@@ -206,73 +165,61 @@ class _OnDemand(dict):
 
 def _power_tables(points, spans):
     """The trial's power tables end to end: for each variable's drawn
-    g/s and span (lo, hi), g^(e-lo) * s^(hi-e) for e = lo .. hi, the
-    numerator of its e-th power over the one denominator g^(-lo) * s^hi,
-    which is the table's entry at e = 0."""
+    residue x and span (lo, hi), x^e mod P for e = lo .. hi."""
     out = []
-    for (s, g), (lo, hi) in zip(points, spans):
-        table = [1]
+    for x, (lo, hi) in zip(points, spans):
+        p = pow(x, lo, P)
+        out.append(p)
         for _ in range(hi - lo):
-            table.append(table[-1] * g)         # g^(e-lo)
-        sk = 1
-        for i in reversed(range(hi - lo)):
-            sk *= s
-            table[i] *= sk                      # times s^(hi-e)
-        out += table
+            p = p * x % P
+            out.append(p)
     return out
 
 
-def _part_value(kernel, powers):
-    """One part's value (re, im, D), the value (re + i*im) / D, on the
-    trial's power tables: every power of a variable is over that
-    variable's denominator, so each term is a plain integer product."""
-    L, den_at, rows = kernel
+def _part_value(rows, powers):
+    """One part's residue on the trial's power tables."""
     get = powers.__getitem__
-    tre = tim = 0
-    for re, im, at in rows:
-        p = prod(map(get, at))
-        tre += re * p
-        tim += im * p
-    return tre, tim, L * prod(map(get, den_at))
+    return sum(c * prod(map(get, at)) for c, at in rows) % P
 
 
 def _vanishes(values, keys):
-    """Whether one of the parts ``keys`` is 0 in this trial."""
-    for key in keys:
-        re, im, _ = values[key]
-        if not (re or im):
-            return True
-    return False
+    """Whether one of the parts ``keys`` is 0 mod P in this trial."""
+    return not all(map(values.__getitem__, keys))
 
 
 def randomized_equal(x, y, trials=20, seed=0):
-    """Numeric concordance check for two fully pinned distributions.
+    """Numeric concordance check for two fully pinned distributions, in
+    the prime field F_P.
+
+    Reducing mod P is a ring homomorphism on every value whose
+    denominator is not 0 mod P, so two sides whose residues differ differ
+    over Q(i), and a False verdict is a sound witness.  Two different
+    sides have equal residues at a uniform nonzero point with probability
+    at most deg/(P-1) per trial, deg the total degree of their
+    cross-multiplied difference cleared of negative powers
+    (Schwartz-Zippel); the trials are independent.
 
     The pair is planned once (``_plan``), and every variable gets one span,
     the union of its exponent ranges over all parts (``_compile``).  Each
-    trial draws every variable as a real rational g/s (``_random_points``)
-    and builds one power table per variable over its span, all powers of
-    a variable over one denominator (``_power_tables``).  A part's kernel
-    is decoded on first use (``_kernel``), and a part is evaluated in
-    plain integers (``_part_value``) only when a verdict needs it, at most
-    once per trial.  Per group, in order:
+    trial draws every variable as a nonzero residue (``_random_points``)
+    and builds one power table per variable over its span
+    (``_power_tables``).  A part's kernel is decoded on first use
+    (``_kernel``), and a part is evaluated (``_part_value``) only when a
+    verdict needs it, at most once per trial.  Per group, in order:
     * its denominator parts, shared or not, are evaluated first, and one
-      that vanishes retries the trial, as the whole values would;
+      that is 0 retries the trial, as the whole values would;
     * else its two sides, the parts both share cancelled, are compared as
-      unreduced n/d (``combine_cleared``): n/d == n'/d' exactly when
-      n*d' == n'*d, so no gcd and no Fraction is needed;
+      n/d (``_side_value``): n/d == n'/d' exactly when n*d' - n'*d is 0
+      mod P;
     * only if they differ are its shared numerator parts evaluated: one
-      that vanishes makes both whole sides 0, and the group is equal in
+      that is 0 makes both whole sides 0, and the group is equal in
       this trial; else they are one nonzero factor of both sides of
       n*d' == n'*d, and the verdict is False.
     Where the reduced sides agree, so do the whole ones, so no verdict
-    needs the shared parts there.  The test monomial is drawn on every
-    trial but not applied: the shift part only rescales it, by one nonzero
-    factor of both sides of a group.  So the draws, the retries (bounded)
-    and the group order, which is fixed since a mismatch met before a
-    vanishing denominator decides False and not a retry, are those of
-    evaluating every coefficient whole on the test monomial, and so is
-    (verdict, trials_run).
+    needs the shared parts there.  So the retries (bounded) and the group
+    order, which is fixed since a mismatch met before a vanishing
+    denominator decides False and not a retry, are those of evaluating
+    every coefficient whole mod P, and so is (verdict, trials_run).
     """
     rng = random.Random(seed)
     parts, groups = _plan(x, y)
@@ -280,23 +227,20 @@ def randomized_equal(x, y, trials=20, seed=0):
         return True, trials
     names, spans, zero = _compile(parts)
     kernels = _OnDemand(lambda key: _kernel(parts[key], zero))
-    n_test_exps = sum(v.startswith("w:") for v in names)
     done = attempts = 0
     while done < trials:
         if attempts > MAX_RETRIES + trials:
             raise BadSpecialization(
                 f"exceeded {MAX_RETRIES} retries at trial {done}")
         attempts += 1
-        powers = _power_tables(_random_points(rng, names, n_test_exps),
-                               spans)
+        powers = _power_tables(_random_points(rng, len(names)), spans)
         values = _OnDemand(
             lambda key, powers=powers: _part_value(kernels[key], powers))
         for dens, shared, vx, vy in groups:
             if _vanishes(values, dens):
                 break
-            if not _same_value(combine_cleared(*vx, values),
-                               combine_cleared(*vy, values)) \
-                    and not _vanishes(values, shared):
+            (n, d), (m, e) = _side_value(*vx, values), _side_value(*vy, values)
+            if (n * e - m * d) % P and not _vanishes(values, shared):
                 return False, done + 1
         else:
             done += 1

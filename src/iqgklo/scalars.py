@@ -506,45 +506,48 @@ def unpack_poly(p):
     return {_mono(key): c for key, c in p.terms.items()}
 
 
+def _poly(terms):
+    """The Poly of a term dict that holds no zero coefficient, trusted and
+    not copied."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
+
+
 class Poly:
     """A Laurent polynomial: ``terms`` maps packed exponent keys (see the
-    module docstring) to canonical nonzero coefficients."""
+    module docstring) to canonical nonzero coefficients.  ``Poly(terms)``
+    drops zero coefficients; ``_poly`` wraps a dict that holds none."""
 
     __slots__ = ("terms", "_occ", "_layout")
 
-    def __init__(self, terms=None, _clean=True):
-        if terms is None:
-            self.terms = {}
-        elif _clean:
-            self.terms = {k: c for k, c in terms.items() if c}
-        else:
-            self.terms = terms
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls):
-        return cls({}, _clean=False)
+        return _poly({})
 
     @classmethod
     def const(cls, c):
         if not isinstance(c, GR):
             c = _as_num(c)
-        return cls({0: c} if c else {}, _clean=False)
+        return _poly({0: c} if c else {})
 
     @classmethod
     def mono(cls, m, c=1):
         if not c:
             return cls.zero()
-        return cls({m.key: c}, _clean=False)
+        return _poly({m.key: c})
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        return Poly(add_into(dict(self.terms), other.terms), _clean=False)
+        return _poly(add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        return Poly(add_into(dict(self.terms), other.terms, c=-1),
-                    _clean=False)
+        return _poly(add_into(dict(self.terms), other.terms, c=-1))
 
     def __mul__(self, other):
         a, b = self.terms, other.terms
@@ -553,18 +556,18 @@ class Poly:
         d = {}
         for k, c in a.items():
             add_into(d, b, k, c)
-        return Poly(d, _clean=False)
+        return _poly(d)
 
     def scale(self, c):
         if c == 1:
             return self
         if not c:
             return Poly.zero()
-        return Poly({k: cc * c for k, cc in self.terms.items()}, _clean=False)
+        return _poly({k: cc * c for k, cc in self.terms.items()})
 
     def mul_mono(self, m):
         mk = m.key
-        return Poly({k + mk: c for k, c in self.terms.items()}, _clean=False)
+        return _poly({k + mk: c for k, c in self.terms.items()})
 
     def conjugate(self, dmon):
         """Move the d-monomial ``dmon`` through this polynomial from the left.
@@ -577,8 +580,8 @@ class Poly:
         taps = _shift_taps(dmon.key)
         if not taps:
             return self
-        return Poly({key + _q_shift(key, taps): c
-                     for key, c in self.terms.items()}, _clean=False)
+        return _poly({key + _q_shift(key, taps): c
+                      for key, c in self.terms.items()})
 
     def substitute(self, subst):
         """Replace every variable of the mapping ``subst`` by its monomial
@@ -588,10 +591,8 @@ class Poly:
             return self
         d = {}
         for key, c in self.terms.items():
-            key = _substitute_key(key, plan)
-            s = d.get(key)
-            d[key] = c if s is None else s + c
-        return Poly(d)
+            add_into(d, {_substitute_key(key, plan): c})
+        return _poly(d)
 
     def layout(self):
         """The evaluation layout of this nonzero Poly (see
@@ -690,7 +691,7 @@ def divide_binomial(p, b):
                 out[base + j * delta] = q
         if row[hi] != c2 * q:
             return None
-    return Poly(out, _clean=False)
+    return _poly(out)
 
 
 # --- factored scalars ------------------------------------------------------
@@ -757,7 +758,7 @@ def _normal_binomial(k1, c1, k2, c2):
             c1, c2 = ratio.denominator, ratio.numerator
     key = (k1, c1, k2, c2)
     if key not in _FACTORS:
-        _FACTORS[key] = Poly({k1: c1, k2: c2}, _clean=False)
+        _FACTORS[key] = _poly({k1: c1, k2: c2})
     return unit, g, key
 
 
@@ -786,7 +787,7 @@ def _absorb(terms, e, c, m, f):
         unit, g, key = _binomial(k1, a1, k2, a2)
         _put(f, key, e)
         return c * coeff_pow(unit, e), m + e * g
-    poly = Poly(terms, _clean=False)
+    poly = _poly(terms)
     g = poly.content_monomial().key
     if g:
         poly = poly.mul_mono(_mono(-g))
@@ -1120,7 +1121,7 @@ class Scalar:
                 powers[v, e] = coeff_pow(assignment[v], e)
             return powers[v, e]
         parts = [(_term_sum(p, power), e) for p, e in (
-            (Poly({self.m: self.c}, _clean=False), 1),
+            (_poly({self.m: self.c}), 1),
             *((_FACTORS[key], e) for key, e in self.f.items()))]
         num = prod(coeff_pow(v, e) for v, e in parts if e > 0)
         den = prod(coeff_pow(v, -e) for v, e in parts if e < 0)
@@ -1149,7 +1150,7 @@ class Scalar:
             parts[key] = _FACTORS[key]
         if self.m:
             if self.m not in _FACTORS:
-                _FACTORS[self.m] = Poly({self.m: 1}, _clean=False)
+                _FACTORS[self.m] = _poly({self.m: 1})
             num[self.m] += 1
             parts[self.m] = _FACTORS[self.m]
         return self.c, den, num, parts

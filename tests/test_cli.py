@@ -267,8 +267,8 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
     # every variable drawn as 1 puts a zero in a denominator of every
     # attempt, so the oracle runs out of retries: concordance fails (exit 1
     # with a report), the verb does not
-    def all_ones(rng, names, n_test_exps):
-        return [(1, 1)] * len(names)
+    def all_ones(rng, n):
+        return [1] * n
     monkeypatch.setattr(oracle, "_random_points", all_ones)
     code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
                            "--relations", "BB2", "--trials", "2",

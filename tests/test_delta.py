@@ -177,6 +177,22 @@ def test_add_term_raises_on_an_unresolved_term():
     assert len(d.terms) == 1
 
 
+def test_a_distribution_keeps_no_zero_coefficient():
+    x = Distribution.single({"u": W}, Scalar.one()) \
+        + Distribution.single({}, Z)
+    assert (x - x).is_zero() and not (x - x).terms
+    assert not Distribution.single({}, Scalar.zero()).terms
+    assert not x.scale(Scalar.zero()).terms
+    ((pins, _, _),) = x.map_coeff(
+        lambda pins, c: c if pins else Scalar.zero()).items()
+    assert pins == {"u": W}
+    # a term that cancels and then takes a later summand is a new term,
+    # after the others
+    y = x + Distribution.single({"u": W}, -Scalar.one()) \
+        + Distribution.single({"u": W}, Z)
+    assert [pins for pins, _, _ in y.items()] == [{}, {"u": W}]
+
+
 def test_map_coeff_raises_on_a_pinned_variable():
     x = Distribution.single({"u": W}, Scalar.one())
     with pytest.raises(UnpinnedResidual):
@@ -373,8 +389,9 @@ def test_merge_kernels_match_add_term_path():
             _assert_same_terms(a - b, _reference_sub(a, b))
             merged += len(a.terms) + len(b.terms) - len(total.terms)
         _assert_same_terms(-x, _reference_neg(x))
-        # a zero sum keeps its slot, so a sum with a cancelled term inside
-        # must match too
+        # a sum that cancels leaves no term, so a sum with a cancelled
+        # term inside must match too
+        assert not (x - x).terms
         _assert_same_terms((x - x) + y, _reference_add(_reference_sub(x, x),
                                                        y))
     assert merged

@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,17 +22,18 @@ from iqgklo.errors import (
 )
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
-    _groups, _plan, _same_value, act, randomized_equal,
+    I, P, _groups, _plan, act, randomized_equal, residue,
     truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import (
-    _FACTORS, GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into, z_var,
+    _FACTORS, GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into,
+    coeff_inverse, z_var,
 )
 from iqgklo.torus import TorusElement
 from test_gklo import SHIFTED
-from test_scalars import ref_scalars
+from test_scalars import _mod_p, ref_scalars
 
 
 def _shift(i, r, e):
@@ -208,15 +210,28 @@ def _random_test_monomial(rng, variables):
     return Monomial((v, rng.randint(-3, 3)) for v in wvars)
 
 
-def _reference_draw(rng, variables):
-    """One attempt's draws, made the long way: for each variable in name
-    order a Gaussian rational n/d, |n| and d in 1..64 (n's sign drawn
-    after its size), then the test monomial."""
-    assignment = {}
-    for v in sorted(variables):
-        n = rng.randint(1, 64) * rng.choice((1, -1))
-        assignment[v] = GR(Fraction(n, rng.randint(1, 64)))
-    return assignment, _random_test_monomial(rng, variables)
+def _reference_residues(rng, n):
+    """n residues in 1 .. P-1, each the next value of getrandbits(30) that
+    is one."""
+    out = []
+    while len(out) < n:
+        r = rng.getrandbits(30)
+        if 0 < r < P:
+            out.append(r)
+    return out
+
+
+def _reference_draw(rng, mono_rng, variables):
+    """One attempt's draws, made the long way: a residue for each variable
+    in name order off ``rng``, then, off ``mono_rng``, the test monomial
+    and a value of q where the pair holds none, since acting on the test
+    monomial brings in powers of q."""
+    names = sorted(variables)
+    assignment = dict(zip(names, _reference_residues(rng, len(names))))
+    f = _random_test_monomial(mono_rng, variables)
+    if "q" not in assignment:
+        assignment["q"] = mono_rng.randrange(1, P)
+    return assignment, f
 
 
 def _kept_pairs(report):
@@ -226,9 +241,9 @@ def _kept_pairs(report):
 
 
 def _variables(x, y):
-    """"q" and every variable that a part of a coefficient holds, read off
-    the parts' evaluation layouts."""
-    out = {"q"}
+    """Every variable that a part of a coefficient holds, read off the
+    parts' evaluation layouts."""
+    out = set()
     for g in (_groups(x), _groups(y)):
         for c in g.values():
             for p in c.eval_plan()[3].values():
@@ -238,21 +253,21 @@ def _variables(x, y):
 
 @pytest.mark.parametrize("name", ["sA1-v1-t1", "sA1-v2-t0", "qsA3-t0",
                                   "qsA2-v11"])
-def test_randomized_equal_keeps_the_test_monomial_draws(name, monkeypatch):
-    # randomized_equal draws each value already cleared and the test
-    # monomial's exponents without building it, so each attempt must leave
-    # the random stream where the long way left it, with the same values
+def test_randomized_equal_draws_once_per_attempt_off_the_seed_stream(
+        name, monkeypatch):
+    # each attempt draws one nonzero residue per variable of the pair, in
+    # name order, from where the previous attempt left the seed's stream,
+    # and the reference reads the same residues
     report = RelationChecker(catalog_by_name(name)).run()
-    lhs, rhs = max(_kept_pairs(report).values(), key=lambda pair: sum(
-        v.startswith("w:") for v in _variables(*pair)))
-    variables = _variables(lhs, rhs)
-    assert any(v.startswith("w:") for v in variables)
+    lhs, rhs = max(_kept_pairs(report).values(),
+                   key=lambda pair: len(_variables(*pair)))
+    names = sorted(_variables(lhs, rhs))
+    assert any(v.startswith("w:") for v in names)
     records = []
     draw = oracle._random_points
 
-    def recorded(rng, names, n_test_exps):
-        state = rng.getstate()
-        records.append((state, names, draw(rng, names, n_test_exps)))
+    def recorded(rng, n):
+        records.append((rng.getstate(), n, draw(rng, n)))
         return records[-1][2]
     monkeypatch.setattr(oracle, "_random_points", recorded)
     attempts = []
@@ -264,54 +279,65 @@ def test_randomized_equal_keeps_the_test_monomial_draws(name, monkeypatch):
     assert randomized_equal(lhs, rhs, trials=5, seed=3) == (True, 5)
     assert _reference_randomized_equal(lhs, rhs, 5, 3, draw=logged) == \
         (True, 5)
-    # one draw per attempt, each from where the long way left the stream,
-    # each value g/s in lowest terms over s > 0
     assert len(records) == len(attempts) >= 5
     rng = random.Random(3)
-    for state, names, points in records:
-        assert names == sorted(variables)
-        assert rng.getstate() == state
-        assignment, _ = _reference_draw(rng, variables)
-        assert points == [(a.denominator, a.numerator)
-                          for a in map(Fraction, map(assignment.get, names))]
+    for (state, n, points), (assignment, _) in zip(records, attempts):
+        assert rng.getstate() == state and n == len(names)
+        assert points == _reference_residues(rng, n) == \
+            [assignment[v] for v in names]
+        assert all(0 < r < P for r in points)
 
 
-@pytest.mark.parametrize("n_names", [1, 4, 9])
-@pytest.mark.parametrize("n_test_exps", [0, 3])
-def test_random_points_read_the_randint_stream(n_names, n_test_exps):
-    # the draw reads randint's and choice's rejection loops straight off
-    # getrandbits: the same values, and the generator left where they
-    # leave it
-    names = [f"x{k}" for k in range(n_names)]
-    for seed in range(60):
+class _Stream:
+    """A generator whose getrandbits(30) returns the given values in
+    order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def getrandbits(self, k):
+        assert k == 30
+        return next(self.values)
+
+
+def test_random_points_are_the_nonzero_residues_of_the_stream():
+    # 0 and every value from P up are rejected, the rest kept in order
+    stream = _Stream([0, 5, P, P - 1, 2**30 - 1, 1, 7])
+    assert oracle._random_points(stream, 3) == [5, P - 1, 1]
+    assert oracle._random_points(stream, 0) == []
+    assert oracle._random_points(stream, 1) == [7]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_random_points_read_the_seeded_stream(n):
+    # each draw leaves the stream where the reference leaves it
+    for seed in range(20):
         rng, ref = random.Random(seed), random.Random(seed)
-        for _ in range(20):
-            points = oracle._random_points(rng, names, n_test_exps)
-            values = []
-            for _ in names:
-                n = ref.randint(1, 64) * ref.choice((1, -1))
-                values.append(Fraction(n, ref.randint(1, 64)))
-            for _ in range(n_test_exps):
-                ref.randint(-3, 3)      # dropped; the state shows it
-            assert points == [(a.denominator, a.numerator) for a in values]
+        for _ in range(5):
+            assert oracle._random_points(rng, n) == \
+                _reference_residues(ref, n)
             assert rng.getstate() == ref.getstate()
 
 
 def _draws(x, y, seed):
     """The oracle's support groups and its stream of random
-    (assignment, test monomial) draws for one seed, made the long way."""
+    (assignment, test monomial) draws for one seed, made the long way;
+    the test monomials come off a stream of their own."""
     gx, gy = _groups(x), _groups(y)
     variables = _variables(x, y)
-    rng = random.Random(seed)
+    rng, mono_rng = random.Random(seed), random.Random(f"monomial {seed}")
     return gx, gy, [*gx, *(k for k in gy if k not in gx)], \
-        lambda: _reference_draw(rng, variables)
+        lambda: _reference_draw(rng, mono_rng, variables)
 
 
 def _reference_randomized_equal(x, y, trials, seed, max_retries=200,
                                 draw=None):
     """The full-product oracle: act on the test monomial with the whole
-    symbolic coefficient, then evaluate the product.  ``draw`` replaces
-    the seed's stream of draws when given."""
+    symbolic coefficient, evaluate the product exactly at the drawn
+    residues taken as integers, and reduce it mod P.  A draw where a
+    value cannot be taken, or where a denominator factor of either
+    coefficient is 0 mod P, is retried.  ``draw`` replaces the seed's
+    stream of draws when given."""
     gx, gy, keys, seeded = _draws(x, y, seed)
     draw = draw or seeded
     if not keys:
@@ -324,8 +350,12 @@ def _reference_randomized_equal(x, y, trials, seed, max_retries=200,
         try:
             for key in keys:
                 dmon = key[1]
-                vx = act((gx.get(key, Scalar.zero()), dmon), f).eval_numeric(a)
-                vy = act((gy.get(key, Scalar.zero()), dmon), f).eval_numeric(a)
+                cx, cy = (g.get(key, Scalar.zero()) for g in (gx, gy))
+                if any(not _mod_p(Scalar(p).eval_numeric(a))
+                       for c in (cx, cy) for p in c.den_factors()):
+                    raise DenominatorVanishes("0 mod P")
+                vx, vy = (_mod_p(act((c, dmon), f).eval_numeric(a))
+                          for c in (cx, cy))
                 if vx != vy:
                     return False, done + 1
         except (DenominatorVanishes, DivisionByZero):
@@ -392,7 +422,7 @@ def _reference_series_check(gamma, expansion, order):
             if l != k:
                 expect = expect * (Scalar.from_mono(roots[k]) -
                                    Scalar.from_mono(rho))
-        if not (pref * Scalar(Poly(val, _clean=False))).equals(expect):
+        if not (pref * Scalar(Poly(val))).equals(expect):
             return False
     return True
 
@@ -479,14 +509,16 @@ def test_kept_pairs_reference_covers_false_verdicts():
 
 
 def _scripted(monkeypatch, assignments):
-    """Make the oracle draw the given assignments, in order, and return the
-    same stream of (assignment, test monomial) draws for the reference."""
-    points = iter([{v: (Fraction(a).denominator, Fraction(a).numerator)
-                    for v, a in assignment.items()}
-                   for assignment in assignments])
-    monkeypatch.setattr(oracle, "_random_points",
-                        lambda rng, names, n_test_exps:
-                        list(map(next(points).get, names)))
+    """Make the oracle draw the given residues, each assignment's in name
+    order, and return the same stream of (assignment, test monomial)
+    draws for the reference."""
+    points = iter([[a[v] for v in sorted(a)] for a in assignments])
+
+    def scripted(rng, n):
+        drawn = next(points)
+        assert len(drawn) == n
+        return drawn
+    monkeypatch.setattr(oracle, "_random_points", scripted)
     draws = iter(assignments)
     return lambda: (next(draws), Monomial.one())
 
@@ -494,10 +526,10 @@ def _scripted(monkeypatch, assignments):
 # a torus variable that the shift d_{1,1} leaves alone; a coefficient of a
 # distribution holds no spectral variable
 T = z_var(1, 1)
-# 1 - q t vanishes at the first assignment and not at the second
+# 1 - q^2 t is 0 mod P at the first assignment, t = 4^-1 mod P, though not
+# over the rationals, and is not 0 mod P at the second
 ONE_MINUS_QT = Scalar.one() - Scalar.var("q", 2) * Scalar.var(T)
-VANISH_THEN_NOT = [{"q": GR(2), T: GR(Fraction(1, 4))},
-                   {"q": GR(3), T: GR(5)}]
+VANISH_THEN_NOT = [{"q": 2, T: pow(4, -1, P)}, {"q": 3, T: 5}]
 
 
 def test_vanishing_shared_numerator_part_leaves_the_group_equal(
@@ -602,16 +634,55 @@ def test_factor_current_equals_agrees_with_scalar_equals(
         assert fc.to_scalar().equals(other.to_scalar()) is pref.is_zero()
 
 
+def test_residue_reduces_each_component_through_its_denominator():
+    assert residue(Fraction(1, 3)) == (P + 1) // 3
+    assert residue(Fraction(-5, 2)) == (P - 5) // 2
+    assert residue(GR(2, -1)) == (2 - I) % P
+    assert residue(GR(Fraction(1, 3), 1)) == ((P + 1) // 3 + I) % P
+
+
+_q, _one, _p = Scalar.var("q"), Scalar.one(), Scalar.const(P)
+
+
+# residues decide: constants that differ by a multiple of P agree, i agrees
+# with I, and two quotients over different denominators agree where their
+# cross products differ by a multiple of P; sides that differ mod P, in
+# either component, do not
 @pytest.mark.parametrize("a, b, same", [
-    ((1, 1, 1, 0), (2, 2, 2, 0), True),     # (1+i)/1 and (2+2i)/2
-    ((1, 1, 1, 0), (2, 0, 1, -1), True),    # 1+i and 2/(1-i)
-    ((1, 1, 1, 0), (1, -1, 1, 0), False),   # equal real parts
-    ((1, 1, 1, 0), (2, 1, 1, 0), False),    # equal imaginary parts
-    ((0, 0, 1, 0), (0, 0, 5, 3), True),     # zero over any denominator
+    (_q * Scalar.const(Fraction(1, 3)), _q * Scalar.const((P + 1) // 3),
+     True),
+    (_q * Scalar.const(GR(1, 1)), _q * Scalar.const(GR(1 + P, 1 - P)), True),
+    (_q * Scalar.const(GR_I), _q * Scalar.const(I), True),
+    (_q / (_one + _q), (_q + _p) / (_one + _q + _p * _q), True),
+    (_q / (_one + _q), (_q + _one) / (_one + _q + _q), False),
+    (_q * Scalar.const(GR(1, 1)), _q * Scalar.const(GR(1 + P, 2)), False),
 ])
-def test_same_value_cross_multiplies_both_components(a, b, same):
-    assert _same_value(a, b) is same
-    assert _same_value(b, a) is same
+def test_randomized_equal_compares_the_sides_mod_p(a, b, same):
+    x, y = (Distribution.single({}, c) for c in (a, b))
+    for u, v in ((x, y), (y, x)):
+        assert randomized_equal(u, v, trials=5, seed=0) == \
+            ((True, 5) if same else (False, 1))
+
+
+def test_residue_map_field_is_prime_with_a_square_root_of_minus_one():
+    assert P < 2**30 and P % 4 == 1
+    assert all(P % k for k in range(2, isqrt(P) + 1))
+    assert I * I % P == P - 1
+
+
+gaussians = st.builds(GR, st.fractions(max_denominator=60),
+                      st.fractions(max_denominator=60))
+
+
+@settings.get_profile(os.environ.get("IQGKLO_ORACLE_PROFILE", "oracle"))
+@given(gaussians, gaussians)
+def test_residue_map_is_a_ring_homomorphism(a, b):
+    assert residue(1) == 1 and residue(GR_I) == I
+    assert residue(a + b) == (residue(a) + residue(b)) % P
+    assert residue(a * b) == residue(a) * residue(b) % P
+    assert residue(-a) == -residue(a) % P
+    if a and residue(a):
+        assert residue(coeff_inverse(a)) * residue(a) % P == 1
 
 
 def test_randomized_equal_sees_a_difference_in_the_imaginary_part():
@@ -751,7 +822,7 @@ def _leave_one_out(A, Z, m, rho):
     for n, c in Z.items():
         if n <= m:
             add_into(value, c.terms, (m - n) * rho.key, -1)
-    return Poly(value, _clean=False)
+    return Poly(value)
 
 
 def _two_step_reference(gamma, expansion, order):

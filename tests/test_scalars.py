@@ -2,13 +2,14 @@
 
 import importlib.util
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from iqgklo.errors import DenominatorVanishes, DivisionByZero
-from iqgklo.oracle import _cleared as _cleared_unit, combine_cleared
+from iqgklo import oracle
+from iqgklo.oracle import P
 from iqgklo.scalars import (
     _BINOMIALS, _FACTORS, _LIMB, GR, GR_I, POLY_ONE, DMonomial, Monomial,
     Poly, Scalar, _binomial, _canon, _index, _key_min, _limb_rows, _mono,
@@ -91,6 +92,18 @@ def test_monomial_substitute():
     m = Monomial.unit("u", 2) * Monomial.q_int(1)
     t = Monomial.w(1, 1) * Monomial.q_int(-1)
     assert m.substitute({"u": t}) == Monomial.w(1, 1, 2) * Monomial.q_int(-1)
+
+
+def test_poly_drops_zero_coefficients():
+    q, v = Monomial.q_int(1), Monomial.unit("v")
+    assert Poly({q.key: 0, v.key: 2}).terms == {v.key: 2}
+    assert Poly.const(0).is_zero() and Poly.mono(q, 0).is_zero()
+    # a substitution that sends two terms to one key merges them, and a
+    # sum that cancels leaves no term
+    p = Poly.mono(q) - Poly.mono(v)
+    assert p.substitute({"v": q}).terms == {}
+    assert (Poly.mono(q) + Poly.mono(v)).substitute({"v": q}).terms == \
+        {q.key: 2}
 
 
 def test_substitute_kills_denominator():
@@ -553,55 +566,54 @@ def test_factored_scalar_matches_reference(sa, sb, sc, target, var, dexps):
 small_grs = ref_coeffs.map(lambda c: GR(*c))
 
 
-def _cleared(s, assignment):
-    """The unreduced value (nre, nim, dre, dim) of s: the oracle's
-    ``combine_cleared`` over the parts of its ``eval_plan``, each part's
-    value taken from ``eval_numeric`` and written as a Gaussian integer
-    over the least positive integer that clears it."""
+def _mod_p(value):
+    """An exact coefficient a + b*i mod P, reduced the long way: a + I*b
+    as one rational, then its numerator over its denominator."""
+    re, im = map(Fraction, _pair(value))
+    x = re + oracle.I * im
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+def _plan_residue(s, point):
+    """s at the residues ``point`` as the oracle's (n, d), the value n/d
+    mod P: its kernel and power tables on every part of the plan of s,
+    combined as one side."""
     c, den, num, parts = s.eval_plan()
-    values = {}
-    for key, p in parts.items():
-        re, im = map(Fraction, _pair(Scalar(p).eval_numeric(assignment)))
-        d = lcm(re.denominator, im.denominator)
-        values[key] = (int(re * d), int(im * d), d)
-    return combine_cleared(_cleared_unit(c), den, num, values)
-
-
-def _reduced(cleared):
-    """The unreduced value (nre, nim, dre, dim) as one coefficient."""
-    nre, nim, dre, dim = cleared
-    return GR(nre, nim) * coeff_inverse(GR(dre, dim))
+    names, spans, zero = oracle._compile(parts)
+    powers = oracle._power_tables([point[v] for v in names], spans)
+    values = {key: oracle._part_value(oracle._kernel(p, zero), powers)
+              for key, p in parts.items()}
+    return oracle._side_value(oracle.residue(c), den, num, values)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(ref_scalars(), ref_coeffs, ref_terms,
-       st.fixed_dictionaries({v: small_grs for v in NAMES}))
-def test_cleared_value_reduces_to_eval_numeric(sa, c, m, assignment):
+       st.fixed_dictionaries({v: st.integers(1, P - 1) for v in NAMES}))
+def test_plan_residue_equals_eval_numeric_mod_p(sa, c, m, point):
     # a constant, often Gaussian, and a unit monomial times a + 1, which
     # holds the numerator factors of the sum and the denominator factors
     # of a
     ra, a = sa
     mono = Monomial(_ref_mono(m))
     s = Scalar.from_mono(mono, GR(*c)) * (a + Scalar.one())
-    point = {v: _pair(g) for v, g in assignment.items()}
-    na, da = (_ref_value(r, point) for r in ra)
+    exact = {v: (r, 0) for v, r in point.items()}
+    na, da = (_ref_value(r, exact) for r in ra)
     try:
-        value = s.eval_numeric(assignment)
+        value = s.eval_numeric(point)
     except DenominatorVanishes:
         assert da == (0, 0)
         return
-    cleared = _cleared(s, assignment)
-    nre, nim, dre, dim = cleared
-    assert (dre, dim) != (0, 0)
-    assert _reduced(cleared) == value
-    if da != (0, 0):
-        # c * mono * (na + da) / da, cross-multiplied
-        unit = _ref_cmul(c, _ref_value({mono.exps: (1, 0)}, point))
+    n, d = _plan_residue(s, point)
+    assume(d)               # a denominator 0 mod P: the oracle redraws
+    assert n * pow(d, -1, P) % P == _mod_p(value)
+    if _mod_p(GR(*da)):
+        # c * mono * (na + da) / da, cross-multiplied mod P
+        unit = _ref_cmul(c, _ref_value({mono.exps: (1, 0)}, exact))
         num = _ref_cmul(unit, (na[0] + da[0], na[1] + da[1]))
-        assert _ref_cmul((nre, nim), da) == _ref_cmul((dre, dim), num)
+        assert n * _mod_p(GR(*da)) % P == d * _mod_p(GR(*num)) % P
 
 
-def test_cleared_value_of_every_part_kind():
+def test_plan_residue_of_every_part_kind():
     # a Gaussian constant, a unit monomial with a negative exponent, a
     # numerator factor of three terms, a binomial numerator factor and two
     # denominator factors, one squared
@@ -614,18 +626,18 @@ def test_cleared_value_of_every_part_kind():
     assert isinstance(s.c, GR) and s.m and len(s.f) == 4
     assert sorted(s.f.values()) == [-2, -1, 1, 1]
     assert sorted(len(_FACTORS[key].terms) for key in s.f) == [2, 2, 2, 3]
-    assignment = {"q": GR(2, 1), "u": GR(Fraction(-1, 3)),
-                  w_var(1, 1): GR(Fraction(1, 2), Fraction(3, 5))}
-    qv, uv, wv = assignment["q"], assignment["u"], assignment[w_var(1, 1)]
+    point = {"q": 2, "u": P - 3, w_var(1, 1): 123456789}
+    qv, uv, wv = point["q"], point["u"], point[w_var(1, 1)]
     want = (GR(2, -3) * qv * qv * qv * coeff_inverse(uv * uv)
             * (1 + uv + qv * qv) * (uv - wv * wv)
             * coeff_inverse((1 - qv * qv * uv)
                             * (1 + GR_I * uv) * (1 + GR_I * uv)))
-    assert _reduced(_cleared(s, assignment)) == want
-    assert s.eval_numeric(assignment) == want
+    assert s.eval_numeric(point) == want
+    n, d = _plan_residue(s, point)
+    assert d and n * pow(d, -1, P) % P == _mod_p(want)
     # the zero scalar has the raw constant 0 and no part
     assert Scalar.zero().eval_plan() == (0, {}, {}, {})
-    assert _cleared(Scalar.zero(), assignment) == (0, 0, 1, 0)
+    assert _plan_residue(Scalar.zero(), point) == (0, 1)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
