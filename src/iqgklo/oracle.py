@@ -4,14 +4,13 @@ Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
   group by support group, at random points of the prime field F_P,
-  P = 2**30 - 35: each trial draws every base variable as a nonzero
-  residue, powers it once over its exponent span, and each distinct part
-  of the coefficients is decoded into residue rows on first use and
-  evaluated at most once per trial, only where a verdict needs it.  Every
-  value is one residue mod P.  The parts that both sides of a group share
-  are cancelled, exactly, so each (verdict, trials) pair is that of
-  evaluating every coefficient whole and reducing it mod P.  It shares no
-  simplification code with the symbolic comparison path.
+  P = 2**30 - 35, every value one residue mod P.  Trials run in batches
+  of attempts drawn up front; each power of a variable and each part of
+  the coefficients is a vector over the batch, made once where a verdict
+  needs it.  The parts both sides of a group share are cancelled exactly,
+  so each (verdict, trials) pair is that of evaluating every coefficient
+  whole, attempt by attempt, mod P.  It shares no simplification code
+  with the symbolic comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its Laurent expansions
@@ -25,12 +24,13 @@ Two instruments:
 from __future__ import annotations
 
 import random
-from math import prod
+from operator import mul
 
 from .errors import BadSpecialization
 from .scalars import GR, SCALAR_ZERO, Scalar
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
+BATCH = 1024        # attempts drawn at once at most: bounds a batch's memory
 # The field of the randomized check: P is prime and P % 4 == 1, so -1 has a
 # square root I mod P (2 is not a square mod P, so 2^((P-1)/4) is one) and
 # a + b*i maps to a + I*b.  P < 2^30 keeps every residue one CPython digit.
@@ -51,9 +51,12 @@ def act(term, f):
 
 def residue(c):
     """The coefficient c, a rational or a Gaussian rational a + b*i, mod P:
-    a + I*b, each rational through the inverse of its denominator.  No
-    coefficient of the engine has a denominator divisible by P."""
+    a + I*b, each rational through the inverse of its denominator; one
+    with no inverse, divisible by P, raises ``BadSpecialization``."""
     re, im = (c.re, c.im) if isinstance(c, GR) else (c, 0)
+    if re.denominator % P == 0 or im.denominator % P == 0:
+        raise BadSpecialization(f"coefficient {c} has a denominator "
+                                "divisible by P")
     return (re.numerator * pow(re.denominator, -1, P)
             + I * im.numerator * pow(im.denominator, -1, P)) % P
 
@@ -77,17 +80,19 @@ def _groups(dist):
     return {key: c for key, (_, c) in dist.terms.items()}
 
 
-def _side_value(unit, den, num, values):
-    """One side (unit, den, num) of a group as (n, d), the value n/d mod
-    P: ``unit`` is its constant's residue, and ``den`` and ``num`` map part
-    keys to multiplicities, each part's residue being ``values[key]``."""
-    n = unit
-    for key, e in num.items():
-        n = n * pow(values[key], e, P) % P
-    d = 1
-    for key, e in den.items():
-        d = d * pow(values[key], e, P) % P
-    return n, d
+def _cancel(a, b):
+    """New copies of the multiplicity dicts a and b, each part that both
+    hold cancelled to the lower of its two multiplicities."""
+    get_a, get_b = a.get, b.get
+    a = {key: e for key, e in a.items() if get_b(key) != e}
+    b = {key: e for key, e in b.items() if get_a(key) != e}
+    for key in a.keys() & b.keys():
+        e, f = a.pop(key), b.pop(key)
+        if e > f:
+            a[key] = e - f
+        else:
+            b[key] = f - e
+    return a, b
 
 
 def _plan(x, y):
@@ -98,8 +103,8 @@ def _plan(x, y):
     (unit, den, num), its constant's residue, with what both hold in their
     numerators, or both in their denominators, cancelled to the lower
     multiplicity.  A group equal in all four to an earlier one is left
-    out: in every trial that reaches it, the earlier group has passed, and
-    so would it."""
+    out: in every attempt that reaches it, the earlier group has passed,
+    and so would it."""
     gx, gy = _groups(x), _groups(y)
     parts, groups, seen = {}, [], set()
     for key in [*gx, *(key for key in gy if key not in gx)]:
@@ -107,10 +112,10 @@ def _plan(x, y):
             g.get(key, SCALAR_ZERO).eval_plan() for g in (gx, gy))
         parts.update(px)
         parts.update(py)
-        sd, sn = dx & dy, nx & ny
-        dens, shared = frozenset(dx.keys() | dy.keys()), frozenset(sn)
-        vx = (residue(ux), dx - sd, nx - sn)
-        vy = (residue(uy), dy - sd, ny - sn)
+        dens = frozenset(dx.keys() | dy.keys())
+        shared = frozenset(nx.keys() & ny.keys())
+        (dx, dy), (nx, ny) = _cancel(dx, dy), _cancel(nx, ny)
+        vx, vy = (residue(ux), dx, nx), (residue(uy), dy, ny)
         sig = dens, shared, *((u, frozenset(d.items()), frozenset(n.items()))
                               for u, d, n in (vx, vy))
         if sig not in seen:
@@ -119,41 +124,8 @@ def _plan(x, y):
     return parts, groups
 
 
-def _compile(parts):
-    """(names, spans, zero): the pair's variables in name order, each
-    variable's span (lo, hi), the union of its exponent ranges over all
-    parts, and the index of each variable's 0th power in the trial's power
-    tables, which lie end to end in one flat list (see ``_power_tables``),
-    so the e-th power is at zero[v] + e.  The exponent ranges are read off
-    each part's cached layout (``Poly.layout``)."""
-    spans = {}
-    for p in parts.values():
-        for v, lo, hi in p.layout()[0]:
-            a, b = spans.get(v, (lo, hi))
-            spans[v] = min(a, lo), max(b, hi)
-    names = sorted(spans)
-    zero, end = {}, 0
-    for v in names:
-        lo, hi = spans[v]
-        zero[v] = end - lo
-        end += hi - lo + 1
-    return names, [spans[v] for v in names], zero
-
-
-def _kernel(part, zero):
-    """One part's rows on the power tables that ``zero`` indexes: per
-    term, its coefficient's residue and the index of the power of each
-    variable the part holds."""
-    ranges, rows = part.layout()
-    at = [zero[v] for v, _, _ in ranges]
-    return [(residue(c), [i + e for i, e in zip(at, exps)])
-            for c, exps in zip(part.terms.values(), rows)]
-
-
 class _OnDemand(dict):
     """A dict that makes each missing value on first use, by ``make``."""
-
-    __slots__ = ("make",)
 
     def __init__(self, make):
         self.make = make
@@ -163,28 +135,39 @@ class _OnDemand(dict):
         return value
 
 
-def _power_tables(points, spans):
-    """The trial's power tables end to end: for each variable's drawn
-    residue x and span (lo, hi), x^e mod P for e = lo .. hi."""
-    out = []
-    for x, (lo, hi) in zip(points, spans):
-        p = pow(x, lo, P)
-        out.append(p)
-        for _ in range(hi - lo):
-            p = p * x % P
-            out.append(p)
-    return out
+def _power_vector(xs, e):
+    """x^e mod P for each residue x of ``xs``, e nonzero."""
+    return [pow(x, e, P) for x in xs]
 
 
-def _part_value(rows, powers):
-    """One part's residue on the trial's power tables."""
-    get = powers.__getitem__
-    return sum(c * prod(map(get, at)) for c, at in rows) % P
+def _part_values(part, powers, n):
+    """One part's residues over the n attempts of a batch, read off its
+    cached layout (``Poly.layout``): per term, its coefficient's residue
+    times the batch's power vector ``powers[v, e]`` of each nonzero
+    exponent e of a variable v."""
+    ranges, rows = part.layout()
+    terms = []
+    for c, exps in zip(part.terms.values(), rows):
+        term = [residue(c)] * n
+        for (v, _, _), e in zip(ranges, exps):
+            if e:
+                term = map(mul, term, powers[v, e])
+        terms.append(term)
+    return [sum(t) % P for t in zip(*terms)]
 
 
-def _vanishes(values, keys):
-    """Whether one of the parts ``keys`` is 0 mod P in this trial."""
-    return not all(map(values.__getitem__, keys))
+def _times(vector, mults, values):
+    """``vector`` times each part of ``mults`` to its multiplicity, per
+    attempt mod P, the part's residues being ``values[key]``."""
+    for key, e in mults.items():
+        vector = [a * pow(b, e, P) % P for a, b in zip(vector, values[key])]
+    return vector
+
+
+def _vanishing(values, keys, n):
+    """Per attempt, whether one of the parts ``keys`` is 0 mod P."""
+    return [0 in t for t in zip(*(values[key] for key in keys))] \
+        if keys else [False] * n
 
 
 def randomized_equal(x, y, trials=20, seed=0):
@@ -199,51 +182,68 @@ def randomized_equal(x, y, trials=20, seed=0):
     cross-multiplied difference cleared of negative powers
     (Schwartz-Zippel); the trials are independent.
 
-    The pair is planned once (``_plan``), and every variable gets one span,
-    the union of its exponent ranges over all parts (``_compile``).  Each
-    trial draws every variable as a nonzero residue (``_random_points``)
-    and builds one power table per variable over its span
-    (``_power_tables``).  A part's kernel is decoded on first use
-    (``_kernel``), and a part is evaluated (``_part_value``) only when a
-    verdict needs it, at most once per trial.  Per group, in order:
-    * its denominator parts, shared or not, are evaluated first, and one
-      that is 0 retries the trial, as the whole values would;
+    The pair is planned once (``_plan``).  While fewer than ``trials``
+    trials have passed, the n still missing (``BATCH`` at most) run as one
+    batch: n attempts are drawn up front, one ``_random_points`` call
+    each, in order, off the seed's stream, and each value below is a
+    vector over the batch.  A power vector (``_power_vector``) is made
+    when an evaluated part first reads it, and a part is evaluated
+    (``_part_values``) once per batch, when a group that an undecided
+    attempt reaches first reads it.  An attempt's outcome is its first
+    event in group order.  Per group:
+    * a denominator part, shared or not, that is 0 retries the attempt, as
+      the whole values would;
     * else its two sides, the parts both share cancelled, are compared as
-      n/d (``_side_value``): n/d == n'/d' exactly when n*d' - n'*d is 0
-      mod P;
-    * only if they differ are its shared numerator parts evaluated: one
-      that is 0 makes both whole sides 0, and the group is equal in
-      this trial; else they are one nonzero factor of both sides of
-      n*d' == n'*d, and the verdict is False.
-    Where the reduced sides agree, so do the whole ones, so no verdict
-    needs the shared parts there.  So the retries (bounded) and the group
-    order, which is fixed since a mismatch met before a vanishing
-    denominator decides False and not a retry, are those of evaluating
-    every coefficient whole mod P, and so is (verdict, trials_run).
+      n/d (``_times``): n/d == n'/d' exactly when n*d' - n'*d is 0 mod P;
+    * only where they differ do its shared numerator parts decide: one
+      that is 0 makes both whole sides 0, so the group is equal there;
+      else they are one nonzero factor of both sides of n*d' == n'*d, and
+      the attempt is a mismatch.  Where the reduced sides agree, so do
+      the whole ones.
+    An outcome depends on its own attempt's draw only, so the batch is
+    scanned in order as if its attempts ran one by one: a retry leaves the
+    rest valid, the first mismatch returns (False, trials run), and the
+    retry bound is checked per attempt.  So (verdict, trials_run), the
+    retries and the group order (a mismatch met before a vanishing
+    denominator decides False) are those of evaluating every coefficient
+    whole mod P.
     """
     rng = random.Random(seed)
     parts, groups = _plan(x, y)
     if not groups:
         return True, trials
-    names, spans, zero = _compile(parts)
-    kernels = _OnDemand(lambda key: _kernel(parts[key], zero))
+    names = sorted({v for p in parts.values() for v, _, _ in p.layout()[0]})
     done = attempts = 0
     while done < trials:
-        if attempts > MAX_RETRIES + trials:
-            raise BadSpecialization(
-                f"exceeded {MAX_RETRIES} retries at trial {done}")
-        attempts += 1
-        powers = _power_tables(_random_points(rng, len(names)), spans)
-        values = _OnDemand(
-            lambda key, powers=powers: _part_value(kernels[key], powers))
-        for dens, shared, vx, vy in groups:
-            if _vanishes(values, dens):
+        n = min(trials - done, BATCH)
+        draws = [_random_points(rng, len(names)) for _ in range(n)]
+        columns = dict(zip(names, zip(*draws)))
+        powers = _OnDemand(lambda ve: _power_vector(columns[ve[0]], ve[1]))
+        values = _OnDemand(lambda key: _part_values(parts[key], powers, n))
+        events = [None] * n
+        for dens, shared, (ux, dx, nx), (uy, dy, ny) in groups:
+            if all(events):
                 break
-            (n, d), (m, e) = _side_value(*vx, values), _side_value(*vy, values)
-            if (n * e - m * d) % P and not _vanishes(values, shared):
+            vanish, zero = _vanishing(values, dens, n), None
+            a, b, c, d = (_times([u] * n, m, values) for u, m in
+                          ((ux, nx), (1, dx), (uy, ny), (1, dy)))
+            for j, event in enumerate(events):
+                if event:
+                    continue
+                if vanish[j]:
+                    events[j] = "retry"
+                elif (a[j] * d[j] - c[j] * b[j]) % P:
+                    zero = zero or _vanishing(values, shared, n)
+                    if not zero[j]:
+                        events[j] = "mismatch"
+        for event in events:
+            if attempts > MAX_RETRIES + trials:
+                raise BadSpecialization(
+                    f"exceeded {MAX_RETRIES} retries at trial {done}")
+            attempts += 1
+            if event == "mismatch":
                 return False, done + 1
-        else:
-            done += 1
+            done += event is None
     return True, done
 
 

@@ -54,7 +54,6 @@ scalar itself when there are none.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
@@ -1133,25 +1132,22 @@ class Scalar:
     def eval_plan(self):
         """(c, den, num, parts): the constant, the multiplicities of the
         denominator factors and of the numerator parts (the numerator
-        factors and the unit monomial) as Counters over part keys, and
+        factors and the unit monomial) as new dicts over part keys, and
         each key's Poly; the zero scalar has c = 0 and no part.  A key
         determines its part: a factor's key (four ints for a binomial,
         the term set for any other factor) or the unit monomial's packed
         key.  The kinds never collide, so a part that several scalars
         share has one key."""
-        den, num, parts = Counter(), Counter(), {}
         if not self.c:
-            return 0, den, num, parts
-        for key, e in self.f.items():
-            if e < 0:
-                den[key] = -e
-            else:
-                num[key] = e
-            parts[key] = _FACTORS[key]
+            return 0, {}, {}, {}
+        f = self.f
+        den = {key: -e for key, e in f.items() if e < 0}
+        num = {key: e for key, e in f.items() if e > 0}
+        parts = {key: _FACTORS[key] for key in f}
         if self.m:
             if self.m not in _FACTORS:
                 _FACTORS[self.m] = _poly({self.m: 1})
-            num[self.m] += 1
+            num[self.m] = 1
             parts[self.m] = _FACTORS[self.m]
         return self.c, den, num, parts
 

@@ -1,11 +1,12 @@
-"""Hypothesis profiles for the property that compares randomized_equal with
-its full-product reference on sides that share parts.
+"""Hypothesis profiles for the properties that compare randomized_equal
+with its full-product reference, on sides that share parts and on
+scripted streams of retries and mismatches.
 
 ``oracle`` (25 derandomized examples) is what tier-1 runs; ``oracle-deep``
-runs the same property at 100 times the size:
+runs the same properties at 100 times the size:
 
     IQGKLO_ORACLE_PROFILE=oracle-deep python -m pytest -q \\
-        tests/test_oracle.py -k sides_share_parts
+        tests/test_oracle.py -k "sides_share_parts or scripted_events"
 """
 
 from hypothesis import settings

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -280,6 +281,31 @@ def test_check_bad_specialization_fails_oracle_concordance(capsys,
         "BB2[1,1]: BadSpecialization: exceeded 200 retries at trial 0"
     assert doc["series_soundness"] == "pass"
     assert "series_soundness_aborted" not in doc
+    assert [r["status"] for r in doc["results"]] == ["pass"]
+
+
+def test_check_coefficient_without_residue_fails_oracle_concordance(
+        capsys, monkeypatch):
+    # sides scaled by 1/P keep their symbolic verdict but have no residue
+    # mod P: concordance fails with the coefficient named (exit 1 with a
+    # report), and the verb does not crash
+    def run(self, kinds=None):
+        report = run_(self, kinds)
+        for r in report.results:
+            if r.sides is not None:
+                r.sides = tuple(side.map_coeff(lambda pins, c: c * scale)
+                                for side in r.sides)
+        return report
+    run_, scale = RelationChecker.run, Scalar.const(Fraction(1, oracle.P))
+    monkeypatch.setattr(RelationChecker, "run", run)
+    code, out, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t0",
+                           "--relations", "BB2", "--format", "structured")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["oracle_concordance"] == "fail"
+    reason = doc["oracle_concordance_aborted"]
+    assert reason.startswith("BB2[1,1]: BadSpecialization: coefficient ")
+    assert reason.endswith(" has a denominator divisible by P")
     assert [r["status"] for r in doc["results"]] == ["pass"]
 
 

@@ -18,7 +18,7 @@ from iqgklo.delta import (
     Distribution, FactorCurrent, expand_by_residues, simple_poles,
 )
 from iqgklo.errors import (
-    DenominatorVanishes, DivisionByZero, NonSimplePole,
+    BadSpecialization, DenominatorVanishes, DivisionByZero, NonSimplePole,
 )
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
@@ -102,41 +102,43 @@ def _needed(groups):
     return out
 
 
-def test_randomized_equal_evaluates_only_the_parts_a_verdict_needs(
+def test_randomized_equal_evaluates_each_needed_part_once_per_batch(
         monkeypatch):
-    # one set of power tables per trial, and no part evaluated twice in a
-    # trial; on this all-equal pair the reduced sides agree in every
-    # trial, so a part that is only ever a shared numerator part is
-    # neither compiled nor evaluated
+    # the 20 trials run as one batch, with no retry on this pair: each part
+    # a verdict needs is evaluated once in it, and each power vector that
+    # an evaluated part reads is built once; on this all-equal pair the
+    # reduced sides agree in every attempt, so a part that is only ever a
+    # shared numerator part is not evaluated
     inst = catalog_by_name("sA1-v1-t0")
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
     parts, groups = _plan(lhs, rhs)
     needed = _needed(groups)
     assert len(parts) == 17 and len(parts.keys() - needed) == 9
     key_of = {id(p): key for key, p in parts.items()}
-    seen = Counter()
-    tables = {}                     # kept alive, so no id is reused
-    compiled = {}
-    kernel, part_value = oracle._kernel, oracle._part_value
+    evaluated, built = Counter(), Counter()
+    kept = []                       # kept alive, so no id is reused
+    part_values, power_vector = oracle._part_values, oracle._power_vector
 
-    def recorded(part, zero):
-        k = kernel(part, zero)
-        compiled[id(k)] = key_of[id(part)]
-        return k
+    def counted_part(part, powers, n):
+        kept.append(powers)
+        evaluated[id(powers), key_of[id(part)]] += 1
+        assert n == 20
+        return part_values(part, powers, n)
 
-    def counted(k, powers):
-        tables[id(powers)] = powers
-        seen[id(powers), compiled[id(k)]] += 1
-        return part_value(k, powers)
-    monkeypatch.setattr(oracle, "_kernel", recorded)
-    monkeypatch.setattr(oracle, "_part_value", counted)
+    def counted_power(xs, e):
+        kept.append(xs)
+        built[id(xs), e] += 1
+        return power_vector(xs, e)
+    monkeypatch.setattr(oracle, "_part_values", counted_part)
+    monkeypatch.setattr(oracle, "_power_vector", counted_power)
     assert randomized_equal(lhs, rhs, trials=20, seed=0) == (True, 20)
-    assert len(tables) == 20
-    assert max(seen.values()) == 1
-    # each part compiled once, on first use
-    assert len(set(compiled.values())) == len(compiled)
-    assert {key for _, key in seen} == set(compiled.values()) == needed
-    assert len(needed) == 8
+    assert len({batch for batch, _ in evaluated}) == 1
+    assert max(evaluated.values()) == max(built.values()) == 1
+    assert {key for _, key in evaluated} == needed and len(needed) == 8
+    reads = {(v, e) for key in needed
+             for ranges, rows in [parts[key].layout()] for row in rows
+             for (v, _, _), e in zip(ranges, row) if e}
+    assert len(built) == len(reads)
 
 
 def test_randomized_equal_plans_identical_groups_once():
@@ -530,6 +532,9 @@ T = z_var(1, 1)
 # over the rationals, and is not 0 mod P at the second
 ONE_MINUS_QT = Scalar.one() - Scalar.var("q", 2) * Scalar.var(T)
 VANISH_THEN_NOT = [{"q": 2, T: pow(4, -1, P)}, {"q": 3, T: 5}]
+# assignments where 1 - q^2 t, 1 + t and 2 + t vanish nowhere, the rest of
+# a batch of five trials
+NOWHERE_ZERO = [{"q": 3 + k, T: 6 + k} for k in range(3)]
 
 
 def test_vanishing_shared_numerator_part_leaves_the_group_equal(
@@ -543,7 +548,7 @@ def test_vanishing_shared_numerator_part_leaves_the_group_equal(
         {}, ONE_MINUS_QT * (Scalar.const(2) + Scalar.var(T)))
     ((_, shared, _, _),) = _plan(x, y)[1]
     assert shared
-    draw = _scripted(monkeypatch, VANISH_THEN_NOT)
+    draw = _scripted(monkeypatch, VANISH_THEN_NOT + NOWHERE_ZERO)
     assert randomized_equal(x, y, trials=5, seed=0) == (False, 2) == \
         _reference_randomized_equal(x, y, 5, 0, draw=draw)
 
@@ -558,9 +563,143 @@ def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
         / ONE_MINUS_QT)
     ((dens, _, (_, dx, _), (_, dy, _)),) = _plan(x, y)[1]
     assert dens and not dx and not dy
-    draw = _scripted(monkeypatch, VANISH_THEN_NOT)
+    draw = _scripted(monkeypatch, VANISH_THEN_NOT + NOWHERE_ZERO)
     assert randomized_equal(x, y, trials=5, seed=0) == (False, 1) == \
         _reference_randomized_equal(x, y, 5, 0, draw=draw)
+
+
+# Three support groups, group g over its own variables s, r and m: x's
+# coefficient (1 - r) m / (1 - s) against y's (1 - r) / (1 - s) plans to
+# the denominator part 1 - s, the shared numerator part 1 - r and the
+# reduced sides m against 1.  So an assignment places each event of a
+# group by its values: s = 1 vanishes the denominator, m != 1 is a
+# mismatch, and r = 1 vanishes the shared numerator, which hides one.
+EVENT_VARS = [[z_var(g, k) for k in (1, 2, 3)] for g in (1, 2, 3)]
+# (denominator vanishes, sides differ, shared numerator vanishes)
+NONE, DEN, DIFF, HIDDEN = ((False, False, False), (True, False, False),
+                          (False, True, False), (False, True, True))
+
+
+def _event_pair():
+    x, y = Distribution(), Distribution()
+    for g, (s, r, m) in enumerate(EVENT_VARS, 1):
+        den, shared = (Scalar.one() - Scalar.var(v) for v in (s, r))
+        shift = DMonomial.unit(1, g)
+        x = x + Distribution.single({}, shared * Scalar.var(m) / den, shift)
+        y = y + Distribution.single({}, shared / den, shift)
+    return x, y
+
+
+def _event_assignment(events, others=(2, 3, 4)):
+    """The assignment that places one attempt's events, one triple per
+    group; a variable that places none takes a value from ``others``."""
+    a, b, c = others
+    out = {}
+    for (s, r, m), (den, diff, hide) in zip(EVENT_VARS, events):
+        out.update({s: 1 if den else a, r: 1 if hide else b,
+                    m: c if diff else 1})
+    return out
+
+
+def _run_events(monkeypatch, attempts, trials, others=(2, 3, 4)):
+    """randomized_equal and its reference on the event pair, both drawing
+    the scripted attempts, then attempts without events; and the number of
+    attempts the oracle drew."""
+    x, y = _event_pair()
+    stream = [_event_assignment(events, others) for events in attempts]
+    stream += [_event_assignment([NONE] * 3, others)] * (2 * trials)
+    draw = _scripted(monkeypatch, stream)
+    calls = []
+    scripted = oracle._random_points
+
+    def counted(rng, n):
+        calls.append(n)
+        return scripted(rng, n)
+    monkeypatch.setattr(oracle, "_random_points", counted)
+    got = randomized_equal(x, y, trials, 0)
+    assert got == _reference_randomized_equal(x, y, trials, 0, draw=draw)
+    return got, len(calls)
+
+
+def test_event_pair_plans_one_part_of_each_kind_per_group():
+    x, y = _event_pair()
+    groups = _plan(x, y)[1]
+    assert len(groups) == 3
+    for (dens, shared, (_, dx, nx), (_, dy, ny)), (s, r, m) in zip(
+            groups, EVENT_VARS):
+        assert len(dens) == len(shared) == len(nx) == 1
+        assert not dx and not dy and not ny
+        assert Monomial.unit(m).key in nx
+
+
+@pytest.mark.parametrize("attempts, trials, expected, drawn", [
+    # a mismatch in group 1 decides the attempt before group 2's vanishing
+    # denominator: False, not a retry
+    ([[DIFF, DEN, NONE]], 3, (False, 1), 3),
+    # group 2's vanishing denominator retries the attempt before group 3's
+    # mismatch is met, and the next batch draws the one missing trial
+    ([[NONE, DEN, DIFF]], 3, (True, 3), 4),
+    # a retry followed by passing attempts
+    ([[NONE, NONE, DEN], [DEN, DIFF, NONE]], 3, (True, 3), 5),
+    # a vanishing shared numerator hides a mismatch; a retry; then a
+    # mismatch at trial 2, in the second batch
+    ([[HIDDEN, NONE, NONE], [DEN, NONE, NONE], [NONE, NONE, NONE],
+      [NONE, DIFF, NONE]], 3, (False, 3), 4),
+    ([[HIDDEN, NONE, NONE], [NONE, DEN, NONE], [NONE, HIDDEN, DIFF]], 3,
+     (False, 2), 3),
+])
+def test_batched_oracle_outcome_is_each_attempts_first_event(
+        monkeypatch, attempts, trials, expected, drawn):
+    assert _run_events(monkeypatch, attempts, trials) == (expected, drawn)
+
+
+def test_batched_oracle_draws_at_most_a_batch_at_once(monkeypatch):
+    # batches of two: a pass and a retry, two passes (one a hidden
+    # mismatch), then a mismatch at trial 4 in the third batch
+    monkeypatch.setattr(oracle, "BATCH", 2)
+    attempts = [[NONE] * 3, [NONE, DEN, NONE], [NONE] * 3,
+                [HIDDEN, NONE, NONE], [DIFF, NONE, NONE]]
+    assert _run_events(monkeypatch, attempts, 5) == ((False, 4), 6)
+
+
+@settings.get_profile(os.environ.get("IQGKLO_ORACLE_PROFILE", "oracle"))
+@given(st.lists(st.lists(st.sampled_from([NONE, DEN, DIFF, HIDDEN]),
+                         min_size=3, max_size=3), max_size=8),
+       st.integers(1, 5),
+       st.lists(st.integers(2, P - 1), min_size=3, max_size=3))
+def test_batched_oracle_matches_reference_on_scripted_events(
+        attempts, trials, others):
+    # vanishing denominators, mismatches and hidden mismatches at random
+    # attempts and groups: the batch gives the reference's (verdict, trials)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _run_events(monkeypatch, attempts, trials, others)
+
+
+@pytest.mark.parametrize("passes, retries, trials, expected", [
+    (0, 201, 1, (True, 1)),
+    (0, 202, 1, "exceeded 200 retries at trial 0"),
+    (2, 201, 5, (True, 5)),
+    (2, 202, 5, "exceeded 200 retries at trial 4"),
+    (2, 211, 5, "exceeded 200 retries at trial 2"),
+    (0, 205, 2, "exceeded 200 retries at trial 0"),
+])
+def test_batched_oracle_keeps_the_retry_cap_per_attempt(
+        monkeypatch, passes, retries, trials, expected):
+    # passing attempts, then retries, then passing attempts again: attempt
+    # k may run while k <= MAX_RETRIES + trials + 1, counted per attempt
+    # across batches, and the message names the trials passed, as before
+    x, y = _event_pair()
+    stream = [_event_assignment([NONE] * 3)] * passes
+    stream += [_event_assignment([DEN, DIFF, DIFF])] * retries
+    stream += [_event_assignment([NONE] * 3)] * (2 * trials)
+    draw = _scripted(monkeypatch, stream)
+    if isinstance(expected, tuple):
+        assert randomized_equal(x, y, trials, 0) == expected == \
+            _reference_randomized_equal(x, y, trials, 0, draw=draw)
+        return
+    with pytest.raises(BadSpecialization) as e:
+        randomized_equal(x, y, trials, 0)
+    assert str(e.value) == expected
 
 
 @settings.get_profile(os.environ.get("IQGKLO_ORACLE_PROFILE", "oracle"))
@@ -639,6 +778,20 @@ def test_residue_reduces_each_component_through_its_denominator():
     assert residue(Fraction(-5, 2)) == (P - 5) // 2
     assert residue(GR(2, -1)) == (2 - I) % P
     assert residue(GR(Fraction(1, 3), 1)) == ((P + 1) // 3 + I) % P
+
+
+@pytest.mark.parametrize("c", [Fraction(1, P), Fraction(-3, 2 * P),
+                               GR(1, Fraction(1, P)),
+                               GR(Fraction(2, 3 * P), 5)])
+def test_residue_of_a_denominator_divisible_by_p_is_a_bad_specialization(c):
+    # such a coefficient has no residue mod P; the oracle says so, naming
+    # it, and does not crash with a bare ValueError
+    with pytest.raises(BadSpecialization) as e:
+        residue(c)
+    assert str(e.value) == f"coefficient {c} has a denominator divisible by P"
+    x = Distribution.single({}, Scalar.var("q") * Scalar.const(c))
+    with pytest.raises(BadSpecialization):
+        randomized_equal(x, x, trials=2, seed=0)
 
 
 _q, _one, _p = Scalar.var("q"), Scalar.one(), Scalar.const(P)

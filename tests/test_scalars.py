@@ -576,14 +576,16 @@ def _mod_p(value):
 
 def _plan_residue(s, point):
     """s at the residues ``point`` as the oracle's (n, d), the value n/d
-    mod P: its kernel and power tables on every part of the plan of s,
-    combined as one side."""
+    mod P: every part of the plan of s evaluated on a batch of one attempt
+    over its power vectors, and combined as one side."""
     c, den, num, parts = s.eval_plan()
-    names, spans, zero = oracle._compile(parts)
-    powers = oracle._power_tables([point[v] for v in names], spans)
-    values = {key: oracle._part_value(oracle._kernel(p, zero), powers)
+    powers = oracle._OnDemand(
+        lambda ve: oracle._power_vector([point[ve[0]]], ve[1]))
+    values = {key: oracle._part_values(p, powers, 1)
               for key, p in parts.items()}
-    return oracle._side_value(oracle.residue(c), den, num, values)
+    (n,), (d,) = (oracle._times([u], mults, values)
+                  for u, mults in ((oracle.residue(c), num), (1, den)))
+    return n, d
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
