@@ -4,13 +4,15 @@ Two instruments:
 
 * randomized_equal -- compares two delta-supported distributions, support
   group by support group, at random points of the prime field F_P,
-  P = 2**30 - 35, every value one residue mod P.  Trials run in batches
-  of attempts drawn up front; each power of a variable and each part of
-  the coefficients is a vector over the batch, made once where a verdict
-  needs it.  The parts both sides of a group share are cancelled exactly,
-  so each (verdict, trials) pair is that of evaluating every coefficient
-  whole, attempt by attempt, mod P.  It shares no simplification code
-  with the symbolic comparison path.
+  P = 2**30 - 35, every value one residue mod P.  Each group is planned
+  from the signed factor exponents of its two coefficients, as two sides
+  with what both hold cancelled.  Trials run in batches of attempts drawn
+  up front; each power of a variable and each factor is a vector over
+  the batch, made once where a verdict needs it.  So each (verdict,
+  trials) pair is that of evaluating every coefficient whole, attempt by
+  attempt, mod P.  It reads the coefficients' parts and uses no Scalar
+  arithmetic, so it shares no simplification code with the symbolic
+  comparison path.
 
 * truncated_series_check -- confirms that the residue expansion of a
   rational current reproduces the difference of its Laurent expansions
@@ -27,7 +29,7 @@ import random
 from operator import mul
 
 from .errors import BadSpecialization
-from .scalars import GR, SCALAR_ZERO, Scalar
+from .scalars import GR, SCALAR_ZERO, Scalar, exponents, factor, variables
 
 MAX_RETRIES = 200   # redraws of a vanishing specialization, per comparison
 BATCH = 1024        # attempts drawn at once at most: bounds a batch's memory
@@ -80,48 +82,40 @@ def _groups(dist):
     return {key: c for key, (_, c) in dist.terms.items()}
 
 
-def _cancel(a, b):
-    """New copies of the multiplicity dicts a and b, each part that both
-    hold cancelled to the lower of its two multiplicities."""
-    get_a, get_b = a.get, b.get
-    a = {key: e for key, e in a.items() if get_b(key) != e}
-    b = {key: e for key, e in b.items() if get_a(key) != e}
-    for key in a.keys() & b.keys():
-        e, f = a.pop(key), b.pop(key)
-        if e > f:
-            a[key] = e - f
-        else:
-            b[key] = f - e
-    return a, b
+def _group(sx, sy):
+    """One support group's plan from its two coefficients, x's sx and y's
+    sy, as the hashable (dens, shared, cx, cy, m, up, down): the keys of
+    the factors with a negative exponent on either side and of those with
+    a positive one on both, each constant's residue, the unit monomial
+    key m = m_x - m_y, and the (key, |e|) pairs of the factors whose
+    exponent difference e = f_x - f_y is positive (up) or negative
+    (down).  The group compares cx * X^m * up == cy * down: sx == sy
+    with X^(m_y) and each factor to the lower of its two exponents
+    cancelled from both sides.  The zero coefficient has the constant 0
+    and no part."""
+    fx, fy = sx.f, sy.f
+    get_y = fy.get
+    e = {key: d for key, a in fx.items() if (d := a - get_y(key, 0))}
+    e.update((key, -b) for key, b in fy.items() if key not in fx)
+    return (frozenset([key for key, a in fx.items() if a < 0]
+                      + [key for key, b in fy.items() if b < 0]),
+            frozenset(key for key, a in fx.items() if a > 0 < get_y(key, 0)),
+            residue(sx.c), residue(sy.c), sx.m - sy.m,
+            frozenset((key, d) for key, d in e.items() if d > 0),
+            frozenset((key, -d) for key, d in e.items() if d < 0))
 
 
 def _plan(x, y):
-    """(parts, groups): each distinct part of the coefficients'
-    ``eval_plan`` by key, and per support group, x's first and then those
-    only y has, (dens, shared, vx, vy): the parts of either side's
-    denominator, the numerator parts both sides hold, and each side as
-    (unit, den, num), its constant's residue, with what both hold in their
-    numerators, or both in their denominators, cancelled to the lower
-    multiplicity.  A group equal in all four to an earlier one is left
-    out: in every attempt that reaches it, the earlier group has passed,
-    and so would it."""
+    """(names, groups): the name-sorted variables of every coefficient of
+    the pair, and per support group, x's first and then those only y has,
+    its plan (``_group``).  A group equal to an earlier one is left out:
+    in every attempt that reaches it, the earlier group has passed, and
+    so would it."""
     gx, gy = _groups(x), _groups(y)
-    parts, groups, seen = {}, [], set()
-    for key in [*gx, *(key for key in gy if key not in gx)]:
-        (ux, dx, nx, px), (uy, dy, ny, py) = (
-            g.get(key, SCALAR_ZERO).eval_plan() for g in (gx, gy))
-        parts.update(px)
-        parts.update(py)
-        dens = frozenset(dx.keys() | dy.keys())
-        shared = frozenset(nx.keys() & ny.keys())
-        (dx, dy), (nx, ny) = _cancel(dx, dy), _cancel(nx, ny)
-        vx, vy = (residue(ux), dx, nx), (residue(uy), dy, ny)
-        sig = dens, shared, *((u, frozenset(d.items()), frozenset(n.items()))
-                              for u, d, n in (vx, vy))
-        if sig not in seen:
-            seen.add(sig)
-            groups.append((dens, shared, vx, vy))
-    return parts, groups
+    keys = [*gx, *(key for key in gy if key not in gx)]
+    groups = dict.fromkeys(_group(gx.get(key, SCALAR_ZERO),
+                                  gy.get(key, SCALAR_ZERO)) for key in keys)
+    return variables([*gx.values(), *gy.values()]), list(groups)
 
 
 class _OnDemand(dict):
@@ -157,10 +151,21 @@ def _part_values(part, powers, n):
 
 
 def _times(vector, mults, values):
-    """``vector`` times each part of ``mults`` to its multiplicity, per
-    attempt mod P, the part's residues being ``values[key]``."""
-    for key, e in mults.items():
+    """``vector`` times each part of the (key, multiplicity) pairs
+    ``mults`` to its multiplicity, per attempt mod P, the part's residues
+    being ``values[key]``."""
+    for key, e in mults:
         vector = [a * pow(b, e, P) % P for a, b in zip(vector, values[key])]
+    return vector
+
+
+def _unit(c, m, powers, n):
+    """The residue c times X^m over the n attempts of a batch, X^m the
+    product of the power vectors of its decoded exponents; no draw is 0,
+    so neither is X^m."""
+    vector = [c] * n
+    for v, e in exponents(m):
+        vector = [a * b % P for a, b in zip(vector, powers[v, e])]
     return vector
 
 
@@ -187,18 +192,18 @@ def randomized_equal(x, y, trials=20, seed=0):
     batch: n attempts are drawn up front, one ``_random_points`` call
     each, in order, off the seed's stream, and each value below is a
     vector over the batch.  A power vector (``_power_vector``) is made
-    when an evaluated part first reads it, and a part is evaluated
-    (``_part_values``) once per batch, when a group that an undecided
-    attempt reaches first reads it.  An attempt's outcome is its first
-    event in group order.  Per group:
+    when it is first read, and a factor is evaluated (``_part_values``)
+    once per batch, when a group that an undecided attempt reaches first
+    reads it; a unit monomial (``_unit``) is a product of power vectors,
+    never 0.  An attempt's outcome is its first event in group order.
+    Per group:
     * a denominator part, shared or not, that is 0 retries the attempt, as
       the whole values would;
-    * else its two sides, the parts both share cancelled, are compared as
-      n/d (``_times``): n/d == n'/d' exactly when n*d' - n'*d is 0 mod P;
+    * else its two sides are compared (``_times``);
     * only where they differ do its shared numerator parts decide: one
       that is 0 makes both whole sides 0, so the group is equal there;
-      else they are one nonzero factor of both sides of n*d' == n'*d, and
-      the attempt is a mismatch.  Where the reduced sides agree, so do
+      else what was cancelled is one nonzero value on both whole sides,
+      and the attempt is a mismatch.  Where the two sides agree, so do
       the whole ones.
     An outcome depends on its own attempt's draw only, so the batch is
     scanned in order as if its attempts ran one by one: a retry leaves the
@@ -209,30 +214,29 @@ def randomized_equal(x, y, trials=20, seed=0):
     whole mod P.
     """
     rng = random.Random(seed)
-    parts, groups = _plan(x, y)
+    names, groups = _plan(x, y)
     if not groups:
         return True, trials
-    names = sorted({v for p in parts.values() for v, _, _ in p.layout()[0]})
     done = attempts = 0
     while done < trials:
         n = min(trials - done, BATCH)
         draws = [_random_points(rng, len(names)) for _ in range(n)]
         columns = dict(zip(names, zip(*draws)))
         powers = _OnDemand(lambda ve: _power_vector(columns[ve[0]], ve[1]))
-        values = _OnDemand(lambda key: _part_values(parts[key], powers, n))
+        values = _OnDemand(lambda key: _part_values(factor(key), powers, n))
         events = [None] * n
-        for dens, shared, (ux, dx, nx), (uy, dy, ny) in groups:
+        for dens, shared, cx, cy, m, up, down in groups:
             if all(events):
                 break
             vanish, zero = _vanishing(values, dens, n), None
-            a, b, c, d = (_times([u] * n, m, values) for u, m in
-                          ((ux, nx), (1, dx), (uy, ny), (1, dy)))
+            a = _times(_unit(cx, m, powers, n), up, values)
+            b = _times([cy] * n, down, values)
             for j, event in enumerate(events):
                 if event:
                     continue
                 if vanish[j]:
                     events[j] = "retry"
-                elif (a[j] * d[j] - c[j] * b[j]) % P:
+                elif a[j] != b[j]:
                     zero = zero or _vanishing(values, shared, n)
                     if not zero[j]:
                         events[j] = "mismatch"

@@ -256,7 +256,7 @@ def _key_min(a, b):
     return b + ((lifted & below) - (bias & below))
 
 
-def _decode(key):
+def exponents(key):
     """The name-sorted ((variable, exponent), ...) view of ``key``."""
     names = _NAMES
     (limbs,) = _limb_rows((key,))
@@ -307,7 +307,7 @@ class Monomial:
 
     @property
     def exps(self):
-        return _decode(self.key)
+        return exponents(self.key)
 
     @classmethod
     def one(cls):
@@ -427,7 +427,7 @@ class DMonomial:
     @property
     def exps(self):
         return tuple(sorted((tuple(map(int, v.split(":")[1:])), e)
-                            for v, e in _decode(self.key)))
+                            for v, e in exponents(self.key)))
 
     @classmethod
     def one(cls):
@@ -696,8 +696,7 @@ def divide_binomial(p, b):
 # --- factored scalars ------------------------------------------------------
 
 _FACTORS = {}           # factor key -> the one Poly of that factor, its
-                        # only home (scalars hold keys), and unit
-                        # monomial key -> its one-term Poly
+                        # only home (scalars hold keys)
 _BINOMIALS = {}         # raw (k1, c1, k2, c2) -> what _binomial returns
 
 
@@ -1104,11 +1103,11 @@ class Scalar:
         """The exact value where each variable takes its value in
         ``assignment``, as a canonical coefficient: c times the unit
         monomial and each factor to its exponent, each of these parts
-        summed term by term (``_term_sum``).  It calls neither
-        ``eval_plan`` nor the oracle, whose kernel it checks; the two
-        share only the decoded keys.  A variable the scalar holds that is
-        0 raises DivisionByZero, then a denominator factor that is 0
-        raises DenominatorVanishes."""
+        summed term by term (``_term_sum``).  It calls nothing in the
+        oracle, whose kernel it checks; the two share only the decoded
+        keys.  A variable the scalar holds that is 0 raises
+        DivisionByZero, then a denominator factor that is 0 raises
+        DenominatorVanishes."""
         if not self.c:
             return 0
         powers = {}
@@ -1128,28 +1127,6 @@ class Scalar:
             raise DenominatorVanishes(
                 "denominator vanishes at this assignment")
         return _canon(num * coeff_inverse(den))
-
-    def eval_plan(self):
-        """(c, den, num, parts): the constant, the multiplicities of the
-        denominator factors and of the numerator parts (the numerator
-        factors and the unit monomial) as new dicts over part keys, and
-        each key's Poly; the zero scalar has c = 0 and no part.  A key
-        determines its part: a factor's key (four ints for a binomial,
-        the term set for any other factor) or the unit monomial's packed
-        key.  The kinds never collide, so a part that several scalars
-        share has one key."""
-        if not self.c:
-            return 0, {}, {}, {}
-        f = self.f
-        den = {key: -e for key, e in f.items() if e < 0}
-        num = {key: e for key, e in f.items() if e > 0}
-        parts = {key: _FACTORS[key] for key in f}
-        if self.m:
-            if self.m not in _FACTORS:
-                _FACTORS[self.m] = _poly({self.m: 1})
-            num[self.m] = 1
-            parts[self.m] = _FACTORS[self.m]
-        return self.c, den, num, parts
 
     def has_var(self, var):
         k = _INDEX.get(var)
@@ -1182,6 +1159,19 @@ class Scalar:
         if den == POLY_ONE:
             return repr(num)
         return f"({num!r})/({den!r})"
+
+
+def factor(key):
+    """The one Poly of the factor ``key`` (see ``Scalar``)."""
+    return _FACTORS[key]
+
+
+def variables(scalars):
+    """The name-sorted variables that some part of one of ``scalars``
+    holds, read off the OR of their cached occupancy masks."""
+    occ = reduce(or_, (s._occupied() for s in scalars), 0)
+    return sorted(name for k, name in enumerate(_NAMES)
+                  if occ >> (_LIMB * k) & _MASK)
 
 
 SCALAR_ZERO = _scalar(0, 0, {})

@@ -14,6 +14,7 @@ from iqgklo.errors import (
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog
 from iqgklo.scalars import Monomial, Poly, Scalar
+from test_scalars import fresh_factor_tables
 
 
 def run_cli(capsys, *argv):
@@ -388,39 +389,45 @@ def test_check_scalars_hold_exponents_of_table_factors(capsys, monkeypatch,
 
 
 def test_check_decodes_one_layout_per_factor(capsys, monkeypatch):
-    # every factor key is one object, so its evaluation layout is decoded
-    # once per check, however many scalars and trials share it; a fresh
-    # factor table, and a fresh raw-binomial table in front of it, keep
-    # factors and layouts that other tests made out of the count.  Every
-    # scalar must be built after the swap: a scalar holds factor keys
-    # only and reads each factor's Poly from the table, so one built
-    # before it would find none of its factors there
-    monkeypatch.setattr(scalars, "_FACTORS", {})
-    monkeypatch.setattr(scalars, "_BINOMIALS", {})
-    decoded, keys, strays = [], set(), []
-    eval_layout, eval_plan = scalars._eval_layout, Scalar.eval_plan
+    # every factor key is one object, and each part the oracle evaluates
+    # is the table's object of its key, so a factor's evaluation layout
+    # is decoded once per check, however many scalars and trials share
+    # it, and a factor the oracle never evaluates is not decoded by it
+    fresh_factor_tables(monkeypatch)
+    decoded, evaluated = [], []
+    eval_layout, part_values = scalars._eval_layout, oracle._part_values
 
     def count_layout(terms):
         decoded.append(terms)
         return eval_layout(terms)
 
-    def count_parts(self):
-        plan = eval_plan(self)
-        for key, p in plan[3].items():
-            factor = scalars._FACTORS.get(key)
-            if factor is p:
-                keys.add(key)
-            elif factor is not None:
-                strays.append(key)
-        return plan
+    def count_parts(part, powers, n):
+        evaluated.append(part)
+        return part_values(part, powers, n)
     monkeypatch.setattr(scalars, "_eval_layout", count_layout)
-    monkeypatch.setattr(Scalar, "eval_plan", count_parts)
+    monkeypatch.setattr(oracle, "_part_values", count_parts)
     code, _, _ = run_cli(capsys, "check", "--instance", "qsA2-v11",
                          "--format", "structured")
     assert code == 0
-    factor_terms = {id(p.terms) for p in scalars._FACTORS.values()}
-    assert keys and not strays
-    assert sum(id(t) in factor_terms for t in decoded) == len(keys)
+    table = scalars._FACTORS.values()
+    factors = {id(p) for p in evaluated}
+    assert factors and factors <= {id(p) for p in table}
+    factor_terms = {id(p.terms) for p in table}
+    assert sum(id(t) in factor_terms for t in decoded) == len(factors)
+
+
+def test_check_leaves_only_factor_keys_in_the_table(capsys, monkeypatch):
+    # the oracle reads unit monomials off their keys, so the factor table
+    # holds factors only: binomials under their four-entry keys, the rest
+    # under their term sets
+    fresh_factor_tables(monkeypatch)
+    code, _, _ = run_cli(capsys, "check", "--instance", "sA1-v1-t1",
+                         "--format", "structured")
+    assert code == 0 and scalars._FACTORS
+    for key in scalars._FACTORS:
+        assert type(key) is frozenset or (
+            type(key) is tuple and len(key) == 4
+            and type(key[0]) is type(key[2]) is int), key
 
 
 def test_check_expands_each_logged_gamma_once(capsys, monkeypatch):

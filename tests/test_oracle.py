@@ -12,7 +12,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from iqgklo import oracle
+from iqgklo import oracle, scalars
 from iqgklo.cli import instance_from_description
 from iqgklo.delta import (
     Distribution, FactorCurrent, expand_by_residues, simple_poles,
@@ -29,11 +29,11 @@ from iqgklo.relations import RelationChecker
 from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import (
     _FACTORS, GR, GR_I, DMonomial, Monomial, Poly, Scalar, add_into,
-    coeff_inverse, z_var,
+    coeff_inverse, unpack_poly, z_var,
 )
 from iqgklo.torus import TorusElement
 from test_gklo import SHIFTED
-from test_scalars import _mod_p, ref_scalars
+from test_scalars import _mod_p, fresh_factor_tables, ref_scalars
 
 
 def _shift(i, r, e):
@@ -95,11 +95,24 @@ def test_randomized_equal_matches_symbolic_verdict():
 
 def _needed(groups):
     """The parts a group's verdict reads in every trial that reaches it:
-    its denominator parts and the parts of its reduced sides."""
+    its denominator parts and the parts left on its two sides."""
     out = set()
-    for dens, _, (_, dx, nx), (_, dy, ny) in groups:
-        out |= dens | dx.keys() | nx.keys() | dy.keys() | ny.keys()
+    for dens, _, _, _, _, up, down in groups:
+        out |= dens | {key for key, _ in up | down}
     return out
+
+
+def _factor_keys(*dists):
+    """Every factor key of a coefficient of the distributions."""
+    return {key for dist in dists for c in _groups(dist).values()
+            for key in c.f}
+
+
+def _exps(key):
+    """The exponents of a packed monomial key, decoded through a one-term
+    Poly."""
+    (mono,) = unpack_poly(Poly({key: 1}))
+    return mono.exps
 
 
 def test_randomized_equal_evaluates_each_needed_part_once_per_batch(
@@ -107,14 +120,14 @@ def test_randomized_equal_evaluates_each_needed_part_once_per_batch(
     # the 20 trials run as one batch, with no retry on this pair: each part
     # a verdict needs is evaluated once in it, and each power vector that
     # an evaluated part reads is built once; on this all-equal pair the
-    # reduced sides agree in every attempt, so a part that is only ever a
+    # two sides agree in every attempt, so a part that is only ever a
     # shared numerator part is not evaluated
     inst = catalog_by_name("sA1-v1-t0")
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
-    parts, groups = _plan(lhs, rhs)
-    needed = _needed(groups)
-    assert len(parts) == 17 and len(parts.keys() - needed) == 9
-    key_of = {id(p): key for key, p in parts.items()}
+    _, groups = _plan(lhs, rhs)
+    parts, needed = _factor_keys(lhs, rhs), _needed(groups)
+    assert len(parts) == 16 and len(parts - needed) == 8
+    key_of = {id(_FACTORS[key]): key for key in parts}
     evaluated, built = Counter(), Counter()
     kept = []                       # kept alive, so no id is reused
     part_values, power_vector = oracle._part_values, oracle._power_vector
@@ -136,9 +149,37 @@ def test_randomized_equal_evaluates_each_needed_part_once_per_batch(
     assert max(evaluated.values()) == max(built.values()) == 1
     assert {key for _, key in evaluated} == needed and len(needed) == 8
     reads = {(v, e) for key in needed
-             for ranges, rows in [parts[key].layout()] for row in rows
-             for (v, _, _), e in zip(ranges, row) if e}
+             for mono in unpack_poly(_FACTORS[key]) for v, e in mono.exps}
+    reads |= {ve for group in groups for ve in _exps(group[4])}
     assert len(built) == len(reads)
+
+
+def test_randomized_equal_decodes_only_the_parts_it_evaluates(monkeypatch):
+    # the draws' variables come off the scalars' occupancy masks, so a
+    # call decodes the layout of each part it evaluates, once, and of no
+    # other: here half the parts are only ever shared numerator parts.
+    # Fresh factor tables make every part a fresh Poly, with no layout
+    # that an earlier test decoded
+    fresh_factor_tables(monkeypatch)
+    inst = catalog_by_name("sA1-v1-t0")
+    lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
+    parts = _factor_keys(lhs, rhs)
+    decoded, evaluated = [], []
+    eval_layout, part_values = scalars._eval_layout, oracle._part_values
+
+    def counted_layout(terms):
+        decoded.append(terms)
+        return eval_layout(terms)
+
+    def counted_part(part, powers, n):
+        evaluated.append(part)
+        return part_values(part, powers, n)
+    monkeypatch.setattr(scalars, "_eval_layout", counted_layout)
+    monkeypatch.setattr(oracle, "_part_values", counted_part)
+    assert randomized_equal(lhs, rhs, trials=20, seed=0) == (True, 20)
+    assert sorted(map(id, decoded)) == sorted(id(p.terms) for p in evaluated)
+    assert {id(p) for p in evaluated} < {id(scalars._FACTORS[key])
+                                        for key in parts}
 
 
 def test_randomized_equal_plans_identical_groups_once():
@@ -153,14 +194,16 @@ def test_randomized_equal_plans_identical_groups_once():
         for seed in (0, 3):
             assert randomized_equal(x, y, trials=20, seed=seed) == \
                 _reference_randomized_equal(x, y, trials=20, seed=seed)
-    # a group that differs from an earlier one only in one side's constant
-    # is planned on its own, and its mismatch is found
-    x = Distribution.single({}, c) + Distribution.single({}, c, shift)
-    y = Distribution.single({}, c) \
-        + Distribution.single({}, c * Scalar.const(2), shift)
-    assert len(_plan(x, y)[1]) == 2
-    assert randomized_equal(x, y, trials=20, seed=0) == (False, 1) == \
-        _reference_randomized_equal(x, y, trials=20, seed=0)
+    # a group that differs from an earlier one only in one side's constant,
+    # or only in its unit monomial, is planned on its own, and its
+    # mismatch is found
+    for d in (c * Scalar.const(2), c * Scalar.var("q", 2)):
+        x = Distribution.single({}, c) + Distribution.single({}, c, shift)
+        y = Distribution.single({}, c) + Distribution.single({}, d, shift)
+        first, second = _plan(x, y)[1]
+        assert [a == b for a, b in zip(first, second)].count(False) == 1
+        assert randomized_equal(x, y, trials=20, seed=0) == (False, 1) == \
+            _reference_randomized_equal(x, y, trials=20, seed=0)
     # on a shifted pair, groups 3 and 4 repeat groups 1 and 2
     inst = instance_from_description(SHIFTED["A1-f3-s1"])
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
@@ -168,24 +211,23 @@ def test_randomized_equal_plans_identical_groups_once():
     assert len(_plan(lhs, rhs)[1]) == 2
 
 
-# Records, in a fresh interpreter, every coefficient the oracle compiles
-# on the qsA2-v11 BB3[1,2] pair, in order; the plan's groups are compared
-# in that order, x's side of each group before y's.
+# Records, in a fresh interpreter, every coefficient the oracle plans on
+# the qsA2-v11 BB3[1,2] pair, in order; the plan's groups are compared in
+# that order, x's side of each group before y's.
 VISITS = """
 import json
-from iqgklo.oracle import randomized_equal
+from iqgklo import oracle
 from iqgklo.relations import RelationChecker
 from iqgklo.satake import catalog_by_name
-from iqgklo.scalars import Scalar
 lhs, rhs = RelationChecker(catalog_by_name("qsA2-v11")).eval_pair("BB3", 1, 2)
 seen = []
-original = Scalar.eval_plan
+original = oracle._group
 
-def recorded(self):
-    seen.append(repr(self))
-    return original(self)
-Scalar.eval_plan = recorded
-randomized_equal(lhs, rhs, trials=1, seed=0)
+def recorded(sx, sy):
+    seen.extend((repr(sx), repr(sy)))
+    return original(sx, sy)
+oracle._group = recorded
+oracle.randomized_equal(lhs, rhs, trials=1, seed=0)
 print(json.dumps(seen))
 """
 
@@ -243,13 +285,15 @@ def _kept_pairs(report):
 
 
 def _variables(x, y):
-    """Every variable that a part of a coefficient holds, read off the
-    parts' evaluation layouts."""
+    """Every variable that a part of a coefficient holds, its unit monomial
+    or a factor, read off the part's decoded terms."""
     out = set()
     for g in (_groups(x), _groups(y)):
         for c in g.values():
-            for p in c.eval_plan()[3].values():
-                out |= {v for v, _, _ in p.layout()[0]}
+            out |= {v for v, _ in _exps(c.m)}
+            for key in c.f:
+                out |= {v for mono in unpack_poly(_FACTORS[key])
+                        for v, _ in mono.exps}
     return out
 
 
@@ -546,7 +590,7 @@ def test_vanishing_shared_numerator_part_leaves_the_group_equal(
         {}, ONE_MINUS_QT * (Scalar.one() + Scalar.var(T)))
     y = Distribution.single(
         {}, ONE_MINUS_QT * (Scalar.const(2) + Scalar.var(T)))
-    ((_, shared, _, _),) = _plan(x, y)[1]
+    ((_, shared, *_),) = _plan(x, y)[1]
     assert shared
     draw = _scripted(monkeypatch, VANISH_THEN_NOT + NOWHERE_ZERO)
     assert randomized_equal(x, y, trials=5, seed=0) == (False, 2) == \
@@ -561,8 +605,8 @@ def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
     y = Distribution.single(
         {}, (Scalar.const(2) - Scalar.var("q", 2) * Scalar.var(T))
         / ONE_MINUS_QT)
-    ((dens, _, (_, dx, _), (_, dy, _)),) = _plan(x, y)[1]
-    assert dens and not dx and not dy
+    ((dens, _, _, _, _, up, down),) = _plan(x, y)[1]
+    assert dens and not dens & {key for key, _ in up | down}
     draw = _scripted(monkeypatch, VANISH_THEN_NOT + NOWHERE_ZERO)
     assert randomized_equal(x, y, trials=5, seed=0) == (False, 1) == \
         _reference_randomized_equal(x, y, 5, 0, draw=draw)
@@ -571,9 +615,10 @@ def test_vanishing_shared_denominator_part_retries_the_trial(monkeypatch):
 # Three support groups, group g over its own variables s, r and m: x's
 # coefficient (1 - r) m / (1 - s) against y's (1 - r) / (1 - s) plans to
 # the denominator part 1 - s, the shared numerator part 1 - r and the
-# reduced sides m against 1.  So an assignment places each event of a
-# group by its values: s = 1 vanishes the denominator, m != 1 is a
-# mismatch, and r = 1 vanishes the shared numerator, which hides one.
+# sides m, the unit monomial, against 1.  So an assignment places each
+# event of a group by its values: s = 1 vanishes the denominator, m != 1
+# is a mismatch, and r = 1 vanishes the shared numerator, which hides
+# one.
 EVENT_VARS = [[z_var(g, k) for k in (1, 2, 3)] for g in (1, 2, 3)]
 # (denominator vanishes, sides differ, shared numerator vanishes)
 NONE, DEN, DIFF, HIDDEN = ((False, False, False), (True, False, False),
@@ -625,11 +670,11 @@ def test_event_pair_plans_one_part_of_each_kind_per_group():
     x, y = _event_pair()
     groups = _plan(x, y)[1]
     assert len(groups) == 3
-    for (dens, shared, (_, dx, nx), (_, dy, ny)), (s, r, m) in zip(
+    for (dens, shared, _, _, unit, up, down), (s, r, m) in zip(
             groups, EVENT_VARS):
-        assert len(dens) == len(shared) == len(nx) == 1
-        assert not dx and not dy and not ny
-        assert Monomial.unit(m).key in nx
+        assert len(dens) == len(shared) == 1
+        assert not up and not down
+        assert unit == Monomial.unit(m).key
 
 
 @pytest.mark.parametrize("attempts, trials, expected, drawn", [

@@ -15,7 +15,7 @@ from iqgklo.scalars import (
     Poly, Scalar, _binomial, _canon, _index, _key_min, _limb_rows, _mono,
     _absorb, _normal_binomial, _q_shift, _scalar, _shift_taps,
     _substitute_key, _substitution, coeff_inverse, divide_binomial,
-    unpack_poly, w_var,
+    factor, unpack_poly, w_var,
 )
 
 
@@ -574,17 +574,29 @@ def _mod_p(value):
     return x.numerator * pow(x.denominator, -1, P) % P
 
 
+def fresh_factor_tables(monkeypatch):
+    """Swap in an empty factor table, and an empty raw-binomial table in
+    front of it, so that factors and layouts other tests made stay out
+    of a count.  Every scalar must be built after the swap: a scalar
+    holds factor keys only and reads each factor's Poly from the table,
+    so one built before it would find none of its factors there."""
+    monkeypatch.setattr("iqgklo.scalars._FACTORS", {})
+    monkeypatch.setattr("iqgklo.scalars._BINOMIALS", {})
+
+
 def _plan_residue(s, point):
     """s at the residues ``point`` as the oracle's (n, d), the value n/d
-    mod P: every part of the plan of s evaluated on a batch of one attempt
-    over its power vectors, and combined as one side."""
-    c, den, num, parts = s.eval_plan()
+    mod P: the oracle's plan of one support group, s against 1, has the
+    constant of s times its unit monomial and numerator factors on one
+    side and its denominator factors on the other, each evaluated on a
+    batch of one attempt over its power vectors."""
+    _, _, cx, cy, m, up, down = oracle._group(s, Scalar.one())
     powers = oracle._OnDemand(
         lambda ve: oracle._power_vector([point[ve[0]]], ve[1]))
-    values = {key: oracle._part_values(p, powers, 1)
-              for key, p in parts.items()}
-    (n,), (d,) = (oracle._times([u], mults, values)
-                  for u, mults in ((oracle.residue(c), num), (1, den)))
+    values = oracle._OnDemand(
+        lambda key: oracle._part_values(factor(key), powers, 1))
+    (n,), (d,) = (oracle._times(u, mults, values) for u, mults in
+                  ((oracle._unit(cx, m, powers, 1), up), ([cy], down)))
     return n, d
 
 
@@ -638,7 +650,9 @@ def test_plan_residue_of_every_part_kind():
     n, d = _plan_residue(s, point)
     assert d and n * pow(d, -1, P) % P == _mod_p(want)
     # the zero scalar has the raw constant 0 and no part
-    assert Scalar.zero().eval_plan() == (0, {}, {}, {})
+    none = frozenset()
+    assert oracle._group(Scalar.zero(), Scalar.one()) == \
+        (none, none, 0, 1, 0, none, none)
     assert _plan_residue(Scalar.zero(), point) == (0, 1)
 
 
