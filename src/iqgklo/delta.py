@@ -9,16 +9,17 @@ Two layers:
   and residues; its residue expansion is a list of (pin, amplitude)
   pairs, since f(u) delta(a/u) = f(a) delta(a/u).
 
-* Distribution -- a finite sum of delta-supported operator terms.  Each
-  term is (pins, coeff, dmon): ``pins`` maps spectral variables to their
-  monomial targets (the content of the delta factors), ``coeff`` is a
-  Scalar, and ``dmon`` is the commuting shift-operator monomial standing
-  rightmost.  Every term is a point of the torus: its pin targets and
-  coefficient are free of spectral variables, so a prefactor in a pinned
-  variable is evaluated at the pin before it goes in.  ``add_term``,
-  ``scale`` and ``map_coeff``, where terms enter, raise UnpinnedResidual
-  otherwise; sums, negation, products and ``rename_spectral`` keep the
-  invariant, so they do not check it.
+* Distribution -- a finite sum of delta-supported operator terms, each
+  one entry (pins, dmon) -> coeff of ``terms``, keyed by its merge key:
+  ``pins`` is the name-sorted tuple of (spectral variable, Monomial
+  target) pairs (the content of the delta factors), ``dmon`` the
+  commuting shift-operator monomial standing rightmost, and ``coeff`` a
+  Scalar; ``items`` yields the pins as a dict.  Every term is a point of
+  the torus: its pin targets and coefficient are free of spectral
+  variables, so a prefactor in a pinned variable is evaluated at the pin
+  before it goes in.  ``add_term``, ``scale`` and ``map_coeff``, where
+  terms enter, raise UnpinnedResidual otherwise; sums, negation, products
+  and ``rename_spectral`` keep the invariant, so they do not check it.
 """
 
 from __future__ import annotations
@@ -29,14 +30,16 @@ from .errors import (
     DenominatorVanishes, DoublePin, NonSimplePole, UnpinnedResidual,
 )
 from .scalars import (
-    DMonomial, Monomial, SCALAR_ONE, Scalar, _poly, add_into, coeff_inverse,
-    coeff_pow, times_powers,
+    DMonomial, Monomial, SCALAR_ONE, SCALAR_ZERO, Scalar, _poly, _put,
+    add_into, coeff_inverse, coeff_pow, times_powers,
 )
 
 
 def _current(pref, power, factors):
     """A FactorCurrent over a normalized factor dict (each key once, no
-    zero exponent or coefficient), which it takes over as it is."""
+    zero exponent or coefficient), which it takes over as it is: the dict
+    may be shared with other currents, and no current ever mutates its
+    ``factors``."""
     fc = object.__new__(FactorCurrent)
     fc.pref = pref
     fc.power = power
@@ -77,11 +80,12 @@ class FactorCurrent:
 
     def copy_with(self, pref=None, power=None, factors=None):
         """A copy with the given parts replaced; ``factors`` must be a
-        normalized dict."""
+        normalized dict.  An unchanged factor dict is shared, not copied,
+        since no current mutates its own."""
         return _current(
             self.pref if pref is None else pref,
             self.power if power is None else power,
-            dict(self.factors) if factors is None else factors)
+            self.factors if factors is None else factors)
 
     # --- builders -----------------------------------------------------
 
@@ -91,12 +95,7 @@ class FactorCurrent:
         when that sum is 0."""
         f = dict(self.factors)
         if e and c:
-            key = (c, M)
-            e += f.get(key, 0)
-            if e:
-                f[key] = e
-            else:
-                del f[key]
+            _put(f, (c, M), e)
         return self.copy_with(factors=f)
 
     def times_linear_inv_arg(self, M, c=1, e=1):
@@ -112,9 +111,12 @@ class FactorCurrent:
         return self.copy_with(pref=self.pref * s)
 
     def __mul__(self, other):
-        return FactorCurrent(self.pref * other.pref,
-                             self.power + other.power,
-                             [*self.factors.items(), *other.factors.items()])
+        """The product, other's factors merged into a copy of self's
+        (``_put``): the constructor's factor order."""
+        f = dict(self.factors)
+        for key, e in other.factors.items():
+            _put(f, key, e)
+        return _current(self.pref * other.pref, self.power + other.power, f)
 
     def inverse(self):
         return _current(self.pref.inverse(), -self.power,
@@ -264,12 +266,15 @@ class FactorCurrent:
 
 
 def _pins_key(pins):
-    return tuple(sorted((v, M.key) for v, M in pins.items()))
+    """The merge-key form of a pins dict: its items, sorted by name."""
+    return tuple(sorted(pins.items()))
 
 
 class Distribution:
-    """Finite sum of (pins, coeff, dmon) terms, merged on (pins, dmon), no
-    coefficient 0: a merge that cancels deletes its term.
+    """Finite sum of terms, each one entry (pins, dmon) -> coeff of
+    ``terms``, pins the name-sorted (variable, Monomial) pairs: terms of
+    one support sum in place, and a merge that cancels deletes its term,
+    so no coefficient is 0.
 
     Every result has the receiver's type, so a subclass (the pin-free
     ``torus.TorusElement``) is closed under the algebra."""
@@ -277,7 +282,7 @@ class Distribution:
     __slots__ = ("terms",)
 
     def __init__(self):
-        self.terms = {}      # (pins_key, dmon) -> (pins dict, Scalar)
+        self.terms = {}      # (pins, dmon) -> Scalar
 
     @classmethod
     def zero(cls):
@@ -290,30 +295,31 @@ class Distribution:
         return out
 
     def add_term(self, pins, coeff, dmon):
-        """Add one term from outside, checked (see the module docstring)."""
+        """Add one term from outside, its pins a dict, checked (see the
+        module docstring)."""
         for v, M in pins.items():
             if M.has_spectral():
                 raise UnpinnedResidual(f"pin {v} -> {M!r} holds a spectral "
                                        "variable")
         if coeff.has_spectral():
             raise UnpinnedResidual("coefficient holds a spectral variable")
-        self._merge((_pins_key(pins), dmon), pins, coeff)
+        self._merge((_pins_key(pins), dmon), coeff)
 
-    def _merge(self, key, pins, coeff):
+    def _merge(self, key, coeff):
         """Add one term that is already checked, under its merge key; a sum
         that cancels is deleted, so no zero coefficient is kept."""
         old = self.terms.get(key)
         if old is not None:
-            coeff = old[1] + coeff
+            coeff = old + coeff
         if not coeff.is_zero():
-            self.terms[key] = (pins, coeff)
+            self.terms[key] = coeff
         elif old is not None:
             del self.terms[key]
 
     def items(self):
-        """Yield (pins, coeff, dmon) per term."""
-        for (_, dmon), (pins, coeff) in self.terms.items():
-            yield pins, coeff, dmon
+        """Yield (pins dict, coeff, dmon) per term."""
+        for (pins, dmon), coeff in self.terms.items():
+            yield dict(pins), coeff, dmon
 
     def is_zero(self):
         return not self.terms
@@ -323,8 +329,8 @@ class Distribution:
         terms that are already checked, so none is checked again."""
         out = type(self)()
         out.terms = dict(self.terms)
-        for key, (pins, coeff) in other.terms.items():
-            out._merge(key, pins, -coeff if negate else coeff)
+        for key, coeff in other.terms.items():
+            out._merge(key, -coeff if negate else coeff)
         return out
 
     def __add__(self, other):
@@ -335,8 +341,7 @@ class Distribution:
 
     def __neg__(self):
         out = type(self)()
-        out.terms = {key: (pins, -coeff)
-                     for key, (pins, coeff) in self.terms.items()}
+        out.terms = {key: -coeff for key, coeff in self.terms.items()}
         return out
 
     def scale(self, s):
@@ -347,39 +352,36 @@ class Distribution:
             raise UnpinnedResidual("scalar holds a spectral variable")
         out = type(self)()
         if not s.is_zero():
-            out.terms = {key: (pins, coeff * s)
-                         for key, (pins, coeff) in self.terms.items()}
+            out.terms = {key: coeff * s for key, coeff in self.terms.items()}
         return out
 
     def map_coeff(self, fn):
-        """Replace each coefficient by fn(pins, coeff), which must be free
-        of spectral variables; a term whose new coefficient is 0 is
+        """Replace each coefficient by fn(pins dict, coeff), which must be
+        free of spectral variables; a term whose new coefficient is 0 is
         dropped."""
         out = type(self)()
-        for key, (pins, coeff) in self.terms.items():
-            coeff = fn(pins, coeff)
+        for key, coeff in self.terms.items():
+            coeff = fn(dict(key[0]), coeff)
             if coeff.has_spectral():
                 raise UnpinnedResidual("coefficient holds a spectral variable")
             if not coeff.is_zero():
-                out.terms[key] = (pins, coeff)
+                out.terms[key] = coeff
         return out
 
     def __mul__(self, other):
         """Term by term; a torus point moved through a shift part, and a
         product of torus scalars, are torus points, so none is checked."""
         out = type(self)()
-        right = list(other.items())
-        for pins1, c1, d1 in self.items():
-            for pins2, c2, d2 in right:
-                overlap = set(pins1) & set(pins2)
-                if overlap:
+        right = other.terms.items()
+        for (pins1, d1), c1 in self.terms.items():
+            for (pins2, d2), c2 in right:
+                pins = dict(pins1)
+                pins.update((v, M.conjugate(d1)) for v, M in pins2)
+                if len(pins) < len(pins1) + len(pins2):
+                    overlap = dict(pins1).keys() & dict(pins2).keys()
                     raise DoublePin(f"variables {sorted(overlap)} pinned in "
                                     "both factors")
-                pins = dict(pins1)
-                for v, M in pins2.items():
-                    pins[v] = M.conjugate(d1)
-                out._merge((_pins_key(pins), d1 * d2), pins,
-                           c1 * c2.conjugate(d1))
+                out._merge((_pins_key(pins), d1 * d2), c1 * c2.conjugate(d1))
         return out
 
     def rename_spectral(self, mapping):
@@ -389,17 +391,18 @@ class Distribution:
         when two pins of one term land on one name; two terms that land
         on one key merge."""
         out = type(self)()
-        for (_, dmon), (pins, coeff) in self.terms.items():
-            renamed = {mapping.get(v, v): M for v, M in pins.items()}
+        for (pins, dmon), coeff in self.terms.items():
+            renamed = {mapping.get(v, v): M for v, M in pins}
             if len(renamed) < len(pins):
-                raise DoublePin(f"two pins of {sorted(pins)} renamed to one")
-            out._merge((_pins_key(renamed), dmon), renamed, coeff)
+                raise DoublePin(f"two pins of {[v for v, _ in pins]} renamed "
+                                "to one")
+            out._merge((_pins_key(renamed), dmon), coeff)
         return out
 
     def __repr__(self):
         parts = []
-        for pins, coeff, dmon in self.items():
-            ps = "".join(f"delta[{v}={M!r}]" for v, M in sorted(pins.items()))
+        for (pins, dmon), coeff in self.terms.items():
+            ps = "".join(f"delta[{v}={M!r}]" for v, M in pins)
             parts.append(f"{ps}({coeff!r}){dmon!r}")
         return " + ".join(parts) if parts else "0"
 
@@ -454,24 +457,24 @@ def expand_by_residues(fc):
 def canonicalize_compare(x, y):
     """Group by (pins, dmon) and compare coefficient sums exactly.
 
-    Returns a list of discrepancies (pins, dmon, lhs coeff, rhs coeff);
-    empty list means equal.  The groups are compared in the order they
-    come, and only the discrepancies are ordered for the report: by the
-    repr of their decoded pins and dmon, which is distinct per group, so
-    the list is what sorting every group first would give.
+    Returns a list of discrepancies (pins, dmon, lhs coeff, rhs coeff),
+    pins a name-sorted dict; empty list means equal.  The groups are
+    compared in the order they come, and only the discrepancies are
+    ordered for the report: by the repr of their decoded pins and dmon,
+    which is distinct per group, so the list is what sorting every group
+    first would give.
     """
     xs, ys = x.terms, y.terms
     bad = []
-    for key, (p, _) in {**ys, **xs}.items():
-        cx = xs[key][1] if key in xs else Scalar.zero()
-        cy = ys[key][1] if key in ys else Scalar.zero()
+    for key in {**ys, **xs}:
+        cx, cy = xs.get(key, SCALAR_ZERO), ys.get(key, SCALAR_ZERO)
         if not cx.equals(cy):
-            bad.append((p, key[1], cx, cy))
+            bad.append((dict(key[0]), key[1], cx, cy))
 
     def report_order(entry):
         # by the decoded exponents, so the order never depends on limbs
         p, dmon = entry[:2]
-        return repr((tuple((v, p[v].exps) for v in sorted(p)), dmon))
+        return repr((tuple((v, M.exps) for v, M in p.items()), dmon))
 
     bad.sort(key=report_order)
     return bad

@@ -75,13 +75,6 @@ def _random_points(rng, n):
     return points
 
 
-def _groups(dist):
-    """Each support group's coefficient, keyed by the distribution's own
-    merge key of its pins and shift, under which ``Distribution`` has
-    already summed the group's terms and dropped a sum that cancels."""
-    return {key: c for key, (_, c) in dist.terms.items()}
-
-
 def _group(sx, sy):
     """One support group's plan from its two coefficients, x's sx and y's
     sy, as the hashable (dens, shared, cx, cy, m, up, down): the keys of
@@ -108,10 +101,11 @@ def _group(sx, sy):
 def _plan(x, y):
     """(names, groups): the name-sorted variables of every coefficient of
     the pair, and per support group, x's first and then those only y has,
-    its plan (``_group``).  A group equal to an earlier one is left out:
-    in every attempt that reaches it, the earlier group has passed, and
-    so would it."""
-    gx, gy = _groups(x), _groups(y)
+    its plan (``_group``).  The groups are the distributions' own terms,
+    each keyed by its support and already summed, none 0.  A group equal
+    to an earlier one is left out: in every attempt that reaches it, the
+    earlier group has passed, and so would it."""
+    gx, gy = x.terms, y.terms
     keys = [*gx, *(key for key in gy if key not in gx)]
     groups = dict.fromkeys(_group(gx.get(key, SCALAR_ZERO),
                                   gy.get(key, SCALAR_ZERO)) for key in keys)
@@ -139,11 +133,11 @@ def _part_values(part, powers, n):
     cached layout (``Poly.layout``): per term, its coefficient's residue
     times the batch's power vector ``powers[v, e]`` of each nonzero
     exponent e of a variable v."""
-    ranges, rows = part.layout()
+    names, rows = part.layout()
     terms = []
     for c, exps in zip(part.terms.values(), rows):
         term = [residue(c)] * n
-        for (v, _, _), e in zip(ranges, exps):
+        for v, e in zip(names, exps):
             if e:
                 term = map(mul, term, powers[v, e])
         terms.append(term)

@@ -461,14 +461,14 @@ _D_ONE = _dmono(0)
 
 
 def _eval_layout(terms):
-    """The evaluation layout of a nonzero term dict: (name, lowest, highest
-    exponent) per variable whose exponents are not all 0, and each term's
-    exponents of those variables, in term order."""
+    """The evaluation layout of a nonzero term dict: the names of the
+    variables whose exponents are not all 0, and each term's exponents of
+    those variables, in term order."""
     rows = _limb_rows(terms)
     used = [k for k, col in enumerate(zip(*rows)) if any(col)]
     cols = [[row[k] for row in rows] for k in used]
-    ranges = [(_NAMES[k], min(col), max(col)) for k, col in zip(used, cols)]
-    return ranges, list(zip(*cols)) if cols else [()] * len(rows)
+    return ([_NAMES[k] for k in used],
+            list(zip(*cols)) if cols else [()] * len(rows))
 
 
 def add_into(d, terms, shift=0, c=1):
@@ -817,8 +817,7 @@ def _term_sum(p, power):
     """The sum of the nonzero Poly p's terms, each its coefficient times
     power(v, e) per variable v of its decoded key (``Poly.layout``) with
     exponent e != 0."""
-    ranges, rows = p.layout()
-    names = [v for v, _, _ in ranges]
+    names, rows = p.layout()
     total = 0
     for c, exps in zip(p.terms.values(), rows):
         for v, e in zip(names, exps):

@@ -352,8 +352,8 @@ def _factored(s):
 def _assert_same_terms(got, want):
     # the order matters: randomized_equal visits groups in insertion order
     assert list(got.terms) == list(want.terms)
-    for key, (pins, coeff) in got.terms.items():
-        want_pins, want_coeff = want.terms[key]
+    for (pins, coeff, _), (want_pins, want_coeff, _) in zip(
+            got.items(), want.items(), strict=True):
         assert pins == want_pins
         assert _factored(coeff) == _factored(want_coeff)
 
@@ -502,6 +502,10 @@ def _normalized_step(fc, op):
                              [(k, -e) for k, e in items])
     if kind == "times_power":
         return FactorCurrent(pref, power + args[0], items)
+    if kind == "mul":
+        (o,) = args
+        return FactorCurrent(pref * o.pref, power + o.power,
+                             [*items, *o.factors.items()])
     if kind == "scale":
         return FactorCurrent(pref * args[0], power, items)
     if kind == "conjugate":
@@ -518,6 +522,12 @@ def _state(fc):
     return fc.power, list(fc.factors.items())
 
 
+def _apply(fc, op):
+    """One step of a chain, on the current's own methods."""
+    kind, *args = op
+    return fc * args[0] if kind == "mul" else getattr(fc, kind)(*args)
+
+
 # few monomials and coefficients, so that factors often merge and cancel
 CHAIN_MONOS = st.sampled_from([Monomial.one(), W, Q2, W * Q2, W.inverse()])
 CHAIN_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), GR(0, 1)])
@@ -532,26 +542,41 @@ CHAIN_STEP = st.one_of(
          Scalar.from_mono(W, GR(1, 2))])),
     st.tuples(st.just("conjugate"), st.sampled_from(
         [DMonomial.unit(1, 1), DMonomial.unit(1, 1, -1)])),
-    st.tuples(st.just("scale_arg"), CHAIN_MONOS, CHAIN_COEFFS))
+    st.tuples(st.just("scale_arg"), CHAIN_MONOS, CHAIN_COEFFS),
+    st.tuples(st.just("mul"), st.builds(
+        FactorCurrent,
+        st.sampled_from([Scalar.one(), Scalar.q_int(-1),
+                         Scalar.from_mono(W, 2)]),
+        st.integers(-2, 2),
+        st.lists(st.tuples(st.tuples(CHAIN_COEFFS, CHAIN_MONOS),
+                           st.integers(-2, 2)), max_size=4))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(CHAIN_STEP, max_size=14))
 def test_copies_match_the_normalizing_constructor(chain):
     fc = FactorCurrent()
+    # every current of the chain, with its factor items when it was made:
+    # copies share factor dicts, so a step that mutated one would show
+    made = [(fc, list(fc.factors.items()))]
     for op in chain:
         if op[0] == "drop_factor":
             if not fc.factors:
                 continue
             op = ("drop_factor", list(fc.factors)[op[1] % len(fc.factors)])
+        if op[0] == "mul":
+            made.append((op[1], list(op[1].factors.items())))
         before, pref = _state(fc), fc.pref
-        got = getattr(fc, op[0])(*op[1:])
+        got = _apply(fc, op)
         want = _normalized_step(fc, op)
         # the operand is left as it was
         assert _state(fc) == before and fc.pref is pref
         assert _state(got) == _state(want)
         assert _factored(got.pref) == _factored(want.pref)
         fc = got
+        made.append((fc, list(fc.factors.items())))
+    for current, items in made:
+        assert list(current.factors.items()) == items
 
 
 def _chain_current(chain):
@@ -562,7 +587,7 @@ def _chain_current(chain):
             if not fc.factors:
                 continue
             op = ("drop_factor", list(fc.factors)[op[1] % len(fc.factors)])
-        fc = getattr(fc, op[0])(*op[1:])
+        fc = _apply(fc, op)
     return fc
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from iqgklo.cli import _result_entry, main
 from iqgklo.relations import RelationChecker
-from iqgklo.satake import catalog_by_name
+from iqgklo.satake import build_catalog, catalog_by_name
 from iqgklo.scalars import GR, Monomial, Poly, Scalar
 
 DATA = Path(__file__).parent / "data"
@@ -68,6 +68,17 @@ def test_negative_control_discrepancies_match_golden(name, corrupt, kind):
     entries = [_result_entry(r) for r in report.results]
     assert _text(entries) == \
         (DATA / f"negative-{name}-{corrupt}-{kind}.json").read_text()
+
+
+@pytest.mark.parametrize("corrupt", ["flip_wp", "drop_kappa", "drop_const"])
+def test_discrepancy_supports_list_their_variables_in_name_order(corrupt):
+    supports = [list(d["support"]) for inst in build_catalog()
+                for r in RelationChecker(inst, corrupt=corrupt).run().results
+                for d in _result_entry(r).get("discrepancies", ())]
+    # some support pins several variables, so the order is tested
+    assert max(map(len, supports)) > 1
+    for names in supports:
+        assert names == sorted(names)
 
 
 def _parse_coeff(text):
@@ -123,7 +134,11 @@ def test_regenerated_coefficients_equal_the_old_ones(golden, key):
     if key:
         old, new = old[key], new[key]
     strip = _without_seconds
-    # supports, shift parts, statuses and order are unchanged
+    # supports, shift parts, statuses and order are unchanged, but for
+    # the order of each support's variables, which is now name-sorted
+    for entry in old:
+        for d in entry.get("discrepancies", ()):
+            d["support"] = dict(sorted(d["support"].items()))
     blank = re.compile(r'"(lhs|rhs|detail)": "[^"]*"')
     assert blank.sub("", json.dumps(strip(old))) == \
         blank.sub("", json.dumps(strip(new)))

@@ -22,7 +22,7 @@ from iqgklo.errors import (
 )
 from iqgklo.gklo import build_B_image, build_Xi, times_x_minus_xinv
 from iqgklo.oracle import (
-    I, P, _groups, _plan, act, randomized_equal, residue,
+    I, P, _plan, act, randomized_equal, residue,
     truncated_series_check,
 )
 from iqgklo.relations import RelationChecker
@@ -104,7 +104,7 @@ def _needed(groups):
 
 def _factor_keys(*dists):
     """Every factor key of a coefficient of the distributions."""
-    return {key for dist in dists for c in _groups(dist).values()
+    return {key for dist in dists for c in dist.terms.values()
             for key in c.f}
 
 
@@ -207,7 +207,7 @@ def test_randomized_equal_plans_identical_groups_once():
     # on a shifted pair, groups 3 and 4 repeat groups 1 and 2
     inst = instance_from_description(SHIFTED["A1-f3-s1"])
     lhs, rhs = RelationChecker(inst).eval_pair("BB2", 1, 1)
-    assert len(_groups(lhs).keys() | _groups(rhs).keys()) == 4
+    assert len(lhs.terms.keys() | rhs.terms.keys()) == 4
     assert len(_plan(lhs, rhs)[1]) == 2
 
 
@@ -288,7 +288,7 @@ def _variables(x, y):
     """Every variable that a part of a coefficient holds, its unit monomial
     or a factor, read off the part's decoded terms."""
     out = set()
-    for g in (_groups(x), _groups(y)):
+    for g in (x.terms, y.terms):
         for c in g.values():
             out |= {v for v, _ in _exps(c.m)}
             for key in c.f:
@@ -369,7 +369,7 @@ def _draws(x, y, seed):
     """The oracle's support groups and its stream of random
     (assignment, test monomial) draws for one seed, made the long way;
     the test monomials come off a stream of their own."""
-    gx, gy = _groups(x), _groups(y)
+    gx, gy = x.terms, y.terms
     variables = _variables(x, y)
     rng, mono_rng = random.Random(seed), random.Random(f"monomial {seed}")
     return gx, gy, [*gx, *(k for k in gy if k not in gx)], \

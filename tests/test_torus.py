@@ -176,7 +176,7 @@ def test_inadmissible_denominator():
 
 
 def _names(p):
-    return {v for v, _, _ in p.layout()[0]}
+    return set(p.layout()[0])
 
 
 def _admissible_candidates(wvars):
